@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .dynamics import (
     EXCITED_STATE,
@@ -68,19 +69,11 @@ class ConfigError(ValueError):
 # serialisation
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    return obj
-
-
 def _dump_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -89,7 +82,7 @@ def _dump_json(obj, indent: int = 0) -> str:
             for key, value in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         items = ",\n".join(f"{inner}{_dump_json(v, indent + 1)}" for v in obj)
@@ -105,12 +98,27 @@ def _dump_json(obj, indent: int = 0) -> str:
 
 def render_json(obj) -> str:
     """Deterministic JSON with doubles at full precision."""
-    return _dump_json(_jsonable(obj)) + "\n"
+    return _dump_json(obj) + "\n"
 
 
-def _csv_row(header: list[str], values: list[float]) -> str:
-    body = ",".join("%.12e" % v for v in values)
-    return ",".join(header) + "\n" + body + "\n"
+def _flatten(payload: dict):
+    """Leaf ``(name, value)`` pairs in order; complex ``z`` gives ``z_re``, ``z_im``."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _flatten(value)
+        elif isinstance(value, complex):
+            yield f"{key}_re", value.real
+            yield f"{key}_im", value.imag
+        else:
+            yield key, value
+
+
+def _render(payload: dict, fmt: str) -> str:
+    """The payload as JSON, or as a one-row CSV of its flattened leaves."""
+    if fmt == "json":
+        return render_json(payload)
+    header, values = zip(*_flatten(payload))
+    return ",".join(header) + "\n" + ",".join("%.12e" % v for v in values) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -144,6 +152,8 @@ def _apply_config(args: argparse.Namespace, known_dests: set[str]) -> None:
         dest = _CONFIG_KEY_MAP.get(key, key)
         if dest not in known_dests:
             raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(value, (list, dict)):
+            raise ConfigError(f"config key {key!r} must hold a single value")
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
 
@@ -191,81 +201,22 @@ def _params_section(params: SystemParams) -> dict:
 
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    atom = steady_atom(params)
-    stats = single_mode_stats(params)
-    if (args.fmt or "json") == "json":
-        payload = {
-            "params": _params_section(params),
-            "atom": {"eta_a": atom.eta_a, "eta_b": atom.eta_b, "sigma": atom.sigma},
-            "stats": {
-                "n_bar": stats.n_bar,
-                "n_emitted": stats.n_emitted,
-                "n_absorbed": stats.n_absorbed,
-                "n_drive": stats.n_drive,
-                "var_plus": stats.var_plus,
-                "var_minus": stats.var_minus,
-                "vac_var": stats.vac_var,
-                "f_a": stats.f_a,
-                "f_b": stats.f_b,
-                "squeezing": stats.squeezing,
-            },
-        }
-        _emit(render_json(payload), args.out)
-    else:
-        header = [
-            "g", "kappa", "epsilon", "gamma_c",
-            "eta_a", "eta_b", "sigma",
-            "n_bar", "n_emitted", "n_absorbed", "n_drive",
-            "var_plus", "var_minus", "vac_var", "f_a", "f_b", "squeezing",
-        ]
-        values = [
-            params.g, params.kappa, params.epsilon, params.gamma_c,
-            atom.eta_a, atom.eta_b, atom.sigma,
-            stats.n_bar, stats.n_emitted, stats.n_absorbed, stats.n_drive,
-            stats.var_plus, stats.var_minus, stats.vac_var,
-            stats.f_a, stats.f_b, stats.squeezing,
-        ]
-        _emit(_csv_row(header, values), args.out)
+    payload = {
+        "params": _params_section(params),
+        "atom": asdict(steady_atom(params)),
+        "stats": asdict(single_mode_stats(params)),
+    }
+    _emit(_render(payload, args.fmt or "json"), args.out)
     return 0
 
 
 def _cmd_superpose(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    stats = superposed_stats(params)
-    _, _, s_sum = superposed_squeezing(params)
-    if (args.fmt or "json") == "json":
-        payload = {
-            "params": _params_section(params),
-            "stats": {
-                "n_bar_sup": stats.n_bar_sup,
-                "var_plus": stats.var_plus,
-                "var_minus": stats.var_minus,
-                "vac_var": stats.vac_var,
-                "f_c": stats.f_c,
-                "f_d": stats.f_d,
-                "s_plus": stats.s_plus,
-                "s_minus": stats.s_minus,
-                "sum": s_sum,
-                "c_mean": stats.c_mean,
-                "c_sq": stats.c_sq,
-            },
-        }
-        _emit(render_json(payload), args.out)
-    else:
-        header = [
-            "g", "kappa", "epsilon", "gamma_c",
-            "n_bar_sup", "var_plus", "var_minus", "vac_var",
-            "f_c", "f_d", "s_plus", "s_minus", "sum",
-            "c_mean_re", "c_mean_im", "c_sq_re", "c_sq_im",
-        ]
-        values = [
-            params.g, params.kappa, params.epsilon, params.gamma_c,
-            stats.n_bar_sup, stats.var_plus, stats.var_minus, stats.vac_var,
-            stats.f_c, stats.f_d, stats.s_plus, stats.s_minus, s_sum,
-            stats.c_mean.real, stats.c_mean.imag,
-            stats.c_sq.real, stats.c_sq.imag,
-        ]
-        _emit(_csv_row(header, values), args.out)
+    stats = asdict(superposed_stats(params))
+    moments = {name: stats.pop(name) for name in ("c_mean", "c_sq")}
+    stats["sum"] = superposed_squeezing(params)[2]
+    payload = {"params": _params_section(params), "stats": {**stats, **moments}}
+    _emit(_render(payload, args.fmt or "json"), args.out)
     return 0
 
 
@@ -290,18 +241,12 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         else:
             series.to_csv(sys.stdout)
     else:
-        final = series.final_state()
         payload = {
             "params": _params_section(params),
             "converged": series.converged,
             "t_final": float(series.t[-1]),
             "n_steps": int(len(series.t) - 1),
-            "final": {
-                "sigma_re": final.sigma_re,
-                "sigma_im": final.sigma_im,
-                "eta_a": final.eta_a,
-                "eta_b": final.eta_b,
-            },
+            "final": asdict(series.final_state()),
         }
         _emit(render_json(payload), args.out)
     return 0
@@ -337,7 +282,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     gamma_c = args.gamma_c
     if gamma_c is None and args.g is not None and args.kappa is not None:
-        gamma_c = 4.0 * args.g * args.g / args.kappa
+        gamma_c = SystemParams(g=args.g, kappa=args.kappa, epsilon=0.0).gamma_c
     spec = SweepSpec(
         eps_min=args.eps_min if args.eps_min is not None else 0.0,
         eps_max=args.eps_max if args.eps_max is not None else 0.8,

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from . import single_mode
+from . import single_mode, superposed
 from .params import SystemParams
 
 __all__ = [
@@ -335,14 +335,15 @@ def _build_report(
     }
     var_plus, var_minus = standard_quadrature_variances(rho, ops)
 
-    gc, k, eps = params.gamma_c, params.kappa, params.epsilon
-    d = params.denominator
     atom = single_mode.steady_atom(params)
     cf_var_plus, cf_var_minus, _ = single_mode.quadrature_variances(params)
+    n_bar, _, n_absorbed, n_drive = single_mode.mean_photons(params)
+    # The superposed mode has <c> = <a> (1 + i); <a^2> = n_drive - n_absorbed.
+    c_mean, _ = superposed.superposed_first_moments(params)
     closed = {
-        "mean_photon_number": single_mode.mean_photons(params)[0],
-        "mean_field": 2.0 * eps / k - 2.0 * gc * eps / d,
-        "mean_field_squared": 4.0 * eps * eps / (k * k) - (gc / k) * (8.0 * eps * eps / d),
+        "mean_photon_number": n_bar,
+        "mean_field": c_mean.real,
+        "mean_field_squared": n_drive - n_absorbed,
         "eta_a": atom.eta_a,
         "eta_b": atom.eta_b,
         "sigma": atom.sigma,

@@ -8,7 +8,9 @@ acts as a stimulated-emission decay constant and shows up in every
 steady-state expression, so it is computed once here and carried around
 with the parameter set.
 
-All rates share a single inverse-time unit; only ratios matter.
+All rates share a single inverse-time unit; only ratios matter.  The
+drive ``epsilon`` may also be a 1-D array, so that every closed form
+evaluates a whole grid of drives in one call.
 """
 
 from __future__ import annotations
@@ -16,17 +18,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["SystemParams"]
 
 # Tolerances for cross-checking redundantly specified inputs.
 _GAMMA_REL_TOL = 1e-9
 _EPSILON_REL_TOL = 1e-12
+# The closed forms raise D = 8 eps**2 + kappa*gamma_c to the fourth power;
+# 1e77**4 = 1e308 still fits in a double.
+_MAX_DENOMINATOR = 1e77
 
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _require_drive(value):
+    """``epsilon`` as a float or a 1-D float array, finite and >= 0."""
+    value = float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+    if np.ndim(value) > 1 or not np.all(np.isfinite(value)) or np.any(value < 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0 (float or 1-D), got {value!r}")
     return value
 
 
@@ -40,8 +55,8 @@ class SystemParams:
         Atom-field coupling rate, > 0.
     kappa : float
         Cavity energy decay rate, > 0.
-    epsilon : float
-        Classical driving amplitude, >= 0.
+    epsilon : float or 1-D array of float
+        Classical driving amplitude, >= 0 (elementwise for an array).
     lam : float, optional
         Photon flux amplitude of the driving beam.  Informational; when
         given together with `beta` the product must reproduce `epsilon`.
@@ -56,12 +71,15 @@ class SystemParams:
     Raises
     ------
     ValueError
-        If any rate is out of range or redundant inputs disagree.
+        If any rate is out of range or redundant inputs disagree, if the
+        derived ``gamma_c`` underflows to zero, or if the drive is so strong
+        that ``D = 8 eps**2 + kappa*gamma_c`` exceeds 1e77 (the closed forms
+        would overflow).
     """
 
     g: float
     kappa: float
-    epsilon: float
+    epsilon: float | np.ndarray
     lam: float | None = None
     beta: float | None = None
     gamma_c: float | None = None
@@ -69,26 +87,29 @@ class SystemParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", _require_finite("g", self.g))
         object.__setattr__(self, "kappa", _require_finite("kappa", self.kappa))
-        object.__setattr__(self, "epsilon", _require_finite("epsilon", self.epsilon))
+        object.__setattr__(self, "epsilon", _require_drive(self.epsilon))
         if self.g <= 0.0:
             raise ValueError(f"g must be > 0, got {self.g}")
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
         derived = 4.0 * self.g * self.g / self.kappa
-        if self.gamma_c is None:
-            object.__setattr__(self, "gamma_c", derived)
-        else:
-            gamma_c = _require_finite("gamma_c", self.gamma_c)
-            object.__setattr__(self, "gamma_c", gamma_c)
-            if gamma_c <= 0.0:
-                raise ValueError(f"gamma_c must be > 0, got {gamma_c}")
-            if abs(gamma_c - derived) > _GAMMA_REL_TOL * max(gamma_c, derived):
-                raise ValueError(
-                    f"gamma_c={gamma_c} inconsistent with 4*g**2/kappa={derived}"
-                )
+        supplied = self.gamma_c is not None
+        gamma_c = _require_finite("gamma_c", self.gamma_c if supplied else derived)
+        object.__setattr__(self, "gamma_c", gamma_c)
+        if gamma_c <= 0.0:
+            raise ValueError(f"gamma_c = 4*g**2/kappa must be > 0, got {gamma_c}")
+        if supplied and abs(gamma_c - derived) > _GAMMA_REL_TOL * max(gamma_c, derived):
+            raise ValueError(
+                f"gamma_c={gamma_c} inconsistent with 4*g**2/kappa={derived}"
+            )
+        with np.errstate(over="ignore"):  # an overflow to inf is what this rejects
+            in_range = np.all(self.denominator <= _MAX_DENOMINATOR)
+        if not in_range:
+            raise ValueError(
+                f"epsilon={float(np.max(self.epsilon))!r} is out of range: "
+                f"8*epsilon**2 + kappa*gamma_c must not exceed {_MAX_DENOMINATOR:g}"
+            )
 
         if self.lam is not None:
             object.__setattr__(self, "lam", _require_finite("lam", self.lam))
@@ -96,8 +117,8 @@ class SystemParams:
             object.__setattr__(self, "beta", _require_finite("beta", self.beta))
         if self.lam is not None and self.beta is not None:
             product = self.lam * self.beta
-            scale = max(abs(self.epsilon), abs(product))
-            if abs(product - self.epsilon) > _EPSILON_REL_TOL * scale:
+            scale = np.maximum(abs(self.epsilon), abs(product))
+            if np.any(abs(product - self.epsilon) > _EPSILON_REL_TOL * scale):
                 raise ValueError(
                     f"epsilon={self.epsilon} inconsistent with lam*beta={product}"
                 )
@@ -128,6 +149,6 @@ class SystemParams:
                    gamma_c=gamma_c)
 
     @property
-    def denominator(self) -> float:
+    def denominator(self) -> float | np.ndarray:
         """The ubiquitous steady-state denominator ``8 eps**2 + kappa*gamma_c``."""
         return 8.0 * self.epsilon * self.epsilon + self.kappa * self.gamma_c

@@ -13,12 +13,19 @@ vacuum level is ``gamma_c / kappa`` rather than 1; the minus quadrature
 sits exactly at that vacuum level for every driving strength, and the
 plus quadrature drops below it, which is the squeezing effect this
 package quantifies.
+
+Every function of ``params`` also accepts a 1-D ``epsilon`` array and then
+returns arrays (values that do not depend on the drive, such as
+``vac_var``, stay floats); each element equals the scalar result bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import SystemParams
 
@@ -35,6 +42,22 @@ __all__ = [
     "optimal_drive",
     "single_mode_stats",
 ]
+
+
+def power(x, n: int):
+    """``x ** n`` elementwise, rounded exactly as the scalar ``x ** n``.
+
+    numpy's vectorised ``**`` differs from libm ``pow`` by one ulp on some
+    inputs, which would make a grid disagree with point-by-point results.
+    """
+    if np.ndim(x) == 0:
+        return x ** n
+    return np.array([v ** n for v in x.tolist()])
+
+
+def sqrt(x):
+    """Square root that keeps a float a float; both routes round correctly."""
+    return math.sqrt(x) if np.ndim(x) == 0 else np.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -145,12 +168,12 @@ def uncertainty_product(params: SystemParams) -> float:
     gc, k, eps = params.gamma_c, params.kappa, params.epsilon
     d = params.denominator
     radicand = gc * gc / (k * k) - 16.0 * gc ** 3 * eps * eps / (k * d * d)
-    if radicand < 0.0:
+    if np.any(radicand < 0.0):
         raise AssertionError(
             f"uncertainty product radicand is negative ({radicand}); "
             "this indicates a defect, not invalid parameters"
         )
-    return math.sqrt(radicand)
+    return sqrt(radicand)
 
 
 def squeezing(params: SystemParams) -> float:

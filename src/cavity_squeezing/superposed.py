@@ -9,16 +9,18 @@ each, summing back to the single-mode value.
 
 All quantities below are closed forms in ``gamma_c``, ``kappa`` and
 ``epsilon`` of the (shared) single-system parameters, with
-``D = 8 eps**2 + kappa * gamma_c`` as in :mod:`.single_mode`.
+``D = 8 eps**2 + kappa * gamma_c`` as in :mod:`.single_mode`, and like
+those they accept a 1-D ``epsilon`` array in ``params``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import SystemParams
-from .single_mode import mean_photons, quadrature_variances, squeezing
+from .single_mode import mean_photons, power, sqrt, squeezing
 
 __all__ = [
     "SuperposedStats",
@@ -86,14 +88,14 @@ def superposed_bounds(params: SystemParams) -> tuple[float, float]:
     radicand = (
         4.0 * gc * gc / (k * k)
         - 64.0 * gc ** 3 * eps * eps / (k * d * d)
-        + 256.0 * gc ** 4 * eps ** 4 / (d ** 4)
+        + 256.0 * gc ** 4 * power(eps, 4) / power(d, 4)
     )
-    if radicand < 0.0:
+    if np.any(radicand < 0.0):
         raise AssertionError(
             f"superposed uncertainty radicand is negative ({radicand}); "
             "this indicates a defect, not invalid parameters"
         )
-    return f_c, math.sqrt(radicand)
+    return f_c, sqrt(radicand)
 
 
 def superposed_squeezing(params: SystemParams) -> tuple[float, float, float]:
@@ -118,8 +120,9 @@ def superposed_first_moments(params: SystemParams) -> tuple[complex, complex]:
     gc, k, eps = params.gamma_c, params.kappa, params.epsilon
     d = params.denominator
     t = 2.0 * eps / k - 2.0 * gc * eps / d
-    c_mean = complex(t, t)
-    c_sq = complex(0.0, 8.0 * eps * eps / (k * k) - 16.0 * gc * eps * eps / (k * d))
+    c_mean = t * (1 + 1j)
+    # ``+ 0.0`` turns the -0.0 real part that ``1j * x`` gives for x < 0 into 0.0
+    c_sq = 1j * (8.0 * eps * eps / (k * k) - 16.0 * gc * eps * eps / (k * d)) + 0.0
     return c_mean, c_sq
 
 

@@ -129,26 +129,23 @@ class SweepTable:
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every closed-form quantity on the grid."""
-    rows = np.empty((spec.n_points, len(SWEEP_COLUMNS)))
-    for i, eps in enumerate(spec.grid()):
-        params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, float(eps))
-        f_c, f_d = superposed.superposed_bounds(params)
-        s_plus, _, _ = superposed.superposed_squeezing(params)
-        var_c_plus, _, _ = superposed.superposed_variances(params)
-        rows[i] = (
-            eps,
-            single_mode.uncertainty_bound(params),
-            single_mode.uncertainty_product(params),
-            single_mode.squeezing(params),
-            f_c,
-            f_d,
-            s_plus,
-            single_mode.mean_photons(params)[0],
-            superposed.superposed_mean_photons(params),
-            single_mode.quadrature_variances(params)[0],
-            var_c_plus,
-        )
-    return SweepTable(spec=spec, data=rows)
+    eps = spec.grid()
+    params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, eps)
+    f_c, f_d = superposed.superposed_bounds(params)
+    columns = (
+        eps,
+        single_mode.uncertainty_bound(params),
+        single_mode.uncertainty_product(params),
+        single_mode.squeezing(params),
+        f_c,
+        f_d,
+        superposed.superposed_squeezing(params)[0],
+        single_mode.mean_photons(params)[0],
+        superposed.superposed_mean_photons(params),
+        single_mode.quadrature_variances(params)[0],
+        superposed.superposed_variances(params)[0],
+    )
+    return SweepTable(spec=spec, data=np.column_stack(columns))
 
 
 def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
@@ -170,7 +167,7 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
 
     scale = math.sqrt(kappa * gamma_c / 8.0)
     grid = np.linspace(0.0, 5.0 * scale, 1000)
-    values = [s_of(float(e)) for e in grid]
+    values = single_mode.squeezing(SystemParams.from_gamma_c(gamma_c, kappa, grid))
     best = int(np.argmax(values))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
@@ -211,32 +208,30 @@ class IdentityReport:
 
 def identity_report(spec: SweepSpec) -> IdentityReport:
     """Evaluate both identities and their normalised residuals on the grid."""
-    rows = np.empty((spec.n_points, len(_IDENTITY_COLUMNS)))
-    for i, eps in enumerate(spec.grid()):
-        params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, float(eps))
-        gc, k = params.gamma_c, params.kappa
-        d = params.denominator
+    eps = spec.grid()
+    params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, eps)
+    gc, k, d = params.gamma_c, params.kappa, params.denominator
+    eps4 = single_mode.power(eps, 4)
 
-        f_a = single_mode.uncertainty_bound(params)
-        f_b = single_mode.uncertainty_product(params)
-        gap_single = f_b * f_b - f_a * f_a
-        pred_single = 64.0 * gc * gc * eps ** 4 / (k * k * d * d)
-        scale_single = max(abs(gap_single), abs(pred_single), f_b * f_b)
-        resid_single = abs(gap_single - pred_single) / scale_single
+    f_a = single_mode.uncertainty_bound(params)
+    f_b = single_mode.uncertainty_product(params)
+    gap_single = f_b * f_b - f_a * f_a
+    pred_single = 64.0 * gc * gc * eps4 / (k * k * d * d)
+    scale_single = np.maximum(np.maximum(abs(gap_single), abs(pred_single)), f_b * f_b)
+    resid_single = abs(gap_single - pred_single) / scale_single
 
-        f_c, f_d = superposed.superposed_bounds(params)
-        gap_sup = f_d - f_c
-        pred_sup = 128.0 * gc * eps ** 4 / (k * d * d)
-        scale_sup = max(abs(gap_sup), abs(pred_sup), f_d)
-        resid_sup = abs(gap_sup - pred_sup) / scale_sup
+    f_c, f_d = superposed.superposed_bounds(params)
+    gap_sup = f_d - f_c
+    pred_sup = 128.0 * gc * eps4 / (k * d * d)
+    scale_sup = np.maximum(np.maximum(abs(gap_sup), abs(pred_sup)), f_d)
+    resid_sup = abs(gap_sup - pred_sup) / scale_sup
 
-        rows[i] = (eps, gap_single, pred_single, resid_single,
-                   gap_sup, pred_sup, resid_sup)
     return IdentityReport(
         spec=spec,
-        data=rows,
-        max_residual_single=float(rows[:, 3].max()),
-        max_residual_superposed=float(rows[:, 6].max()),
+        data=np.column_stack((eps, gap_single, pred_single, resid_single,
+                              gap_sup, pred_sup, resid_sup)),
+        max_residual_single=float(resid_single.max()),
+        max_residual_superposed=float(resid_sup.max()),
     )
 
 

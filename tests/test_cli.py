@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -283,6 +284,15 @@ class TestConfigFile:
         assert code == 2
         assert "kapa" in err
 
+    def test_list_value_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"gamma_c": 0.4, "kappa": 0.8, "epsilon": [0.1, 0.2]}
+        ))
+        code, _, err = run_cli(["steady", "--config", str(config)], capsys)
+        assert code == 2
+        assert "epsilon" in err
+
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -307,12 +317,69 @@ class TestValidationErrors:
             ["steady", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2"],
             ["steady", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2",
              "--lambda", "1.0", "--beta", "1.0"],
+            # 4 g**2 / kappa underflows to zero
+            ["steady", "--g", "1e-200", "--kappa", "1", "--epsilon", "0"],
+            # drives whose closed forms would overflow
+            ["steady", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e200"],
+            ["superpose", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e200"],
+            ["superpose", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e40"],
         ],
     )
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("eps_max", ["1e150", "1e300"])
+    def test_overflowing_figures_grid_writes_nothing(self, eps_max, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["figures", "--eps-max", eps_max, "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "epsilon" in err
+        assert list(tmp_path.glob("fig*.csv")) == []
+
+
+# SHA-256 of the outputs at the canonical point and of the default
+# figures files, recorded before the closed forms were made array-valued;
+# every later change must reproduce these bytes.
+CANONICAL = ["--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]
+GOLDEN_OUTPUT = {
+    ("steady", "json"): "4d4471900be49be9275a60fae04e44a66607f90b9cc204d463acb9e980018fff",
+    ("steady", "csv"): "66fd4faba6b4085864c890c3a8e1af497012ffdcd71afdd9f0a7fcbb1a7825c0",
+    ("superpose", "json"): "fe5b616de13f5a4e27cea51c87723aabe807d6478817f8fc72f2d9cacd549e30",
+    ("superpose", "csv"): "b5f0da39e2ed2536b0416c74da7870e085febd8afc4d2593b360c89edcb57edc",
+}
+GOLDEN_FIGURES = {
+    "fig2.csv": "68518b94deddc83bc1f59ad35afabcb834b392f7092b394b06aab5a91fcc0d10",
+    "fig3.csv": "b3f82a25228bf299bb3f65d46f2010c7554cdac64934d0a43a47bfa91cd27c73",
+    "fig4.csv": "d0fa56b5b752fb719e62d3e69f8ef999e66b43fb5fe2f0cdf37322df1564425a",
+    "identities.csv": "cf2e3fe89a35b5f83244cb3f4290906127f4af4640e64b90910f17b3f0a10075",
+    "summary.json": "4276e2e90e6b3469e3c97ed27ce35e2291d573265486cb753b73233f71c9301a",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command,fmt", sorted(GOLDEN_OUTPUT))
+    def test_canonical_output(self, command, fmt, tmp_path, capsys):
+        target = tmp_path / "out"
+        code, _, _ = run_cli(
+            [command, *CANONICAL, "--format", fmt, "--out", str(target)], capsys
+        )
+        assert code == 0
+        assert _sha256(target.read_bytes()) == GOLDEN_OUTPUT[command, fmt]
+
+    def test_default_figures(self, tmp_path, capsys):
+        code, out, _ = run_cli(["figures", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        digests = {name: _sha256((tmp_path / name).read_bytes())
+                   for name in GOLDEN_FIGURES}
+        assert digests == GOLDEN_FIGURES
+        assert _sha256(out.encode()) == GOLDEN_FIGURES["summary.json"]
 
 
 class TestConsoleEntry:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cavity_squeezing import SystemParams
@@ -42,6 +43,13 @@ def test_denominator():
         dict(g=0.3, kappa=math.inf, epsilon=0.2),
         dict(g=0.3, kappa=0.8, epsilon=math.nan),
         dict(g=0.3, kappa=0.8, epsilon=0.2, gamma_c=-0.4),
+        dict(g=1e-200, kappa=1.0, epsilon=0.0),  # 4 g**2 / kappa underflows to 0
+        dict(g=0.3, kappa=0.8, epsilon=1e40),  # the closed forms would overflow
+        dict(g=0.3, kappa=0.8, epsilon=1e200),
+        dict(g=0.3, kappa=0.8, epsilon=[0.1, 1e200]),
+        dict(g=0.3, kappa=0.8, epsilon=[0.1, -1e-12]),
+        dict(g=0.3, kappa=0.8, epsilon=[0.1, math.nan]),
+        dict(g=0.3, kappa=0.8, epsilon=[[0.1, 0.2]]),
     ],
 )
 def test_rejects_bad_rates(kwargs):
@@ -86,3 +94,13 @@ def test_frozen():
     p = SystemParams(g=0.3, kappa=0.8, epsilon=0.2)
     with pytest.raises(AttributeError):
         p.g = 1.0
+
+
+def test_epsilon_grid_is_kept_as_an_array():
+    p = SystemParams.from_gamma_c(0.4, 0.8, np.array([0.0, 0.1, 0.2]))
+    assert isinstance(p.epsilon, np.ndarray)
+    assert p.gamma_c == 0.4
+    np.testing.assert_array_equal(
+        p.denominator, [8.0 * e * e + 0.8 * 0.4 for e in (0.0, 0.1, 0.2)]
+    )
+

@@ -11,8 +11,16 @@ from cavity_squeezing import (
     SystemParams,
     find_max_squeezing,
     identity_report,
+    mean_photons,
+    quadrature_variances,
     run_sweep,
     squeezing,
+    superposed_bounds,
+    superposed_mean_photons,
+    superposed_squeezing,
+    superposed_variances,
+    uncertainty_bound,
+    uncertainty_product,
     write_figure_files,
 )
 
@@ -88,6 +96,53 @@ class TestRunSweep:
         assert lines[0] == "epsilon,f_a,f_b,S,f_c,f_d,s_plus,n_bar,n_bar_sup,var_plus,var_c_plus"
         assert len(lines) == 6
         assert lines[1].startswith("0.000000000000e+00,5.000000000000e-01")
+
+
+def _scalar_rows(spec):
+    """Sweep and identity rows from the scalar functions, one point at a time."""
+    sweep, identities = [], []
+    for eps in spec.grid().tolist():
+        p = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, eps)
+        gc, k, d = p.gamma_c, p.kappa, p.denominator
+        f_a, f_b = uncertainty_bound(p), uncertainty_product(p)
+        f_c, f_d = superposed_bounds(p)
+        sweep.append([
+            eps, f_a, f_b, squeezing(p), f_c, f_d, superposed_squeezing(p)[0],
+            mean_photons(p)[0], superposed_mean_photons(p),
+            quadrature_variances(p)[0], superposed_variances(p)[0],
+        ])
+        gap_single = f_b * f_b - f_a * f_a
+        pred_single = 64.0 * gc * gc * eps ** 4 / (k * k * d * d)
+        gap_sup = f_d - f_c
+        pred_sup = 128.0 * gc * eps ** 4 / (k * d * d)
+        identities.append([
+            eps, gap_single, pred_single,
+            abs(gap_single - pred_single)
+            / max(abs(gap_single), abs(pred_single), f_b * f_b),
+            gap_sup, pred_sup,
+            abs(gap_sup - pred_sup) / max(abs(gap_sup), abs(pred_sup), f_d),
+        ])
+    return sweep, identities
+
+
+class TestArrayEqualsScalar:
+    """The grid evaluation reproduces the scalar functions bit for bit.
+
+    Where numpy's ``**`` runs a SIMD kernel (AVX-512 hosts) it differs
+    from Python's by an ulp on some inputs, so any quartic power taken
+    that way fails here.
+    """
+
+    @pytest.mark.parametrize("spec", [
+        CANONICAL_SPEC,
+        SweepSpec(0.0, 1.5, 1001, 0.7, 1.3),
+        SweepSpec(0.0, 2.0, 1001, 2.0, 0.5),
+        SweepSpec(0.01, 0.9, 1001, 0.25, 1.6),
+    ])
+    def test_rows_match(self, spec):
+        sweep, identities = _scalar_rows(spec)
+        assert run_sweep(spec).data.tolist() == sweep
+        assert identity_report(spec).data.tolist() == identities
 
 
 class TestFindMaxSqueezing:
