@@ -7,133 +7,26 @@ This package evaluates the closed-form steady-state statistics of that
 system and of the superposed mode of two identical copies, integrates
 the transient moment equations, and checks everything against an
 independent master-equation solve on a truncated Hilbert space.
+
+The package exports exactly what each module lists in its ``__all__``.
 """
 
-from .dynamics import (
-    EXCITED_STATE,
-    GROUND_STATE,
-    AtomMomentState,
-    IntegratorConfig,
-    NonConvergence,
-    StepTooLarge,
-    TimeSeries,
-    default_integrator_config,
-    integrate,
-    moment_derivative,
-    steady_by_integration,
-)
-from .oracle import (
-    CavityAtomOperators,
-    DensityMatrix,
-    DimensionCap,
-    HilbertConfig,
-    OracleReport,
-    SingularSystem,
-    build_hamiltonian,
-    build_operators,
-    compare_with_closed_form,
-    cutoff_converged,
-    decoupled_benchmark,
-    decoupled_cavity_steady,
-    evolve_density,
-    hamiltonian_matrix,
-    lindblad_action,
-    liouvillian_matrix,
-    standard_quadrature_variances,
-    steady_density,
-)
-from .params import SystemParams
-from .single_mode import (
-    AtomSteady,
-    SingleModeStats,
-    mean_photons,
-    optimal_drive,
-    quadrature_variances,
-    single_mode_stats,
-    squeezing,
-    steady_atom,
-    stimulated_decay,
-    uncertainty_bound,
-    uncertainty_product,
-)
-from .superposed import (
-    SuperposedStats,
-    superposed_bounds,
-    superposed_first_moments,
-    superposed_mean_photons,
-    superposed_squeezing,
-    superposed_stats,
-    superposed_variances,
-)
-from .sweeps import (
-    SWEEP_COLUMNS,
-    IdentityReport,
-    SweepSpec,
-    SweepTable,
-    find_max_squeezing,
-    identity_report,
-    run_sweep,
-    write_figure_files,
-)
+from . import dynamics, oracle, params, single_mode, superposed, sweeps
+from .params import *  # noqa: F401,F403
+from .single_mode import *  # noqa: F401,F403
+from .superposed import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .sweeps import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SystemParams",
-    "AtomSteady",
-    "SingleModeStats",
-    "stimulated_decay",
-    "steady_atom",
-    "mean_photons",
-    "quadrature_variances",
-    "uncertainty_bound",
-    "uncertainty_product",
-    "squeezing",
-    "optimal_drive",
-    "single_mode_stats",
-    "SuperposedStats",
-    "superposed_mean_photons",
-    "superposed_variances",
-    "superposed_bounds",
-    "superposed_squeezing",
-    "superposed_first_moments",
-    "superposed_stats",
-    "AtomMomentState",
-    "IntegratorConfig",
-    "TimeSeries",
-    "NonConvergence",
-    "StepTooLarge",
-    "GROUND_STATE",
-    "EXCITED_STATE",
-    "moment_derivative",
-    "default_integrator_config",
-    "integrate",
-    "steady_by_integration",
-    "DimensionCap",
-    "SingularSystem",
-    "HilbertConfig",
-    "CavityAtomOperators",
-    "DensityMatrix",
-    "OracleReport",
-    "build_operators",
-    "hamiltonian_matrix",
-    "build_hamiltonian",
-    "liouvillian_matrix",
-    "lindblad_action",
-    "steady_density",
-    "standard_quadrature_variances",
-    "compare_with_closed_form",
-    "cutoff_converged",
-    "decoupled_cavity_steady",
-    "decoupled_benchmark",
-    "evolve_density",
-    "SWEEP_COLUMNS",
-    "SweepSpec",
-    "SweepTable",
-    "IdentityReport",
-    "run_sweep",
-    "find_max_squeezing",
-    "identity_report",
-    "write_figure_files",
+    *params.__all__,
+    *single_mode.__all__,
+    *superposed.__all__,
+    *dynamics.__all__,
+    *oracle.__all__,
+    *sweeps.__all__,
     "__version__",
 ]

@@ -30,6 +30,7 @@ round-trip a double exactly) and complex numbers as ``{"re":…,"im":…}``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -255,26 +256,21 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         raise ConfigError("oracle reports are JSON only")
-    tol = args.tol if args.tol is not None else 1e-8
-    dim_cap = args.dim_cap if args.dim_cap is not None else 256
+    # Only limits the user gave are passed on; the rest keep the library defaults.
+    tol = {} if args.tol is None else {"tol": args.tol}
+    cap = {} if args.dim_cap is None else {"dim_cap": args.dim_cap}
     if args.g is not None and args.g == 0.0:
         # Decoupled limit: the atom drops out, benchmark the bare cavity.
         if args.kappa is None:
             raise ConfigError("kappa is required")
-        report = decoupled_benchmark(
-            _resolve_epsilon(args),
-            args.kappa,
-            tol=tol,
-            dim_cap=dim_cap,
-        )
+        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa, **tol, **cap)
         _emit(render_json(report), args.out)
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
-        config = HilbertConfig(n_cut=args.n_cut, dim_cap=dim_cap)
-        report = compare_with_closed_form(params, config)
+        report = compare_with_closed_form(params, HilbertConfig(args.n_cut, **cap))
     else:
-        _, report = cutoff_converged(params, tol=tol, dim_cap=dim_cap)
+        _, report = cutoff_converged(params, **tol, **cap)
     _emit(render_json(report.to_dict()), args.out)
     return 0
 
@@ -347,13 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="master-equation cross-check")
     _add_common(p)
+    ladder = inspect.signature(cutoff_converged).parameters
     p.add_argument("--n-cut", type=int, dest="n_cut",
                    help="fixed Fock cutoff (default: double until converged)")
     p.add_argument("--tol", type=float,
                    help="cutoff convergence tolerance on the photon number "
-                        "(default 1e-8)")
+                        f"(default {ladder['tol'].default:g})")
     p.add_argument("--dim-cap", type=int, dest="dim_cap",
-                   help="maximum Hilbert-space dimension (default 256)")
+                   help="maximum Hilbert-space dimension "
+                        f"(default {ladder['dim_cap'].default})")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("figures", help="write the standard sweep datasets")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .params import SystemParams
 from .single_mode import AtomSteady
+from .sweeps import _write_csv
 
 __all__ = [
     "AtomMomentState",
@@ -48,8 +49,6 @@ __all__ = [
 # Populations may stray this far outside [0, 1] before the run is declared
 # numerically broken.
 _POPULATION_SLACK = 1e-6
-
-_CSV_HEADER = "t,sigma_re,sigma_im,eta_a,eta_b"
 
 
 class NonConvergence(RuntimeError):
@@ -120,16 +119,8 @@ class TimeSeries:
 
     def to_csv(self, path_or_file) -> None:
         """Write the trajectory as CSV (12-digit scientific, LF endings)."""
-        if hasattr(path_or_file, "write"):
-            self._write(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        fh.write(_CSV_HEADER + "\n")
-        for ti, row in zip(self.t, self.states):
-            fh.write("%.12e,%.12e,%.12e,%.12e,%.12e\n" % (ti, *row))
+        _write_csv(path_or_file, ("t", "sigma_re", "sigma_im", "eta_a", "eta_b"),
+                   np.column_stack([self.t, self.states]))
 
 
 def moment_derivative(state: AtomMomentState, params: SystemParams) -> AtomMomentState:

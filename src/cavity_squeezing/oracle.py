@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,15 +119,19 @@ class CavityAtomOperators:
         return self.a.shape[0]
 
 
+def _fock_annihilator(m: int) -> np.ndarray:
+    """Annihilation operator on the Fock states ``0..m-1``."""
+    return np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)
+
+
 def build_operators(config: HilbertConfig) -> CavityAtomOperators:
     """Annihilation, lowering and projector operators on the product space."""
     m = config.n_cut + 1
-    a_fock = np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)
     eye2 = np.eye(2, dtype=complex)
     eye_m = np.eye(m, dtype=complex)
     sigma_atom = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |b><a|
     return CavityAtomOperators(
-        a=np.kron(eye2, a_fock),
+        a=np.kron(eye2, _fock_annihilator(m)),
         sigma=np.kron(sigma_atom, eye_m),
         eta_a=np.kron(np.diag([1.0, 0.0]).astype(complex), eye_m),
         eta_b=np.kron(np.diag([0.0, 1.0]).astype(complex), eye_m),
@@ -240,6 +244,15 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     return _unvec(x, d)
 
 
+def _checked(rho: np.ndarray, h: np.ndarray, a: np.ndarray, kappa: float,
+             tol: float) -> DensityMatrix:
+    """``rho`` with its residual under the full generator, which must be <= ``tol``."""
+    residual = float(np.abs(lindblad_action(rho, h, a, kappa)).max())
+    if not math.isfinite(residual) or residual > tol:
+        raise SingularSystem(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
+    return DensityMatrix(matrix=rho, residual=residual)
+
+
 def steady_density(
     params: SystemParams,
     config: HilbertConfig,
@@ -255,12 +268,7 @@ def steady_density(
     h = build_hamiltonian(params, ops)
     lv = liouvillian_matrix(h, ops.a, params.kappa)
     rho = _solve_stationary(lv, ops.dim)
-    residual = float(np.abs(lindblad_action(rho, h, ops.a, params.kappa)).max())
-    if not math.isfinite(residual) or residual > residual_tol:
-        raise SingularSystem(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.3e}"
-        )
-    return DensityMatrix(matrix=rho, residual=residual)
+    return _checked(rho, h, ops.a, params.kappa, residual_tol)
 
 
 def standard_quadrature_variances(
@@ -305,26 +313,14 @@ class OracleReport:
     framework_note: str = _FRAMEWORK_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "gamma_c": self.gamma_c,
-            "n_cut": self.n_cut,
-            "residual": self.residual,
-            "trace_error": self.trace_error,
-            "hermiticity_error": self.hermiticity_error,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_imag_part": self.max_imag_part,
-            "comparisons": self.comparisons,
-            "framework_note": self.framework_note,
-        }
+        return asdict(self)
 
 
 def _build_report(
     rho: DensityMatrix, ops: CavityAtomOperators, params: SystemParams
 ) -> OracleReport:
     a = ops.a
+    var_plus, var_minus = standard_quadrature_variances(rho, ops)
     moments = {
         "mean_photon_number": rho.expect(a.conj().T @ a),
         "mean_field": rho.expect(a),
@@ -332,8 +328,9 @@ def _build_report(
         "eta_a": rho.expect(ops.eta_a),
         "eta_b": rho.expect(ops.eta_b),
         "sigma": rho.expect(ops.sigma),
+        "var_plus": var_plus,
+        "var_minus": var_minus,
     }
-    var_plus, var_minus = standard_quadrature_variances(rho, ops)
 
     atom = single_mode.steady_atom(params)
     cf_var_plus, cf_var_minus, _ = single_mode.quadrature_variances(params)
@@ -351,22 +348,11 @@ def _build_report(
         "var_minus": cf_var_minus,
     }
 
-    comparisons = {}
-    max_imag = 0.0
-    for name, value in moments.items():
-        max_imag = max(max_imag, abs(value.imag))
-        comparisons[name] = {
-            "oracle": value.real,
-            "closed_form": closed[name],
-            "delta": value.real - closed[name],
-        }
-    for name, value in (("var_plus", var_plus), ("var_minus", var_minus)):
-        comparisons[name] = {
-            "oracle": value,
-            "closed_form": closed[name],
-            "delta": value - closed[name],
-        }
-
+    comparisons = {
+        name: {"oracle": value.real, "closed_form": closed[name],
+               "delta": value.real - closed[name]}
+        for name, value in moments.items()
+    }
     return OracleReport(
         g=params.g,
         kappa=params.kappa,
@@ -377,7 +363,7 @@ def _build_report(
         trace_error=rho.trace_error(),
         hermiticity_error=rho.hermiticity_error(),
         min_eigenvalue=rho.min_eigenvalue(),
-        max_imag_part=max_imag,
+        max_imag_part=max(abs(value.imag) for value in moments.values()),
         comparisons=comparisons,
     )
 
@@ -391,18 +377,14 @@ def compare_with_closed_form(
     return _build_report(rho, ops, params)
 
 
-def cutoff_converged(
-    params: SystemParams,
-    tol: float = 1e-8,
-    start: int = 8,
-    dim_cap: int = 256,
-) -> tuple[int, OracleReport]:
-    """Double the Fock cutoff until the mean photon number settles.
+def _ladder(solve, tol: float, start: int, dim_cap: int):
+    """Double the Fock cutoff from ``start`` until the mean photon number settles.
 
-    Returns the first cutoff whose mean photon number agrees with the
-    previous (half-sized) one within ``tol``, together with the report at
-    that cutoff.  Raises :class:`DimensionCap` when doubling would exceed
-    ``dim_cap`` before convergence.
+    ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
+    cutoff.  Returns ``(n_cut, ops, rho)`` at the first cutoff whose mean
+    photon number agrees with the previous (half-sized) one within ``tol``.
+    Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
+    before convergence.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -411,12 +393,27 @@ def cutoff_converged(
     while True:
         config = HilbertConfig(n_cut=n_cut, dim_cap=dim_cap)
         ops = build_operators(config)
-        rho = steady_density(params, config)
+        rho = solve(config)
         mean_n = rho.expect(ops.a.conj().T @ ops.a).real
         if previous is not None and abs(mean_n - previous) < tol:
-            return n_cut, _build_report(rho, ops, params)
+            return n_cut, ops, rho
         previous = mean_n
         n_cut *= 2
+
+
+def cutoff_converged(
+    params: SystemParams,
+    tol: float = 1e-8,
+    start: int = 8,
+    dim_cap: int = 256,
+) -> tuple[int, OracleReport]:
+    """Double the Fock cutoff until the mean photon number settles.
+
+    Returns the converged cutoff of the shared doubling ladder together
+    with the report at that cutoff.
+    """
+    n_cut, ops, rho = _ladder(lambda c: steady_density(params, c), tol, start, dim_cap)
+    return n_cut, _build_report(rho, ops, params)
 
 
 def decoupled_cavity_steady(
@@ -436,7 +433,7 @@ def decoupled_cavity_steady(
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"kappa must be > 0, got {kappa}")
     m = config.n_cut + 1
-    a_fock = np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)
+    a_fock = _fock_annihilator(m)
     h_cavity = 1j * epsilon * (a_fock.conj().T - a_fock)
     lv = liouvillian_matrix(h_cavity, a_fock, kappa)
     rho_cavity = _solve_stationary(lv, m)
@@ -445,10 +442,7 @@ def decoupled_cavity_steady(
     rho = np.kron(lower, rho_cavity)
     ops = build_operators(config)
     h_full = hamiltonian_matrix(0.0, epsilon, ops)
-    residual = float(np.abs(lindblad_action(rho, h_full, ops.a, kappa)).max())
-    if not math.isfinite(residual) or residual > 1e-8:
-        raise SingularSystem(f"decoupled residual {residual:.3e} exceeds 1e-8")
-    return DensityMatrix(matrix=rho, residual=residual)
+    return _checked(rho, h_full, ops.a, kappa, 1e-8)
 
 
 def decoupled_benchmark(
@@ -464,20 +458,10 @@ def decoupled_benchmark(
     are ``<a> = 2 eps/kappa``, ``<a^dag a> = (2 eps/kappa)**2`` and both
     standard-commutator variances equal to 1.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
-    previous = None
-    n_cut = start
-    while True:
-        config = HilbertConfig(n_cut=n_cut, dim_cap=dim_cap)
-        ops = build_operators(config)
-        rho = decoupled_cavity_steady(epsilon, kappa, config)
-        mean_n = rho.expect(ops.a.conj().T @ ops.a).real
-        if previous is not None and abs(mean_n - previous) < tol:
-            break
-        previous = mean_n
-        n_cut *= 2
-
+    n_cut, ops, rho = _ladder(
+        lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, start, dim_cap
+    )
+    mean_n = rho.expect(ops.a.conj().T @ ops.a).real
     alpha = 2.0 * epsilon / kappa
     var_plus, var_minus = standard_quadrature_variances(rho, ops)
     values = {

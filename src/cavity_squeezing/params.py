@@ -28,6 +28,10 @@ _EPSILON_REL_TOL = 1e-12
 # The closed forms raise D = 8 eps**2 + kappa*gamma_c to the fourth power;
 # 1e77**4 = 1e308 still fits in a double.
 _MAX_DENOMINATOR = 1e77
+# Inside this window for gamma_c and kappa no product, power or quotient of
+# the closed forms (kappa**2, gamma_c**3, kappa*D**2, ...) under- or
+# overflows to a zero divisor or an infinity.
+_RATE_WINDOW = (1e-38, 1e38)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -71,9 +75,10 @@ class SystemParams:
     Raises
     ------
     ValueError
-        If any rate is out of range or redundant inputs disagree, if the
-        derived ``gamma_c`` underflows to zero, or if the drive is so strong
-        that ``D = 8 eps**2 + kappa*gamma_c`` exceeds 1e77 (the closed forms
+        If any rate is out of range or redundant inputs disagree, if
+        ``gamma_c`` (given or derived) or ``kappa`` lies outside
+        [1e-38, 1e38], or if the drive is so strong that
+        ``D = 8 eps**2 + kappa*gamma_c`` exceeds 1e77 (the closed forms
         would overflow).
     """
 
@@ -103,6 +108,13 @@ class SystemParams:
             raise ValueError(
                 f"gamma_c={gamma_c} inconsistent with 4*g**2/kappa={derived}"
             )
+        lo, hi = _RATE_WINDOW
+        for name in ("gamma_c", "kappa"):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} is out of range: "
+                    f"gamma_c and kappa must lie in [{lo:g}, {hi:g}]"
+                )
         with np.errstate(over="ignore"):  # an overflow to inf is what this rejects
             in_range = np.all(self.denominator <= _MAX_DENOMINATOR)
         if not in_range:

@@ -180,11 +180,13 @@ def squeezing(params: SystemParams) -> float:
     """Fractional noise reduction ``S = 16 gamma_c kappa eps**2 / D**2``.
 
     Equals ``1 - var_plus / vac_var``; ranges over [0, 1/2], reaching the
-    maximum 1/2 at the optimal driving amplitude.
+    maximum 1/2 at the optimal driving amplitude.  Rounding can put the
+    quotient one ulp above 1/2 near the optimum, so it is capped there.
     """
     gc, k, eps = params.gamma_c, params.kappa, params.epsilon
     d = params.denominator
-    return 16.0 * gc * k * eps * eps / (d * d)
+    s = 16.0 * gc * k * eps * eps / (d * d)
+    return min(s, 0.5) if np.ndim(s) == 0 else np.minimum(s, 0.5)
 
 
 def optimal_drive(gamma_c: float, kappa: float) -> tuple[float, float]:

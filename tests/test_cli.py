@@ -2,12 +2,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cavity_squeezing
 from cavity_squeezing.cli import main, render_json
 
 
@@ -208,6 +210,14 @@ class TestOracle:
         assert code == 4
         assert "error:" in err
 
+    @pytest.mark.parametrize("limit,code", [(["--dim-cap", "16"], 4), (["--tol", "0"], 2)])
+    def test_decoupled_limits_are_passed_through(self, limit, code, capsys):
+        got, _, err = run_cli(
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2", *limit], capsys
+        )
+        assert got == code
+        assert "error:" in err
+
     def test_csv_is_rejected(self, capsys):
         code, _, err = run_cli(
             ["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2",
@@ -323,6 +333,13 @@ class TestValidationErrors:
             ["steady", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e200"],
             ["superpose", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e200"],
             ["superpose", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e40"],
+            # rates outside [1e-38, 1e38]: kappa*kappa underflows to zero ...
+            ["steady", "--gamma-c", "1", "--kappa", "1e-200", "--epsilon", "1"],
+            ["superpose", "--gamma-c", "1", "--kappa", "1e-200", "--epsilon", "1"],
+            ["figures", "--gamma-c", "1", "--kappa", "1e-200", "--eps-max", "1"],
+            # ... or gamma_c**3 overflows
+            ["steady", "--gamma-c", "1e110", "--kappa", "1e-40", "--epsilon", "0"],
+            ["superpose", "--gamma-c", "1e110", "--kappa", "1e-40", "--epsilon", "0"],
         ],
     )
     def test_exit_code_two(self, args, capsys):
@@ -382,19 +399,23 @@ class TestGoldenBytes:
         assert _sha256(out.encode()) == GOLDEN_FIGURES["summary.json"]
 
 
+def run_module(args):
+    """``python -m cavity_squeezing``, importing the package copy this process uses."""
+    src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cavity_squeezing", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleEntry:
     def test_module_execution(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "cavity_squeezing", "steady",
-             "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"],
-            capture_output=True, text=True,
-        )
+        result = run_module(["steady", "--gamma-c", "0.4", "--kappa", "0.8",
+                             "--epsilon", "0.2"])
         assert result.returncode == 0
         assert json.loads(result.stdout)["atom"]["eta_a"] == 0.25
 
     def test_module_execution_error_code(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "cavity_squeezing", "steady"],
-            capture_output=True, text=True,
-        )
+        result = run_module(["steady"])
         assert result.returncode == 2

@@ -29,6 +29,13 @@ def params_at(eps, gamma_c=0.4, kappa=0.8):
     return SystemParams.from_gamma_c(gamma_c, kappa, eps)
 
 
+# Both entry points of the Fock-cutoff doubling ladder, at eps = 0.2, kappa = 0.8.
+LADDERS = {
+    "cutoff_converged": lambda **limits: cutoff_converged(params_at(0.2), **limits),
+    "decoupled_benchmark": lambda **limits: decoupled_benchmark(0.2, 0.8, **limits),
+}
+
+
 class TestHilbertConfig:
     def test_dimension(self):
         assert HilbertConfig(16).dim == 34
@@ -157,13 +164,16 @@ class TestCutoffConvergence:
         assert report.n_cut == 16
         assert report.residual <= 1e-10
 
-    def test_cap_stops_runaway_doubling(self, canonical):
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    def test_cap_stops_runaway_doubling(self, ladder):
         with pytest.raises(DimensionCap):
-            cutoff_converged(canonical, tol=1e-30, dim_cap=64)
+            LADDERS[ladder](tol=1e-30, dim_cap=64)
 
-    def test_rejects_bad_tolerance(self, canonical):
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_rejects_bad_tolerance(self, ladder, tol):
         with pytest.raises(ValueError):
-            cutoff_converged(canonical, tol=0.0)
+            LADDERS[ladder](tol=tol)
 
 
 class TestReport:

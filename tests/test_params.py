@@ -50,11 +50,29 @@ def test_denominator():
         dict(g=0.3, kappa=0.8, epsilon=[0.1, -1e-12]),
         dict(g=0.3, kappa=0.8, epsilon=[0.1, math.nan]),
         dict(g=0.3, kappa=0.8, epsilon=[[0.1, 0.2]]),
+        dict(g=1e-20, kappa=1.0, epsilon=0.0),  # derived gamma_c = 4e-40
+        dict(g=1e35, kappa=1e-40, epsilon=0.0),  # derived gamma_c = 4e110
     ],
 )
 def test_rejects_bad_rates(kwargs):
     with pytest.raises(ValueError):
         SystemParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "gamma_c,kappa",
+    [(1.0, 1e-200), (1e110, 1e-40), (1e-39, 1.0), (1.0, 1e-39), (1e39, 1.0), (1.0, 1e39)],
+)
+def test_rates_outside_the_window_are_named(gamma_c, kappa):
+    name = "kappa" if gamma_c == 1.0 else "gamma_c"
+    with pytest.raises(ValueError, match=f"^{name}="):
+        SystemParams.from_gamma_c(gamma_c, kappa, 0.0)
+
+
+@pytest.mark.parametrize("gamma_c,kappa", [(1e-38, 1e-38), (1e38, 1e38), (1e-38, 1e38)])
+def test_window_edges_are_valid(gamma_c, kappa):
+    p = SystemParams.from_gamma_c(gamma_c, kappa, 0.0)
+    assert (p.gamma_c, p.kappa) == (gamma_c, kappa)
 
 
 @pytest.mark.parametrize("gamma_c,kappa", [(0.0, 0.8), (-0.4, 0.8), (0.4, 0.0)])
