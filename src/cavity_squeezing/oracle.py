@@ -33,10 +33,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import MatrixRankWarning, expm_multiply, spsolve
 
 from . import single_mode, superposed
-from .params import SystemParams
+from .params import SystemParams, _require_rate
 
 __all__ = [
     "DimensionCap",
@@ -47,7 +47,6 @@ __all__ = [
     "OracleReport",
     "build_operators",
     "hamiltonian_matrix",
-    "build_hamiltonian",
     "liouvillian_matrix",
     "lindblad_action",
     "steady_density",
@@ -119,11 +118,6 @@ class CavityAtomOperators:
         return self.a.shape[0]
 
 
-def _fock_annihilator(m: int) -> np.ndarray:
-    """Annihilation operator on the Fock states ``0..m-1``."""
-    return np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)
-
-
 def build_operators(config: HilbertConfig) -> CavityAtomOperators:
     """Annihilation, lowering and projector operators on the product space."""
     m = config.n_cut + 1
@@ -131,7 +125,7 @@ def build_operators(config: HilbertConfig) -> CavityAtomOperators:
     eye_m = np.eye(m, dtype=complex)
     sigma_atom = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |b><a|
     return CavityAtomOperators(
-        a=np.kron(eye2, _fock_annihilator(m)),
+        a=np.kron(eye2, np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)),
         sigma=np.kron(sigma_atom, eye_m),
         eta_a=np.kron(np.diag([1.0, 0.0]).astype(complex), eye_m),
         eta_b=np.kron(np.diag([0.0, 1.0]).astype(complex), eye_m),
@@ -142,17 +136,11 @@ def build_operators(config: HilbertConfig) -> CavityAtomOperators:
 def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators) -> np.ndarray:
     """Resonant Hamiltonian ``i g (sigma^dag a - a^dag sigma) + i eps (a^dag - a)``.
 
-    Takes raw rates so the decoupled ``g = 0`` limit can be built; for a
-    validated parameter set use :func:`build_hamiltonian`.
+    Takes raw rates so the decoupled ``g = 0`` limit can be built too.
     """
     a, s = ops.a, ops.sigma
     ad, sd = a.conj().T, s.conj().T
     return 1j * g * (sd @ a - ad @ s) + 1j * epsilon * (ad - a)
-
-
-def build_hamiltonian(params: SystemParams, ops: CavityAtomOperators) -> np.ndarray:
-    """Hamiltonian for a validated parameter set (always Hermitian)."""
-    return hamiltonian_matrix(params.g, params.epsilon, ops)
 
 
 def liouvillian_matrix(hamiltonian: np.ndarray, a: np.ndarray, kappa: float):
@@ -189,14 +177,16 @@ def lindblad_action(
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix plus the residual of the equation it solves.
+    """A density matrix, the residual of the equation it solves, and its operators.
 
     ``residual`` is the max-entrywise value of ``drho/dt`` evaluated with
-    the original (unmodified) generator.
+    the original (unmodified) generator; ``ops`` are the operators of the
+    Hilbert space that ``matrix`` lives on.
     """
 
     matrix: np.ndarray
     residual: float
+    ops: CavityAtomOperators = field(repr=False)
 
     def trace_error(self) -> float:
         return float(abs(np.trace(self.matrix) - 1.0))
@@ -244,13 +234,13 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     return _unvec(x, d)
 
 
-def _checked(rho: np.ndarray, h: np.ndarray, a: np.ndarray, kappa: float,
+def _checked(rho: np.ndarray, h: np.ndarray, ops: CavityAtomOperators, kappa: float,
              tol: float) -> DensityMatrix:
     """``rho`` with its residual under the full generator, which must be <= ``tol``."""
-    residual = float(np.abs(lindblad_action(rho, h, a, kappa)).max())
+    residual = float(np.abs(lindblad_action(rho, h, ops.a, kappa)).max())
     if not math.isfinite(residual) or residual > tol:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
-    return DensityMatrix(matrix=rho, residual=residual)
+    return DensityMatrix(matrix=rho, residual=residual, ops=ops)
 
 
 def steady_density(
@@ -265,21 +255,19 @@ def steady_density(
     ``residual_tol`` (a degenerate stationary manifold looks like this).
     """
     ops = build_operators(config)
-    h = build_hamiltonian(params, ops)
+    h = hamiltonian_matrix(params.g, params.epsilon, ops)
     lv = liouvillian_matrix(h, ops.a, params.kappa)
     rho = _solve_stationary(lv, ops.dim)
-    return _checked(rho, h, ops.a, params.kappa, residual_tol)
+    return _checked(rho, h, ops, params.kappa, residual_tol)
 
 
-def standard_quadrature_variances(
-    rho: DensityMatrix, ops: CavityAtomOperators
-) -> tuple[float, float]:
+def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
     """Quadrature variances with the standard commutator (vacuum is (1, 1)).
 
     Plus quadrature is ``a + a^dag``, minus is ``-i (a - a^dag)``; both
     give exactly 1 in the vacuum and in any coherent state.
     """
-    a = ops.a
+    a = rho.ops.a
     mean_a = rho.expect(a)
     mean_a2 = rho.expect(a @ a)
     mean_n = rho.expect(a.conj().T @ a)
@@ -316,11 +304,10 @@ class OracleReport:
         return asdict(self)
 
 
-def _build_report(
-    rho: DensityMatrix, ops: CavityAtomOperators, params: SystemParams
-) -> OracleReport:
+def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
+    ops = rho.ops
     a = ops.a
-    var_plus, var_minus = standard_quadrature_variances(rho, ops)
+    var_plus, var_minus = standard_quadrature_variances(rho)
     moments = {
         "mean_photon_number": rho.expect(a.conj().T @ a),
         "mean_field": rho.expect(a),
@@ -372,17 +359,15 @@ def compare_with_closed_form(
     params: SystemParams, config: HilbertConfig
 ) -> OracleReport:
     """Solve the stationary problem at one cutoff and tabulate comparisons."""
-    ops = build_operators(config)
-    rho = steady_density(params, config)
-    return _build_report(rho, ops, params)
+    return _build_report(steady_density(params, config), params)
 
 
 def _ladder(solve, tol: float, start: int, dim_cap: int):
     """Double the Fock cutoff from ``start`` until the mean photon number settles.
 
     ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
-    cutoff.  Returns ``(n_cut, ops, rho)`` at the first cutoff whose mean
-    photon number agrees with the previous (half-sized) one within ``tol``.
+    cutoff.  Returns it at the first cutoff whose mean photon number
+    agrees with the previous (half-sized) one within ``tol``.
     Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
     before convergence.
     """
@@ -391,12 +376,10 @@ def _ladder(solve, tol: float, start: int, dim_cap: int):
     previous = None
     n_cut = start
     while True:
-        config = HilbertConfig(n_cut=n_cut, dim_cap=dim_cap)
-        ops = build_operators(config)
-        rho = solve(config)
-        mean_n = rho.expect(ops.a.conj().T @ ops.a).real
+        rho = solve(HilbertConfig(n_cut=n_cut, dim_cap=dim_cap))
+        mean_n = rho.expect(rho.ops.a.conj().T @ rho.ops.a).real
         if previous is not None and abs(mean_n - previous) < tol:
-            return n_cut, ops, rho
+            return rho
         previous = mean_n
         n_cut *= 2
 
@@ -412,8 +395,8 @@ def cutoff_converged(
     Returns the converged cutoff of the shared doubling ladder together
     with the report at that cutoff.
     """
-    n_cut, ops, rho = _ladder(lambda c: steady_density(params, c), tol, start, dim_cap)
-    return n_cut, _build_report(rho, ops, params)
+    rho = _ladder(lambda c: steady_density(params, c), tol, start, dim_cap)
+    return rho.ops.n_cut, _build_report(rho, params)
 
 
 def decoupled_cavity_steady(
@@ -430,19 +413,18 @@ def decoupled_cavity_steady(
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    kappa = _require_rate("kappa", kappa)
+    ops = build_operators(config)
     m = config.n_cut + 1
-    a_fock = _fock_annihilator(m)
+    a_fock = ops.a[:m, :m]  # the Fock block of ``I (x) a``
     h_cavity = 1j * epsilon * (a_fock.conj().T - a_fock)
     lv = liouvillian_matrix(h_cavity, a_fock, kappa)
     rho_cavity = _solve_stationary(lv, m)
 
     lower = np.diag([0.0, 1.0]).astype(complex)
     rho = np.kron(lower, rho_cavity)
-    ops = build_operators(config)
     h_full = hamiltonian_matrix(0.0, epsilon, ops)
-    return _checked(rho, h_full, ops.a, kappa, 1e-8)
+    return _checked(rho, h_full, ops, kappa, 1e-8)
 
 
 def decoupled_benchmark(
@@ -458,15 +440,16 @@ def decoupled_benchmark(
     are ``<a> = 2 eps/kappa``, ``<a^dag a> = (2 eps/kappa)**2`` and both
     standard-commutator variances equal to 1.
     """
-    n_cut, ops, rho = _ladder(
+    rho = _ladder(
         lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, start, dim_cap
     )
-    mean_n = rho.expect(ops.a.conj().T @ ops.a).real
+    a = rho.ops.a
+    mean_n = rho.expect(a.conj().T @ a).real
     alpha = 2.0 * epsilon / kappa
-    var_plus, var_minus = standard_quadrature_variances(rho, ops)
+    var_plus, var_minus = standard_quadrature_variances(rho)
     values = {
         "mean_photon_number": (mean_n, alpha * alpha),
-        "mean_field": (rho.expect(ops.a).real, alpha),
+        "mean_field": (rho.expect(a).real, alpha),
         "var_plus": (var_plus, 1.0),
         "var_minus": (var_minus, 1.0),
     }
@@ -474,7 +457,7 @@ def decoupled_benchmark(
         "epsilon": epsilon,
         "kappa": kappa,
         "g": 0.0,
-        "n_cut": n_cut,
+        "n_cut": rho.ops.n_cut,
         "residual": rho.residual,
         "trace_error": rho.trace_error(),
         "comparisons": {
@@ -488,23 +471,23 @@ def evolve_density(
     params: SystemParams,
     config: HilbertConfig,
     t_final: float,
-    dt: float | None = None,
     initial: np.ndarray | None = None,
 ) -> DensityMatrix:
-    """Evolve a density matrix with fixed-step RK4 on the vectorised generator.
+    """Evolve a density matrix by the exact propagator ``exp(t_final L)``.
 
     Independent route to the stationary state: for ``t_final`` long
     against the slowest relaxation rate the result approaches
-    :func:`steady_density`.  The default step is the reciprocal of the
-    generator's 1-norm, well inside the RK4 stability region; the default
-    initial state is the absolute ground state (lower level, empty
-    cavity).  The returned residual is the max-entrywise time derivative
-    at the final state.
+    :func:`steady_density`.  The action of the matrix exponential on the
+    vectorised state is computed by ``scipy.sparse.linalg.expm_multiply``
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011), which chooses its
+    own steps.  The default initial state is the absolute ground state
+    (lower level, empty cavity).  The returned residual is the
+    max-entrywise time derivative at the final state.
     """
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final must be > 0, got {t_final}")
     ops = build_operators(config)
-    h = build_hamiltonian(params, ops)
+    h = hamiltonian_matrix(params.g, params.epsilon, ops)
     lv = liouvillian_matrix(h, ops.a, params.kappa)
     d = ops.dim
     if initial is None:
@@ -515,19 +498,6 @@ def evolve_density(
         initial = np.asarray(initial, dtype=complex)
         if initial.shape != (d, d):
             raise ValueError(f"initial must have shape {(d, d)}")
-    if dt is None:
-        dt = 1.0 / float(abs(lv).sum(axis=0).max())
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be > 0, got {dt}")
-
-    v = _vec(initial).astype(complex)
-    steps = math.ceil(t_final / dt)
-    for _ in range(steps):
-        k1 = lv @ v
-        k2 = lv @ (v + 0.5 * dt * k1)
-        k3 = lv @ (v + 0.5 * dt * k2)
-        k4 = lv @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    rho = _unvec(v, d)
+    rho = _unvec(expm_multiply(t_final * lv, _vec(initial)), d)
     residual = float(np.abs(lindblad_action(rho, h, ops.a, params.kappa)).max())
-    return DensityMatrix(matrix=rho, residual=residual)
+    return DensityMatrix(matrix=rho, residual=residual, ops=ops)

@@ -32,7 +32,6 @@ from .params import SystemParams
 __all__ = [
     "AtomSteady",
     "SingleModeStats",
-    "stimulated_decay",
     "steady_atom",
     "mean_photons",
     "quadrature_variances",
@@ -93,16 +92,6 @@ class SingleModeStats:
     f_a: float
     f_b: float
     squeezing: float
-
-
-def stimulated_decay(params: SystemParams) -> float:
-    """Stimulated-emission decay constant ``4 g**2 / kappa``.
-
-    Evaluates the defining formula from the stored coupling; the value
-    cached on ``params.gamma_c`` agrees with it to 1e-9 relative by
-    construction.
-    """
-    return 4.0 * params.g * params.g / params.kappa
 
 
 def steady_atom(params: SystemParams) -> AtomSteady:
@@ -194,13 +183,11 @@ def optimal_drive(gamma_c: float, kappa: float) -> tuple[float, float]:
 
     Returns ``(eps_star, s_max)`` with ``eps_star = sqrt(kappa*gamma_c/8)``.
     The maximum squeezing is exactly one half for every parameter pair,
-    so ``s_max`` is always 0.5.
+    so ``s_max`` is always 0.5.  The rates are validated by
+    :meth:`SystemParams.from_gamma_c`.
     """
-    if not (math.isfinite(gamma_c) and gamma_c > 0.0):
-        raise ValueError(f"gamma_c must be > 0, got {gamma_c}")
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    return math.sqrt(kappa * gamma_c / 8.0), 0.5
+    params = SystemParams.from_gamma_c(gamma_c, kappa, 0.0)
+    return math.sqrt(params.kappa * params.gamma_c / 8.0), 0.5
 
 
 def single_mode_stats(params: SystemParams) -> SingleModeStats:

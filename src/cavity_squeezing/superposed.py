@@ -101,11 +101,14 @@ def superposed_bounds(params: SystemParams) -> tuple[float, float]:
 def superposed_squeezing(params: SystemParams) -> tuple[float, float, float]:
     """Noise reductions ``(s_plus, s_minus, total)`` of the superposed mode.
 
-    Each quadrature captures exactly half the single-mode squeezing, so
-    the total equals the single-mode value bit for bit.
+    Each quadrature captures exactly half the single-mode squeezing, and
+    the total is the single-mode value ``S`` itself.  ``s_plus + s_minus
+    == total`` holds bit for bit except where ``S/2`` is subnormal and the
+    halving drops a bit.
     """
-    s_half = 0.5 * squeezing(params)
-    return s_half, s_half, s_half + s_half
+    s = squeezing(params)
+    s_half = 0.5 * s
+    return s_half, s_half, s
 
 
 def superposed_first_moments(params: SystemParams) -> tuple[complex, complex]:

@@ -67,7 +67,8 @@ class SweepSpec:
     """A uniform grid in the driving amplitude at fixed rates.
 
     ``eps_min`` must be strictly below ``eps_max`` so the rows of the
-    resulting table are strictly ascending.
+    resulting table are strictly ascending.  The rates and both ends of
+    the grid are validated by :class:`SystemParams`.
     """
 
     eps_min: float
@@ -77,12 +78,7 @@ class SweepSpec:
     kappa: float
 
     def __post_init__(self) -> None:
-        for name in ("eps_min", "eps_max", "gamma_c", "kappa"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.eps_min < 0.0:
-            raise ValueError(f"eps_min must be >= 0, got {self.eps_min}")
+        SystemParams.from_gamma_c(self.gamma_c, self.kappa, [self.eps_min, self.eps_max])
         if not self.eps_min < self.eps_max:
             raise ValueError(
                 f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]"
@@ -90,10 +86,6 @@ class SweepSpec:
         if int(self.n_points) != self.n_points or self.n_points < 2:
             raise ValueError(f"n_points must be an integer >= 2, got {self.n_points}")
         object.__setattr__(self, "n_points", int(self.n_points))
-        if self.gamma_c <= 0.0:
-            raise ValueError(f"gamma_c must be > 0, got {self.gamma_c}")
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.eps_min, self.eps_max, self.n_points)
@@ -155,10 +147,7 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
     by a ternary search narrowed to 1e-10; independent of the closed-form
     optimum it should reproduce.
     """
-    if not (math.isfinite(gamma_c) and gamma_c > 0.0):
-        raise ValueError(f"gamma_c must be > 0, got {gamma_c}")
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    SystemParams.from_gamma_c(gamma_c, kappa, 0.0)  # validates the rates
 
     def s_of(eps: float) -> float:
         return single_mode.squeezing(

@@ -340,6 +340,9 @@ class TestValidationErrors:
             # ... or gamma_c**3 overflows
             ["steady", "--gamma-c", "1e110", "--kappa", "1e-40", "--epsilon", "0"],
             ["superpose", "--gamma-c", "1e110", "--kappa", "1e-40", "--epsilon", "0"],
+            # the decoupled g = 0 branch applies the same window to kappa
+            ["oracle", "--g", "0", "--kappa", "1e-200", "--epsilon", "1"],
+            ["oracle", "--g", "0", "--kappa", "1e60", "--epsilon", "1"],
         ],
     )
     def test_exit_code_two(self, args, capsys):
@@ -349,12 +352,13 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("eps_max", ["1e150", "1e300"])
     def test_overflowing_figures_grid_writes_nothing(self, eps_max, tmp_path, capsys):
+        out_dir = tmp_path / "out"
         code, _, err = run_cli(
-            ["figures", "--eps-max", eps_max, "--out-dir", str(tmp_path)], capsys
+            ["figures", "--eps-max", eps_max, "--out-dir", str(out_dir)], capsys
         )
         assert code == 2
         assert "epsilon" in err
-        assert list(tmp_path.glob("fig*.csv")) == []
+        assert not out_dir.exists()  # not even the directory is created
 
 
 # SHA-256 of the outputs at the canonical point and of the default

@@ -55,6 +55,7 @@ def test_closed_forms_are_finite_and_bounded_or_rejected(point):
               *asdict(sup).values(), *superposed_squeezing(params)]
     assert all(np.isfinite(v) for v in values)
     assert 0.0 <= single.squeezing <= 0.5
+    assert superposed_squeezing(params)[2] == single.squeezing
     assert atom.eta_a + atom.eta_b == 1.0
     # At eps -> 0 bound and product coincide and differ by an ulp either way.
     assert single.f_a <= single.f_b * (1.0 + 1e-12)

@@ -3,12 +3,13 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cavity_squeezing import oracle
 from cavity_squeezing import (
     DimensionCap,
     HilbertConfig,
     SystemParams,
-    build_hamiltonian,
     build_operators,
     compare_with_closed_form,
     cutoff_converged,
@@ -85,7 +86,7 @@ class TestHamiltonian:
 
     def test_hermitian(self, canonical):
         ops = build_operators(HilbertConfig(12))
-        h = build_hamiltonian(canonical, ops)
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_drive_matrix_element(self):
@@ -106,7 +107,7 @@ class TestLiouvillian:
     def test_action_matches_matrix(self, canonical):
         config = HilbertConfig(6)
         ops = build_operators(config)
-        h = build_hamiltonian(canonical, ops)
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
         lv = liouvillian_matrix(h, ops.a, canonical.kappa)
         rng = np.random.default_rng(3)
         d = ops.dim
@@ -118,7 +119,7 @@ class TestLiouvillian:
     def test_conserves_trace(self, canonical):
         config = HilbertConfig(6)
         ops = build_operators(config)
-        h = build_hamiltonian(canonical, ops)
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
         rng = np.random.default_rng(4)
         d = ops.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -134,20 +135,17 @@ class TestSteadyDensity:
         assert rho.min_eigenvalue() >= -1e-8
 
     def test_undriven_system_rests_in_the_ground_state(self):
-        config = HilbertConfig(8)
-        rho = steady_density(params_at(0.0), config)
-        ops = build_operators(config)
-        ground = np.zeros((ops.dim, ops.dim), dtype=complex)
+        rho = steady_density(params_at(0.0), HilbertConfig(8))
+        ground = np.zeros((rho.ops.dim, rho.ops.dim), dtype=complex)
         ground[9, 9] = 1.0  # lower level, zero photons
         assert np.abs(rho.matrix - ground).max() <= 1e-10
-        var_plus, var_minus = standard_quadrature_variances(rho, ops)
+        var_plus, var_minus = standard_quadrature_variances(rho)
         assert var_plus == pytest.approx(1.0, abs=1e-10)
         assert var_minus == pytest.approx(1.0, abs=1e-10)
 
     def test_moments_are_real_for_real_drive(self, canonical):
-        config = HilbertConfig(16)
-        rho = steady_density(canonical, config)
-        ops = build_operators(config)
+        rho = steady_density(canonical, HilbertConfig(16))
+        ops = rho.ops
         for op in (ops.a, ops.a @ ops.a, ops.sigma):
             assert abs(rho.expect(op).imag) <= 1e-12
 
@@ -174,6 +172,30 @@ class TestCutoffConvergence:
     def test_rejects_bad_tolerance(self, ladder, tol):
         with pytest.raises(ValueError):
             LADDERS[ladder](tol=tol)
+
+
+class TestOperatorBuilds:
+    """Each Fock rung builds its product-space operators once."""
+
+    @pytest.mark.parametrize(
+        "run,builds",
+        [
+            (lambda: cutoff_converged(params_at(0.2)), 2),  # rungs 8 and 16
+            (lambda: decoupled_benchmark(0.2, 0.8), 2),
+            (lambda: compare_with_closed_form(params_at(0.2), HilbertConfig(16)), 1),
+        ],
+        ids=["cutoff_converged", "decoupled_benchmark", "compare_with_closed_form"],
+    )
+    def test_one_build_per_rung(self, run, builds, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config.n_cut)
+            return build_operators(config)
+
+        monkeypatch.setattr(oracle, "build_operators", counting)
+        run()
+        assert len(calls) == builds
 
 
 class TestReport:
@@ -220,23 +242,22 @@ class TestDecoupled:
         assert bench["residual"] <= 1e-10
 
     def test_atom_is_pinned_to_the_lower_level(self):
-        config = HilbertConfig(8)
-        rho = decoupled_cavity_steady(0.2, 0.8, config)
-        ops = build_operators(config)
-        assert rho.expect(ops.eta_b).real == pytest.approx(1.0, abs=1e-12)
+        rho = decoupled_cavity_steady(0.2, 0.8, HilbertConfig(8))
+        assert rho.expect(rho.ops.eta_b).real == pytest.approx(1.0, abs=1e-12)
         assert rho.trace_error() <= 1e-12
 
     def test_undriven_decoupled_cavity_is_empty(self):
-        config = HilbertConfig(8)
-        rho = decoupled_cavity_steady(0.0, 0.8, config)
-        ops = build_operators(config)
-        assert abs(rho.expect(ops.a.conj().T @ ops.a)) <= 1e-12
+        rho = decoupled_cavity_steady(0.0, 0.8, HilbertConfig(8))
+        a = rho.ops.a
+        assert abs(rho.expect(a.conj().T @ a)) <= 1e-12
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             decoupled_cavity_steady(-0.1, 0.8, HilbertConfig(8))
         with pytest.raises(ValueError):
             decoupled_cavity_steady(0.2, 0.0, HilbertConfig(8))
+        with pytest.raises(ValueError):  # kappa outside [1e-38, 1e38]
+            decoupled_cavity_steady(1.0, 1e-200, HilbertConfig(8))
 
 
 class TestEvolution:
@@ -251,6 +272,18 @@ class TestEvolution:
         evolved = evolve_density(canonical, config, t_final=5.0)
         assert evolved.trace_error() <= 1e-12
         assert evolved.hermiticity_error() <= 1e-12
+
+    def test_matches_the_dense_propagator_at_the_final_time(self, canonical):
+        config = HilbertConfig(4)
+        evolved = evolve_density(canonical, config, t_final=5.0)
+        ops = evolved.ops
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
+        lv = liouvillian_matrix(h, ops.a, canonical.kappa).toarray()
+        d = ops.dim
+        ground = np.zeros(d * d, dtype=complex)
+        ground[(config.n_cut + 1) * (d + 1)] = 1.0  # lower level, zero photons
+        exact = (scipy.linalg.expm(5.0 * lv) @ ground).reshape((d, d), order="F")
+        assert np.abs(evolved.matrix - exact).max() <= 1e-12
 
     def test_rejects_bad_horizon(self, canonical):
         with pytest.raises(ValueError):

@@ -11,6 +11,18 @@ def test_gamma_c_derived_from_coupling():
     assert p.gamma_c == 4.0 * 0.3 * 0.3 / 0.9
 
 
+def test_gamma_c_formula():
+    p = SystemParams(g=0.2828427125, kappa=0.8, epsilon=0.0)
+    assert p.gamma_c == pytest.approx(0.4, rel=1e-9)
+    p = SystemParams(g=0.5, kappa=1.0, epsilon=0.0)
+    assert p.gamma_c == 1.0
+
+
+def test_gamma_c_vanishes_quadratically():
+    small = SystemParams(g=1e-8, kappa=0.8, epsilon=0.0)
+    assert small.gamma_c == 4.0 * 1e-8 * 1e-8 / 0.8
+
+
 def test_from_gamma_c_stores_given_value_exactly():
     p = SystemParams.from_gamma_c(0.4, 0.8, 0.2)
     assert p.gamma_c == 0.4
@@ -52,6 +64,8 @@ def test_denominator():
         dict(g=0.3, kappa=0.8, epsilon=[[0.1, 0.2]]),
         dict(g=1e-20, kappa=1.0, epsilon=0.0),  # derived gamma_c = 4e-40
         dict(g=1e35, kappa=1e-40, epsilon=0.0),  # derived gamma_c = 4e110
+        # 4 g**2 / kappa overflows to inf, which no given gamma_c matches
+        dict(g=1e200, kappa=1.0, epsilon=0.2, gamma_c=1.0),
     ],
 )
 def test_rejects_bad_rates(kwargs):

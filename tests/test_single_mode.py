@@ -11,7 +11,6 @@ from cavity_squeezing import (
     single_mode_stats,
     squeezing,
     steady_atom,
-    stimulated_decay,
     uncertainty_bound,
     uncertainty_product,
 )
@@ -22,18 +21,6 @@ def params_at(eps, gamma_c=0.4, kappa=0.8):
 
 
 EPS_GRID = np.linspace(0.0, 1.0, 1000)
-
-
-def test_stimulated_decay_formula():
-    p = SystemParams(g=0.2828427125, kappa=0.8, epsilon=0.0)
-    assert stimulated_decay(p) == pytest.approx(0.4, rel=1e-9)
-    p = SystemParams(g=0.5, kappa=1.0, epsilon=0.0)
-    assert stimulated_decay(p) == 1.0
-
-
-def test_stimulated_decay_vanishes_quadratically():
-    small = SystemParams(g=1e-8, kappa=0.8, epsilon=0.0)
-    assert stimulated_decay(small) == 4.0 * 1e-8 * 1e-8 / 0.8
 
 
 class TestSteadyAtom:
@@ -214,6 +201,8 @@ class TestOptimalDrive:
             optimal_drive(0.0, 1.0)
         with pytest.raises(ValueError):
             optimal_drive(1.0, -1.0)
+        with pytest.raises(ValueError):  # rates outside [1e-38, 1e38]
+            optimal_drive(1e-300, 1e-300)
 
 
 def test_stats_bundle_is_consistent(canonical):

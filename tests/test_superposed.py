@@ -118,6 +118,14 @@ class TestSqueezing:
             assert s_plus + s_minus == s_sum
             assert s_sum == squeezing(p)
 
+    def test_total_is_the_single_mode_value_when_the_half_is_subnormal(self):
+        p = params_at(1.1557e-149, gamma_c=2.3345e-13, kappa=2.5246e37)
+        s = squeezing(p)
+        s_plus, s_minus, s_sum = superposed_squeezing(p)
+        assert 0.0 < s_plus < np.finfo(float).tiny  # S/2 is subnormal
+        assert s_plus + s_minus != s  # halving dropped a bit
+        assert s_sum == s
+
 
 class TestFirstMoments:
     def test_frozen_fixture_values(self):

@@ -39,6 +39,9 @@ class TestSweepSpec:
             dict(eps_min=0.0, eps_max=1.0, n_points=10, gamma_c=0.0, kappa=0.8),
             dict(eps_min=0.0, eps_max=1.0, n_points=10, gamma_c=0.4, kappa=-1.0),
             dict(eps_min=0.0, eps_max=math.inf, n_points=10, gamma_c=0.4, kappa=0.8),
+            # the closed forms would overflow at the end of the grid
+            dict(eps_min=0.0, eps_max=1e150, n_points=10, gamma_c=0.4, kappa=0.8),
+            dict(eps_min=0.0, eps_max=1.0, n_points=10, gamma_c=1e-300, kappa=1e-300),
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
@@ -173,6 +176,8 @@ class TestFindMaxSqueezing:
             find_max_squeezing(-1.0, 0.8)
         with pytest.raises(ValueError):
             find_max_squeezing(0.4, 0.0)
+        with pytest.raises(ValueError):  # rates outside [1e-38, 1e38]
+            find_max_squeezing(1e-300, 1e-300)
 
 
 class TestIdentityReport:
