@@ -14,8 +14,9 @@ figures
     Write the standard sweep datasets (fig2/fig3/fig4/identities) plus a
     summary JSON.
 
-Parameters come from flags, falling back to a JSON config file given
-with ``--config`` (flags win).  The driving amplitude may be given
+Parameters come from flags and from a JSON config file given with
+``--config``, whose entries are parsed exactly like flags (flags on the
+command line win).  The driving amplitude may be given
 directly (``--epsilon``) or as the product of ``--lambda`` and
 ``--beta``.
 
@@ -35,12 +36,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .dynamics import (
     EXCITED_STATE,
     GROUND_STATE,
-    IntegratorConfig,
     NonConvergence,
     StepTooLarge,
     default_integrator_config,
@@ -54,7 +54,7 @@ from .oracle import (
     cutoff_converged,
     decoupled_benchmark,
 )
-from .params import SystemParams
+from .params import SystemParams, _require_finite
 from .single_mode import single_mode_stats, steady_atom
 from .superposed import superposed_squeezing, superposed_stats
 from .sweeps import SweepSpec, write_figure_files
@@ -134,14 +134,18 @@ def _emit(text: str, out: str | None) -> None:
 # configuration
 
 
+# Config keys are option dests; these two are also accepted under their flag name.
 _CONFIG_KEY_MAP = {"lambda": "lam", "format": "fmt"}
+_EPSILON_REL_TOL = 1e-12
 
 
-def _apply_config(args: argparse.Namespace, known_dests: set[str]) -> None:
-    if not args.config:
-        return
+def _config_argv(path: str, dests: set[str]) -> list[str]:
+    """The entries of the JSON config file at ``path`` as ``--flag=value`` tokens.
+
+    ``dests`` are the subcommand's option dests; a null value counts as not given.
+    """
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -149,22 +153,37 @@ def _apply_config(args: argparse.Namespace, known_dests: set[str]) -> None:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError("config file must hold a JSON object")
+    flags = {dest: "--" + dest.replace("_", "-") for dest in dests}
+    for name, dest in _CONFIG_KEY_MAP.items():
+        flags[name] = flags[dest] = "--" + name
+    tokens = []
     for key, value in loaded.items():
-        dest = _CONFIG_KEY_MAP.get(key, key)
-        if dest not in known_dests:
+        if key not in flags:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, (list, dict)):
             raise ConfigError(f"config key {key!r} must hold a single value")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+        if value is not None:
+            tokens.append(f"{flags[key]}={value}")
+    return tokens
 
 
 def _resolve_epsilon(args: argparse.Namespace) -> float:
-    if args.epsilon is not None:
-        return args.epsilon
-    if args.lam is not None and args.beta is not None:
-        return args.lam * args.beta
-    raise ConfigError("epsilon is required (give --epsilon, or --lambda and --beta)")
+    """The drive: ``--epsilon``, or the product of ``--lambda`` and ``--beta``.
+
+    A factor must be finite; when both factors and ``--epsilon`` are
+    given, the product must agree with ``--epsilon`` to 1e-12 (relative).
+    """
+    epsilon, lam, beta = args.epsilon, args.lam, args.beta
+    for name, value in (("lam", lam), ("beta", beta)):
+        if value is not None:
+            _require_finite(name, value)
+    product = None if lam is None or beta is None else lam * beta
+    if epsilon is None and product is None:
+        raise ConfigError("epsilon is required (give --epsilon, or --lambda and --beta)")
+    if epsilon is not None and product is not None and (
+            abs(product - epsilon) > _EPSILON_REL_TOL * max(abs(epsilon), abs(product))):
+        raise ConfigError(f"epsilon={epsilon} inconsistent with lam*beta={product}")
+    return product if epsilon is None else epsilon
 
 
 def _resolve_params(args: argparse.Namespace) -> SystemParams:
@@ -172,18 +191,10 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
         raise ConfigError("kappa is required")
     epsilon = _resolve_epsilon(args)
     if args.g is not None:
-        return SystemParams(
-            g=args.g,
-            kappa=args.kappa,
-            epsilon=epsilon,
-            lam=args.lam,
-            beta=args.beta,
-            gamma_c=args.gamma_c,
-        )
+        return SystemParams(g=args.g, kappa=args.kappa, epsilon=epsilon,
+                            gamma_c=args.gamma_c)
     if args.gamma_c is not None:
-        return SystemParams.from_gamma_c(
-            args.gamma_c, args.kappa, epsilon, lam=args.lam, beta=args.beta
-        )
+        return SystemParams.from_gamma_c(args.gamma_c, args.kappa, epsilon)
     raise ConfigError("one of --g or --gamma-c is required")
 
 
@@ -207,7 +218,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         "atom": asdict(steady_atom(params)),
         "stats": asdict(single_mode_stats(params)),
     }
-    _emit(_render(payload, args.fmt or "json"), args.out)
+    _emit(_render(payload, args.fmt), args.out)
     return 0
 
 
@@ -217,30 +228,19 @@ def _cmd_superpose(args: argparse.Namespace) -> int:
     moments = {name: stats.pop(name) for name in ("c_mean", "c_sq")}
     stats["sum"] = superposed_squeezing(params)[2]
     payload = {"params": _params_section(params), "stats": {**stats, **moments}}
-    _emit(_render(payload, args.fmt or "json"), args.out)
+    _emit(_render(payload, args.fmt), args.out)
     return 0
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    defaults = default_integrator_config(params)
-    config = IntegratorConfig(
-        dt=args.dt if args.dt is not None else defaults.dt,
-        t_max=args.t_max if args.t_max is not None else defaults.t_max,
-        steady_tol=(
-            args.steady_tol if args.steady_tol is not None else defaults.steady_tol
-        ),
-    )
-    choice = args.initial if args.initial is not None else "ground"
-    if choice not in ("ground", "excited"):
-        raise ConfigError(f"initial must be 'ground' or 'excited', got {choice!r}")
-    initial = EXCITED_STATE if choice == "excited" else GROUND_STATE
+    given = {name: getattr(args, name) for name in ("dt", "t_max", "steady_tol")
+             if getattr(args, name) is not None}
+    config = replace(default_integrator_config(params), **given)
+    initial = EXCITED_STATE if args.initial == "excited" else GROUND_STATE
     series = integrate(initial, params, config)
-    if (args.fmt or "csv") == "csv":
-        if args.out:
-            series.to_csv(args.out)
-        else:
-            series.to_csv(sys.stdout)
+    if args.fmt == "csv":
+        series.to_csv(args.out or sys.stdout)
     else:
         payload = {
             "params": _params_section(params),
@@ -256,21 +256,21 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         raise ConfigError("oracle reports are JSON only")
-    # Only limits the user gave are passed on; the rest keep the library defaults.
-    tol = {} if args.tol is None else {"tol": args.tol}
-    cap = {} if args.dim_cap is None else {"dim_cap": args.dim_cap}
-    if args.g is not None and args.g == 0.0:
+    if args.g == 0.0:
         # Decoupled limit: the atom drops out, benchmark the bare cavity.
+        if args.n_cut is not None or args.gamma_c is not None:
+            raise ConfigError("--n-cut and --gamma-c have no meaning at g = 0")
         if args.kappa is None:
             raise ConfigError("kappa is required")
-        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa, **tol, **cap)
+        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa,
+                                     tol=args.tol, dim_cap=args.dim_cap)
         _emit(render_json(report), args.out)
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
-        report = compare_with_closed_form(params, HilbertConfig(args.n_cut, **cap))
+        report = compare_with_closed_form(params, HilbertConfig(args.n_cut, args.dim_cap))
     else:
-        _, report = cutoff_converged(params, **tol, **cap)
+        _, report = cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)
     _emit(render_json(report.to_dict()), args.out)
     return 0
 
@@ -280,19 +280,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if gamma_c is None and args.g is not None and args.kappa is not None:
         gamma_c = SystemParams(g=args.g, kappa=args.kappa, epsilon=0.0).gamma_c
     spec = SweepSpec(
-        eps_min=args.eps_min if args.eps_min is not None else 0.0,
-        eps_max=args.eps_max if args.eps_max is not None else 0.8,
-        n_points=args.n_points if args.n_points is not None else 401,
+        eps_min=args.eps_min,
+        eps_max=args.eps_max,
+        n_points=args.n_points,
         gamma_c=gamma_c if gamma_c is not None else 0.4,
         kappa=args.kappa if args.kappa is not None else 0.8,
     )
-    out_dir = args.out_dir if args.out_dir is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
-    summary = write_figure_files(spec, out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
+    summary = write_figure_files(spec, args.out_dir)
     text = render_json(summary)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(text)
+    _emit(text, os.path.join(args.out_dir, "summary.json"))
     _emit(text, args.out)
     return 0
 
@@ -312,7 +309,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="input coupling amplitude")
     parser.add_argument("--config", help="JSON file with fallback values")
     parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), dest="fmt",
+    parser.add_argument("--format", choices=("json", "csv"), dest="fmt", default="json",
                         help="output format (default json; dynamics defaults to csv)")
 
 
@@ -338,28 +335,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steady-tol", type=float, dest="steady_tol",
                    help="derivative norm declaring steady state")
     p.add_argument("--initial", choices=("ground", "excited"),
-                   help="initial atomic state (default ground)")
-    p.set_defaults(func=_cmd_dynamics)
+                   default="ground", help="initial atomic state (default ground)")
+    p.set_defaults(func=_cmd_dynamics, fmt="csv")
 
     p = sub.add_parser("oracle", help="master-equation cross-check")
     _add_common(p)
     ladder = inspect.signature(cutoff_converged).parameters
     p.add_argument("--n-cut", type=int, dest="n_cut",
                    help="fixed Fock cutoff (default: double until converged)")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=float, default=ladder["tol"].default,
                    help="cutoff convergence tolerance on the photon number "
-                        f"(default {ladder['tol'].default:g})")
+                        "(default %(default)g)")
     p.add_argument("--dim-cap", type=int, dest="dim_cap",
-                   help="maximum Hilbert-space dimension "
-                        f"(default {ladder['dim_cap'].default})")
+                   default=ladder["dim_cap"].default,
+                   help="maximum Hilbert-space dimension (default %(default)d)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("figures", help="write the standard sweep datasets")
     _add_common(p)
-    p.add_argument("--eps-min", type=float, dest="eps_min", help="grid start")
-    p.add_argument("--eps-max", type=float, dest="eps_max", help="grid end")
-    p.add_argument("--n-points", type=int, dest="n_points", help="grid size")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    p.add_argument("--eps-min", type=float, dest="eps_min", default=0.0, help="grid start")
+    p.add_argument("--eps-max", type=float, dest="eps_max", default=0.8, help="grid end")
+    p.add_argument("--n-points", type=int, dest="n_points", default=401, help="grid size")
+    p.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_figures)
 
     return parser
@@ -367,10 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    known = set(vars(args)) - {"command", "func"}
     try:
-        _apply_config(args, known)
+        if args.config:
+            # argv[0] is the subcommand (the top-level parser has no options).
+            # Argparse keeps the last value it sees, so the user's flags win; the
+            # ``--flag=value`` form keeps a config value starting with ``-`` intact.
+            tokens = _config_argv(args.config, set(vars(args)) - {"command", "func"})
+            args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,6 +66,12 @@ _FRAMEWORK_NOTE = (
 )
 
 
+# The cutoff ladder's first rung, and the largest stationary residual the
+# full-space generator may leave on an accepted state.
+_LADDER_START = 8
+_RESIDUAL_TOL = 1e-8
+
+
 class DimensionCap(RuntimeError):
     """Raised when the requested Hilbert space exceeds the dimension cap."""
 
@@ -234,31 +240,27 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     return _unvec(x, d)
 
 
-def _checked(rho: np.ndarray, h: np.ndarray, ops: CavityAtomOperators, kappa: float,
-             tol: float) -> DensityMatrix:
-    """``rho`` with its residual under the full generator, which must be <= ``tol``."""
+def _checked(rho: np.ndarray, h: np.ndarray, ops: CavityAtomOperators,
+             kappa: float) -> DensityMatrix:
+    """``rho`` with its residual under the full generator, at most ``_RESIDUAL_TOL``."""
     residual = float(np.abs(lindblad_action(rho, h, ops.a, kappa)).max())
-    if not math.isfinite(residual) or residual > tol:
-        raise SingularSystem(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
+    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
+        raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
     return DensityMatrix(matrix=rho, residual=residual, ops=ops)
 
 
-def steady_density(
-    params: SystemParams,
-    config: HilbertConfig,
-    residual_tol: float = 1e-8,
-) -> DensityMatrix:
+def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
     """Stationary density matrix of the full master equation.
 
     Raises :class:`SingularSystem` when the linear solve fails or the
     recovered state does not actually annihilate the generator to
-    ``residual_tol`` (a degenerate stationary manifold looks like this).
+    ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
     ops = build_operators(config)
     h = hamiltonian_matrix(params.g, params.epsilon, ops)
     lv = liouvillian_matrix(h, ops.a, params.kappa)
     rho = _solve_stationary(lv, ops.dim)
-    return _checked(rho, h, ops, params.kappa, residual_tol)
+    return _checked(rho, h, ops, params.kappa)
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -362,8 +364,8 @@ def compare_with_closed_form(
     return _build_report(steady_density(params, config), params)
 
 
-def _ladder(solve, tol: float, start: int, dim_cap: int):
-    """Double the Fock cutoff from ``start`` until the mean photon number settles.
+def _ladder(solve, tol: float, dim_cap: int):
+    """Double the Fock cutoff from ``_LADDER_START`` until the photon number settles.
 
     ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
     cutoff.  Returns it at the first cutoff whose mean photon number
@@ -374,7 +376,7 @@ def _ladder(solve, tol: float, start: int, dim_cap: int):
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     previous = None
-    n_cut = start
+    n_cut = _LADDER_START
     while True:
         rho = solve(HilbertConfig(n_cut=n_cut, dim_cap=dim_cap))
         mean_n = rho.expect(rho.ops.a.conj().T @ rho.ops.a).real
@@ -387,7 +389,6 @@ def _ladder(solve, tol: float, start: int, dim_cap: int):
 def cutoff_converged(
     params: SystemParams,
     tol: float = 1e-8,
-    start: int = 8,
     dim_cap: int = 256,
 ) -> tuple[int, OracleReport]:
     """Double the Fock cutoff until the mean photon number settles.
@@ -395,7 +396,7 @@ def cutoff_converged(
     Returns the converged cutoff of the shared doubling ladder together
     with the report at that cutoff.
     """
-    rho = _ladder(lambda c: steady_density(params, c), tol, start, dim_cap)
+    rho = _ladder(lambda c: steady_density(params, c), tol, dim_cap)
     return rho.ops.n_cut, _build_report(rho, params)
 
 
@@ -424,14 +425,13 @@ def decoupled_cavity_steady(
     lower = np.diag([0.0, 1.0]).astype(complex)
     rho = np.kron(lower, rho_cavity)
     h_full = hamiltonian_matrix(0.0, epsilon, ops)
-    return _checked(rho, h_full, ops, kappa, 1e-8)
+    return _checked(rho, h_full, ops, kappa)
 
 
 def decoupled_benchmark(
     epsilon: float,
     kappa: float,
     tol: float = 1e-8,
-    start: int = 8,
     dim_cap: int = 256,
 ) -> dict:
     """Convergence benchmark of the ``g = 0`` limit against coherent-state values.
@@ -440,9 +440,7 @@ def decoupled_benchmark(
     are ``<a> = 2 eps/kappa``, ``<a^dag a> = (2 eps/kappa)**2`` and both
     standard-commutator variances equal to 1.
     """
-    rho = _ladder(
-        lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, start, dim_cap
-    )
+    rho = _ladder(lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, dim_cap)
     a = rho.ops.a
     mean_n = rho.expect(a.conj().T @ a).real
     alpha = 2.0 * epsilon / kappa

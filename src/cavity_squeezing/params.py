@@ -22,9 +22,8 @@ import numpy as np
 
 __all__ = ["SystemParams"]
 
-# Tolerances for cross-checking redundantly specified inputs.
+# Tolerance for cross-checking a given gamma_c against 4 g**2 / kappa.
 _GAMMA_REL_TOL = 1e-9
-_EPSILON_REL_TOL = 1e-12
 # The closed forms raise D = 8 eps**2 + kappa*gamma_c to the fourth power;
 # 1e77**4 = 1e308 still fits in a double.
 _MAX_DENOMINATOR = 1e77
@@ -73,11 +72,6 @@ class SystemParams:
         Cavity energy decay rate, in [1e-38, 1e38].
     epsilon : float or 1-D array of float
         Classical driving amplitude, >= 0 (elementwise for an array).
-    lam : float, optional
-        Photon flux amplitude of the driving beam.  Informational; when
-        given together with `beta` the product must reproduce `epsilon`.
-    beta : float, optional
-        Cavity input coupling amplitude, see `lam`.
     gamma_c : float, optional
         Stimulated-emission decay constant.  Derived as ``4 g**2 / kappa``
         when omitted.  When supplied it must agree with the derived value
@@ -97,8 +91,6 @@ class SystemParams:
     g: float
     kappa: float
     epsilon: float | np.ndarray
-    lam: float | None = None
-    beta: float | None = None
     gamma_c: float | None = None
 
     def __post_init__(self) -> None:
@@ -127,27 +119,8 @@ class SystemParams:
                 f"8*epsilon**2 + kappa*gamma_c must not exceed {_MAX_DENOMINATOR:g}"
             )
 
-        if self.lam is not None:
-            object.__setattr__(self, "lam", _require_finite("lam", self.lam))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", _require_finite("beta", self.beta))
-        if self.lam is not None and self.beta is not None:
-            product = self.lam * self.beta
-            scale = np.maximum(abs(self.epsilon), abs(product))
-            if np.any(abs(product - self.epsilon) > _EPSILON_REL_TOL * scale):
-                raise ValueError(
-                    f"epsilon={self.epsilon} inconsistent with lam*beta={product}"
-                )
-
     @classmethod
-    def from_gamma_c(
-        cls,
-        gamma_c: float,
-        kappa: float,
-        epsilon: float,
-        lam: float | None = None,
-        beta: float | None = None,
-    ) -> "SystemParams":
+    def from_gamma_c(cls, gamma_c: float, kappa: float, epsilon: float) -> "SystemParams":
         """Build a parameter set from the decay constant instead of ``g``.
 
         The coupling is recovered as ``g = sqrt(gamma_c * kappa) / 2`` and
@@ -157,8 +130,7 @@ class SystemParams:
         gamma_c = _require_rate("gamma_c", gamma_c)
         kappa = _require_rate("kappa", kappa)
         g = math.sqrt(gamma_c * kappa) / 2.0
-        return cls(g=g, kappa=kappa, epsilon=epsilon, lam=lam, beta=beta,
-                   gamma_c=gamma_c)
+        return cls(g=g, kappa=kappa, epsilon=epsilon, gamma_c=gamma_c)
 
     @property
     def denominator(self) -> float | np.ndarray:

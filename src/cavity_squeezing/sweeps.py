@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_mode, superposed
-from .params import SystemParams
+from .params import _MAX_DENOMINATOR, SystemParams
 
 __all__ = [
     "SWEEP_COLUMNS",
@@ -144,8 +144,9 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
     """Numerically maximise the squeezing over the driving amplitude.
 
     Coarse 1000-point scan over [0, 5 * sqrt(kappa*gamma_c/8)] followed
-    by a ternary search narrowed to 1e-10; independent of the closed-form
-    optimum it should reproduce.
+    by a ternary search narrowed to 5e-10 times that scale; independent
+    of the closed-form optimum it should reproduce.  The scan stops where
+    ``8 eps**2`` reaches half the drive bound (``kappa*gamma_c <= 1e76``).
     """
     SystemParams.from_gamma_c(gamma_c, kappa, 0.0)  # validates the rates
 
@@ -155,12 +156,12 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
         )
 
     scale = math.sqrt(kappa * gamma_c / 8.0)
-    grid = np.linspace(0.0, 5.0 * scale, 1000)
+    grid = np.linspace(0.0, min(5.0 * scale, math.sqrt(_MAX_DENOMINATOR / 16.0)), 1000)
     values = single_mode.squeezing(SystemParams.from_gamma_c(gamma_c, kappa, grid))
     best = int(np.argmax(values))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
-    while hi - lo > 1e-10:
+    while hi - lo > 5e-10 * scale:
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third

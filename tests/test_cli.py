@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -10,11 +11,15 @@ import numpy as np
 import pytest
 
 import cavity_squeezing
-from cavity_squeezing.cli import main, render_json
+from cavity_squeezing import cli
+from cavity_squeezing.cli import build_parser, main, render_json
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejected a flag or a config value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -68,6 +73,33 @@ class TestSteady:
         )
         assert code == 0
         assert json.loads(out)["params"]["epsilon"] == 0.2
+
+    def test_drive_factors_accepted_when_consistent(self, capsys):
+        code, out, _ = run_cli(
+            ["steady", "--g", "0.3", "--kappa", "0.8", "--epsilon", "0.2",
+             "--lambda", "2.0", "--beta", "0.1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["epsilon"] == 0.2
+
+    def test_drive_factors_rejected_when_inconsistent(self, capsys):
+        code, _, err = run_cli(
+            ["steady", "--g", "0.3", "--kappa", "0.8", "--epsilon", "0.21",
+             "--lambda", "2.0", "--beta", "0.1"],
+            capsys,
+        )
+        assert code == 2
+        assert "lam" in err
+
+    def test_single_drive_factor_is_unconstrained(self, capsys):
+        for factor in ("--lambda", "--beta"):
+            code, _, _ = run_cli(
+                ["steady", "--g", "0.3", "--kappa", "0.8", "--epsilon", "0.2",
+                 factor, "123.0"],
+                capsys,
+            )
+            assert code == 0
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -257,7 +289,98 @@ class TestFigures:
         )
 
 
+def _subcommands():
+    """The subparsers of :func:`build_parser`, by name."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options():
+    """(subcommand, option) for every option a config file may set."""
+    return [(name, action) for name, sub in _subcommands().items()
+            for action in sub._actions if action.dest not in ("help", "config")]
+
+
+def _write_config(tmp_path, entries):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entries))
+    return str(config)
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command,action", _options(),
+        ids=[f"{name}{action.option_strings[-1]}" for name, action in _options()],
+    )
+    def test_config_key_parses_like_its_flag(self, command, action, tmp_path,
+                                             monkeypatch):
+        """Every option reaches a subcommand the same way from a config file."""
+        if action.choices:
+            value = next(c for c in action.choices if c != action.default)
+        else:
+            value = {float: 0.25, int: 7, None: "somewhere"}[action.type]
+        seen = []
+        for name in ("_cmd_steady", "_cmd_superpose", "_cmd_dynamics", "_cmd_oracle",
+                     "_cmd_figures"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        flag = action.option_strings[-1]
+        expected = vars(build_parser().parse_args([command, flag, str(value)]))
+        assert expected.pop("config") is None
+        assert expected[action.dest] != action.default
+        for key in {action.dest, flag.lstrip("-").replace("-", "_")}:
+            for entry in (value, str(value)):
+                path = _write_config(tmp_path, {key: entry})
+                assert main([command, "--config", path]) == 0
+                got = seen.pop()
+                assert got.pop("config") == path
+                assert got == expected
+
+    @pytest.mark.parametrize(
+        "command,entries",
+        [
+            ("steady", {"gamma_c": 0.4, "kappa": 0.8, "lambda": 2.0, "beta": 0.1}),
+            ("dynamics", {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, "dt": 0.1,
+                          "format": "json"}),
+            ("oracle", {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, "tol": 1e-6}),
+        ],
+    )
+    def test_string_numbers_match_json_numbers(self, command, entries, tmp_path,
+                                               capsys):
+        as_strings = {k: str(v) for k, v in entries.items()}
+        runs = [run_cli([command, "--config", _write_config(tmp_path, e)], capsys)
+                for e in (entries, as_strings)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize(
+        "command,entry",
+        [("steady", {"format": "xml"}), ("dynamics", {"initial": "sideways"}),
+         ("steady", {"epsilon": True})],
+    )
+    def test_values_are_checked_like_flags(self, command, entry, tmp_path, capsys):
+        entries = {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, **entry}
+        code, out, _ = run_cli([command, "--config", _write_config(tmp_path, entries)],
+                               capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_number_as_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(
+            ["figures", "--config", _write_config(tmp_path, {"out_dir": 5})], capsys
+        )
+        assert code == 0
+        assert (tmp_path / "5" / "summary.json").exists()
+
+    def test_value_starting_with_a_dash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        entries = {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, "out": "-steady.json"}
+        code, _, _ = run_cli(["steady", "--config", _write_config(tmp_path, entries)],
+                             capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "-steady.json").read_text())["atom"]["eta_a"] == 0.25
+
     def test_config_supplies_missing_values(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
@@ -343,12 +466,30 @@ class TestValidationErrors:
             # the decoupled g = 0 branch applies the same window to kappa
             ["oracle", "--g", "0", "--kappa", "1e-200", "--epsilon", "1"],
             ["oracle", "--g", "0", "--kappa", "1e60", "--epsilon", "1"],
+            # ... and the same drive check, and takes no coupled-only option
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2",
+             "--lambda", "1", "--beta", "5"],
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2", "--n-cut", "20"],
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2",
+             "--gamma-c", "0.4"],
         ],
     )
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "gamma_c,kappa", [("1e7", "1e7"), ("1e38", "1e38"), ("1e-38", "1e-38"), ("1", "1e13")]
+    )
+    def test_figures_at_extreme_rates(self, gamma_c, kappa, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["figures", "--gamma-c", gamma_c, "--kappa", kappa, "--eps-max", "1",
+             "--n-points", "3", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert abs(json.loads(out)["s_max"] - 0.5) <= 1e-9
 
     @pytest.mark.parametrize("eps_max", ["1e150", "1e300"])
     def test_overflowing_figures_grid_writes_nothing(self, eps_max, tmp_path, capsys):

@@ -100,21 +100,6 @@ def test_epsilon_zero_is_valid():
     assert p.epsilon == 0.0
 
 
-def test_drive_factors_accepted_when_consistent():
-    p = SystemParams(g=0.3, kappa=0.8, epsilon=0.2, lam=2.0, beta=0.1)
-    assert p.lam == 2.0 and p.beta == 0.1
-
-
-def test_drive_factors_rejected_when_inconsistent():
-    with pytest.raises(ValueError, match="lam"):
-        SystemParams(g=0.3, kappa=0.8, epsilon=0.21, lam=2.0, beta=0.1)
-
-
-def test_single_drive_factor_is_unconstrained():
-    SystemParams(g=0.3, kappa=0.8, epsilon=0.2, lam=123.0)
-    SystemParams(g=0.3, kappa=0.8, epsilon=0.2, beta=123.0)
-
-
 def test_both_construction_routes_agree():
     a = SystemParams.from_gamma_c(0.4, 0.8, 0.2)
     b = SystemParams(g=math.sqrt(0.4 * 0.8) / 2.0, kappa=0.8, epsilon=0.2)

@@ -171,6 +171,19 @@ class TestFindMaxSqueezing:
         eps_star, _ = find_max_squeezing(gamma_c, kappa)
         assert abs(eps_star - best) <= float(grid[1] - grid[0])
 
+    @pytest.mark.parametrize(
+        "gamma_c,kappa",
+        # the search once hung above kappa*gamma_c ~ 2e12, took no step below
+        # ~1e-10, and scanned past the drive bound above ~4e75
+        [(1e7, 1e7), (1e38, 1e38), (1e-38, 1e-38), (1.0, 1e13), (1e-30, 1e-30),
+         (1e38, 1e-38)],
+    )
+    def test_finds_the_optimum_at_every_scale(self, gamma_c, kappa):
+        eps_star, s_max = find_max_squeezing(gamma_c, kappa)
+        scale = math.sqrt(kappa * gamma_c / 8.0)
+        assert abs(eps_star - scale) <= 5e-8 * scale
+        assert abs(s_max - 0.5) <= 1e-9
+
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             find_max_squeezing(-1.0, 0.8)
