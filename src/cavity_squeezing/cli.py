@@ -186,16 +186,19 @@ def _resolve_epsilon(args: argparse.Namespace) -> float:
     return product if epsilon is None else epsilon
 
 
-def _resolve_params(args: argparse.Namespace) -> SystemParams:
-    if args.kappa is None:
+def _resolve_rates(g, kappa, gamma_c, epsilon: float = 0.0) -> SystemParams:
+    """The checked parameters, with the rates from ``kappa`` and ``g`` or ``gamma_c``."""
+    if kappa is None:
         raise ConfigError("kappa is required")
-    epsilon = _resolve_epsilon(args)
-    if args.g is not None:
-        return SystemParams(g=args.g, kappa=args.kappa, epsilon=epsilon,
-                            gamma_c=args.gamma_c)
-    if args.gamma_c is not None:
-        return SystemParams.from_gamma_c(args.gamma_c, args.kappa, epsilon)
+    if g is not None:
+        return SystemParams(g=g, kappa=kappa, epsilon=epsilon, gamma_c=gamma_c)
+    if gamma_c is not None:
+        return SystemParams.from_gamma_c(gamma_c, kappa, epsilon)
     raise ConfigError("one of --g or --gamma-c is required")
+
+
+def _resolve_params(args: argparse.Namespace) -> SystemParams:
+    return _resolve_rates(args.g, args.kappa, args.gamma_c, _resolve_epsilon(args))
 
 
 def _params_section(params: SystemParams) -> dict:
@@ -276,16 +279,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    gamma_c = args.gamma_c
-    if gamma_c is None and args.g is not None and args.kappa is not None:
-        gamma_c = SystemParams(g=args.g, kappa=args.kappa, epsilon=0.0).gamma_c
-    spec = SweepSpec(
-        eps_min=args.eps_min,
-        eps_max=args.eps_max,
-        n_points=args.n_points,
-        gamma_c=gamma_c if gamma_c is not None else 0.4,
-        kappa=args.kappa if args.kappa is not None else 0.8,
-    )
+    # The default grid's rates stand in for the rates that are not given.
+    gamma_c = 0.4 if args.g is None and args.gamma_c is None else args.gamma_c
+    rates = _resolve_rates(args.g, 0.8 if args.kappa is None else args.kappa, gamma_c)
+    spec = SweepSpec(eps_min=args.eps_min, eps_max=args.eps_max, n_points=args.n_points,
+                     gamma_c=rates.gamma_c, kappa=rates.kappa)
     os.makedirs(args.out_dir, exist_ok=True)
     summary = write_figure_files(spec, args.out_dir)
     text = render_json(summary)
@@ -298,19 +296,21 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 # parser & entry point
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, unread: str = "") -> None:
+    # ``unread`` ends the help of the drive and format options a subcommand ignores.
     parser.add_argument("--gamma-c", type=float, dest="gamma_c",
                         help="stimulated-emission decay constant 4*g**2/kappa")
     parser.add_argument("--g", type=float, help="atom-field coupling rate")
     parser.add_argument("--kappa", type=float, help="cavity decay rate")
-    parser.add_argument("--epsilon", type=float, help="driving amplitude")
+    parser.add_argument("--epsilon", type=float, help="driving amplitude" + unread)
     parser.add_argument("--lambda", type=float, dest="lam",
-                        help="photon flux amplitude (epsilon = lambda*beta)")
-    parser.add_argument("--beta", type=float, help="input coupling amplitude")
+                        help="photon flux amplitude (epsilon = lambda*beta)" + unread)
+    parser.add_argument("--beta", type=float, help="input coupling amplitude" + unread)
     parser.add_argument("--config", help="JSON file with fallback values")
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), dest="fmt", default="json",
-                        help="output format (default json; dynamics defaults to csv)")
+                        help="output format (default json; dynamics defaults to csv)"
+                             + unread)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("figures", help="write the standard sweep datasets")
-    _add_common(p)
+    _add_common(p, unread="; ignored here, accepted for shared config files")
     p.add_argument("--eps-min", type=float, dest="eps_min", default=0.0, help="grid start")
     p.add_argument("--eps-max", type=float, dest="eps_max", default=0.8, help="grid end")
     p.add_argument("--n-points", type=int, dest="n_points", default=401, help="grid size")

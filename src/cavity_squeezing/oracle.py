@@ -7,6 +7,15 @@ Hamiltonian and the cavity-decay Lindblad generator on the product space
 equation as a sparse linear system, and reports moments of the resulting
 density matrix next to the closed-form predictions.
 
+The coupled solve uses the displaced (Mollow) frame ``a = alpha + b``,
+``alpha = 2 eps/kappa`` (B. R. Mollow, Phys. Rev. A 12, 1919 (1975)): the
+cavity drive cancels, leaving ``i g (sigma^dag b - b^dag sigma) +
+i g alpha (sigma^dag - sigma)`` and ``kappa D[b]``, so the Fock cutoff
+truncates the small fluctuation field ``b``.  All generators and states
+are real (``float64``); :meth:`DensityMatrix.field_moments` maps moments
+back to ``a``.  The ``g = 0`` limit and :func:`evolve_density` stay in
+the lab frame, so ``g = 0`` still checks ``alpha`` independently.
+
 Conventions, fixed once and used everywhere:
 
 * basis order is row-major with the atom index slow and the Fock index
@@ -14,10 +23,8 @@ Conventions, fixed once and used everywhere:
 * density matrices are vectorised by column stacking, so a left factor
   ``A`` becomes ``I (x) A``, a right factor ``B`` becomes ``B^T (x) I``,
   and the sandwich ``A rho A^dag`` becomes ``conj(A) (x) A``;
-* the stationary solve replaces one redundant row of the generator with
-  the trace constraint (the row holding the largest entry of the
-  vectorised identity, first maximum on ties) and puts 1 on the
-  right-hand side.
+* the stationary solve replaces the first (redundant) row of the
+  generator with the trace constraint and puts 1 on the right-hand side.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -48,7 +55,6 @@ __all__ = [
     "build_operators",
     "hamiltonian_matrix",
     "liouvillian_matrix",
-    "lindblad_action",
     "steady_density",
     "standard_quadrature_variances",
     "compare_with_closed_form",
@@ -111,12 +117,16 @@ class HilbertConfig:
 
 @dataclass(frozen=True)
 class CavityAtomOperators:
-    """Dense operators on the product space (atom slow, Fock fast)."""
+    """Real sparse operators on the product space (atom slow, Fock fast).
 
-    a: np.ndarray
-    sigma: np.ndarray
-    eta_a: np.ndarray
-    eta_b: np.ndarray
+    ``a`` lowers the Fock ladder: it is the cavity field in the lab frame
+    and the fluctuation field ``b`` in the displaced frame.
+    """
+
+    a: sp.csr_matrix
+    sigma: sp.csr_matrix
+    eta_a: sp.csr_matrix
+    eta_b: sp.csr_matrix
     n_cut: int
 
     @property
@@ -127,58 +137,49 @@ class CavityAtomOperators:
 def build_operators(config: HilbertConfig) -> CavityAtomOperators:
     """Annihilation, lowering and projector operators on the product space."""
     m = config.n_cut + 1
-    eye2 = np.eye(2, dtype=complex)
-    eye_m = np.eye(m, dtype=complex)
-    sigma_atom = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |b><a|
+    ladder = sp.diags(np.sqrt(np.arange(1.0, m)), 1)
+    upper = np.repeat([1.0, 0.0], m)
     return CavityAtomOperators(
-        a=np.kron(eye2, np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)),
-        sigma=np.kron(sigma_atom, eye_m),
-        eta_a=np.kron(np.diag([1.0, 0.0]).astype(complex), eye_m),
-        eta_b=np.kron(np.diag([0.0, 1.0]).astype(complex), eye_m),
+        a=sp.block_diag([ladder, ladder], format="csr"),
+        sigma=sp.eye(2 * m, k=-m, format="csr"),  # |b><a|: upper block to lower block
+        eta_a=sp.diags(upper, format="csr"),
+        eta_b=sp.diags(1.0 - upper, format="csr"),
         n_cut=config.n_cut,
     )
 
 
-def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators) -> np.ndarray:
+def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators,
+                       shift: float = 0.0):
     """Resonant Hamiltonian ``i g (sigma^dag a - a^dag sigma) + i eps (a^dag - a)``.
 
-    Takes raw rates so the decoupled ``g = 0`` limit can be built too.
+    Sparse.  Takes raw rates so the decoupled ``g = 0`` limit can be built
+    too.  A frame shift ``a -> shift + a`` adds the atomic pump
+    ``i g shift (sigma^dag - sigma)``; the cavity drive left in that frame
+    is ``eps - kappa shift / 2``, which the displaced solve sets to 0.
     """
     a, s = ops.a, ops.sigma
-    ad, sd = a.conj().T, s.conj().T
-    return 1j * g * (sd @ a - ad @ s) + 1j * epsilon * (ad - a)
+    return 1j * (g * (s.T @ a - a.T @ s + shift * (s.T - s)) + epsilon * (a.T - a))
 
 
-def liouvillian_matrix(hamiltonian: np.ndarray, a: np.ndarray, kappa: float):
-    """Sparse generator of the master equation in column-stacked form.
+def liouvillian_matrix(hamiltonian, a, kappa: float) -> sp.csr_matrix:
+    """Real sparse generator of the master equation in column-stacked form.
 
-    Returns a CSR matrix ``L`` with ``L @ vec(rho) = vec(drho/dt)`` where
-    ``vec`` stacks columns (``reshape(-1, order='F')``).
+    Returns a float64 CSR matrix ``L`` with ``L @ vec(rho) = vec(drho/dt)``
+    where ``vec`` stacks columns (``reshape(-1, order='F')``).  The model's
+    Hamiltonians are ``i K`` with ``K`` real and its jump operator ``a`` is
+    real, so ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input
+    raises ``ValueError``.
     """
-    d = hamiltonian.shape[0]
-    eye = sp.identity(d, format="csr", dtype=complex)
-    h = sp.csr_matrix(hamiltonian)
-    a_s = sp.csr_matrix(a)
-    n_op = (a_s.conj().T @ a_s).tocsr()
-    lv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
-    lv = lv + kappa * (
-        sp.kron(a_s.conj(), a_s)
-        - 0.5 * sp.kron(eye, n_op)
-        - 0.5 * sp.kron(n_op.T, eye)
-    )
+    k = sp.csr_matrix(-1j * hamiltonian)
+    a = sp.csr_matrix(a)
+    if k.imag.count_nonzero() or a.imag.count_nonzero():
+        raise ValueError("the generator is real only for H = i K and a with K, a real")
+    k, a = k.real, a.real
+    eye = sp.identity(k.shape[0], format="csr")
+    n_op = (a.T @ a).tocsr()
+    lv = sp.kron(eye, k) - sp.kron(k.T, eye) + kappa * (
+        sp.kron(a, a) - 0.5 * sp.kron(eye, n_op) - 0.5 * sp.kron(n_op.T, eye))
     return lv.tocsr()
-
-
-def lindblad_action(
-    rho: np.ndarray, hamiltonian: np.ndarray, a: np.ndarray, kappa: float
-) -> np.ndarray:
-    """Dense evaluation of ``drho/dt``; used for residual checks."""
-    ad = a.conj().T
-    n_op = ad @ a
-    return (
-        -1j * (hamiltonian @ rho - rho @ hamiltonian)
-        + kappa * (a @ rho @ ad - 0.5 * (n_op @ rho + rho @ n_op))
-    )
 
 
 @dataclass(frozen=True)
@@ -187,12 +188,14 @@ class DensityMatrix:
 
     ``residual`` is the max-entrywise value of ``drho/dt`` evaluated with
     the original (unmodified) generator; ``ops`` are the operators of the
-    Hilbert space that ``matrix`` lives on.
+    Hilbert space that ``matrix`` lives on.  ``shift`` is the frame: the
+    state's ladder operator ``ops.a`` is the lab field minus ``shift``.
     """
 
     matrix: np.ndarray
     residual: float
     ops: CavityAtomOperators = field(repr=False)
+    shift: float = 0.0
 
     def trace_error(self) -> float:
         return float(abs(np.trace(self.matrix) - 1.0))
@@ -204,8 +207,17 @@ class DensityMatrix:
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(herm)[0])
 
-    def expect(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ op))
+    def expect(self, op) -> complex:
+        return complex(sp.csr_matrix(op).multiply(self.matrix.T).sum())
+
+    def field_moments(self) -> tuple[complex, complex, complex]:
+        """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the
+        one place the frame is undone (variances do not change under it)."""
+        b, s = self.ops.a, self.shift
+        mean_b = self.expect(b)
+        return (s + mean_b,
+                s * s + 2.0 * s * mean_b + self.expect(b @ b),
+                s * s + 2.0 * s * mean_b.real + self.expect(b.T @ b))
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -217,50 +229,43 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def _solve_stationary(lv, d: int) -> np.ndarray:
-    """Replace the redundant generator row with the trace row and solve."""
-    trace_vec = _vec(np.eye(d, dtype=complex))
-    k = int(np.argmax(np.abs(trace_vec)))  # first maximum on ties
-    coo = lv.tocoo()
-    keep = coo.row != k
-    diag_cols = np.arange(d) * (d + 1)
-    rows = np.concatenate([coo.row[keep], np.full(d, k)])
-    cols = np.concatenate([coo.col[keep], diag_cols])
-    vals = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
-    system = sp.csc_matrix((vals, (rows, cols)), shape=lv.shape)
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[k] = 1.0
+    """Replace the first (redundant) generator row with the trace row and solve."""
+    system = sp.vstack([sp.csr_matrix(_vec(np.eye(d))), lv[1:]], format="csc")
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
             x = spsolve(system, rhs)
         except (MatrixRankWarning, RuntimeError) as exc:
             raise SingularSystem(f"stationary solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x.view(float))):
+    if not np.all(np.isfinite(x)):
         raise SingularSystem("stationary solve produced non-finite entries")
     return _unvec(x, d)
 
 
-def _checked(rho: np.ndarray, h: np.ndarray, ops: CavityAtomOperators,
-             kappa: float) -> DensityMatrix:
+def _checked(rho: np.ndarray, lv, ops: CavityAtomOperators,
+             shift: float = 0.0) -> DensityMatrix:
     """``rho`` with its residual under the full generator, at most ``_RESIDUAL_TOL``."""
-    residual = float(np.abs(lindblad_action(rho, h, ops.a, kappa)).max())
+    residual = float(np.abs(lv @ _vec(rho)).max())
     if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
-    return DensityMatrix(matrix=rho, residual=residual, ops=ops)
+    return DensityMatrix(matrix=rho, residual=residual, ops=ops, shift=shift)
 
 
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
-    """Stationary density matrix of the full master equation.
+    """Stationary density matrix of the full master equation, in the displaced frame.
 
+    ``config.n_cut`` truncates the fluctuation field ``b = a - 2 eps/kappa``.
     Raises :class:`SingularSystem` when the linear solve fails or the
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
     ops = build_operators(config)
-    h = hamiltonian_matrix(params.g, params.epsilon, ops)
+    alpha = 2.0 * params.epsilon / params.kappa
+    h = hamiltonian_matrix(params.g, 0.0, ops, shift=alpha)
     lv = liouvillian_matrix(h, ops.a, params.kappa)
-    rho = _solve_stationary(lv, ops.dim)
-    return _checked(rho, h, ops, params.kappa)
+    return _checked(_solve_stationary(lv, ops.dim), lv, ops, shift=alpha)
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -269,10 +274,7 @@ def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
     Plus quadrature is ``a + a^dag``, minus is ``-i (a - a^dag)``; both
     give exactly 1 in the vacuum and in any coherent state.
     """
-    a = rho.ops.a
-    mean_a = rho.expect(a)
-    mean_a2 = rho.expect(a @ a)
-    mean_n = rho.expect(a.conj().T @ a)
+    mean_a, mean_a2, mean_n = rho.field_moments()
     sym = 2.0 * mean_n + 1.0  # <a a^dag + a^dag a> via the commutator
     var_plus = sym + 2.0 * mean_a2.real - 2.0 * (mean_a * mean_a).real - 2.0 * abs(mean_a) ** 2
     var_minus = sym - 2.0 * mean_a2.real + 2.0 * (mean_a * mean_a).real - 2.0 * abs(mean_a) ** 2
@@ -286,7 +288,7 @@ class OracleReport:
     ``comparisons`` maps quantity names to dicts with keys ``oracle``,
     ``closed_form`` and ``delta``; complex oracle moments enter through
     their real parts, with the largest imaginary magnitude recorded in
-    ``max_imag_part`` (it is at numerical-noise level for a real drive).
+    ``max_imag_part`` (0 by construction: state and operators are real).
     """
 
     g: float
@@ -308,12 +310,12 @@ class OracleReport:
 
 def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
     ops = rho.ops
-    a = ops.a
+    mean_a, mean_a2, mean_n = rho.field_moments()
     var_plus, var_minus = standard_quadrature_variances(rho)
     moments = {
-        "mean_photon_number": rho.expect(a.conj().T @ a),
-        "mean_field": rho.expect(a),
-        "mean_field_squared": rho.expect(a @ a),
+        "mean_photon_number": mean_n,
+        "mean_field": mean_a,
+        "mean_field_squared": mean_a2,
         "eta_a": rho.expect(ops.eta_a),
         "eta_b": rho.expect(ops.eta_b),
         "sigma": rho.expect(ops.sigma),
@@ -368,8 +370,8 @@ def _ladder(solve, tol: float, dim_cap: int):
     """Double the Fock cutoff from ``_LADDER_START`` until the photon number settles.
 
     ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
-    cutoff.  Returns it at the first cutoff whose mean photon number
-    agrees with the previous (half-sized) one within ``tol``.
+    cutoff.  Returns it at the first cutoff whose (lab-frame) mean photon
+    number agrees with the previous (half-sized) one within ``tol``.
     Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
     before convergence.
     """
@@ -379,7 +381,7 @@ def _ladder(solve, tol: float, dim_cap: int):
     n_cut = _LADDER_START
     while True:
         rho = solve(HilbertConfig(n_cut=n_cut, dim_cap=dim_cap))
-        mean_n = rho.expect(rho.ops.a.conj().T @ rho.ops.a).real
+        mean_n = rho.field_moments()[2].real
         if previous is not None and abs(mean_n - previous) < tol:
             return rho
         previous = mean_n
@@ -409,8 +411,9 @@ def decoupled_cavity_steady(
     (the atom never relaxes), so the full-space solve is singular.  The
     cavity factor alone still has a unique stationary state — a coherent
     state of amplitude ``2 eps / kappa`` — so the cavity problem is
-    solved on its own and tensored with the atomic lower level.  The
-    residual is still evaluated with the full-space generator.
+    solved on its own, in the lab frame, and tensored with the atomic
+    lower level.  The residual is still evaluated with the full-space
+    generator.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -418,14 +421,10 @@ def decoupled_cavity_steady(
     ops = build_operators(config)
     m = config.n_cut + 1
     a_fock = ops.a[:m, :m]  # the Fock block of ``I (x) a``
-    h_cavity = 1j * epsilon * (a_fock.conj().T - a_fock)
-    lv = liouvillian_matrix(h_cavity, a_fock, kappa)
-    rho_cavity = _solve_stationary(lv, m)
-
-    lower = np.diag([0.0, 1.0]).astype(complex)
-    rho = np.kron(lower, rho_cavity)
-    h_full = hamiltonian_matrix(0.0, epsilon, ops)
-    return _checked(rho, h_full, ops, kappa)
+    lv = liouvillian_matrix(1j * epsilon * (a_fock.T - a_fock), a_fock, kappa)
+    rho = np.kron(np.diag([0.0, 1.0]), _solve_stationary(lv, m))
+    lv_full = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, ops), ops.a, kappa)
+    return _checked(rho, lv_full, ops)
 
 
 def decoupled_benchmark(
@@ -441,13 +440,12 @@ def decoupled_benchmark(
     standard-commutator variances equal to 1.
     """
     rho = _ladder(lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, dim_cap)
-    a = rho.ops.a
-    mean_n = rho.expect(a.conj().T @ a).real
+    mean_a, _, mean_n = rho.field_moments()
     alpha = 2.0 * epsilon / kappa
     var_plus, var_minus = standard_quadrature_variances(rho)
     values = {
-        "mean_photon_number": (mean_n, alpha * alpha),
-        "mean_field": (rho.expect(a).real, alpha),
+        "mean_photon_number": (mean_n.real, alpha * alpha),
+        "mean_field": (mean_a.real, alpha),
         "var_plus": (var_plus, 1.0),
         "var_minus": (var_minus, 1.0),
     }
@@ -471,11 +469,11 @@ def evolve_density(
     t_final: float,
     initial: np.ndarray | None = None,
 ) -> DensityMatrix:
-    """Evolve a density matrix by the exact propagator ``exp(t_final L)``.
+    """Evolve a lab-frame density matrix by the exact propagator ``exp(t_final L)``.
 
     Independent route to the stationary state: for ``t_final`` long
-    against the slowest relaxation rate the result approaches
-    :func:`steady_density`.  The action of the matrix exponential on the
+    against the slowest relaxation rate the result approaches the
+    lab-frame stationary state.  The action of the matrix exponential on the
     vectorised state is computed by ``scipy.sparse.linalg.expm_multiply``
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011), which chooses its
     own steps.  The default initial state is the absolute ground state
@@ -489,7 +487,7 @@ def evolve_density(
     lv = liouvillian_matrix(h, ops.a, params.kappa)
     d = ops.dim
     if initial is None:
-        initial = np.zeros((d, d), dtype=complex)
+        initial = np.zeros((d, d))
         ground = config.n_cut + 1  # atom lower level, zero photons
         initial[ground, ground] = 1.0
     else:
@@ -497,5 +495,4 @@ def evolve_density(
         if initial.shape != (d, d):
             raise ValueError(f"initial must have shape {(d, d)}")
     rho = _unvec(expm_multiply(t_final * lv, _vec(initial)), d)
-    residual = float(np.abs(lindblad_action(rho, h, ops.a, params.kappa)).max())
-    return DensityMatrix(matrix=rho, residual=residual, ops=ops)
+    return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ _vec(rho)).max()), ops=ops)

@@ -258,6 +258,19 @@ class TestOracle:
         )
         assert code == 2
 
+    def test_strong_drive_converges_at_the_first_comparison(self, capsys):
+        # alpha = 2 eps/kappa = 4: the lab-frame ladder needed n_cut 128 and
+        # exited 4 at the default cap; the fluctuation field needs 16
+        code, out, _ = run_cli(
+            ["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1.6"], capsys
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["n_cut"] == 16
+        assert data["residual"] <= 1e-10
+        assert data["max_imag_part"] == 0.0
+        assert data["comparisons"]["mean_field"]["oracle"] == pytest.approx(4.0, abs=0.1)
+
 
 class TestFigures:
     def test_writes_datasets_and_summary(self, tmp_path, capsys):
@@ -287,6 +300,35 @@ class TestFigures:
         assert json.loads(out)["eps_star"] == pytest.approx(
             math.sqrt(1.0 / 8.0), abs=1e-8
         )
+
+    def test_coupling_sets_the_rate_as_in_steady(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["figures", "--g", "0.3", "--n-points", "3", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        _, steady, _ = run_cli(["steady", "--g", "0.3", "--kappa", "0.8",
+                                "--epsilon", "0.1"], capsys)
+        assert json.loads(out)["gamma_c"] == json.loads(steady)["params"]["gamma_c"]
+        assert json.loads(out)["kappa"] == 0.8  # the default grid's kappa
+
+    def test_inconsistent_rates_are_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        code, _, err = run_cli(
+            ["figures", "--g", "0.3", "--gamma-c", "5", "--kappa", "0.8",
+             "--n-points", "3", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert "gamma_c" in err
+        assert not out_dir.exists()
+
+    def test_ignored_options_say_so(self):
+        actions = {a.dest: a for a in _subcommands()["figures"]._actions}
+        for dest in ("epsilon", "lam", "beta", "fmt"):
+            assert "ignored" in actions[dest].help
+        steady = {a.dest: a for a in _subcommands()["steady"]._actions}
+        assert "ignored" not in steady["epsilon"].help
 
 
 def _subcommands():

@@ -5,6 +5,7 @@ Every parameter draw must either be rejected by ``SystemParams`` with a
 """
 
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -62,3 +63,30 @@ def test_closed_forms_are_finite_and_bounded_or_rejected(point):
     assert sup.f_c <= sup.f_d * (1.0 + 1e-12)
     assert single.var_minus == single.vac_var
     assert sup.var_plus == sup.var_minus
+
+
+# S = 16 gamma_c kappa eps**2 / D**2 and 4 sigma**2 = 64 g**2 eps**2 / D**2 are
+# the same number, since gamma_c kappa = 4 g**2.  Their float evaluations take
+# at most 16 roundings of half an ulp between them (S: five products and a
+# quotient; 4 sigma**2: g's square root and halving, then sigma's three
+# operations, squared, and the final product), so they agree to 16 * 2**-53
+# relative, 1.8e-15; the largest difference seen over 10**4 random draws was
+# 6.6e-16.  The bound holds where S, sigma**2 and S's numerator
+# 16 gamma_c kappa eps**2 are normal doubles: below that they underflow to
+# subnormals or to 0 and keep no relative precision.
+S_VS_SIGMA_REL = 16 * 2.0**-53
+
+
+@settings(max_examples=400, deadline=None)
+@given(rate_points())
+def test_squeezing_is_four_sigma_squared(point):
+    try:
+        params = SystemParams.from_gamma_c(*point)
+    except ValueError:
+        return
+    numerator = 16.0 * params.gamma_c * params.kappa * params.epsilon * params.epsilon
+    sigma_sq = steady_atom(params).sigma ** 2
+    s = single_mode_stats(params).squeezing
+    if min(numerator, sigma_sq, s) < sys.float_info.min:
+        return
+    assert abs(s - 4.0 * sigma_sq) <= S_VS_SIGMA_REL * max(s, 4.0 * sigma_sq)

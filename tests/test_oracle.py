@@ -1,12 +1,15 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import spsolve
 
 from cavity_squeezing import oracle
 from cavity_squeezing import (
+    DensityMatrix,
     DimensionCap,
     HilbertConfig,
     SystemParams,
@@ -17,7 +20,6 @@ from cavity_squeezing import (
     decoupled_cavity_steady,
     evolve_density,
     hamiltonian_matrix,
-    lindblad_action,
     liouvillian_matrix,
     standard_quadrature_variances,
     steady_density,
@@ -28,6 +30,52 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def params_at(eps, gamma_c=0.4, kappa=0.8):
     return SystemParams.from_gamma_c(gamma_c, kappa, eps)
+
+
+def lindblad_action(rho, hamiltonian, a, kappa):
+    """Dense ``drho/dt`` from dense ``H`` and ``a``, independent of the sparse generator."""
+    ad = a.conj().T
+    n_op = ad @ a
+    return (
+        -1j * (hamiltonian @ rho - rho @ hamiltonian)
+        + kappa * (a @ rho @ ad - 0.5 * (n_op @ rho + rho @ n_op))
+    )
+
+
+def lab_frame_density(params, n_cut):
+    """Lab-frame stationary state at a fixed cutoff, from the public pieces.
+
+    The generator is built with zero frame shift, its first (redundant)
+    row is replaced by the trace condition, and the system is solved.
+    """
+    ops = build_operators(HilbertConfig(n_cut))
+    lv = liouvillian_matrix(hamiltonian_matrix(params.g, params.epsilon, ops),
+                            ops.a, params.kappa)
+    d = ops.dim
+    system = lv.tolil()
+    system[0, :] = np.eye(d).reshape(1, -1, order="F")
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    vec = spsolve(system.tocsc(), rhs)
+    residual = float(np.abs(lv @ vec).max())
+    return DensityMatrix(matrix=vec.reshape((d, d), order="F"), residual=residual, ops=ops)
+
+
+def lab_frame_moments(rho):
+    """The report's oracle moments, read directly off a lab-frame state."""
+    ops = rho.ops
+    a = ops.a
+    var_plus, var_minus = standard_quadrature_variances(rho)
+    moments = {
+        "mean_photon_number": rho.expect(a.T @ a),
+        "mean_field": rho.expect(a),
+        "mean_field_squared": rho.expect(a @ a),
+        "eta_a": rho.expect(ops.eta_a),
+        "eta_b": rho.expect(ops.eta_b),
+        "sigma": rho.expect(ops.sigma),
+    }
+    return {**{k: v.real for k, v in moments.items()},
+            "var_plus": var_plus, "var_minus": var_minus}
 
 
 # Both entry points of the Fock-cutoff doubling ladder, at eps = 0.2, kappa = 0.8.
@@ -58,22 +106,29 @@ class TestOperators:
     def test_shapes_and_ladder_entries(self):
         ops = build_operators(HilbertConfig(2))
         assert ops.a.shape == (6, 6)
-        fock = ops.a[:3, :3]
+        a = ops.a.toarray()
+        fock = a[:3, :3]
         assert fock[0, 1] == 1.0
         assert fock[1, 2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
-        np.testing.assert_array_equal(ops.a[:3, 3:], np.zeros((3, 3)))
+        np.testing.assert_array_equal(a[:3, 3:], np.zeros((3, 3)))
+
+    def test_operators_are_real(self):
+        ops = build_operators(HilbertConfig(4))
+        for op in (ops.a, ops.sigma, ops.eta_a, ops.eta_b):
+            assert op.dtype == np.float64
 
     def test_atomic_projectors(self):
         ops = build_operators(HilbertConfig(4))
-        sd = ops.sigma.conj().T
-        np.testing.assert_allclose(sd @ ops.sigma, ops.eta_a, atol=1e-15)
-        np.testing.assert_allclose(ops.sigma @ sd, ops.eta_b, atol=1e-15)
-        np.testing.assert_allclose(ops.eta_a + ops.eta_b, np.eye(10), atol=1e-15)
+        s, eta_a, eta_b = (op.toarray() for op in (ops.sigma, ops.eta_a, ops.eta_b))
+        sd = s.conj().T
+        np.testing.assert_allclose(sd @ s, eta_a, atol=1e-15)
+        np.testing.assert_allclose(s @ sd, eta_b, atol=1e-15)
+        np.testing.assert_allclose(eta_a + eta_b, np.eye(10), atol=1e-15)
 
     def test_truncated_commutator(self):
         n_cut = 5
-        ops = build_operators(HilbertConfig(n_cut))
-        comm = ops.a @ ops.a.conj().T - ops.a.conj().T @ ops.a
+        a = build_operators(HilbertConfig(n_cut)).a.toarray()
+        comm = a @ a.conj().T - a.conj().T @ a
         block = np.diag([1.0] * n_cut + [-float(n_cut)])
         np.testing.assert_allclose(comm, np.kron(np.eye(2), block), atol=1e-13)
 
@@ -81,13 +136,16 @@ class TestOperators:
 class TestHamiltonian:
     def test_zero_rates_give_zero_matrix(self):
         ops = build_operators(HilbertConfig(3))
-        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops),
+        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops).toarray(),
+                                      np.zeros((8, 8)))
+        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops, shift=2.0).toarray(),
                                       np.zeros((8, 8)))
 
     def test_hermitian(self, canonical):
         ops = build_operators(HilbertConfig(12))
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
-        assert np.abs(h - h.conj().T).max() <= 1e-14
+        for shift in (0.0, 0.5):
+            h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift).toarray()
+            assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_drive_matrix_element(self):
         ops = build_operators(HilbertConfig(4))
@@ -102,28 +160,45 @@ class TestHamiltonian:
         # emission path |upper,0> -> |lower,1> enters through -i g a^dag sigma
         assert h[5 + 1, 0] == pytest.approx(-0.7j, abs=1e-15)
 
+    def test_frame_shift_pumps_the_atom(self):
+        ops = build_operators(HilbertConfig(4))
+        h = hamiltonian_matrix(0.7, 0.0, ops, shift=0.5) - hamiltonian_matrix(0.7, 0.0, ops)
+        # the shift adds i g shift (sigma^dag - sigma): |lower,n> -> |upper,n>
+        expected = 1j * 0.35 * (ops.sigma.T - ops.sigma).toarray()
+        np.testing.assert_allclose(h.toarray(), expected, atol=1e-15)
+
 
 class TestLiouvillian:
     def test_action_matches_matrix(self, canonical):
         config = HilbertConfig(6)
         ops = build_operators(config)
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
-        lv = liouvillian_matrix(h, ops.a, canonical.kappa)
         rng = np.random.default_rng(3)
         d = ops.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        direct = lindblad_action(rho, h, ops.a, canonical.kappa)
-        via_matrix = (lv @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
-        np.testing.assert_allclose(via_matrix, direct, rtol=1e-12, atol=1e-13)
+        for shift in (0.0, 0.5):  # the lab and a displaced frame
+            h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift)
+            lv = liouvillian_matrix(h, ops.a, canonical.kappa)
+            assert lv.dtype == np.float64
+            direct = lindblad_action(rho, h.toarray(), ops.a.toarray(), canonical.kappa)
+            via_matrix = (lv @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
+            np.testing.assert_allclose(via_matrix, direct, rtol=1e-12, atol=1e-13)
+
+    def test_rejects_a_generator_that_is_not_real(self):
+        ops = build_operators(HilbertConfig(3))
+        h = hamiltonian_matrix(0.7, 0.2, ops)
+        with pytest.raises(ValueError):
+            liouvillian_matrix(h + ops.eta_a, ops.a, 0.8)  # a real diagonal part
+        with pytest.raises(ValueError):
+            liouvillian_matrix(h, 1j * ops.a, 0.8)
 
     def test_conserves_trace(self, canonical):
         config = HilbertConfig(6)
         ops = build_operators(config)
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops).toarray()
         rng = np.random.default_rng(4)
         d = ops.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert abs(np.trace(lindblad_action(rho, h, ops.a, canonical.kappa))) <= 1e-12
+        assert abs(np.trace(lindblad_action(rho, h, ops.a.toarray(), canonical.kappa))) <= 1e-12
 
 
 class TestSteadyDensity:
@@ -146,6 +221,7 @@ class TestSteadyDensity:
     def test_moments_are_real_for_real_drive(self, canonical):
         rho = steady_density(canonical, HilbertConfig(16))
         ops = rho.ops
+        assert rho.matrix.dtype == np.float64
         for op in (ops.a, ops.a @ ops.a, ops.sigma):
             assert abs(rho.expect(op).imag) <= 1e-12
 
@@ -262,10 +338,14 @@ class TestDecoupled:
 
 class TestEvolution:
     def test_relaxes_to_the_stationary_state(self, canonical):
+        # evolve_density stays in the lab frame, so it relaxes to the lab-frame state
         config = HilbertConfig(16)
         evolved = evolve_density(canonical, config, t_final=50.0 / canonical.kappa)
-        stationary = steady_density(canonical, config)
+        stationary = lab_frame_density(canonical, config.n_cut)
         assert np.abs(evolved.matrix - stationary.matrix).max() <= 1e-6
+        displaced = compare_with_closed_form(canonical, config).comparisons
+        for name, value in lab_frame_moments(evolved).items():
+            assert value == pytest.approx(displaced[name]["oracle"], abs=1e-6)
 
     def test_preserves_trace_and_hermiticity(self, canonical):
         config = HilbertConfig(12)
@@ -288,3 +368,62 @@ class TestEvolution:
     def test_rejects_bad_horizon(self, canonical):
         with pytest.raises(ValueError):
             evolve_density(canonical, HilbertConfig(8), t_final=0.0)
+
+
+# Three points of the old rung-32 band (alpha = 2 eps/kappa in [0.65, 1.25]),
+# whose lab-frame ladder stopped at n_cut 32: (gamma_c, kappa, epsilon).
+RUNG32_POINTS = [(0.4, 0.8, 0.4), (0.25, 3.0, 1.05), (0.6, 1.5, 0.9)]
+
+
+class TestDisplacedFrame:
+    @pytest.mark.parametrize("point", RUNG32_POINTS)
+    def test_report_matches_the_lab_frame(self, point):
+        params = params_at(point[2], *point[:2])
+        lab = lab_frame_density(params, 32)
+        assert lab.residual <= 1e-10
+        n_cut, report = cutoff_converged(params)
+        assert n_cut == 16
+        assert report.max_imag_part == 0.0
+        for name, value in lab_frame_moments(lab).items():
+            assert abs(report.comparisons[name]["oracle"] - value) <= 1e-12, name
+
+    def test_fluctuation_field_stays_small_at_strong_drive(self):
+        # alpha = 4: the lab-frame ladder needed n_cut 128, beyond the cap
+        rho = steady_density(params_at(1.6), HilbertConfig(16))
+        b = rho.ops.a
+        assert rho.shift == 4.0
+        assert rho.expect(b.T @ b).real <= 0.2
+        mean_a, _, mean_n = rho.field_moments()
+        assert mean_a.real == pytest.approx(4.0 + rho.expect(b).real, abs=0.0)
+        assert mean_n.real > 15.0
+
+
+class TestBadCavityOrder:
+    """Oracle minus closed form falls at second order in g/kappa.
+
+    The closed forms come from eliminating the cavity adiabatically, valid
+    for kappa >> g (Rice & Carmichael, IEEE JQE 24, 1351 (1988)).  At the
+    optimal drive eps* = sqrt(kappa gamma_c / 8) with gamma_c fixed, each
+    step kappa -> 4 kappa halves g/kappa = sqrt(gamma_c/kappa)/2, so an
+    order-p error falls by 2**p per step.  The first steps start from
+    g/kappa = 0.35 and 0.18, outside the expansion (sigma's orders there are
+    1.21 and 1.79), so the order is gated on the steps with g/kappa <= 0.1
+    at both ends, and every step must shrink the delta.
+    """
+
+    def test_observed_order_is_at_least_1_8(self):
+        gamma_c = 0.4
+        coupling, deltas = [], {"eta_a": [], "sigma": [], "mean_field": []}
+        for j in range(5):
+            kappa = 0.8 * 4.0**j
+            params = params_at(math.sqrt(kappa * gamma_c / 8.0), gamma_c, kappa)
+            coupling.append(params.g / kappa)
+            _, report = cutoff_converged(params)
+            for name, values in deltas.items():
+                values.append(abs(report.comparisons[name]["delta"]))
+        in_regime = np.array(coupling[:-1]) <= 0.1
+        assert in_regime.sum() == 2  # kappa = 12.8 -> 51.2 -> 204.8
+        for name, values in deltas.items():
+            orders = np.log2(np.array(values[:-1]) / np.array(values[1:]))
+            assert orders.min() > 0.0, (name, values)
+            assert orders[in_regime].min() >= 1.8, (name, values, orders)
