@@ -31,7 +31,6 @@ round-trip a double exactly) and complex numbers as ``{"re":…,"im":…}``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -46,15 +45,14 @@ from .dynamics import (
     default_integrator_config,
     integrate,
 )
-from .oracle import (
+from .params import (
+    _DIM_CAP,
+    _LADDER_TOL,
     DimensionCap,
-    HilbertConfig,
     SingularSystem,
-    compare_with_closed_form,
-    cutoff_converged,
-    decoupled_benchmark,
+    SystemParams,
+    _require_finite,
 )
-from .params import SystemParams, _require_finite
 from .single_mode import single_mode_stats, steady_atom
 from .superposed import superposed_squeezing, superposed_stats
 from .sweeps import SweepSpec, write_figure_files
@@ -257,6 +255,8 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle  # the one subcommand that needs scipy imports it
+
     if args.fmt == "csv":
         raise ConfigError("oracle reports are JSON only")
     if args.g == 0.0:
@@ -265,15 +265,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ConfigError("--n-cut and --gamma-c have no meaning at g = 0")
         if args.kappa is None:
             raise ConfigError("kappa is required")
-        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa,
-                                     tol=args.tol, dim_cap=args.dim_cap)
+        report = oracle.decoupled_benchmark(_resolve_epsilon(args), args.kappa,
+                                            tol=args.tol, dim_cap=args.dim_cap)
         _emit(render_json(report), args.out)
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
-        report = compare_with_closed_form(params, HilbertConfig(args.n_cut, args.dim_cap))
+        report = oracle.compare_with_closed_form(
+            params, oracle.HilbertConfig(args.n_cut, args.dim_cap))
     else:
-        _, report = cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)
+        _, report = oracle.cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)
     _emit(render_json(report.to_dict()), args.out)
     return 0
 
@@ -340,14 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="master-equation cross-check")
     _add_common(p)
-    ladder = inspect.signature(cutoff_converged).parameters
     p.add_argument("--n-cut", type=int, dest="n_cut",
                    help="fixed Fock cutoff (default: double until converged)")
-    p.add_argument("--tol", type=float, default=ladder["tol"].default,
+    p.add_argument("--tol", type=float, default=_LADDER_TOL,
                    help="cutoff convergence tolerance on the photon number "
                         "(default %(default)g)")
-    p.add_argument("--dim-cap", type=int, dest="dim_cap",
-                   default=ladder["dim_cap"].default,
+    p.add_argument("--dim-cap", type=int, dest="dim_cap", default=_DIM_CAP,
                    help="maximum Hilbert-space dimension (default %(default)d)")
     p.set_defaults(func=_cmd_oracle)
 

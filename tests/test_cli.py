@@ -586,14 +586,19 @@ class TestGoldenBytes:
         assert _sha256(out.encode()) == GOLDEN_FIGURES["summary.json"]
 
 
-def run_module(args):
-    """``python -m cavity_squeezing``, importing the package copy this process uses."""
+def run_python(*args):
+    """A fresh interpreter that imports the package copy this process uses."""
     src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "cavity_squeezing", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(args):
+    """``python -m cavity_squeezing`` in a fresh interpreter."""
+    return run_python("-m", "cavity_squeezing", *args)
 
 
 class TestConsoleEntry:
@@ -606,3 +611,65 @@ class TestConsoleEntry:
     def test_module_execution_error_code(self):
         result = run_module(["steady"])
         assert result.returncode == 2
+
+
+# Every subcommand but ``oracle`` runs without scipy, and the oracle's
+# failures still map to their exit codes once the CLI loads it.
+BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+from cavity_squeezing import cli
+
+canonical, out_dir = json.loads(sys.argv[1]), sys.argv[2]
+rates = canonical[:4]
+stdout, stderr = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    codes = [cli.main(argv) for argv in (
+        ["steady", *canonical], ["superpose", *canonical],
+        ["dynamics", *canonical, "--format", "json"],
+        ["figures", "--n-points", "3", "--out-dir", out_dir])]
+    scipy_loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    cap = cli.main(["oracle", *canonical, "--dim-cap", "16"])
+    singular = cli.main(["oracle", *rates, "--epsilon", "1e30"])
+print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
+                  "singular": singular, "stderr": stderr.getvalue()}))
+"""
+
+# The first import asks the package for an oracle name.
+SURFACE_SCRIPT = """
+import json
+from cavity_squeezing import steady_density
+import cavity_squeezing as pkg
+from cavity_squeezing import dynamics, oracle, params, single_mode, superposed, sweeps
+
+star = {}
+exec("from cavity_squeezing import *", star)
+joined = [*params.__all__, *single_mode.__all__, *superposed.__all__, *dynamics.__all__,
+          *oracle.__all__, *sweeps.__all__, "__version__"]
+print(json.dumps({
+    "all_is_joined": pkg.__all__ == joined,
+    "unbound": [name for name in pkg.__all__ if star.get(name) is not getattr(pkg, name)],
+    "lazy_is_oracle": (pkg.cutoff_converged is pkg.oracle.cutoff_converged
+                       and steady_density is oracle.steady_density),
+}))
+"""
+
+
+class TestImportBoundary:
+    def test_only_oracle_loads_scipy(self, tmp_path):
+        result = run_python("-c", BOUNDARY_SCRIPT, json.dumps(CANONICAL), str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["codes"] == [0, 0, 0, 0]
+        assert report["scipy_loaded"] == []
+        assert report["cap"] == 4
+        assert report["singular"] == 3
+        cap_error, singular_error = report["stderr"].splitlines()
+        assert cap_error == "error: dimension 2*(8+1)=18 exceeds cap 16"
+        residual = float(singular_error.split("stationary residual ")[1].split()[0])
+        assert residual == pytest.approx(5e27, rel=0.1)
+
+    def test_package_surface_in_a_fresh_interpreter(self):
+        result = run_python("-c", SURFACE_SCRIPT)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "all_is_joined": True, "unbound": [], "lazy_is_oracle": True}
