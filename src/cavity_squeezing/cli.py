@@ -31,6 +31,7 @@ round-trip a double exactly) and complex numbers as ``{"re":…,"im":…}``.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -55,7 +56,7 @@ from .params import (
 )
 from .single_mode import single_mode_stats, steady_atom
 from .superposed import superposed_squeezing, superposed_stats
-from .sweeps import SweepSpec, write_figure_files
+from .sweeps import SweepSpec, _write_csv, write_figure_files
 
 __all__ = ["main", "build_parser"]
 
@@ -117,7 +118,9 @@ def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return render_json(payload)
     header, values = zip(*_flatten(payload))
-    return ",".join(header) + "\n" + ",".join("%.12e" % v for v in values) + "\n"
+    text = io.StringIO()
+    _write_csv(text, header, [values])
+    return text.getvalue()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -344,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cut", type=int, dest="n_cut",
                    help="fixed Fock cutoff (default: double until converged)")
     p.add_argument("--tol", type=float, default=_LADDER_TOL,
-                   help="cutoff convergence tolerance on the photon number "
+                   help="cutoff convergence tolerance on the moments <b>, <b^2>, "
+                        "<b^dag b>, <sigma>, <sigma^dag sigma> of the solved frame "
                         "(default %(default)g)")
     p.add_argument("--dim-cap", type=int, dest="dim_cap", default=_DIM_CAP,
                    help="maximum Hilbert-space dimension (default %(default)d)")

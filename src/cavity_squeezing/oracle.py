@@ -369,11 +369,14 @@ def compare_with_closed_form(
 
 
 def _ladder(solve, tol: float, dim_cap: int):
-    """Double the Fock cutoff from ``_LADDER_START`` until the photon number settles.
+    """Double the Fock cutoff from ``_LADDER_START`` until the moments settle.
 
     ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
-    cutoff.  Returns it at the first cutoff whose (lab-frame) mean photon
-    number agrees with the previous (half-sized) one within ``tol``.
+    cutoff.  Returns it at the first cutoff whose moments in the solved
+    frame, ``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>`` and
+    ``<sigma^dag sigma>``, all agree with the previous (half-sized) one
+    within ``tol``.  The lab-frame photon number is not compared: it adds
+    ``2 alpha <b>``, which scales the rounding in ``<b>`` by the drive.
     Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
     before convergence.
     """
@@ -383,10 +386,12 @@ def _ladder(solve, tol: float, dim_cap: int):
     n_cut = _LADDER_START
     while True:
         rho = solve(HilbertConfig(n_cut=n_cut, dim_cap=dim_cap))
-        mean_n = rho.field_moments()[2].real
-        if previous is not None and abs(mean_n - previous) < tol:
+        b = rho.ops.a
+        moments = np.array([rho.expect(op)
+                            for op in (b, b @ b, b.T @ b, rho.ops.sigma, rho.ops.eta_a)])
+        if previous is not None and np.abs(moments - previous).max() < tol:
             return rho
-        previous = mean_n
+        previous = moments
         n_cut *= 2
 
 
@@ -395,7 +400,7 @@ def cutoff_converged(
     tol: float = _LADDER_TOL,
     dim_cap: int = _DIM_CAP,
 ) -> tuple[int, OracleReport]:
-    """Double the Fock cutoff until the mean photon number settles.
+    """Double the Fock cutoff until the state's moments settle (see ``_ladder``).
 
     Returns the converged cutoff of the shared doubling ladder together
     with the report at that cutoff.

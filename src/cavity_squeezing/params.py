@@ -31,7 +31,7 @@ _MAX_DENOMINATOR = 1e77
 # the closed forms (kappa**2, gamma_c**3, kappa*D**2, ...) under- or
 # overflows to a zero divisor or an infinity.
 _RATE_WINDOW = (1e-38, 1e38)
-# The master-equation oracle's default limits: the photon-number tolerance of
+# The master-equation oracle's default limits: the moment tolerance of
 # its cutoff ladder and the largest Hilbert-space dimension it builds.  They
 # and the oracle's two failures live here, not in ``oracle``, so that the CLI
 # can show the defaults and map the failures to exit codes without importing

@@ -91,12 +91,88 @@ class SweepSpec:
         return np.linspace(self.eps_min, self.eps_max, self.n_points)
 
 
+# The CSV writer formats a block of entries at a time in numpy and matches
+# ``"%.12e" % x`` byte for byte.  Each entry becomes a 24-byte record of six
+# uint32 words: (pad, sign, lead digit, '.'), three 4-digit groups, and as one
+# uint64 ('e', exponent sign, 2 or 3 exponent digits, ',' or '\n', pad, pad).
+# NUL bytes mark the pads and are deleted at the end.
+#
+# Exactness.  With e = floor(log10|x|), the mantissa is rint(y) for
+# y = |x| * 10**(12 - e), taken from a table of correctly rounded powers, so
+# the computed y carries two roundings: |y' - y| <= 2**-52 * y < 2.3e-3 for
+# y' < 1e13.  An entry goes to ``%`` when y' lies within _GUARD (over four
+# times that bound) of a half-integer, where rint could round the wrong way
+# or meet a tie; so do non-finite values, subnormals and values outside
+# [1e-270, 1e270), which keeps the power table finite.  When y' is in
+# [1e12, 1e13) but y is just across 1e12 or 1e13, both round to the same text.
+_POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])  # index k + 300
+_GUARD = 0.01
+_BLOCK_ENTRIES = 8192  # the temporaries of a block peak at about 1.2 MB
+# Word 0 by sign * 10 + lead digit, a group word by its value, the exponent
+# pair by e + 300.
+_HEAD = np.frombuffer(b"".join(b"\0" + sign + b"%d." % d
+                               for sign in (b"\0", b"-") for d in range(10)), np.uint32)
+_GROUP = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TAIL = np.frombuffer(b"".join(
+    b"e%c%s,\0\0" % (b"-+"[e >= 0], (b"%02d" % abs(e)).rjust(3, b"\0"))
+    for e in range(-300, 301)), np.uint64)
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The rows of ``block`` as CSV lines, each entry exactly ``"%.12e" % x``."""
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    inside = (a >= 1e-270) & (a < 1e270)  # False for 0, nan and inf
+    a = np.where(inside, a, 1.0)  # no entry below can overflow or warn
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POWERS[312 - e]
+    # log10 may be one off next to a power of ten: renormalise those entries.
+    off = (y >= 1e13).astype(np.int64) - (y < 1e12)
+    moved = np.flatnonzero(off)
+    e[moved] += off[moved]
+    y[moved] = a[moved] * _POWERS[312 - e[moved]]
+    m = np.rint(y)
+    exact = inside & (y >= 1e12) & (y < 1e13) & (np.abs(y - m) <= 0.5 - _GUARD)
+    slow = np.flatnonzero(~exact & (x != 0.0))  # zeros take m = e = 0 below
+    m = np.where(exact, m, 0.0).astype(np.int64)
+    e = np.where(exact, e, 0)
+    top = m == 10**13  # rounded up to the next power of ten
+    m[top] = 10**12
+    e[top] += 1
+
+    lead, m = np.divmod(m, 10**12)
+    high, m = np.divmod(m, 10**8)
+    mid, low = np.divmod(m, 10**4)
+    out = np.empty((rows, cols, 6), np.uint32)
+    words = out.reshape(-1, 6)
+    words[:, 0] = _HEAD[np.signbit(x) * 10 + lead]
+    words[:, 1] = _GROUP[high]
+    words[:, 2] = _GROUP[mid]
+    words[:, 3] = _GROUP[low]
+    out.view(np.uint64)[:, :, 2] = _TAIL[e.reshape(rows, cols) + 300]
+    out.view(np.uint8)[:, -1, 21] = ord("\n")
+    if slow.size:
+        text = b"".join((b"%.12e" % v).ljust(21, b"\0") for v in x[slow].tolist())
+        out.view(np.uint8).reshape(-1, 24)[slow, :21] = np.frombuffer(
+            text, np.uint8).reshape(-1, 21)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_csv(path_or_file, header: tuple[str, ...], data: np.ndarray) -> None:
+    """Write ``header`` and the rows of the 2-D ``data`` in ``%.12e``, LF endings.
+
+    Rows are formatted and written a block at a time, so the table's text
+    is never held in memory whole.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    step = max(1, _BLOCK_ENTRIES // data.shape[1])
+
     def write(fh) -> None:
         fh.write(",".join(header) + "\n")
-        fmt = ",".join(["%.12e"] * data.shape[1]) + "\n"
-        for row in data:
-            fh.write(fmt % tuple(row))
+        for start in range(0, len(data), step):
+            fh.write(_format_block(data[start:start + step]))
 
     if hasattr(path_or_file, "write"):
         write(path_or_file)

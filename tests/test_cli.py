@@ -271,6 +271,37 @@ class TestOracle:
         assert data["max_imag_part"] == 0.0
         assert data["comparisons"]["mean_field"]["oracle"] == pytest.approx(4.0, abs=0.1)
 
+    @pytest.mark.parametrize("epsilon", ["50", "100"])
+    def test_ladder_accepts_converged_states_at_strong_drive(self, epsilon, capsys):
+        # alpha = 125 and 250: the lab-frame photon number moves by 2 alpha
+        # times the rounding in <b>, and a ladder comparing it exited 4 here
+        rates = ["--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", epsilon]
+        code, out, _ = run_cli(["oracle", *rates], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["n_cut"] == 16
+        _, finer, _ = run_cli(["oracle", *rates, "--n-cut", "32"], capsys)
+        for name in ("sigma", "eta_a"):
+            entry = data["comparisons"][name]
+            assert entry["oracle"] == pytest.approx(
+                json.loads(finer)["comparisons"][name]["oracle"], abs=1e-8)
+            assert entry["delta"] == pytest.approx(0.0, abs=0.1)
+
+    def test_ladder_refuses_an_unconverged_sigma(self, capsys):
+        # <b^dag b> agrees across cutoffs here while sigma varies about 8x
+        code, _, err = run_cli(
+            ["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e4"], capsys
+        )
+        assert code == 4
+        assert "exceeds cap" in err
+
+    def test_canonical_ladder_report_is_the_rung_16_report(self, capsys):
+        canonical = ["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]
+        code, ladder, _ = run_cli(canonical, capsys)
+        assert code == 0
+        _, fixed, _ = run_cli([*canonical, "--n-cut", "16"], capsys)
+        assert ladder == fixed
+
 
 class TestFigures:
     def test_writes_datasets_and_summary(self, tmp_path, capsys):

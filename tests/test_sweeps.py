@@ -1,9 +1,13 @@
 import io
 import math
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavity_squeezing import (
     SWEEP_COLUMNS,
@@ -23,6 +27,7 @@ from cavity_squeezing import (
     uncertainty_product,
     write_figure_files,
 )
+from cavity_squeezing.sweeps import _BLOCK_ENTRIES, _write_csv
 
 CANONICAL_SPEC = SweepSpec(eps_min=0.0, eps_max=0.8, n_points=401,
                            gamma_c=0.4, kappa=0.8)
@@ -271,3 +276,66 @@ class TestFigureFiles:
             with open(dir_b / name, "rb") as fh:
                 second = fh.read()
             assert first == second
+
+
+def _csv(data, header=("x",)) -> str:
+    buf = io.StringIO()
+    _write_csv(buf, header, data)
+    return buf.getvalue()
+
+
+def _percent(rows, header=("x",)) -> str:
+    """The table as ``%`` formats it: the text the writer must reproduce."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.12e" % x for x in row) + "\n" for row in rows)
+
+
+class TestCsvWriter:
+    """``_write_csv`` is ``"%.12e" % x`` joined by ``,``, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=40))
+    @example([[0.0, -0.0, 5e-324], [-5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+              [math.inf, -math.inf, math.nan], [1e-270, 1e270, 9.99999999999995e269]])
+    def test_any_double(self, rows):
+        assert _csv(np.array(rows), ("a", "b", "c")) == _percent(rows, ("a", "b", "c"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(10**12, 10**13 - 1), st.integers(-323, 295), st.booleans())
+    def test_near_ties(self, digits, exponent, negative):
+        tie = float(f"{'-' if negative else ''}{digits}5e{exponent}")
+        values = [tie, np.nextafter(tie, math.inf), np.nextafter(tie, -math.inf)]
+        assert _csv(np.array(values)[:, None]) == _percent([[v] for v in values])
+
+    def test_just_below_powers_of_ten(self):
+        below = [float(f"9.9999999999995e{k}") for k in range(-320, 309)]
+        values = np.array([*below, *np.nextafter(below, 0.0), *np.nextafter(below, math.inf),
+                           *(10.0 ** np.arange(-300, 301))])
+        values = np.concatenate([values, -values])[:, None]
+        assert _csv(values) == _percent(values.tolist())
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_boundaries_give_the_same_bytes_on_every_stream(
+            self, extra, tmp_path, capsys):
+        cols = 7
+        rows = _BLOCK_ENTRIES // cols + extra
+        data = np.random.default_rng(rows).standard_normal((rows, cols)) * 1e3
+        header = tuple(f"c{i}" for i in range(cols))
+        want = _percent(data.tolist(), header)
+        _write_csv(tmp_path / "t.csv", header, data)
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        assert _csv(data, header) == want
+        capsys.readouterr()
+        _write_csv(sys.stdout, header, data)
+        assert capsys.readouterr().out == want
+
+    def test_memory_stays_below_the_text_size(self):
+        data = np.random.default_rng(0).standard_normal((200_000, 7))
+        text_bytes = len(_csv(data[:1000])) * 200  # about 27 MB
+        tracemalloc.start()
+        try:
+            _write_csv(os.devnull, tuple("abcdefg"), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < text_bytes / 8, (peak, text_bytes)
