@@ -23,8 +23,10 @@ Conventions, fixed once and used everywhere:
 * density matrices are vectorised by column stacking, so a left factor
   ``A`` becomes ``I (x) A``, a right factor ``B`` becomes ``B^T (x) I``,
   and the sandwich ``A rho A^dag`` becomes ``conj(A) (x) A``;
-* the stationary solve replaces the first (redundant) row of the
-  generator with the trace constraint and puts 1 on the right-hand side.
+* the stationary state is solved for on the real-symmetric subspace, its
+  ``d(d+1)/2`` entries ``i <= j``: half the unknowns, and no rounding in the
+  antisymmetric part, a nearly null direction of the generator at strong
+  drive; the trace constraint replaces the redundant ``(0, 0)`` equation.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -80,10 +82,10 @@ _FRAMEWORK_NOTE = (
 
 
 # The cutoff ladder's first rung, and the largest stationary residual the
-# full-space generator may leave on an accepted state.  The bound is absolute
-# on purpose: at eps = 1e6, where the generator's entries are about 7e5, the
-# solves leave residuals of 2e-8 to 1.2e-7 on states with |sigma| of 556 to
-# 1377 (no state exceeds 1/2), which a bound relative to that scale accepts.
+# full-space generator may leave on an accepted state.  The bound is absolute,
+# whatever the generator's scale: at the canonical rates the residuals stay
+# below 1e-10 up to eps = 1e6, where the entries are about 7e5, and the bound
+# refuses from about eps = 1e10.
 _LADDER_START = 8
 _RESIDUAL_TOL = 1e-8
 
@@ -177,11 +179,20 @@ def liouvillian_matrix(hamiltonian, a, kappa: float) -> sp.csr_matrix:
     if k.imag.count_nonzero() or a.imag.count_nonzero():
         raise ValueError("the generator is real only for H = i K and a with K, a real")
     k, a = k.real, a.real
-    eye = sp.identity(k.shape[0], format="csr")
-    n_op = (a.T @ a).tocsr()
-    lv = sp.kron(eye, k) - sp.kron(k.T, eye) + kappa * (
-        sp.kron(a, a) - 0.5 * sp.kron(eye, n_op) - 0.5 * sp.kron(n_op.T, eye))
-    return lv.tocsr()
+    d = k.shape[0]
+    eye, n_op = sp.identity(d), a.T @ a
+    step = (np.int32 if d * d < 2**31 else np.int64)(d)  # sets the index type
+    terms = ((1.0, eye, k), (-1.0, k.T, eye), (kappa, a, a),
+             (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
+    rows, cols, data = map(np.concatenate, zip(*(_kron_triplets(*t, step) for t in terms)))
+    return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))  # sums duplicates
+
+
+def _kron_triplets(c: float, x, y, step):
+    """COO triplets of ``c * kron(x, y)`` for ``y`` of size ``step``."""
+    x, y = x.tocoo(), y.tocoo()
+    return (np.ravel(x.row[:, None] * step + y.row), np.ravel(x.col[:, None] * step + y.col),
+            np.ravel(c * x.data[:, None] * y.data))
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,8 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(herm)[0])
 
     def expect(self, op) -> complex:
-        return complex(sp.csr_matrix(op).multiply(self.matrix.T).sum())
+        op = sp.coo_matrix(op)  # tr(op rho) gathered from the entries of op
+        return complex(op.data @ self.matrix[op.col, op.row])
 
     def field_moments(self) -> tuple[complex, complex, complex]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the
@@ -226,14 +238,19 @@ def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, order="F")
 
 
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape((d, d), order="F")
-
-
 def _solve_stationary(lv, d: int) -> np.ndarray:
-    """Replace the first (redundant) generator row with the trace row and solve."""
-    system = sp.vstack([sp.csr_matrix(_vec(np.eye(d))), lv[1:]], format="csc")
-    rhs = np.zeros(d * d)
+    """Solve for the real symmetric stationary state on its ``d(d+1)/2`` unknowns.
+
+    ``lv`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)``
+    and ``(j, i)`` coincide: keep ``i <= j``, fold the columns of ``(r, s)`` and
+    ``(s, r)`` into one unknown, and put the trace row in place of ``(0, 0)``.
+    """
+    i, j = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.int64)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    fold = sp.csr_matrix((np.ones(d * d), (np.arange(d * d), _vec(pos))), shape=(d * d, i.size))
+    system = (sp.vstack([sp.csr_matrix(_vec(np.eye(d))), lv[(i + d * j)[1:]]]) @ fold).tocsc()
+    rhs = np.zeros(i.size)
     rhs[0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
@@ -243,7 +260,7 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
             raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("stationary solve produced non-finite entries")
-    return _unvec(x, d)
+    return x[pos]
 
 
 def _checked(rho: np.ndarray, lv, ops: CavityAtomOperators,
@@ -276,7 +293,10 @@ def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
     Plus quadrature is ``a + a^dag``, minus is ``-i (a - a^dag)``; both
     give exactly 1 in the vacuum and in any coherent state.
     """
-    mean_a, mean_a2, mean_n = rho.field_moments()
+    return _variances(*rho.field_moments())
+
+
+def _variances(mean_a: complex, mean_a2: complex, mean_n: complex) -> tuple[float, float]:
     sym = 2.0 * mean_n + 1.0  # <a a^dag + a^dag a> via the commutator
     var_plus = sym + 2.0 * mean_a2.real - 2.0 * (mean_a * mean_a).real - 2.0 * abs(mean_a) ** 2
     var_minus = sym - 2.0 * mean_a2.real + 2.0 * (mean_a * mean_a).real - 2.0 * abs(mean_a) ** 2
@@ -313,7 +333,7 @@ class OracleReport:
 def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
     ops = rho.ops
     mean_a, mean_a2, mean_n = rho.field_moments()
-    var_plus, var_minus = standard_quadrature_variances(rho)
+    var_plus, var_minus = _variances(mean_a, mean_a2, mean_n)
     moments = {
         "mean_photon_number": mean_n,
         "mean_field": mean_a,
@@ -447,9 +467,9 @@ def decoupled_benchmark(
     standard-commutator variances equal to 1.
     """
     rho = _ladder(lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, dim_cap)
-    mean_a, _, mean_n = rho.field_moments()
+    mean_a, mean_a2, mean_n = rho.field_moments()
     alpha = 2.0 * epsilon / kappa
-    var_plus, var_minus = standard_quadrature_variances(rho)
+    var_plus, var_minus = _variances(mean_a, mean_a2, mean_n)
     values = {
         "mean_photon_number": (mean_n.real, alpha * alpha),
         "mean_field": (mean_a.real, alpha),
@@ -501,5 +521,5 @@ def evolve_density(
         initial = np.asarray(initial, dtype=complex)
         if initial.shape != (d, d):
             raise ValueError(f"initial must have shape {(d, d)}")
-    rho = _unvec(expm_multiply(t_final * lv, _vec(initial)), d)
+    rho = expm_multiply(t_final * lv, _vec(initial)).reshape((d, d), order="F")
     return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ _vec(rho)).max()), ops=ops)

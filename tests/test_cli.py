@@ -287,13 +287,19 @@ class TestOracle:
                 json.loads(finer)["comparisons"][name]["oracle"], abs=1e-8)
             assert entry["delta"] == pytest.approx(0.0, abs=0.1)
 
-    def test_ladder_refuses_an_unconverged_sigma(self, capsys):
-        # <b^dag b> agrees across cutoffs here while sigma varies about 8x
-        code, _, err = run_cli(
-            ["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e4"], capsys
-        )
-        assert code == 4
-        assert "exceeds cap" in err
+    def test_strong_drive_gives_one_state_at_every_cutoff(self, capsys):
+        # the antisymmetric part is a nearly null direction of the generator
+        # here; rounding in it would move sigma between cutoffs
+        rates = ["--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "1e4"]
+        code, out, _ = run_cli(["oracle", *rates], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["n_cut"] == 16
+        assert data["hermiticity_error"] == 0.0
+        _, finer, _ = run_cli(["oracle", *rates, "--n-cut", "64"], capsys)
+        for name in ("sigma", "eta_a"):
+            assert data["comparisons"][name]["oracle"] == pytest.approx(
+                json.loads(finer)["comparisons"][name]["oracle"], rel=0.0, abs=1e-12)
 
     def test_canonical_ladder_report_is_the_rung_16_report(self, capsys):
         canonical = ["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]
@@ -661,8 +667,9 @@ with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
     scipy_loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
     cap = cli.main(["oracle", *canonical, "--dim-cap", "16"])
     singular = cli.main(["oracle", *rates, "--epsilon", "1e30"])
+    residual = cli.main(["oracle", *rates, "--epsilon", "1e20"])
 print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
-                  "singular": singular, "stderr": stderr.getvalue()}))
+                  "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))
 """
 
 # The first import asks the package for an oracle name.
@@ -694,10 +701,14 @@ class TestImportBoundary:
         assert report["scipy_loaded"] == []
         assert report["cap"] == 4
         assert report["singular"] == 3
-        cap_error, singular_error = report["stderr"].splitlines()
+        assert report["residual"] == 3
+        cap_error, singular_error, residual_error = report["stderr"].splitlines()
         assert cap_error == "error: dimension 2*(8+1)=18 exceeds cap 16"
-        residual = float(singular_error.split("stationary residual ")[1].split()[0])
-        assert residual == pytest.approx(5e27, rel=0.1)
+        assert singular_error.startswith("error: stationary solve failed: ")
+        assert residual_error.startswith("error: stationary residual ")
+        assert residual_error.endswith(" exceeds 1.000e-08")
+        residual = float(residual_error.split("stationary residual ")[1].split()[0])
+        assert residual > 1e-8
 
     def test_package_surface_in_a_fresh_interpreter(self):
         result = run_python("-c", SURFACE_SCRIPT)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from cavity_squeezing import oracle
@@ -12,6 +13,7 @@ from cavity_squeezing import (
     DensityMatrix,
     DimensionCap,
     HilbertConfig,
+    SingularSystem,
     SystemParams,
     build_operators,
     compare_with_closed_form,
@@ -42,23 +44,25 @@ def lindblad_action(rho, hamiltonian, a, kappa):
     )
 
 
-def lab_frame_density(params, n_cut):
-    """Lab-frame stationary state at a fixed cutoff, from the public pieces.
+def full_space_stationary(lv, d):
+    """Stationary state from all ``d**2`` unknowns: the generator's first
+    (redundant) row is replaced by the trace condition, and the system is solved."""
+    system = sp.vstack([sp.csr_matrix(np.eye(d).reshape(1, -1, order="F")), lv[1:]],
+                       format="csc")
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    return spsolve(system, rhs).reshape((d, d), order="F")
 
-    The generator is built with zero frame shift, its first (redundant)
-    row is replaced by the trace condition, and the system is solved.
-    """
+
+def lab_frame_density(params, n_cut):
+    """Lab-frame stationary state at a fixed cutoff, from the public pieces,
+    solved on the full space with zero frame shift."""
     ops = build_operators(HilbertConfig(n_cut))
     lv = liouvillian_matrix(hamiltonian_matrix(params.g, params.epsilon, ops),
                             ops.a, params.kappa)
-    d = ops.dim
-    system = lv.tolil()
-    system[0, :] = np.eye(d).reshape(1, -1, order="F")
-    rhs = np.zeros(d * d)
-    rhs[0] = 1.0
-    vec = spsolve(system.tocsc(), rhs)
-    residual = float(np.abs(lv @ vec).max())
-    return DensityMatrix(matrix=vec.reshape((d, d), order="F"), residual=residual, ops=ops)
+    rho = full_space_stationary(lv, ops.dim)
+    residual = float(np.abs(lv @ rho.reshape(-1, order="F")).max())
+    return DensityMatrix(matrix=rho, residual=residual, ops=ops)
 
 
 def lab_frame_moments(rho):
@@ -224,6 +228,83 @@ class TestSteadyDensity:
         assert rho.matrix.dtype == np.float64
         for op in (ops.a, ops.a @ ops.a, ops.sigma):
             assert abs(rho.expect(op).imag) <= 1e-12
+
+    def test_expect_is_the_trace_of_the_product(self):
+        # complex states too, as evolve_density returns for a complex initial state
+        ops = build_operators(HilbertConfig(4))
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        rho = DensityMatrix(matrix=matrix, residual=0.0, ops=ops)
+        for op in (ops.a, ops.a.T @ ops.a @ ops.a, ops.sigma, ops.eta_a, np.eye(10)):
+            dense = op if isinstance(op, np.ndarray) else op.toarray()
+            assert rho.expect(op) == pytest.approx(np.trace(dense @ matrix), abs=1e-12)
+
+
+class TestSymmetricSolve:
+    """The stationary solve runs on the ``d(d+1)/2`` entries ``i <= j``."""
+
+    @pytest.mark.parametrize("problem", ["displaced", "decoupled"])
+    def test_matches_the_full_space_solve(self, problem, canonical):
+        config = HilbertConfig(16)
+        ops = build_operators(config)
+        if problem == "displaced":
+            alpha = 2.0 * canonical.epsilon / canonical.kappa
+            lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, ops, shift=alpha),
+                                    ops.a, canonical.kappa)
+            full = full_space_stationary(lv, ops.dim)
+            folded = steady_density(canonical, config).matrix
+        else:
+            m = config.n_cut + 1
+            a = ops.a[:m, :m]
+            lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
+            full = np.kron(np.diag([0.0, 1.0]), full_space_stationary(lv, m))
+            folded = decoupled_cavity_steady(0.2, 0.8, config).matrix
+        assert np.abs(folded - full).max() <= 1e-13
+        assert np.array_equal(folded, folded.T)
+
+    def test_solver_sees_the_folded_unknowns(self, canonical, monkeypatch):
+        shapes = []
+
+        def recording(system, rhs):
+            shapes.append((system.shape, rhs.shape))
+            return spsolve(system, rhs)
+
+        monkeypatch.setattr(oracle, "spsolve", recording)
+        steady_density(canonical, HilbertConfig(16))
+        n = 34 * 35 // 2
+        assert shapes == [((n, n), (n,))]
+
+    def test_residual_gate_reads_the_unfolded_generator(self, canonical):
+        rho = steady_density(canonical, HilbertConfig(16))
+        ops = rho.ops
+        alpha = 2.0 * canonical.epsilon / canonical.kappa
+        lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, ops, shift=alpha),
+                                ops.a, canonical.kappa)
+        noise = np.random.default_rng(3).normal(size=rho.matrix.shape)
+        perturbed = rho.matrix + 1e-6 * (noise + noise.T)
+        assert oracle._checked(rho.matrix, lv, ops, shift=alpha).residual <= 1e-10
+        with pytest.raises(SingularSystem, match="stationary residual"):
+            oracle._checked(perturbed, lv, ops, shift=alpha)
+
+
+class TestStrongDrive:
+    """At eps = 1e4 the full model's coherence settles at sigma eps / g = 1/4.
+
+    The closed forms eliminate the cavity adiabatically and give 1/2; here
+    the atom's Rabi frequency 4 g eps / kappa is about 1.4e4, far above
+    kappa, outside the regime of that elimination.
+    """
+
+    def test_one_state_at_every_cutoff(self):
+        params = params_at(1e4)
+        sigmas = []
+        for n_cut in (8, 16, 32, 64):
+            rho = steady_density(params, HilbertConfig(n_cut))
+            assert rho.residual <= 1e-10
+            assert rho.hermiticity_error() == 0.0
+            sigmas.append(rho.expect(rho.ops.sigma).real)
+        assert max(sigmas) - min(sigmas) <= 1e-12
+        assert abs(sigmas[0] * params.epsilon / params.g - 0.25) <= 1e-6
 
 
 class TestCutoffConvergence:
