@@ -202,15 +202,6 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
     return _resolve_rates(args.g, args.kappa, args.gamma_c, _resolve_epsilon(args))
 
 
-def _params_section(params: SystemParams) -> dict:
-    return {
-        "g": params.g,
-        "kappa": params.kappa,
-        "epsilon": params.epsilon,
-        "gamma_c": params.gamma_c,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -218,7 +209,7 @@ def _params_section(params: SystemParams) -> dict:
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     payload = {
-        "params": _params_section(params),
+        "params": asdict(params),
         "atom": asdict(steady_atom(params)),
         "stats": asdict(single_mode_stats(params)),
     }
@@ -231,7 +222,7 @@ def _cmd_superpose(args: argparse.Namespace) -> int:
     stats = asdict(superposed_stats(params))
     moments = {name: stats.pop(name) for name in ("c_mean", "c_sq")}
     stats["sum"] = superposed_squeezing(params)[2]
-    payload = {"params": _params_section(params), "stats": {**stats, **moments}}
+    payload = {"params": asdict(params), "stats": {**stats, **moments}}
     _emit(_render(payload, args.fmt), args.out)
     return 0
 
@@ -247,7 +238,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         series.to_csv(args.out or sys.stdout)
     else:
         payload = {
-            "params": _params_section(params),
+            "params": asdict(params),
             "converged": series.converged,
             "t_final": float(series.t[-1]),
             "n_steps": int(len(series.t) - 1),

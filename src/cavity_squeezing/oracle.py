@@ -121,16 +121,16 @@ class HilbertConfig:
 
 @dataclass(frozen=True)
 class CavityAtomOperators:
-    """Real sparse operators on the product space (atom slow, Fock fast).
+    """Real dense operators on the product space (atom slow, Fock fast).
 
     ``a`` lowers the Fock ladder: it is the cavity field in the lab frame
     and the fluctuation field ``b`` in the displaced frame.
     """
 
-    a: sp.csr_matrix
-    sigma: sp.csr_matrix
-    eta_a: sp.csr_matrix
-    eta_b: sp.csr_matrix
+    a: np.ndarray
+    sigma: np.ndarray
+    eta_a: np.ndarray
+    eta_b: np.ndarray
     n_cut: int
 
     @property
@@ -139,15 +139,14 @@ class CavityAtomOperators:
 
 
 def build_operators(config: HilbertConfig) -> CavityAtomOperators:
-    """Annihilation, lowering and projector operators on the product space."""
+    """Annihilation, lowering and projector operators on the product space, as float64 arrays."""
     m = config.n_cut + 1
-    ladder = sp.diags(np.sqrt(np.arange(1.0, m)), 1)
     upper = np.repeat([1.0, 0.0], m)
     return CavityAtomOperators(
-        a=sp.block_diag([ladder, ladder], format="csr"),
-        sigma=sp.eye(2 * m, k=-m, format="csr"),  # |b><a|: upper block to lower block
-        eta_a=sp.diags(upper, format="csr"),
-        eta_b=sp.diags(1.0 - upper, format="csr"),
+        a=np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, m)), 1)),
+        sigma=np.eye(2 * m, k=-m),  # |b><a|: upper block to lower block
+        eta_a=np.diag(upper),
+        eta_b=np.diag(1.0 - upper),
         n_cut=config.n_cut,
     )
 
@@ -156,8 +155,8 @@ def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators,
                        shift: float = 0.0):
     """Resonant Hamiltonian ``i g (sigma^dag a - a^dag sigma) + i eps (a^dag - a)``.
 
-    Sparse.  Takes raw rates so the decoupled ``g = 0`` limit can be built
-    too.  A frame shift ``a -> shift + a`` adds the atomic pump
+    A dense complex array.  Takes raw rates so the decoupled ``g = 0`` limit
+    can be built too.  A frame shift ``a -> shift + a`` adds the atomic pump
     ``i g shift (sigma^dag - sigma)``; the cavity drive left in that frame
     is ``eps - kappa shift / 2``, which the displaced solve sets to 0.
     """
@@ -168,31 +167,30 @@ def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators,
 def liouvillian_matrix(hamiltonian, a, kappa: float) -> sp.csr_matrix:
     """Real sparse generator of the master equation in column-stacked form.
 
-    Returns a float64 CSR matrix ``L`` with ``L @ vec(rho) = vec(drho/dt)``
-    where ``vec`` stacks columns (``reshape(-1, order='F')``).  The model's
-    Hamiltonians are ``i K`` with ``K`` real and its jump operator ``a`` is
-    real, so ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input
-    raises ``ValueError``.
+    Takes the dense Hamiltonian and jump operator and returns a float64 CSR
+    matrix ``L`` with ``L @ vec(rho) = vec(drho/dt)`` where ``vec`` stacks
+    columns (``reshape(-1, order='F')``).  The model's Hamiltonians are
+    ``i K`` with ``K`` real and its jump operator ``a`` is real, so
+    ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input raises
+    ``ValueError``.
     """
-    k = sp.csr_matrix(-1j * hamiltonian)
-    a = sp.csr_matrix(a)
-    if k.imag.count_nonzero() or a.imag.count_nonzero():
+    k, a = -1j * np.asarray(hamiltonian), np.asarray(a)
+    if np.any(k.imag) or np.any(a.imag):
         raise ValueError("the generator is real only for H = i K and a with K, a real")
     k, a = k.real, a.real
     d = k.shape[0]
-    eye, n_op = sp.identity(d), a.T @ a
-    step = (np.int32 if d * d < 2**31 else np.int64)(d)  # sets the index type
+    eye, n_op = np.eye(d), a.T @ a
     terms = ((1.0, eye, k), (-1.0, k.T, eye), (kappa, a, a),
              (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
-    rows, cols, data = map(np.concatenate, zip(*(_kron_triplets(*t, step) for t in terms)))
+    rows, cols, data = map(np.concatenate, zip(*(_kron_triplets(*t) for t in terms)))
     return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))  # sums duplicates
 
 
-def _kron_triplets(c: float, x, y, step):
-    """COO triplets of ``c * kron(x, y)`` for ``y`` of size ``step``."""
-    x, y = x.tocoo(), y.tocoo()
-    return (np.ravel(x.row[:, None] * step + y.row), np.ravel(x.col[:, None] * step + y.col),
-            np.ravel(c * x.data[:, None] * y.data))
+def _kron_triplets(c: float, x: np.ndarray, y: np.ndarray):
+    """COO triplets of the nonzeros of ``c * kron(x, y)``."""
+    (xr, xc), (yr, yc), step = np.nonzero(x), np.nonzero(y), y.shape[0]
+    return (np.ravel(xr[:, None] * step + yr), np.ravel(xc[:, None] * step + yc),
+            np.ravel(c * x[xr, xc][:, None] * y[yr, yc]))
 
 
 @dataclass(frozen=True)
@@ -220,9 +218,9 @@ class DensityMatrix:
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(herm)[0])
 
-    def expect(self, op) -> complex:
-        op = sp.coo_matrix(op)  # tr(op rho) gathered from the entries of op
-        return complex(op.data @ self.matrix[op.col, op.row])
+    def expect(self, op: np.ndarray) -> complex:
+        rows, cols = np.nonzero(op)  # tr(op rho) gathered over the nonzeros of op
+        return complex(op[rows, cols] @ self.matrix[cols, rows])
 
     def field_moments(self) -> tuple[complex, complex, complex]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the

@@ -23,6 +23,7 @@ bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,11 +172,15 @@ def squeezing(params: SystemParams) -> float:
     Equals ``1 - var_plus / vac_var``; ranges over [0, 1/2], reaching the
     maximum 1/2 at the optimal driving amplitude.  Rounding can put the
     quotient one ulp above 1/2 near the optimum, so it is capped there.
+    Where the numerator underflows, ``S = 4 sigma**2 = (8 g eps / D)**2``
+    is evaluated instead, which stays normal wherever ``sigma**2`` does.
     """
     gc, k, eps = params.gamma_c, params.kappa, params.epsilon
     d = params.denominator
-    s = 16.0 * gc * k * eps * eps / (d * d)
-    return min(s, 0.5) if np.ndim(s) == 0 else np.minimum(s, 0.5)
+    numerator = 16.0 * gc * k * eps * eps
+    two_sigma = 8.0 * params.g * eps / d
+    s = np.where(numerator < sys.float_info.min, two_sigma * two_sigma, numerator / (d * d))
+    return min(float(s), 0.5) if np.ndim(s) == 0 else np.minimum(s, 0.5)
 
 
 def optimal_drive(gamma_c: float, kappa: float) -> tuple[float, float]:

@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavity_squeezing import (
@@ -71,22 +71,23 @@ def test_closed_forms_are_finite_and_bounded_or_rejected(point):
 # quotient; 4 sigma**2: g's square root and halving, then sigma's three
 # operations, squared, and the final product), so they agree to 16 * 2**-53
 # relative, 1.8e-15; the largest difference seen over 10**4 random draws was
-# 6.6e-16.  The bound holds where S, sigma**2 and S's numerator
-# 16 gamma_c kappa eps**2 are normal doubles: below that they underflow to
-# subnormals or to 0 and keep no relative precision.
+# 6.6e-16.  The bound holds wherever sigma**2 is a normal double: below that
+# it underflows to a subnormal or to 0 and keeps no relative precision.  Where
+# S's numerator 16 gamma_c kappa eps**2 underflows, S is evaluated as
+# (8 g eps / D)**2, so it is not exempt there.
 S_VS_SIGMA_REL = 16 * 2.0**-53
 
 
 @settings(max_examples=400, deadline=None)
 @given(rate_points())
+@example((1e-38, 1e-38, 1e-140))  # the numerator underflows, 4 sigma**2 is 1.6e-203
 def test_squeezing_is_four_sigma_squared(point):
     try:
         params = SystemParams.from_gamma_c(*point)
     except ValueError:
         return
-    numerator = 16.0 * params.gamma_c * params.kappa * params.epsilon * params.epsilon
     sigma_sq = steady_atom(params).sigma ** 2
     s = single_mode_stats(params).squeezing
-    if min(numerator, sigma_sq, s) < sys.float_info.min:
+    if sigma_sq < sys.float_info.min:
         return
     assert abs(s - 4.0 * sigma_sq) <= S_VS_SIGMA_REL * max(s, 4.0 * sigma_sq)

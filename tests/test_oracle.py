@@ -110,7 +110,7 @@ class TestOperators:
     def test_shapes_and_ladder_entries(self):
         ops = build_operators(HilbertConfig(2))
         assert ops.a.shape == (6, 6)
-        a = ops.a.toarray()
+        a = ops.a
         fock = a[:3, :3]
         assert fock[0, 1] == 1.0
         assert fock[1, 2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
@@ -119,11 +119,12 @@ class TestOperators:
     def test_operators_are_real(self):
         ops = build_operators(HilbertConfig(4))
         for op in (ops.a, ops.sigma, ops.eta_a, ops.eta_b):
+            assert isinstance(op, np.ndarray)
             assert op.dtype == np.float64
 
     def test_atomic_projectors(self):
         ops = build_operators(HilbertConfig(4))
-        s, eta_a, eta_b = (op.toarray() for op in (ops.sigma, ops.eta_a, ops.eta_b))
+        s, eta_a, eta_b = ops.sigma, ops.eta_a, ops.eta_b
         sd = s.conj().T
         np.testing.assert_allclose(sd @ s, eta_a, atol=1e-15)
         np.testing.assert_allclose(s @ sd, eta_b, atol=1e-15)
@@ -131,7 +132,7 @@ class TestOperators:
 
     def test_truncated_commutator(self):
         n_cut = 5
-        a = build_operators(HilbertConfig(n_cut)).a.toarray()
+        a = build_operators(HilbertConfig(n_cut)).a
         comm = a @ a.conj().T - a.conj().T @ a
         block = np.diag([1.0] * n_cut + [-float(n_cut)])
         np.testing.assert_allclose(comm, np.kron(np.eye(2), block), atol=1e-13)
@@ -140,15 +141,15 @@ class TestOperators:
 class TestHamiltonian:
     def test_zero_rates_give_zero_matrix(self):
         ops = build_operators(HilbertConfig(3))
-        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops).toarray(),
+        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops),
                                       np.zeros((8, 8)))
-        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops, shift=2.0).toarray(),
+        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops, shift=2.0),
                                       np.zeros((8, 8)))
 
     def test_hermitian(self, canonical):
         ops = build_operators(HilbertConfig(12))
         for shift in (0.0, 0.5):
-            h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift).toarray()
+            h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift)
             assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_drive_matrix_element(self):
@@ -168,8 +169,8 @@ class TestHamiltonian:
         ops = build_operators(HilbertConfig(4))
         h = hamiltonian_matrix(0.7, 0.0, ops, shift=0.5) - hamiltonian_matrix(0.7, 0.0, ops)
         # the shift adds i g shift (sigma^dag - sigma): |lower,n> -> |upper,n>
-        expected = 1j * 0.35 * (ops.sigma.T - ops.sigma).toarray()
-        np.testing.assert_allclose(h.toarray(), expected, atol=1e-15)
+        expected = 1j * 0.35 * (ops.sigma.T - ops.sigma)
+        np.testing.assert_allclose(h, expected, atol=1e-15)
 
 
 class TestLiouvillian:
@@ -183,7 +184,7 @@ class TestLiouvillian:
             h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift)
             lv = liouvillian_matrix(h, ops.a, canonical.kappa)
             assert lv.dtype == np.float64
-            direct = lindblad_action(rho, h.toarray(), ops.a.toarray(), canonical.kappa)
+            direct = lindblad_action(rho, h, ops.a, canonical.kappa)
             via_matrix = (lv @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
             np.testing.assert_allclose(via_matrix, direct, rtol=1e-12, atol=1e-13)
 
@@ -198,11 +199,11 @@ class TestLiouvillian:
     def test_conserves_trace(self, canonical):
         config = HilbertConfig(6)
         ops = build_operators(config)
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops).toarray()
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
         rng = np.random.default_rng(4)
         d = ops.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert abs(np.trace(lindblad_action(rho, h, ops.a.toarray(), canonical.kappa))) <= 1e-12
+        assert abs(np.trace(lindblad_action(rho, h, ops.a, canonical.kappa))) <= 1e-12
 
 
 class TestSteadyDensity:
@@ -236,8 +237,16 @@ class TestSteadyDensity:
         matrix = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         rho = DensityMatrix(matrix=matrix, residual=0.0, ops=ops)
         for op in (ops.a, ops.a.T @ ops.a @ ops.a, ops.sigma, ops.eta_a, np.eye(10)):
-            dense = op if isinstance(op, np.ndarray) else op.toarray()
-            assert rho.expect(op) == pytest.approx(np.trace(dense @ matrix), abs=1e-12)
+            assert rho.expect(op) == pytest.approx(np.trace(op @ matrix), abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "dia"])
+    def test_expect_refuses_a_sparse_operator(self, fmt):
+        # the gather reads the dense operator's nonzeros; a sparse matrix raises
+        # rather than return a number (np.sum(op * rho.T) would give 16 here)
+        rho = DensityMatrix(matrix=np.ones((4, 4)), residual=0.0,
+                            ops=build_operators(HilbertConfig(2)))
+        with pytest.raises(TypeError):
+            rho.expect(sp.identity(4, format=fmt))
 
 
 class TestSymmetricSolve:

@@ -27,6 +27,7 @@ from cavity_squeezing import (
     uncertainty_product,
     write_figure_files,
 )
+from cavity_squeezing import superposed
 from cavity_squeezing.sweeps import _BLOCK_ENTRIES, _write_csv
 
 CANONICAL_SPEC = SweepSpec(eps_min=0.0, eps_max=0.8, n_points=401,
@@ -276,6 +277,18 @@ class TestFigureFiles:
             with open(dir_b / name, "rb") as fh:
                 second = fh.read()
             assert first == second
+
+    def test_evaluates_the_superposed_bounds_once(self, tmp_path, monkeypatch):
+        # the identity residuals reuse the sweep's bounds rather than recompute them
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return superposed_bounds(params)
+
+        monkeypatch.setattr(superposed, "superposed_bounds", counted)
+        write_figure_files(CANONICAL_SPEC, tmp_path)
+        assert len(calls) == 1
 
 
 def _csv(data, header=("x",)) -> str:
