@@ -90,6 +90,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ValueError(f"t_max must be >= dt, got {self.t_max}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError(f"t_max / dt must be finite, got {self.t_max} / {self.dt}")
         if not (math.isfinite(self.steady_tol) and self.steady_tol > 0.0):
             raise ValueError(f"steady_tol must be > 0, got {self.steady_tol}")
 

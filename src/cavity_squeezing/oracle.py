@@ -26,7 +26,8 @@ Conventions, fixed once and used everywhere:
 * the stationary state is solved for on the real-symmetric subspace, its
   ``d(d+1)/2`` entries ``i <= j``: half the unknowns, and no rounding in the
   antisymmetric part, a nearly null direction of the generator at strong
-  drive; the trace constraint replaces the redundant ``(0, 0)`` equation.
+  drive; the folded system is the generator's own entries re-indexed onto
+  those unknowns, with the trace row in place of the redundant ``(0, 0)`` one.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -240,14 +241,17 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     """Solve for the real symmetric stationary state on its ``d(d+1)/2`` unknowns.
 
     ``lv`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)``
-    and ``(j, i)`` coincide: keep ``i <= j``, fold the columns of ``(r, s)`` and
-    ``(s, r)`` into one unknown, and put the trace row in place of ``(0, 0)``.
+    and ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each
+    entry ``(r, s)`` to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``.
     """
     i, j = np.triu_indices(d)
     pos = np.empty((d, d), dtype=np.int64)
     pos[i, j] = pos[j, i] = np.arange(i.size)
-    fold = sp.csr_matrix((np.ones(d * d), (np.arange(d * d), _vec(pos))), shape=(d * d, i.size))
-    system = (sp.vstack([sp.csr_matrix(_vec(np.eye(d))), lv[(i + d * j)[1:]]]) @ fold).tocsc()
+    coo, at = lv.tocoo(), _vec(pos)  # at[r + d * s] is pos[r, s]
+    keep = _vec(np.triu(pos))[coo.row] > 0  # the rows i <= j but (0, 0), where pos is 0
+    system = sp.csc_matrix((np.r_[np.ones(d), coo.data[keep]],  # sums (r, s) with (s, r)
+                            (np.r_[np.zeros(d, np.int64), at[coo.row[keep]]],  # trace row 0
+                             np.r_[np.diag(pos), at[coo.col[keep]]])), shape=(i.size, i.size))
     rhs = np.zeros(i.size)
     rhs[0] = 1.0
     with warnings.catch_warnings():

@@ -195,6 +195,15 @@ class TestDynamics:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("steps", [["--dt", "5e-324"], ["--t-max", "1e300", "--dt", "1e-300"]])
+    def test_overflowing_step_count_is_an_input_error(self, steps, capsys):
+        code, out, err = run_cli(
+            ["dynamics", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2", *steps],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: t_max / dt must be finite")
+
 
 class TestOracle:
     def test_report_structure(self, capsys):

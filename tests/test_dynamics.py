@@ -42,6 +42,7 @@ class TestConfig:
             dict(dt=-0.1, t_max=1.0),
             dict(dt=0.1, t_max=0.05),
             dict(dt=0.1, t_max=math.inf),
+            dict(dt=1e-300, t_max=1e300),  # t_max / dt overflows
             dict(dt=0.1, t_max=1.0, steady_tol=0.0),
         ],
     )

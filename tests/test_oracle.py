@@ -54,6 +54,19 @@ def full_space_stationary(lv, d):
     return spsolve(system, rhs).reshape((d, d), order="F")
 
 
+def fold_matrix_system(lv, d):
+    """The folded stationary system built by matrix algebra: the trace row stacked
+    on the generator rows ``(i, j)``, ``i <= j`` but ``(0, 0)``, times a 0/1 matrix
+    that adds the columns of ``(r, s)`` and ``(s, r)``."""
+    i, j = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.int64)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    fold = sp.csr_matrix((np.ones(d * d), (np.arange(d * d), pos.reshape(-1, order="F"))),
+                         shape=(d * d, i.size))
+    trace_row = sp.csr_matrix(np.eye(d).reshape(1, -1, order="F"))
+    return (sp.vstack([trace_row, lv[(i + d * j)[1:]]]) @ fold).tocsc()
+
+
 def lab_frame_density(params, n_cut):
     """Lab-frame stationary state at a fixed cutoff, from the public pieces,
     solved on the full space with zero frame shift."""
@@ -294,6 +307,52 @@ class TestSymmetricSolve:
         assert oracle._checked(rho.matrix, lv, ops, shift=alpha).residual <= 1e-10
         with pytest.raises(SingularSystem, match="stationary residual"):
             oracle._checked(perturbed, lv, ops, shift=alpha)
+
+
+class TestFoldedSystem:
+    """The system handed to the solver is, entry for entry, the generator's rows
+    ``i <= j`` with the trace row first, folded by the 0/1 matrix of
+    :func:`fold_matrix_system`."""
+
+    @staticmethod
+    def solved_system(monkeypatch, solve):
+        systems = []
+
+        def recording(system, rhs):
+            systems.append(system)
+            return spsolve(system, rhs)
+
+        monkeypatch.setattr(oracle, "spsolve", recording)
+        solve()
+        assert len(systems) == 1
+        return systems[0]
+
+    @staticmethod
+    def assert_same_system(system, reference):
+        assert system.shape == reference.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(system, part), getattr(reference, part)), part
+
+    @pytest.mark.parametrize("n_cut", [8, 16])
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 1e4])
+    def test_displaced_solve(self, n_cut, eps, monkeypatch):
+        params, config = params_at(eps), HilbertConfig(n_cut)
+        system = self.solved_system(monkeypatch, lambda: steady_density(params, config))
+        ops = build_operators(config)
+        shift = 2.0 * params.epsilon / params.kappa
+        lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, ops, shift=shift),
+                                ops.a, params.kappa)
+        self.assert_same_system(system, fold_matrix_system(lv, ops.dim))
+
+    @pytest.mark.parametrize("n_cut", [8, 16])
+    def test_decoupled_cavity_solve(self, n_cut, monkeypatch):
+        config = HilbertConfig(n_cut)
+        system = self.solved_system(monkeypatch,
+                                    lambda: decoupled_cavity_steady(0.2, 0.8, config))
+        m = n_cut + 1
+        a = build_operators(config).a[:m, :m]
+        lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
+        self.assert_same_system(system, fold_matrix_system(lv, m))
 
 
 class TestStrongDrive:
