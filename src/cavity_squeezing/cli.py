@@ -20,9 +20,9 @@ command line win).  The driving amplitude may be given
 directly (``--epsilon``) or as the product of ``--lambda`` and
 ``--beta``.
 
-Exit codes: 0 success; 2 configuration or validation error; 3 numerical
-failure (non-convergence, unstable step, singular solve); 4 Hilbert-space
-dimension cap exceeded.
+Exit codes: 0 success; 2 configuration or validation error, or an output
+path that cannot be written; 3 numerical failure (non-convergence, unstable
+step, singular solve); 4 Hilbert-space dimension cap exceeded.
 
 JSON output renders floats with 17 significant digits (enough to
 round-trip a double exactly) and complex numbers as ``{"re":…,"im":…}``.
@@ -46,14 +46,17 @@ from .dynamics import (
     default_integrator_config,
     integrate,
 )
-from .params import (
+from .oracle import (
     _DIM_CAP,
     _LADDER_TOL,
     DimensionCap,
+    HilbertConfig,
     SingularSystem,
-    SystemParams,
-    _require_finite,
+    compare_with_closed_form,
+    cutoff_converged,
+    decoupled_benchmark,
 )
+from .params import SystemParams, _require_finite
 from .single_mode import single_mode_stats, steady_atom
 from .superposed import superposed_squeezing, superposed_stats
 from .sweeps import SweepSpec, _write_csv, write_figure_files
@@ -249,8 +252,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from . import oracle  # the one subcommand that needs scipy imports it
-
     if args.fmt == "csv":
         raise ConfigError("oracle reports are JSON only")
     if args.g == 0.0:
@@ -259,16 +260,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ConfigError("--n-cut and --gamma-c have no meaning at g = 0")
         if args.kappa is None:
             raise ConfigError("kappa is required")
-        report = oracle.decoupled_benchmark(_resolve_epsilon(args), args.kappa,
-                                            tol=args.tol, dim_cap=args.dim_cap)
+        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa,
+                                     tol=args.tol, dim_cap=args.dim_cap)
         _emit(render_json(report), args.out)
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
-        report = oracle.compare_with_closed_form(
-            params, oracle.HilbertConfig(args.n_cut, args.dim_cap))
+        report = compare_with_closed_form(params, HilbertConfig(args.n_cut, args.dim_cap))
     else:
-        _, report = oracle.cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)
+        _, report = cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)
     _emit(render_json(report.to_dict()), args.out)
     return 0
 
@@ -368,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             tokens = _config_argv(args.config, set(vars(args)) - {"command", "func"})
             args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergence, StepTooLarge, SingularSystem) as exc:

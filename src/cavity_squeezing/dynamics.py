@@ -179,7 +179,6 @@ def integrate(
 
     # Inner loop on plain floats: cheap enough to take millions of steps.
     sr, si, ea, eb = initial.sigma_re, initial.sigma_im, initial.eta_a, initial.eta_b
-    times = [0.0]
     rows = [(sr, si, ea, eb)]
     n_max = math.ceil(config.t_max / dt - 1e-12)
 
@@ -228,7 +227,6 @@ def integrate(
                 f"populations ({ea}, {eb}) left [0, 1] at t={(i + 1) * dt}; "
                 "reduce dt"
             )
-        times.append((i + 1) * dt)
         rows.append((sr, si, ea, eb))
 
     if not converged:
@@ -238,7 +236,7 @@ def integrate(
             f"at t_max={config.t_max}"
         )
     return TimeSeries(
-        t=np.array(times, dtype=float),
+        t=np.arange(len(rows)) * dt,
         states=np.array(rows, dtype=float),
         converged=converged,
     )

@@ -33,6 +33,10 @@ The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
 effective-mode normalisation.  The two disagree by design, so the report
 carries both values without judging the difference.
+
+Only the sparse steps import scipy, each in its own body: the generator,
+the stationary solve and :func:`evolve_density`.  The module, its dense
+operators and its Hamiltonians cost numpy alone.
 """
 
 from __future__ import annotations
@@ -42,18 +46,9 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, expm_multiply, spsolve
 
 from . import single_mode, superposed
-from .params import (
-    _DIM_CAP,
-    _LADDER_TOL,
-    DimensionCap,
-    SingularSystem,
-    SystemParams,
-    _require_rate,
-)
+from .params import SystemParams, _require_rate
 
 __all__ = [
     "DimensionCap",
@@ -82,13 +77,24 @@ _FRAMEWORK_NOTE = (
 )
 
 
-# The cutoff ladder's first rung, and the largest stationary residual the
-# full-space generator may leave on an accepted state.  The bound is absolute,
-# whatever the generator's scale: at the canonical rates the residuals stay
-# below 1e-10 up to eps = 1e6, where the entries are about 7e5, and the bound
-# refuses from about eps = 1e10.
+# The cutoff ladder's default moment tolerance and largest Hilbert-space
+# dimension (the CLI's defaults), its first rung, and the largest stationary
+# residual the full-space generator may leave on an accepted state.  The
+# bound is absolute, whatever the generator's scale: at the canonical rates
+# the residuals stay below 1e-10 up to eps = 1e6, where the entries are about
+# 7e5, and the bound refuses from about eps = 1e10.
+_LADDER_TOL = 1e-8
+_DIM_CAP = 256
 _LADDER_START = 8
 _RESIDUAL_TOL = 1e-8
+
+
+class DimensionCap(RuntimeError):
+    """Raised when the requested Hilbert space exceeds the dimension cap."""
+
+
+class SingularSystem(RuntimeError):
+    """Raised when the stationary linear system cannot be solved reliably."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators,
     return 1j * (g * (s.T @ a - a.T @ s + shift * (s.T - s)) + epsilon * (a.T - a))
 
 
-def liouvillian_matrix(hamiltonian, a, kappa: float) -> sp.csr_matrix:
+def liouvillian_matrix(hamiltonian, a, kappa: float):
     """Real sparse generator of the master equation in column-stacked form.
 
     Takes the dense Hamiltonian and jump operator and returns a float64 CSR
@@ -175,6 +181,7 @@ def liouvillian_matrix(hamiltonian, a, kappa: float) -> sp.csr_matrix:
     ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input raises
     ``ValueError``.
     """
+    from scipy.sparse import csr_matrix
     k, a = -1j * np.asarray(hamiltonian), np.asarray(a)
     if np.any(k.imag) or np.any(a.imag):
         raise ValueError("the generator is real only for H = i K and a with K, a real")
@@ -184,7 +191,7 @@ def liouvillian_matrix(hamiltonian, a, kappa: float) -> sp.csr_matrix:
     terms = ((1.0, eye, k), (-1.0, k.T, eye), (kappa, a, a),
              (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
     rows, cols, data = map(np.concatenate, zip(*(_kron_triplets(*t) for t in terms)))
-    return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))  # sums duplicates
+    return csr_matrix((data, (rows, cols)), shape=(d * d, d * d))  # sums duplicates
 
 
 def _kron_triplets(c: float, x: np.ndarray, y: np.ndarray):
@@ -237,6 +244,12 @@ def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, order="F")
 
 
+def spsolve(system, rhs) -> np.ndarray:
+    """scipy's sparse direct solve; :func:`_solve_stationary` calls it by this name."""
+    from scipy.sparse.linalg import spsolve
+    return spsolve(system, rhs)
+
+
 def _solve_stationary(lv, d: int) -> np.ndarray:
     """Solve for the real symmetric stationary state on its ``d(d+1)/2`` unknowns.
 
@@ -244,14 +257,16 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     and ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each
     entry ``(r, s)`` to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import MatrixRankWarning
     i, j = np.triu_indices(d)
     pos = np.empty((d, d), dtype=np.int64)
     pos[i, j] = pos[j, i] = np.arange(i.size)
     coo, at = lv.tocoo(), _vec(pos)  # at[r + d * s] is pos[r, s]
     keep = _vec(np.triu(pos))[coo.row] > 0  # the rows i <= j but (0, 0), where pos is 0
-    system = sp.csc_matrix((np.r_[np.ones(d), coo.data[keep]],  # sums (r, s) with (s, r)
-                            (np.r_[np.zeros(d, np.int64), at[coo.row[keep]]],  # trace row 0
-                             np.r_[np.diag(pos), at[coo.col[keep]]])), shape=(i.size, i.size))
+    system = csc_matrix((np.r_[np.ones(d), coo.data[keep]],  # sums (r, s) with (s, r)
+                         (np.r_[np.zeros(d, np.int64), at[coo.row[keep]]],  # trace row 0
+                          np.r_[np.diag(pos), at[coo.col[keep]]])), shape=(i.size, i.size))
     rhs = np.zeros(i.size)
     rhs[0] = 1.0
     with warnings.catch_warnings():
@@ -509,6 +524,7 @@ def evolve_density(
     (lower level, empty cavity).  The returned residual is the
     max-entrywise time derivative at the final state.
     """
+    from scipy.sparse.linalg import expm_multiply
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final must be > 0, got {t_final}")
     ops = build_operators(config)

@@ -31,21 +31,6 @@ _MAX_DENOMINATOR = 1e77
 # the closed forms (kappa**2, gamma_c**3, kappa*D**2, ...) under- or
 # overflows to a zero divisor or an infinity.
 _RATE_WINDOW = (1e-38, 1e38)
-# The master-equation oracle's default limits: the moment tolerance of
-# its cutoff ladder and the largest Hilbert-space dimension it builds.  They
-# and the oracle's two failures live here, not in ``oracle``, so that the CLI
-# can show the defaults and map the failures to exit codes without importing
-# scipy; ``oracle`` re-exports the classes.
-_LADDER_TOL = 1e-8
-_DIM_CAP = 256
-
-
-class DimensionCap(RuntimeError):
-    """Raised when the requested Hilbert space exceeds the dimension cap."""
-
-
-class SingularSystem(RuntimeError):
-    """Raised when the stationary linear system cannot be solved reliably."""
 
 
 def _require_finite(name: str, value: float) -> float:

@@ -197,23 +197,24 @@ class SweepTable:
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every closed-form quantity on the grid."""
-    eps = spec.grid()
-    params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, eps)
+    _, columns = _columns(spec)
+    return SweepTable(spec=spec, data=np.column_stack(list(columns.values())))
+
+
+def _columns(spec: SweepSpec, full: bool = True) -> tuple[SystemParams, dict]:
+    """The grid's parameters and ``SWEEP_COLUMNS`` by name on it; unless ``full``,
+    only the first six, which the dataset files and the identities read."""
+    params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, spec.grid())
     f_c, f_d = superposed.superposed_bounds(params)
-    columns = (
-        eps,
-        single_mode.uncertainty_bound(params),
-        single_mode.uncertainty_product(params),
-        single_mode.squeezing(params),
-        f_c,
-        f_d,
-        superposed.superposed_squeezing(params)[0],
-        single_mode.mean_photons(params)[0],
-        superposed.superposed_mean_photons(params),
-        single_mode.quadrature_variances(params)[0],
-        superposed.superposed_variances(params)[0],
-    )
-    return SweepTable(spec=spec, data=np.column_stack(columns))
+    values = [params.epsilon, single_mode.uncertainty_bound(params),
+              single_mode.uncertainty_product(params), single_mode.squeezing(params), f_c, f_d]
+    if full:
+        values += [superposed.superposed_squeezing(params)[0],
+                   single_mode.mean_photons(params)[0],
+                   superposed.superposed_mean_photons(params),
+                   single_mode.quadrature_variances(params)[0],
+                   superposed.superposed_variances(params)[0]]
+    return params, dict(zip(SWEEP_COLUMNS, values))
 
 
 def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
@@ -274,23 +275,22 @@ class IdentityReport:
 
 def identity_report(spec: SweepSpec) -> IdentityReport:
     """Evaluate both identities and their normalised residuals on the grid."""
-    return _identities(run_sweep(spec))
+    return _identities(spec, *_columns(spec, full=False))
 
 
-def _identities(table: SweepTable) -> IdentityReport:
-    """The identity report read off the bounds that ``table`` already holds."""
-    eps, spec = table.column("epsilon"), table.spec
-    params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, eps)
+def _identities(spec: SweepSpec, params: SystemParams, columns: dict) -> IdentityReport:
+    """The identity report read off the bounds in ``columns`` (see ``_columns``)."""
+    eps = params.epsilon
     gc, k, d = params.gamma_c, params.kappa, params.denominator
     eps4 = single_mode.power(eps, 4)
 
-    f_a, f_b = table.column("f_a"), table.column("f_b")
+    f_a, f_b = columns["f_a"], columns["f_b"]
     gap_single = f_b * f_b - f_a * f_a
     pred_single = 64.0 * gc * gc * eps4 / (k * k * d * d)
     scale_single = np.maximum(np.maximum(abs(gap_single), abs(pred_single)), f_b * f_b)
     resid_single = abs(gap_single - pred_single) / scale_single
 
-    f_c, f_d = table.column("f_c"), table.column("f_d")
+    f_c, f_d = columns["f_c"], columns["f_d"]
     gap_sup = f_d - f_c
     pred_sup = 128.0 * gc * eps4 / (k * d * d)
     scale_sup = np.maximum(np.maximum(abs(gap_sup), abs(pred_sup)), f_d)
@@ -313,20 +313,17 @@ def write_figure_files(spec: SweepSpec, out_dir) -> dict:
     ``identities.csv`` the identity residuals, all on the same grid.
     Returns a summary dict (grid, optimum, residual maxima, file names).
     """
-    table = run_sweep(spec)
-    identities = _identities(table)
-    eps = table.column("epsilon")
+    params, columns = _columns(spec, full=False)
+    identities = _identities(spec, params, columns)
 
     files = {
-        "fig2.csv": (("epsilon", "f_a", "f_b"),
-                     np.column_stack([eps, table.column("f_a"), table.column("f_b")])),
-        "fig3.csv": (("epsilon", "S"),
-                     np.column_stack([eps, table.column("S")])),
-        "fig4.csv": (("epsilon", "f_c", "f_d"),
-                     np.column_stack([eps, table.column("f_c"), table.column("f_d")])),
+        "fig2.csv": ("epsilon", "f_a", "f_b"),
+        "fig3.csv": ("epsilon", "S"),
+        "fig4.csv": ("epsilon", "f_c", "f_d"),
     }
-    for name, (header, data) in files.items():
-        _write_csv(os.path.join(out_dir, name), header, data)
+    for name, header in files.items():
+        _write_csv(os.path.join(out_dir, name), header,
+                   np.column_stack([columns[c] for c in header]))
     identities.to_csv(os.path.join(out_dir, "identities.csv"))
 
     eps_star, s_max = find_max_squeezing(spec.gamma_c, spec.kappa)

@@ -251,6 +251,14 @@ class TestOracle:
         assert code == 4
         assert "error:" in err
 
+    def test_decoupled_lab_frame_exceeds_the_default_cap(self, capsys):
+        # alpha = 2.8: the coherent state needs n_cut 64, confirmed only at 128
+        code, out, err = run_cli(
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "1.12"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "error: dimension 2*(128+1)=258 exceeds cap 256\n"
+
     @pytest.mark.parametrize("limit,code", [(["--dim-cap", "16"], 4), (["--tol", "0"], 2)])
     def test_decoupled_limits_are_passed_through(self, limit, code, capsys):
         got, _, err = run_cli(
@@ -567,6 +575,25 @@ class TestValidationErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command,option,target", [
+        *((command, "--out", "missing/out")
+          for command in ("steady", "superpose", "dynamics", "oracle", "figures")),
+        ("figures", "--out-dir", "file"),
+        ("figures", "--out-dir", "file/sub"),
+    ])
+    def test_unusable_output_path_exits_two(self, command, option, target, tmp_path,
+                                            capsys):
+        (tmp_path / "file").write_text("")
+        args = [command, *CANONICAL, option, str(tmp_path / target)]
+        if command == "figures":
+            args += ["--n-points", "3"]
+            if option == "--out":
+                args += ["--out-dir", str(tmp_path)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "gamma_c,kappa", [("1e7", "1e7"), ("1e38", "1e38"), ("1e-38", "1e-38"), ("1", "1e13")]
     )
@@ -681,6 +708,24 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
                   "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))
 """
 
+# The oracle module, its configuration and its dense operators cost no scipy;
+# its first sparse step loads it.
+ORACLE_SCRIPT = """
+import json, sys
+from cavity_squeezing.oracle import (
+    HilbertConfig, build_operators, hamiltonian_matrix, steady_density)
+from cavity_squeezing.params import SystemParams
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+ops = build_operators(HilbertConfig(8))
+hamiltonian_matrix(0.2, 0.1, ops)
+before = scipy_loaded()
+steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
+print(json.dumps({"before": before, "after": scipy_loaded()}))
+"""
+
 # The first import asks the package for an oracle name.
 SURFACE_SCRIPT = """
 import json
@@ -718,6 +763,11 @@ class TestImportBoundary:
         assert residual_error.endswith(" exceeds 1.000e-08")
         residual = float(residual_error.split("stationary residual ")[1].split()[0])
         assert residual > 1e-8
+
+    def test_oracle_loads_scipy_in_its_sparse_steps(self):
+        result = run_python("-c", ORACLE_SCRIPT)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"before": False, "after": True}
 
     def test_package_surface_in_a_fresh_interpreter(self):
         result = run_python("-c", SURFACE_SCRIPT)
