@@ -20,8 +20,8 @@ command line win).  The driving amplitude may be given
 directly (``--epsilon``) or as the product of ``--lambda`` and
 ``--beta``.
 
-Exit codes: 0 success; 2 configuration or validation error, or an output
-path that cannot be written; 3 numerical failure (non-convergence, unstable
+Exit codes: 0 success; 2 invalid configuration, an unwritable output path or
+a size that cannot be allocated; 3 numerical failure (non-convergence, unstable
 step, singular solve); 4 Hilbert-space dimension cap exceeded.
 
 JSON output renders floats with 17 significant digits (enough to
@@ -368,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             tokens = _config_argv(args.config, set(vars(args)) - {"command", "func"})
             args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergence, StepTooLarge, SingularSystem) as exc:

@@ -14,7 +14,8 @@ i g alpha (sigma^dag - sigma)`` and ``kappa D[b]``, so the Fock cutoff
 truncates the small fluctuation field ``b``.  All generators and states
 are real (``float64``); :meth:`DensityMatrix.field_moments` maps moments
 back to ``a``.  The ``g = 0`` limit and :func:`evolve_density` stay in
-the lab frame, so ``g = 0`` still checks ``alpha`` independently.
+the lab frame and build the same drive term, :func:`hamiltonian_matrix`
+at ``shift = 0``, so ``g = 0`` still checks ``alpha`` independently.
 
 Conventions, fixed once and used everywhere:
 
@@ -454,21 +455,20 @@ def decoupled_cavity_steady(
     At ``g = 0`` the full generator has a degenerate stationary manifold
     (the atom never relaxes), so the full-space solve is singular.  The
     cavity factor alone still has a unique stationary state — a coherent
-    state of amplitude ``2 eps / kappa`` — so the cavity problem is
-    solved on its own, in the lab frame, and tensored with the atomic
-    lower level.  The residual is still evaluated with the full-space
-    generator.
+    state of amplitude ``2 eps / kappa`` — so the lab-frame generator is
+    solved on its block with the atom in the lower level, rows and columns
+    ``r + d s`` with ``m <= r, s < d``, and the solution is tensored with
+    that level.  The residual is evaluated with the same full-space generator.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     kappa = _require_rate("kappa", kappa)
     ops = build_operators(config)
-    m = config.n_cut + 1
-    a_fock = ops.a[:m, :m]  # the Fock block of ``I (x) a``
-    lv = liouvillian_matrix(1j * epsilon * (a_fock.T - a_fock), a_fock, kappa)
-    rho = np.kron(np.diag([0.0, 1.0]), _solve_stationary(lv, m))
-    lv_full = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, ops), ops.a, kappa)
-    return _checked(rho, lv_full, ops)
+    m, d = config.n_cut + 1, ops.dim
+    lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, ops), ops.a, kappa)
+    lower = _vec(np.add.outer(np.arange(m, d), d * np.arange(m, d)))
+    rho = np.kron(np.diag([0.0, 1.0]), _solve_stationary(lv[lower][:, lower], m))
+    return _checked(rho, lv, ops)
 
 
 def decoupled_benchmark(

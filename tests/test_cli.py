@@ -568,6 +568,8 @@ class TestValidationErrors:
             ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2", "--n-cut", "20"],
             ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2",
              "--gamma-c", "0.4"],
+            # a grid too large to allocate (711 PiB of float64)
+            ["figures", "--n-points", "100000000000000000"],
         ],
     )
     def test_exit_code_two(self, args, capsys):
@@ -618,14 +620,17 @@ class TestValidationErrors:
 
 
 # SHA-256 of the outputs at the canonical point and of the default
-# figures files, recorded before the closed forms were made array-valued;
-# every later change must reproduce these bytes.
+# figures files, recorded before the closed forms were made array-valued
+# (the dynamics pair before its RK4 loop was restated); every later change
+# must reproduce these bytes.
 CANONICAL = ["--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]
 GOLDEN_OUTPUT = {
     ("steady", "json"): "4d4471900be49be9275a60fae04e44a66607f90b9cc204d463acb9e980018fff",
     ("steady", "csv"): "66fd4faba6b4085864c890c3a8e1af497012ffdcd71afdd9f0a7fcbb1a7825c0",
     ("superpose", "json"): "fe5b616de13f5a4e27cea51c87723aabe807d6478817f8fc72f2d9cacd549e30",
     ("superpose", "csv"): "b5f0da39e2ed2536b0416c74da7870e085febd8afc4d2593b360c89edcb57edc",
+    ("dynamics", "json"): "caaf22b00ea766bbdf92c57dd4e218523b134561f1dab20410455d28aeb7a38a",
+    ("dynamics", "csv"): "2906ae69052ee264c93cd3930ac12132da850cf68f4a2ef05435722c3d7e1a3e",
 }
 GOLDEN_FIGURES = {
     "fig2.csv": "68518b94deddc83bc1f59ad35afabcb834b392f7092b394b06aab5a91fcc0d10",

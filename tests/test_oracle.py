@@ -424,6 +424,19 @@ class TestOperatorBuilds:
         assert len(calls) == builds
 
 
+def test_one_generator_per_decoupled_rung(monkeypatch):
+    """The ``g = 0`` solve and its residual gate read the same generator."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return liouvillian_matrix(*args)
+
+    monkeypatch.setattr(oracle, "liouvillian_matrix", counting)
+    decoupled_benchmark(0.2, 0.8)
+    assert len(calls) == 3  # rungs 8, 16 and 32
+
+
 class TestReport:
     def test_fixture_regression(self, canonical):
         with open(os.path.join(FIXTURES, "oracle_canonical.json")) as fh:
