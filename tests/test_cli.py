@@ -570,6 +570,9 @@ class TestValidationErrors:
              "--gamma-c", "0.4"],
             # a grid too large to allocate (711 PiB of float64)
             ["figures", "--n-points", "100000000000000000"],
+            # a fixed cutoff refuses the tolerances the ladder refuses
+            *(["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2",
+               "--n-cut", "8", "--tol", tol] for tol in ("-1", "0", "nan")),
         ],
     )
     def test_exit_code_two(self, args, capsys):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,38 @@ def params_at(eps, gamma_c=0.4, kappa=0.8):
 
 
 CFG = IntegratorConfig(dt=0.01, t_max=500.0)
+
+
+def _components(state):
+    return (state.sigma_re, state.sigma_im, state.eta_a, state.eta_b)
+
+
+def rk4_reference(initial, params, config):
+    """Classical RK4 on ``moment_derivative``, stopped by ``integrate``'s rule.
+
+    Returns the rows up to and including the first state whose derivative
+    norm is at most ``config.steady_tol``.
+    """
+    dt = config.dt
+
+    def shifted(state, h, rate):
+        return AtomMomentState(*(x + h * k for x, k in
+                                 zip(_components(state), _components(rate))))
+
+    state, rows = initial, [_components(initial)]
+    for _ in range(math.ceil(config.t_max / dt - 1e-12) + 1):
+        k1 = moment_derivative(state, params)
+        sr, si, ea, eb = _components(k1)
+        # summed by pairs, since ea*ea + eb*eb is exactly integrate's 2*(ea*ea)
+        if (sr * sr + si * si) + (ea * ea + eb * eb) <= config.steady_tol * config.steady_tol:
+            return np.array(rows)
+        k2 = moment_derivative(shifted(state, 0.5 * dt, k1), params)
+        k3 = moment_derivative(shifted(state, 0.5 * dt, k2), params)
+        k4 = moment_derivative(shifted(state, dt, k3), params)
+        state = AtomMomentState(*(x + dt / 6.0 * (a + 2.0 * (b + c) + d) for x, a, b, c, d in
+                                  zip(*map(_components, (state, k1, k2, k3, k4)))))
+        rows.append(_components(state))
+    raise AssertionError("the reference did not converge")
 
 
 class TestConfig:
@@ -90,7 +123,6 @@ class TestDerivative:
 class TestIntegrate:
     def test_undriven_ground_state_converges_immediately(self):
         series = integrate(GROUND_STATE, params_at(0.0), CFG)
-        assert series.converged
         assert len(series.t) == 1
         assert series.t[0] == 0.0
         np.testing.assert_array_equal(series.states[0], [0.0, 0.0, 0.0, 1.0])
@@ -145,6 +177,30 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge):
             integrate(EXCITED_STATE, params_at(0.0),
                       IntegratorConfig(dt=1000.0, t_max=1e6))
+
+    @pytest.mark.parametrize("gamma_c,kappa,eps,initial,dt", [
+        (0.4, 0.8, 0.2, GROUND_STATE, 0.01),
+        (0.7, 3.1, 0.9, EXCITED_STATE, 0.02),
+        (0.25, 6.0, 0.1, AtomMomentState(0.1, -0.05, 0.3, 0.7), 0.05),
+        (1.3, 2.2, 2.5, GROUND_STATE, 0.003),
+    ])
+    def test_is_classical_rk4_on_the_public_derivative(self, gamma_c, kappa, eps,
+                                                       initial, dt):
+        p = params_at(eps, gamma_c, kappa)
+        config = IntegratorConfig(dt=dt, t_max=1e4, steady_tol=1e-10)
+        series = integrate(initial, p, config)
+        np.testing.assert_array_equal(series.states, rk4_reference(initial, p, config))
+
+    def test_trajectory_is_stored_once(self, canonical):
+        # 32 B of state and 8 B of time per row, plus the buffer's growth;
+        # a Python object per row does not fit
+        tracemalloc.start()
+        try:
+            series = integrate(GROUND_STATE, canonical, default_integrator_config(canonical))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * len(series.t)
 
     def test_rejects_nonsense_initial_state(self):
         with pytest.raises(ValueError):

@@ -244,7 +244,7 @@ class TestSteadyDensity:
             assert abs(rho.expect(op).imag) <= 1e-12
 
     def test_expect_is_the_trace_of_the_product(self):
-        # complex states too, as evolve_density returns for a complex initial state
+        # complex states too: the gather takes the trace of the product for any dtype
         ops = build_operators(HilbertConfig(4))
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
