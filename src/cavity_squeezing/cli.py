@@ -31,6 +31,7 @@ round-trip a double exactly) and complex numbers as ``{"re":…,"im":…}``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -311,6 +312,7 @@ def _add_common(parser: argparse.ArgumentParser, unread: str = "") -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; :func:`main` runs ``_cmd_<command>`` on what it parses."""
     parser = argparse.ArgumentParser(
         prog="cavity-squeezing",
         description="Quadrature squeezing of a driven atom-cavity system.",
@@ -319,11 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady", help="closed-form steady-state statistics")
     _add_common(p)
-    p.set_defaults(func=_cmd_steady)
 
     p = sub.add_parser("superpose", help="superposed-mode statistics")
     _add_common(p)
-    p.set_defaults(func=_cmd_superpose)
 
     p = sub.add_parser("dynamics", help="integrate the atomic moment equations")
     _add_common(p)
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derivative norm declaring steady state")
     p.add_argument("--initial", choices=("ground", "excited"),
                    default="ground", help="initial atomic state (default ground)")
-    p.set_defaults(func=_cmd_dynamics, fmt="csv")
+    p.set_defaults(fmt="csv")
 
     p = sub.add_parser("oracle", help="master-equation cross-check")
     _add_common(p)
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)g)")
     p.add_argument("--dim-cap", type=int, dest="dim_cap", default=_DIM_CAP,
                    help="maximum Hilbert-space dimension (default %(default)d)")
-    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("figures", help="write the standard sweep datasets")
     _add_common(p, unread="; ignored here, accepted for shared config files")
@@ -353,13 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-max", type=float, dest="eps_max", default=0.8, help="grid end")
     p.add_argument("--n-points", type=int, dest="n_points", default=401, help="grid size")
     p.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
-    p.set_defaults(func=_cmd_figures)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built by the first main call, not at import, and then reused: parsing leaves
+    # the parser unchanged, and building it costs more than a closed-form subcommand.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
@@ -367,9 +372,10 @@ def main(argv: list[str] | None = None) -> int:
             # argv[0] is the subcommand (the top-level parser has no options).
             # Argparse keeps the last value it sees, so the user's flags win; the
             # ``--flag=value`` form keeps a config value starting with ``-`` intact.
-            tokens = _config_argv(args.config, set(vars(args)) - {"command", "func"})
+            tokens = _config_argv(args.config, set(vars(args)) - {"command"})
             args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
-        return args.func(args)
+        # Looked up at call time, so a handler rebound on the module is the one run.
+        return globals()[f"_cmd_{args.command}"](args)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -667,6 +667,66 @@ class TestGoldenBytes:
         assert _sha256(out.encode()) == GOLDEN_FIGURES["summary.json"]
 
 
+class TestRepeatedCalls:
+    """One process, many ``main`` calls: no call changes what a later one prints."""
+
+    def _golden_digests(self, tmp_path, capsys):
+        digests = {}
+        for command, fmt in sorted(GOLDEN_OUTPUT):
+            target = tmp_path / "out"
+            code, _, _ = run_cli(
+                [command, *CANONICAL, "--format", fmt, "--out", str(target)], capsys
+            )
+            assert code == 0
+            digests[command, fmt] = _sha256(target.read_bytes())
+        return digests
+
+    def test_golden_outputs_survive_config_calls_and_rejections(self, tmp_path, capsys):
+        # sets other rates and dynamics options the canonical runs leave at their defaults
+        config = _write_config(tmp_path, {
+            "gamma_c": 0.8, "kappa": 1.6, "epsilon": 0.1, "dt": 0.05,
+            "steady_tol": 1e-9, "initial": "excited", "format": "json"})
+        for _ in range(2):
+            assert self._golden_digests(tmp_path, capsys) == GOLDEN_OUTPUT
+            code, out, _ = run_cli(["dynamics", "--config", config], capsys)
+            assert code == 0
+            assert json.loads(out)["params"]["kappa"] == 1.6
+            code, out, _ = run_cli(
+                ["dynamics", *CANONICAL, "--dt", "0.05", "--initial", "sideways"], capsys
+            )
+            assert (code, out) == (2, "")
+        assert self._golden_digests(tmp_path, capsys) == GOLDEN_OUTPUT
+
+    def test_fixed_cutoff_leaves_the_ladder_alone(self, capsys):
+        oracle = ["oracle", *CANONICAL]
+        code, out, _ = run_cli([*oracle, "--n-cut", "8"], capsys)
+        assert (code, json.loads(out)["n_cut"]) == (0, 8)
+        code, out, _ = run_cli(oracle, capsys)
+        assert (code, json.loads(out)["n_cut"]) == (0, 16)
+
+
+class TestParseOnce:
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        codes = [run_cli(argv, capsys)[0] for argv in (
+            ["steady", *CANONICAL], ["superpose", *CANONICAL], ["steady", "--format", "xml"])]
+        assert codes == [0, 0, 2]
+        assert built == [1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_handler_rebound_after_the_parser_is_built(self, monkeypatch, capsys):
+        assert run_cli(["steady", *CANONICAL], capsys)[0] == 0
+        assert cli._parser.cache_info().currsize == 1
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_steady", lambda args: seen.append(args.command) or 7)
+        assert main(["steady", *CANONICAL]) == 7
+        assert seen == ["steady"]
+
+
 def run_python(*args):
     """A fresh interpreter that imports the package copy this process uses."""
     src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
@@ -753,6 +813,29 @@ print(json.dumps({
 }))
 """
 
+# Importing the CLI builds no parser (a cold start would pay for it and gain
+# nothing); the first main call builds the one tree that later calls reuse.
+PARSER_SCRIPT = """
+import argparse, contextlib, io, json, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from cavity_squeezing import cli
+
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(2):
+        cli.main(["steady", *json.loads(sys.argv[1])])
+        counts.append(len(built))
+print(json.dumps(counts))
+"""
+
 
 class TestImportBoundary:
     def test_only_oracle_loads_scipy(self, tmp_path):
@@ -771,6 +854,13 @@ class TestImportBoundary:
         assert residual_error.endswith(" exceeds 1.000e-08")
         residual = float(residual_error.split("stationary residual ")[1].split()[0])
         assert residual > 1e-8
+
+    def test_import_builds_no_parser(self):
+        result = run_python("-c", PARSER_SCRIPT, json.dumps(CANONICAL))
+        assert result.returncode == 0, result.stderr
+        at_import, first, second = json.loads(result.stdout)
+        assert at_import == 0
+        assert first == second == 1 + len(_subcommands())
 
     def test_oracle_loads_scipy_in_its_sparse_steps(self):
         result = run_python("-c", ORACLE_SCRIPT)
