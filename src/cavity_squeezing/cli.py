@@ -53,12 +53,11 @@ from .oracle import (
     DimensionCap,
     HilbertConfig,
     SingularSystem,
-    _require_tol,
     compare_with_closed_form,
     cutoff_converged,
     decoupled_benchmark,
 )
-from .params import SystemParams, _require_finite
+from .params import SystemParams, _require_finite, _require_positive
 from .single_mode import single_mode_stats, steady_atom
 from .superposed import superposed_squeezing, superposed_stats
 from .sweeps import SweepSpec, _write_csv, write_figure_files
@@ -268,7 +267,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
-        _require_tol(args.tol)  # unused at a fixed cutoff, but refused like the ladder's
+        _require_positive("tol", args.tol)  # refused as in the ladder, though unused here
         report = compare_with_closed_form(params, HilbertConfig(args.n_cut, args.dim_cap))
     else:
         _, report = cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)

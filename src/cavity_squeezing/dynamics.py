@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams
+from .params import SystemParams, _require_positive
 from .single_mode import AtomSteady
 from .sweeps import _write_csv
 
@@ -95,25 +95,26 @@ class IntegratorConfig:
     steady_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        _require_positive("dt", self.dt)
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ValueError(f"t_max must be >= dt, got {self.t_max}")
         if not math.isfinite(self.t_max / self.dt):
             raise ValueError(f"t_max / dt must be finite, got {self.t_max} / {self.dt}")
-        if not (math.isfinite(self.steady_tol) and self.steady_tol > 0.0):
-            raise ValueError(f"steady_tol must be > 0, got {self.steady_tol}")
+        _require_positive("steady_tol", self.steady_tol)
 
 
 def default_integrator_config(params: SystemParams) -> IntegratorConfig:
     """Step well below the fastest decay, horizon well past the slowest.
 
-    The step ignores the drive: it is stable only while ``2 q dt`` stays
-    below about ``2 sqrt(2)`` (module docstring), and accurate only well
-    below that, so a strong drive needs a smaller ``dt``.
+    All three settings scale with the rates, since only their ratios matter
+    (``steady_tol = 2.5e-12 gamma_c`` is 1e-12 at ``gamma_c = 0.4``).  The
+    step ignores the drive: it is stable only while ``2 q dt`` stays below
+    about ``2 sqrt(2)`` (module docstring), and accurate only well below
+    that, so a strong drive needs a smaller ``dt``.
     """
     dt = 0.01 / max(params.gamma_c, params.kappa)
-    return IntegratorConfig(dt=dt, t_max=1e4 / params.gamma_c, steady_tol=1e-12)
+    return IntegratorConfig(dt=dt, t_max=1e4 / params.gamma_c,
+                            steady_tol=2.5e-12 * params.gamma_c)
 
 
 @dataclass(frozen=True)

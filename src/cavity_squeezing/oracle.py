@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import single_mode, superposed
-from .params import SystemParams, _require_rate
+from .params import SystemParams, _require_count, _require_positive, _require_rate
 
 __all__ = [
     "DimensionCap",
@@ -111,12 +111,8 @@ class HilbertConfig:
     dim_cap: int = _DIM_CAP
 
     def __post_init__(self) -> None:
-        if int(self.n_cut) != self.n_cut or self.n_cut < 2:
-            raise ValueError(f"n_cut must be an integer >= 2, got {self.n_cut}")
-        object.__setattr__(self, "n_cut", int(self.n_cut))
-        if int(self.dim_cap) != self.dim_cap or self.dim_cap < 6:
-            raise ValueError(f"dim_cap must be an integer >= 6, got {self.dim_cap}")
-        object.__setattr__(self, "dim_cap", int(self.dim_cap))
+        object.__setattr__(self, "n_cut", _require_count("n_cut", self.n_cut, 2))
+        object.__setattr__(self, "dim_cap", _require_count("dim_cap", self.dim_cap, 6))
         if self.dim > self.dim_cap:
             raise DimensionCap(
                 f"dimension 2*({self.n_cut}+1)={self.dim} exceeds cap {self.dim_cap}"
@@ -406,11 +402,6 @@ def compare_with_closed_form(
     return _build_report(steady_density(params, config), params)
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
-
-
 def _ladder(solve, tol: float, dim_cap: int):
     """Double the Fock cutoff from ``_LADDER_START`` until the moments settle.
 
@@ -423,7 +414,7 @@ def _ladder(solve, tol: float, dim_cap: int):
     Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
     before convergence.
     """
-    _require_tol(tol)
+    _require_positive("tol", tol)
     previous = None
     n_cut = _LADDER_START
     while True:
@@ -528,8 +519,7 @@ def evolve_density(
     derivative at the final state.
     """
     from scipy.sparse.linalg import expm_multiply
-    if not (math.isfinite(t_final) and t_final > 0.0):
-        raise ValueError(f"t_final must be > 0, got {t_final}")
+    _require_positive("t_final", t_final)
     ops = build_operators(config)
     h = hamiltonian_matrix(params.g, params.epsilon, ops)
     lv = liouvillian_matrix(h, ops.a, params.kappa)

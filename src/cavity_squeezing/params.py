@@ -40,6 +40,18 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def _require_count(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` >= ``least``; fractions, NaN and infinities are refused."""
+    if not (-math.inf < value < math.inf and int(value) == value >= least):  # NaN fails too
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
 def _require_rate(name: str, value: float) -> float:
     """A rate (``gamma_c`` or ``kappa``) as a float inside ``_RATE_WINDOW``."""
     value = float(value)
@@ -97,8 +109,7 @@ class SystemParams:
         object.__setattr__(self, "g", _require_finite("g", self.g))
         object.__setattr__(self, "kappa", _require_rate("kappa", self.kappa))
         object.__setattr__(self, "epsilon", _require_drive(self.epsilon))
-        if self.g <= 0.0:
-            raise ValueError(f"g must be > 0, got {self.g}")
+        _require_positive("g", self.g)
 
         derived = 4.0 * self.g * self.g / self.kappa
         supplied = self.gamma_c is not None

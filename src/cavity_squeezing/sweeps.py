@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_mode, superposed
-from .params import _MAX_DENOMINATOR, SystemParams
+from .params import _MAX_DENOMINATOR, SystemParams, _require_count
 
 __all__ = [
     "SWEEP_COLUMNS",
@@ -83,9 +83,7 @@ class SweepSpec:
             raise ValueError(
                 f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]"
             )
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points}")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", _require_count("n_points", self.n_points, 2))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.eps_min, self.eps_max, self.n_points)

@@ -68,6 +68,19 @@ class TestConfig:
         assert cfg.t_max == 1e4 / 0.4
         assert cfg.steady_tol == 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+    def test_default_stop_rule_is_scale_free(self, scale):
+        """Only rate ratios matter: scaling every rate keeps the steps and the state."""
+        p = params_at(0.2 * scale, 0.4 * scale, 0.8 * scale)
+        series = integrate(GROUND_STATE, p, default_integrator_config(p))
+        canonical = params_at(0.2)
+        reference = integrate(GROUND_STATE, canonical, default_integrator_config(canonical))
+        assert len(series.t) == len(reference.t)
+        final, exact = series.final_state(), steady_atom(p)
+        assert abs(final.sigma_re - exact.sigma) <= 1e-8
+        assert abs(final.eta_a - exact.eta_a) <= 1e-8
+        assert abs(final.eta_b - exact.eta_b) <= 1e-8
+
     @pytest.mark.parametrize(
         "kwargs",
         [

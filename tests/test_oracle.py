@@ -590,3 +590,60 @@ class TestBadCavityOrder:
             orders = np.log2(np.array(values[:-1]) / np.array(values[1:]))
             assert orders.min() > 0.0, (name, values)
             assert orders[in_regime].min() >= 1.8, (name, values, orders)
+
+
+class TestBadCavityLimit:
+    """The full model's variances against the paper's uncertainty relation
+    and their exact bad-cavity limit.
+
+    With ``x = 8 eps**2 / (kappa gamma_c)``, adiabatic elimination of the
+    cavity gives, to first order in ``gamma_c/kappa``,
+
+        (V+ - 1) kappa/gamma_c -> -x (1 - x) / (1 + x)**2
+        (V- - 1) kappa/gamma_c ->  x / (1 + x)
+
+    Each step kappa -> 4 kappa at fixed gamma_c quarters ``gamma_c/kappa``,
+    so a first-order approach shrinks the error 4x per step.  Every point
+    also obeys ``V+ V- >= 1`` (the paper's uncertainty relation) and
+    ``(V+ + V-)/2 >= 1`` (the superposed mode squeezes in neither quadrature).
+    """
+
+    GAMMA_C = 0.4
+    XS = (1.0 / 9.0, 1.0 / 3.0, 1.0, 3.0)
+    KAPPAS = tuple(0.8 * 4.0**j for j in range(6))
+
+    @staticmethod
+    def limit(x):
+        return -x * (1.0 - x) / (1.0 + x) ** 2, x / (1.0 + x)
+
+    @pytest.fixture(scope="class")
+    def variances(self):
+        """``{x: [(kappa, V+, V-), ...]}`` from the cutoff ladder."""
+        table = {}
+        for x in self.XS:
+            table[x] = []
+            for kappa in self.KAPPAS:
+                params = params_at(math.sqrt(x * kappa * self.GAMMA_C / 8.0), self.GAMMA_C, kappa)
+                _, report = cutoff_converged(params)
+                table[x].append((kappa, report.comparisons["var_plus"]["oracle"],
+                                 report.comparisons["var_minus"]["oracle"]))
+        return table
+
+    def test_uncertainty_relation_holds(self, variances):
+        for x, rows in variances.items():
+            for kappa, v_plus, v_minus in rows:
+                assert v_plus * v_minus >= 1.0 - 1e-12, (x, kappa, v_plus, v_minus)
+
+    def test_superposed_mean_variance_is_not_squeezed(self, variances):
+        for x, rows in variances.items():
+            for kappa, v_plus, v_minus in rows:
+                assert (v_plus + v_minus) / 2.0 >= 1.0 - 1e-12, (x, kappa, v_plus, v_minus)
+
+    def test_approach_to_the_limit_is_first_order(self, variances):
+        for x, rows in variances.items():
+            kappa, v_plus, v_minus = map(np.array, zip(*rows))
+            scale = kappa / self.GAMMA_C
+            for name, v, lim in zip(("V+", "V-"), (v_plus, v_minus), self.limit(x)):
+                errors = np.abs((v - 1.0) * scale - lim)
+                orders = np.log(errors[:-1] / errors[1:]) / np.log(4.0)
+                assert orders[-2:].min() >= 0.9, (x, name, errors, orders)

@@ -1,9 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cavity_squeezing import SystemParams
+from cavity_squeezing import (
+    HilbertConfig,
+    IntegratorConfig,
+    SweepSpec,
+    SystemParams,
+    cutoff_converged,
+    evolve_density,
+)
 
 
 def test_gamma_c_derived_from_coupling():
@@ -121,3 +129,39 @@ def test_epsilon_grid_is_kept_as_an_array():
         p.denominator, [8.0 * e * e + 0.8 * 0.4 for e in (0.0, 0.1, 0.2)]
     )
 
+
+
+# One construction per checked value; each takes the value under test.
+_COUNTS = {
+    "n_cut": (2, lambda v: HilbertConfig(v)),
+    "dim_cap": (6, lambda v: HilbertConfig(2, dim_cap=v)),
+    "n_points": (2, lambda v: SweepSpec(0.0, 1.0, v, 0.4, 0.8)),
+}
+_POSITIVES = {
+    "dt": lambda v: IntegratorConfig(dt=v, t_max=1.0),
+    "steady_tol": lambda v: IntegratorConfig(dt=0.1, t_max=1.0, steady_tol=v),
+    "tol": lambda v: cutoff_converged(SystemParams.from_gamma_c(0.4, 0.8, 0.2), tol=v),
+    "t_final": lambda v: evolve_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2),
+                                        HilbertConfig(2), v),
+    "g": lambda v: SystemParams(g=v, kappa=0.8, epsilon=0.2),
+}
+
+
+def _rule_cases():
+    for name, (least, build) in _COUNTS.items():
+        for value in (math.inf, math.nan, 2.5, least - 1):
+            yield pytest.param(build, value, f"{name} must be an integer >= {least}, got {value}",
+                               id=f"{name}={value}")
+    for name, build in _POSITIVES.items():
+        for value in (0.0, -1.0, math.nan, math.inf):
+            # g's finiteness check comes first and keeps its own message.
+            rule = "finite" if name == "g" and not math.isfinite(value) else "> 0"
+            yield pytest.param(build, value, f"{name} must be {rule}, got {value}",
+                               id=f"{name}={value}")
+
+
+@pytest.mark.parametrize("build,value,message", _rule_cases())
+def test_shared_numeric_rules(build, value, message):
+    """Every count and every positive setting is refused with its rule's message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
