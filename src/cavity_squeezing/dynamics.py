@@ -136,7 +136,7 @@ class TimeSeries:
     def to_csv(self, path_or_file) -> None:
         """Write the trajectory as CSV (12-digit scientific, LF endings)."""
         _write_csv(path_or_file, ("t", "sigma_re", "sigma_im", "eta_a", "eta_b"),
-                   np.column_stack([self.t, self.states]))
+                   self.t, self.states)
 
 
 def moment_derivative(state: AtomMomentState, params: SystemParams) -> AtomMomentState:

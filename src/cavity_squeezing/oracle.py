@@ -49,7 +49,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import single_mode, superposed
-from .params import SystemParams, _require_count, _require_positive, _require_rate
+from .params import (SystemParams, _require_count, _require_drive, _require_positive,
+                     _require_rate)
 
 __all__ = [
     "DimensionCap",
@@ -228,8 +229,9 @@ class DensityMatrix:
         return complex(op[rows, cols] @ self.matrix[cols, rows])
 
     def field_moments(self) -> tuple[complex, complex, complex]:
-        """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the
-        one place the frame is undone (variances do not change under it)."""
+        """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
+        place the frame is undone.  Variances do not change under it and are read
+        in the solved frame: from these, terms of size ``4 shift**2`` would cancel."""
         b, s = self.ops.a, self.shift
         mean_b = self.expect(b)
         return (s + mean_b,
@@ -305,15 +307,15 @@ def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
     """Quadrature variances with the standard commutator (vacuum is (1, 1)).
 
     Plus quadrature is ``a + a^dag``, minus is ``-i (a - a^dag)``; both
-    give exactly 1 in the vacuum and in any coherent state.
+    give exactly 1 in the vacuum and in any coherent state.  They are read
+    from ``<b>``, ``<b^2>``, ``<b^dag b>`` of the solved frame, which
+    they do not depend on.
     """
-    return _variances(*rho.field_moments())
-
-
-def _variances(mean_a: complex, mean_a2: complex, mean_n: complex) -> tuple[float, float]:
-    sym = 2.0 * mean_n + 1.0  # <a a^dag + a^dag a> via the commutator
-    var_plus = sym + 2.0 * mean_a2.real - 2.0 * (mean_a * mean_a).real - 2.0 * abs(mean_a) ** 2
-    var_minus = sym - 2.0 * mean_a2.real + 2.0 * (mean_a * mean_a).real - 2.0 * abs(mean_a) ** 2
+    b = rho.ops.a
+    mean, mean_sq = rho.expect(b), rho.expect(b @ b)
+    sym = 2.0 * rho.expect(b.T @ b) + 1.0  # <b b^dag + b^dag b> via the commutator
+    var_plus = sym + 2.0 * mean_sq.real - 2.0 * (mean * mean).real - 2.0 * abs(mean) ** 2
+    var_minus = sym - 2.0 * mean_sq.real + 2.0 * (mean * mean).real - 2.0 * abs(mean) ** 2
     return float(var_plus.real), float(var_minus.real)
 
 
@@ -347,7 +349,7 @@ class OracleReport:
 def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
     ops = rho.ops
     mean_a, mean_a2, mean_n = rho.field_moments()
-    var_plus, var_minus = _variances(mean_a, mean_a2, mean_n)
+    var_plus, var_minus = standard_quadrature_variances(rho)
     moments = {
         "mean_photon_number": mean_n,
         "mean_field": mean_a,
@@ -455,9 +457,7 @@ def decoupled_cavity_steady(
     ``r + d s`` with ``m <= r, s < d``, and the solution is tensored with
     that level.  The residual is evaluated with the same full-space generator.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    kappa = _require_rate("kappa", kappa)
+    epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
     ops = build_operators(config)
     m, d = config.n_cut + 1, ops.dim
     lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, ops), ops.a, kappa)
@@ -479,9 +479,9 @@ def decoupled_benchmark(
     standard-commutator variances equal to 1.
     """
     rho = _ladder(lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, dim_cap)
-    mean_a, mean_a2, mean_n = rho.field_moments()
+    mean_a, _, mean_n = rho.field_moments()
     alpha = 2.0 * epsilon / kappa
-    var_plus, var_minus = _variances(mean_a, mean_a2, mean_n)
+    var_plus, var_minus = standard_quadrature_variances(rho)
     values = {
         "mean_photon_number": (mean_n.real, alpha * alpha),
         "mean_field": (mean_a.real, alpha),

@@ -3,7 +3,7 @@
 The quantities of interest are smooth closed forms in ``epsilon``, so a
 sweep is just an evaluation over a uniform grid.  This module produces
 
-* the full sweep table used by the dataset writers,
+* the full sweep table of all eleven ``SWEEP_COLUMNS``,
 * a numerical maximisation of the squeezing (an independent check of the
   closed-form optimum),
 * a residual report for the two exact quartic identities that tie the
@@ -158,19 +158,20 @@ def _format_block(block: np.ndarray) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_csv(path_or_file, header: tuple[str, ...], data: np.ndarray) -> None:
-    """Write ``header`` and the rows of the 2-D ``data`` in ``%.12e``, LF endings.
+def _write_csv(path_or_file, header: tuple[str, ...], *columns) -> None:
+    """Write ``header`` and the rows of ``columns`` in ``%.12e``, LF endings.
 
-    Rows are formatted and written a block at a time, so the table's text
-    is never held in memory whole.
+    ``columns`` are 1-D columns, 2-D groups of columns or both, side by side.
+    Rows are stacked, formatted and written a block at a time, so neither the
+    table nor its text is ever held in memory whole.
     """
-    data = np.asarray(data, dtype=np.float64)
-    step = max(1, _BLOCK_ENTRIES // data.shape[1])
+    step = max(1, _BLOCK_ENTRIES // len(header))
 
     def write(fh) -> None:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(data), step):
-            fh.write(_format_block(data[start:start + step]))
+        for start in range(0, len(columns[0]), step):
+            block = np.column_stack([c[start:start + step] for c in columns])
+            fh.write(_format_block(block.astype(np.float64, copy=False)))
 
     if hasattr(path_or_file, "write"):
         write(path_or_file)
@@ -195,23 +196,21 @@ class SweepTable:
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every closed-form quantity on the grid."""
-    _, columns = _columns(spec)
-    return SweepTable(spec=spec, data=np.column_stack(list(columns.values())))
+    params, columns = _columns(spec)
+    rest = (superposed.superposed_squeezing(params)[0], single_mode.mean_photons(params)[0],
+            superposed.superposed_mean_photons(params),
+            single_mode.quadrature_variances(params)[0],
+            superposed.superposed_variances(params)[0])
+    return SweepTable(spec=spec, data=np.column_stack([*columns.values(), *rest]))
 
 
-def _columns(spec: SweepSpec, full: bool = True) -> tuple[SystemParams, dict]:
-    """The grid's parameters and ``SWEEP_COLUMNS`` by name on it; unless ``full``,
-    only the first six, which the dataset files and the identities read."""
+def _columns(spec: SweepSpec) -> tuple[SystemParams, dict]:
+    """The grid's parameters and the first six ``SWEEP_COLUMNS`` by name on it,
+    which the dataset files and the identities read."""
     params = SystemParams.from_gamma_c(spec.gamma_c, spec.kappa, spec.grid())
     f_c, f_d = superposed.superposed_bounds(params)
     values = [params.epsilon, single_mode.uncertainty_bound(params),
               single_mode.uncertainty_product(params), single_mode.squeezing(params), f_c, f_d]
-    if full:
-        values += [superposed.superposed_squeezing(params)[0],
-                   single_mode.mean_photons(params)[0],
-                   superposed.superposed_mean_photons(params),
-                   single_mode.quadrature_variances(params)[0],
-                   superposed.superposed_variances(params)[0]]
     return params, dict(zip(SWEEP_COLUMNS, values))
 
 
@@ -273,7 +272,7 @@ class IdentityReport:
 
 def identity_report(spec: SweepSpec) -> IdentityReport:
     """Evaluate both identities and their normalised residuals on the grid."""
-    return _identities(spec, *_columns(spec, full=False))
+    return _identities(spec, *_columns(spec))
 
 
 def _identities(spec: SweepSpec, params: SystemParams, columns: dict) -> IdentityReport:
@@ -311,7 +310,7 @@ def write_figure_files(spec: SweepSpec, out_dir) -> dict:
     ``identities.csv`` the identity residuals, all on the same grid.
     Returns a summary dict (grid, optimum, residual maxima, file names).
     """
-    params, columns = _columns(spec, full=False)
+    params, columns = _columns(spec)
     identities = _identities(spec, params, columns)
 
     files = {
@@ -320,8 +319,7 @@ def write_figure_files(spec: SweepSpec, out_dir) -> dict:
         "fig4.csv": ("epsilon", "f_c", "f_d"),
     }
     for name, header in files.items():
-        _write_csv(os.path.join(out_dir, name), header,
-                   np.column_stack([columns[c] for c in header]))
+        _write_csv(os.path.join(out_dir, name), header, *(columns[c] for c in header))
     identities.to_csv(os.path.join(out_dir, "identities.csv"))
 
     eps_star, s_max = find_max_squeezing(spec.gamma_c, spec.kappa)

@@ -580,6 +580,15 @@ class TestValidationErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "inf"])
+    def test_decoupled_oracle_refuses_drives_as_steady_does(self, epsilon, capsys):
+        code, _, want = run_cli(
+            ["steady", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", epsilon], capsys)
+        assert code == 2
+        code, _, err = run_cli(
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", epsilon], capsys)
+        assert (code, err) == (2, want)
+
     @pytest.mark.parametrize("command,option,target", [
         *((command, "--out", "missing/out")
           for command in ("steady", "superpose", "dynamics", "oracle", "figures")),

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from cavity_squeezing import (
     NonConvergence,
     StepTooLarge,
     SystemParams,
+    TimeSeries,
     default_integrator_config,
     integrate,
     moment_derivative,
@@ -262,3 +264,15 @@ class TestTimeSeriesCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(data[:, 0], series.t, rtol=1e-12)
         np.testing.assert_allclose(data[:, 1:], series.states, rtol=1e-11, atol=1e-13)
+
+    def test_writes_without_a_table_sized_copy(self):
+        # the writer stacks a block of rows at a time, never the whole (n, 5) table
+        states = np.random.default_rng(0).standard_normal((200_000, 4))
+        series = TimeSeries(t=np.arange(200_000) * 0.1, states=states)
+        tracemalloc.start()
+        try:
+            series.to_csv(os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states.nbytes / 3, (peak, states.nbytes)

@@ -375,6 +375,21 @@ class TestStrongDrive:
         assert abs(sigmas[0] * params.epsilon / params.g - 0.25) <= 1e-6
 
 
+class TestVariancesAtEveryDrive:
+    """Read in the solved frame, the standard variances keep their precision at
+    any drive; read off the lab-frame moments, terms of size 4 alpha**2 cancel
+    down to them, and from eps = 1e7 they break V+ V- >= 1 by rounding alone.
+    The grid stops at 1e8: from about 1e10 the residual gate refuses the state."""
+
+    def test_uncertainty_relation_from_weak_to_strong_drive(self):
+        for eps in np.logspace(-3, 8, 23):
+            _, report = cutoff_converged(params_at(float(eps)))
+            v_plus = report.comparisons["var_plus"]["oracle"]
+            v_minus = report.comparisons["var_minus"]["oracle"]
+            assert v_plus * v_minus >= 1.0 - 1e-12, (eps, v_plus, v_minus)
+            assert 0.5 * (v_plus + v_minus) >= 1.0 - 1e-12, (eps, v_plus, v_minus)
+
+
 class TestCutoffConvergence:
     def test_undriven_system_converges_immediately(self):
         n_cut, report = cutoff_converged(params_at(0.0))
@@ -489,6 +504,14 @@ class TestDecoupled:
         rho = decoupled_cavity_steady(0.0, 0.8, HilbertConfig(8))
         a = rho.ops.a
         assert abs(rho.expect(a.conj().T @ a)) <= 1e-12
+
+    @pytest.mark.parametrize("epsilon", [math.nan, -1.0, math.inf])
+    def test_refuses_the_drives_system_params_refuses(self, epsilon):
+        with pytest.raises(ValueError) as want:
+            params_at(epsilon)
+        with pytest.raises(ValueError) as got:
+            decoupled_cavity_steady(epsilon, 0.8, HilbertConfig(8))
+        assert str(got.value) == str(want.value)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):

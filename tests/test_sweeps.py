@@ -342,6 +342,17 @@ class TestCsvWriter:
         _write_csv(sys.stdout, header, data)
         assert capsys.readouterr().out == want
 
+    def test_columns_side_by_side_give_the_stacked_table(self):
+        rng = np.random.default_rng(3)
+        rows = _BLOCK_ENTRIES // 5 + 7
+        first, group = rng.standard_normal(rows), rng.standard_normal((rows, 3))
+        last = np.arange(rows)  # integers are written as float64
+        header = tuple("abcde")
+        buf = io.StringIO()
+        _write_csv(buf, header, first, group, last)
+        assert buf.getvalue() == _percent(np.column_stack([first, group, last]).tolist(),
+                                          header)
+
     def test_memory_stays_below_the_text_size(self):
         data = np.random.default_rng(0).standard_normal((200_000, 7))
         text_bytes = len(_csv(data[:1000])) * 200  # about 27 MB
