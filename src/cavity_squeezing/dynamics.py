@@ -87,7 +87,8 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     ``steady_tol`` is the Euclidean norm of the moment derivative below
-    which the trajectory is declared converged.
+    which the trajectory is declared converged.  Its field default 1e-12 is
+    absolute; :func:`default_integrator_config` scales it as ``2.5e-12 gamma_c``.
     """
 
     dt: float

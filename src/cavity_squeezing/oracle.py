@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -228,15 +229,21 @@ class DensityMatrix:
         rows, cols = np.nonzero(op)  # tr(op rho) gathered over the nonzeros of op
         return complex(op[rows, cols] @ self.matrix[cols, rows])
 
+    @cached_property
+    def moments(self) -> tuple[complex, ...]:
+        """``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>``, ``<sigma^dag sigma>`` of the
+        solved frame, ``b = ops.a``: the one place they are read, once per state."""
+        b, ops = self.ops.a, self.ops
+        return tuple(self.expect(op) for op in (b, b @ b, b.T @ b, ops.sigma, ops.eta_a))
+
     def field_moments(self) -> tuple[complex, complex, complex]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
         place the frame is undone.  Variances do not change under it and are read
         in the solved frame: from these, terms of size ``4 shift**2`` would cancel."""
-        b, s = self.ops.a, self.shift
-        mean_b = self.expect(b)
+        s, (mean_b, mean_b2, n_b) = self.shift, self.moments[:3]
         return (s + mean_b,
-                s * s + 2.0 * s * mean_b + self.expect(b @ b),
-                s * s + 2.0 * s * mean_b.real + self.expect(b.T @ b))
+                s * s + 2.0 * s * mean_b + mean_b2,
+                s * s + 2.0 * s * mean_b.real + n_b)
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -307,13 +314,11 @@ def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
     """Quadrature variances with the standard commutator (vacuum is (1, 1)).
 
     Plus quadrature is ``a + a^dag``, minus is ``-i (a - a^dag)``; both
-    give exactly 1 in the vacuum and in any coherent state.  They are read
-    from ``<b>``, ``<b^2>``, ``<b^dag b>`` of the solved frame, which
-    they do not depend on.
+    give exactly 1 in the vacuum and in any coherent state.  They do not
+    depend on the frame, so they are read from :attr:`DensityMatrix.moments`.
     """
-    b = rho.ops.a
-    mean, mean_sq = rho.expect(b), rho.expect(b @ b)
-    sym = 2.0 * rho.expect(b.T @ b) + 1.0  # <b b^dag + b^dag b> via the commutator
+    mean, mean_sq, n_b = rho.moments[:3]
+    sym = 2.0 * n_b + 1.0  # <b b^dag + b^dag b> via the commutator
     var_plus = sym + 2.0 * mean_sq.real - 2.0 * (mean * mean).real - 2.0 * abs(mean) ** 2
     var_minus = sym - 2.0 * mean_sq.real + 2.0 * (mean * mean).real - 2.0 * abs(mean) ** 2
     return float(var_plus.real), float(var_minus.real)
@@ -347,16 +352,16 @@ class OracleReport:
 
 
 def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
-    ops = rho.ops
     mean_a, mean_a2, mean_n = rho.field_moments()
+    *_, sigma, eta_a = rho.moments
     var_plus, var_minus = standard_quadrature_variances(rho)
     moments = {
         "mean_photon_number": mean_n,
         "mean_field": mean_a,
         "mean_field_squared": mean_a2,
-        "eta_a": rho.expect(ops.eta_a),
-        "eta_b": rho.expect(ops.eta_b),
-        "sigma": rho.expect(ops.sigma),
+        "eta_a": eta_a,
+        "eta_b": rho.expect(rho.ops.eta_b),
+        "sigma": sigma,
         "var_plus": var_plus,
         "var_minus": var_minus,
     }
@@ -387,7 +392,7 @@ def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
         kappa=params.kappa,
         epsilon=params.epsilon,
         gamma_c=params.gamma_c,
-        n_cut=ops.n_cut,
+        n_cut=rho.ops.n_cut,
         residual=rho.residual,
         trace_error=rho.trace_error(),
         hermiticity_error=rho.hermiticity_error(),
@@ -408,10 +413,9 @@ def _ladder(solve, tol: float, dim_cap: int):
     """Double the Fock cutoff from ``_LADDER_START`` until the moments settle.
 
     ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
-    cutoff.  Returns it at the first cutoff whose moments in the solved
-    frame, ``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>`` and
-    ``<sigma^dag sigma>``, all agree with the previous (half-sized) one
-    within ``tol``.  The lab-frame photon number is not compared: it adds
+    cutoff.  Returns it at the first cutoff whose solved-frame moments,
+    :attr:`DensityMatrix.moments`, all agree with the previous (half-sized)
+    one within ``tol``.  The lab-frame photon number is not compared: it adds
     ``2 alpha <b>``, which scales the rounding in ``<b>`` by the drive.
     Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
     before convergence.
@@ -421,9 +425,7 @@ def _ladder(solve, tol: float, dim_cap: int):
     n_cut = _LADDER_START
     while True:
         rho = solve(HilbertConfig(n_cut=n_cut, dim_cap=dim_cap))
-        b = rho.ops.a
-        moments = np.array([rho.expect(op)
-                            for op in (b, b @ b, b.T @ b, rho.ops.sigma, rho.ops.eta_a)])
+        moments = np.array(rho.moments)
         if previous is not None and np.abs(moments - previous).max() < tol:
             return rho
         previous = moments

@@ -452,6 +452,48 @@ def test_one_generator_per_decoupled_rung(monkeypatch):
     assert len(calls) == 3  # rungs 8, 16 and 32
 
 
+class TestMomentReads:
+    """Each state's solved-frame moments are read once, in ``DensityMatrix.moments``."""
+
+    @pytest.mark.parametrize(
+        "run,reads",
+        [
+            # five moments at rungs 8 and 16, plus eta_b in the report
+            (lambda: cutoff_converged(params_at(0.2)), 11),
+            (lambda: compare_with_closed_form(params_at(0.2), HilbertConfig(16)), 6),
+            # five moments at rungs 8, 16 and 32; the benchmark reads no more
+            (lambda: decoupled_benchmark(0.2, 0.8), 15),
+        ],
+        ids=["cutoff_converged", "compare_with_closed_form", "decoupled_benchmark"],
+    )
+    def test_expect_calls_per_run(self, run, reads, monkeypatch):
+        calls = []
+        expect = DensityMatrix.expect
+
+        def counting(self, op):
+            calls.append(op)
+            return expect(self, op)
+
+        monkeypatch.setattr(DensityMatrix, "expect", counting)
+        run()
+        assert len(calls) <= reads
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_moments_are_the_direct_reads(self, shift):
+        ops = build_operators(HilbertConfig(n_cut=6))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((ops.dim, ops.dim))
+        rho = DensityMatrix(matrix=x @ x.T / np.trace(x @ x.T), residual=0.0, ops=ops,
+                            shift=shift)
+        b = ops.a
+        direct = [rho.expect(op) for op in (b, b @ b, b.T @ b, ops.sigma, ops.eta_a)]
+        assert rho.moments == tuple(direct)  # bit for bit
+        assert rho.moments is rho.moments  # read once per state
+        s = shift
+        assert rho.field_moments() == (s + direct[0], s * s + 2.0 * s * direct[0] + direct[1],
+                                       s * s + 2.0 * s * direct[0].real + direct[2])
+
+
 class TestReport:
     def test_fixture_regression(self, canonical):
         with open(os.path.join(FIXTURES, "oracle_canonical.json")) as fh:
