@@ -45,7 +45,7 @@ from .dynamics import (
     NonConvergence,
     StepTooLarge,
     default_integrator_config,
-    integrate,
+    stream_trajectory,
 )
 from .oracle import (
     _DIM_CAP,
@@ -237,16 +237,16 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
              if getattr(args, name) is not None}
     config = replace(default_integrator_config(params), **given)
     initial = EXCITED_STATE if args.initial == "excited" else GROUND_STATE
-    series = integrate(initial, params, config)
     if args.fmt == "csv":
-        series.to_csv(args.out or sys.stdout)
+        stream_trajectory(initial, params, config, args.out or sys.stdout)
     else:
+        n_steps, final = stream_trajectory(initial, params, config)
         payload = {
             "params": asdict(params),
             "converged": True,
-            "t_final": float(series.t[-1]),
-            "n_steps": int(len(series.t) - 1),
-            "final": asdict(series.final_state()),
+            "t_final": n_steps * config.dt,
+            "n_steps": n_steps,
+            "final": asdict(final),
         }
         _emit(render_json(payload), args.out)
     return 0

@@ -25,8 +25,13 @@ there the pump rate ``q``, not the decay rates, bounds the step.  At
 leaves the region and raises :class:`StepTooLarge` after one step; just
 inside it, ``epsilon = 150`` "converges" in 72 steps with a per-step
 amplification of about 0.63, so the integrator, not the physics, damps the
-Rabi transient.  The trajectory is kept as four float64 (32 B) per step in
-one buffer; the number of steps grows with ``kappa / gamma_c``.
+Rabi transient.
+
+The number of steps grows with ``kappa / gamma_c``, so the one RK4 loop
+hands its trajectory on in blocks of ``_BLOCK_ROWS`` rows.
+:func:`stream_trajectory` writes each block as CSV as it fills, or keeps only
+its last row, so its memory does not grow with the step count;
+:func:`integrate` joins the blocks into one :class:`TimeSeries`.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from .params import SystemParams, _require_positive
 from .single_mode import AtomSteady
-from .sweeps import _write_csv
+from .sweeps import _write_blocks, _write_csv
 
 __all__ = [
     "AtomMomentState",
@@ -52,12 +57,18 @@ __all__ = [
     "moment_derivative",
     "default_integrator_config",
     "integrate",
+    "stream_trajectory",
     "steady_by_integration",
 ]
 
 # Populations may stray this far outside [0, 1] before the run is declared
 # numerically broken.
 _POPULATION_SLACK = 1e-6
+# Rows per block of the trajectory (1 MB of state).  Freeing blocks this large
+# raises glibc's mmap and trim thresholds, so the CSV formatter's temporaries
+# are reused; below about 32k rows they are mapped and trimmed on every call.
+_BLOCK_ROWS = 32768
+_COLUMNS = ("t", "sigma_re", "sigma_im", "eta_a", "eta_b")
 
 
 class NonConvergence(RuntimeError):
@@ -124,20 +135,24 @@ class TimeSeries:
 
     ``t`` has shape (n,), ``states`` has shape (n, 4) with columns
     ``sigma_re, sigma_im, eta_a, eta_b``, four float64 (32 B) per step;
-    the last row met the steady-state tolerance.
+    the last row met the steady-state tolerance.  The whole trajectory is
+    held in memory; :func:`stream_trajectory` writes the same CSV in
+    bounded memory.
     """
 
     t: np.ndarray
     states: np.ndarray
 
     def final_state(self) -> AtomMomentState:
-        row = self.states[-1]
-        return AtomMomentState(*(float(x) for x in row))
+        return _state(self.states[-1])
 
     def to_csv(self, path_or_file) -> None:
         """Write the trajectory as CSV (12-digit scientific, LF endings)."""
-        _write_csv(path_or_file, ("t", "sigma_re", "sigma_im", "eta_a", "eta_b"),
-                   self.t, self.states)
+        _write_csv(path_or_file, _COLUMNS, self.t, self.states)
+
+
+def _state(row) -> AtomMomentState:
+    return AtomMomentState(*(float(x) for x in row))
 
 
 def moment_derivative(state: AtomMomentState, params: SystemParams) -> AtomMomentState:
@@ -185,6 +200,13 @@ def integrate(
         contracting linear system only happens when ``dt`` is too large
         for stability.
     """
+    states = np.concatenate(list(_blocks(initial, params, config)))
+    return TimeSeries(t=np.arange(len(states)) * config.dt, states=states)
+
+
+def _blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorConfig):
+    """The rows of :func:`integrate`'s ``states``, yielded as (k, 4) arrays of
+    ``_BLOCK_ROWS`` rows each as they fill; the last block may be shorter."""
     _check_initial(initial)
     q = 2.0 * params.g * params.epsilon / params.kappa
     # The rates' coefficients, named once: ``c * x`` rounds like ``-0.5 * gc * x``.
@@ -196,41 +218,77 @@ def integrate(
     def rate(sr, si, ea, eb, c_sigma=c_sigma, c_eta=c_eta, c_pump=c_pump, q=q):
         return c_sigma * sr + q * (eb - ea), c_sigma * si, c_eta * ea + c_pump * sr
 
-    # Plain-float loop; eta_b's rate is minus eta_a's; accepted rows fill one float64 buffer.
+    # Plain-float loop; eta_b's rate is minus eta_a's; accepted rows fill a float64
+    # buffer.  Step i appends row i + 1, so the inner loop ends when a block holds
+    # _BLOCK_ROWS rows and checks nothing per step for it.
     sr, si, ea, eb = initial.sigma_re, initial.sigma_im, initial.eta_a, initial.eta_b
     rows = array("d", (sr, si, ea, eb))
     n_max = math.ceil(config.t_max / dt - 1e-12)
     half, sixth = 0.5 * dt, dt / 6.0
-    for i in range(n_max + 1):
-        k1sr, k1si, k1ea = rate(sr, si, ea, eb)
-        norm_sq = k1sr * k1sr + k1si * k1si + 2.0 * (k1ea * k1ea)
-        if norm_sq <= tol_sq:
-            break
-        if i == n_max:
-            raise NonConvergence(
-                f"derivative norm {math.sqrt(norm_sq):.3e} above {config.steady_tol:.3e} "
-                f"at t_max={config.t_max}"
-            )
-        k2sr, k2si, k2ea = rate(sr + half * k1sr, si + half * k1si,
-                                ea + half * k1ea, eb - half * k1ea)
-        k3sr, k3si, k3ea = rate(sr + half * k2sr, si + half * k2si,
-                                ea + half * k2ea, eb - half * k2ea)
-        k4sr, k4si, k4ea = rate(sr + dt * k3sr, si + dt * k3si,
-                                ea + dt * k3ea, eb - dt * k3ea)
-        sr += sixth * (k1sr + 2.0 * (k2sr + k3sr) + k4sr)
-        si += sixth * (k1si + 2.0 * (k2si + k3si) + k4si)
-        inc_ea = sixth * (k1ea + 2.0 * (k2ea + k3ea) + k4ea)
-        ea += inc_ea
-        eb -= inc_ea
-        if not (lo <= ea <= hi and lo <= eb <= hi):
-            raise StepTooLarge(
-                f"populations ({ea}, {eb}) left [0, 1] at t={(i + 1) * dt}; "
-                "reduce dt"
-            )
-        rows.fromlist([sr, si, ea, eb])
+    start = 0
+    for stop in range(_BLOCK_ROWS - 1, n_max + _BLOCK_ROWS + 1, _BLOCK_ROWS):
+        for i in range(start, min(stop, n_max + 1)):
+            k1sr, k1si, k1ea = rate(sr, si, ea, eb)
+            norm_sq = k1sr * k1sr + k1si * k1si + 2.0 * (k1ea * k1ea)
+            if norm_sq <= tol_sq:
+                if rows:
+                    yield np.frombuffer(rows).reshape(-1, 4)
+                return
+            if i == n_max:
+                raise NonConvergence(
+                    f"derivative norm {math.sqrt(norm_sq):.3e} above {config.steady_tol:.3e} "
+                    f"at t_max={config.t_max}"
+                )
+            k2sr, k2si, k2ea = rate(sr + half * k1sr, si + half * k1si,
+                                    ea + half * k1ea, eb - half * k1ea)
+            k3sr, k3si, k3ea = rate(sr + half * k2sr, si + half * k2si,
+                                    ea + half * k2ea, eb - half * k2ea)
+            k4sr, k4si, k4ea = rate(sr + dt * k3sr, si + dt * k3si,
+                                    ea + dt * k3ea, eb - dt * k3ea)
+            sr += sixth * (k1sr + 2.0 * (k2sr + k3sr) + k4sr)
+            si += sixth * (k1si + 2.0 * (k2si + k3si) + k4si)
+            inc_ea = sixth * (k1ea + 2.0 * (k2ea + k3ea) + k4ea)
+            ea += inc_ea
+            eb -= inc_ea
+            if not (lo <= ea <= hi and lo <= eb <= hi):
+                raise StepTooLarge(
+                    f"populations ({ea}, {eb}) left [0, 1] at t={(i + 1) * dt}; "
+                    "reduce dt"
+                )
+            rows.fromlist([sr, si, ea, eb])
+        yield np.frombuffer(rows).reshape(-1, 4)
+        rows, start = array("d"), stop
 
-    states = np.frombuffer(rows).reshape(-1, 4)
-    return TimeSeries(t=np.arange(len(states)) * dt, states=states)
+
+def stream_trajectory(
+    initial: AtomMomentState,
+    params: SystemParams,
+    config: IntegratorConfig,
+    out=None,
+) -> tuple[int, AtomMomentState]:
+    """Integrate as :func:`integrate` does, holding one block of rows at a time.
+
+    Given ``out`` (a path or a writable text file), every row goes to it as
+    the CSV that ``TimeSeries.to_csv`` writes, a block at a time as it fills;
+    if the run fails, a path keeps no partial rows unless it is a link or a
+    device (see ``sweeps._write_blocks``).  Returns the number of steps and
+    the final state.  Raises as :func:`integrate` does.
+    """
+    n_rows, final = 0, None
+
+    def timed():
+        nonlocal n_rows, final
+        for states in _blocks(initial, params, config):
+            yield (n_rows + np.arange(len(states))) * config.dt, states
+            n_rows += len(states)
+            final = states[-1]
+
+    if out is None:
+        for _ in timed():
+            pass
+    else:
+        _write_blocks(out, _COLUMNS, timed())
+    return n_rows - 1, _state(final)
 
 
 def steady_by_integration(
@@ -245,5 +303,5 @@ def steady_by_integration(
     """
     if config is None:
         config = default_integrator_config(params)
-    final = integrate(GROUND_STATE, params, config).final_state()
+    _, final = stream_trajectory(GROUND_STATE, params, config)
     return AtomSteady(eta_a=final.eta_a, eta_b=final.eta_b, sigma=final.sigma_re)

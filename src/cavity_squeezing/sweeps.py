@@ -17,8 +17,10 @@ repeated runs with equal inputs are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,22 +164,46 @@ def _write_csv(path_or_file, header: tuple[str, ...], *columns) -> None:
     """Write ``header`` and the rows of ``columns`` in ``%.12e``, LF endings.
 
     ``columns`` are 1-D columns, 2-D groups of columns or both, side by side.
-    Rows are stacked, formatted and written a block at a time, so neither the
-    table nor its text is ever held in memory whole.
+    """
+    _write_blocks(path_or_file, header, [columns])
+
+
+def _write_blocks(path_or_file, header: tuple[str, ...], blocks) -> None:
+    """Write ``header`` and the rows of each item of ``blocks`` as ``_write_csv`` does.
+
+    Each item is a tuple of columns as ``_write_csv`` takes them, and is written
+    before the next is drawn.  Rows are stacked, formatted and written
+    ``_BLOCK_ENTRIES`` values at a time, so neither a table nor its text is
+    ever held in memory whole.  If writing to a path fails, ``blocks`` raising
+    included, the partial table is not left there: a file this call created is
+    removed, a regular file that was already there is emptied, and a link or a
+    device keeps what was written, as a stream does.
     """
     step = max(1, _BLOCK_ENTRIES // len(header))
 
     def write(fh) -> None:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), step):
-            block = np.column_stack([c[start:start + step] for c in columns])
-            fh.write(_format_block(block.astype(np.float64, copy=False)))
+        for columns in blocks:
+            for start in range(0, len(columns[0]), step):
+                block = np.column_stack([c[start:start + step] for c in columns])
+                fh.write(_format_block(block.astype(np.float64, copy=False)))
 
     if hasattr(path_or_file, "write"):
         write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+        return
+    created = not os.path.lexists(path_or_file)
+    fh = open(path_or_file, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
             write(fh)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error propagates
+            if stat.S_ISREG(os.lstat(path_or_file).st_mode):
+                if created:
+                    os.remove(path_or_file)
+                else:
+                    os.truncate(path_or_file, 0)
+        raise
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -6,12 +7,22 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cavity_squeezing
-from cavity_squeezing import cli
+from cavity_squeezing import (
+    EXCITED_STATE,
+    GROUND_STATE,
+    SystemParams,
+    cli,
+    default_integrator_config,
+    dynamics,
+    integrate,
+)
 from cavity_squeezing.cli import build_parser, main, render_json
 
 
@@ -203,6 +214,122 @@ class TestDynamics:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: t_max / dt must be finite")
+
+
+def _library_csv(rates, initial, **config):
+    """What ``integrate(...).to_csv`` writes for the rates and settings given."""
+    p = SystemParams.from_gamma_c(*rates)
+    state = EXCITED_STATE if initial == "excited" else GROUND_STATE
+    series = integrate(state, p, replace(default_integrator_config(p), **config))
+    text = io.StringIO()
+    series.to_csv(text)
+    return text.getvalue().encode()
+
+
+@functools.cache
+def _decay(rates):
+    """``eta_a`` of an excited atom's trajectory, run to well past 2 blocks."""
+    p = SystemParams.from_gamma_c(*rates)
+    config = replace(default_integrator_config(p), steady_tol=1e-150)
+    return integrate(EXCITED_STATE, p, config).states[:, 2]
+
+
+def _rates_argv(gamma_c, kappa, epsilon):
+    return ["--gamma-c", repr(gamma_c), "--kappa", repr(kappa), "--epsilon", repr(epsilon)]
+
+
+class TestStreamedDynamics:
+    """The CLI streams the trajectory a block of rows at a time."""
+
+    B = dynamics._BLOCK_ROWS
+
+    @pytest.mark.parametrize("n_rows", [B - 1, B, B + 1, 2 * B + 1])
+    def test_csv_is_the_library_csv_at_block_boundaries(self, n_rows, tmp_path, capsys):
+        # An undriven excited atom decays monotonically, with derivative norm
+        # sqrt(2) gamma_c eta_a: a tolerance between the norms of rows n_rows - 2
+        # and n_rows - 1 stops it at row n_rows - 1.
+        rates = (0.4, 0.8, 0.0)
+        eta_a = _decay(rates)
+        tol = math.sqrt(2.0) * 0.4 * math.sqrt(eta_a[n_rows - 2] * eta_a[n_rows - 1])
+        target = tmp_path / "run.csv"
+        code, _, _ = run_cli(["dynamics", *_rates_argv(*rates), "--initial", "excited",
+                              "--steady-tol", repr(tol), "--out", str(target)], capsys)
+        assert code == 0
+        data = target.read_bytes()
+        assert data.count(b"\n") == n_rows + 1
+        assert data == _library_csv(rates, "excited", steady_tol=tol)
+
+    def test_csv_is_the_library_csv_in_the_bad_cavity_regime(self, tmp_path, capsys):
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            gamma_c = float(rng.uniform(0.1, 1.0))
+            kappa = gamma_c * math.exp(rng.uniform(math.log(2.0), math.log(64.0)))
+            epsilon = float(rng.uniform(0.5, 2.0)) * math.sqrt(kappa * gamma_c / 8.0)
+            initial = str(rng.choice(["ground", "excited"]))
+            target = tmp_path / "run.csv"
+            code, _, _ = run_cli(["dynamics", *_rates_argv(gamma_c, kappa, epsilon),
+                                  "--initial", initial, "--out", str(target)], capsys)
+            assert code == 0
+            assert target.read_bytes() == _library_csv((gamma_c, kappa, epsilon), initial)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_stays_bounded_as_the_steps_grow(self, fmt, monkeypatch, tmp_path,
+                                                    capsys):
+        # Small blocks, so that a step count a fast test reaches spans many;
+        # storing the longer run whole would take 40 B per row, over twice the bound.
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 256)
+        bound = 400_000
+        target = tmp_path / "out"
+        assert run_cli(["dynamics", *CANONICAL, "--format", fmt, "--out", str(target)],
+                       capsys)[0] == 0  # builds the parser outside the measurement
+        for dt in (0.04, 0.004):
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(["dynamics", *CANONICAL, "--dt", repr(dt),
+                                      "--format", fmt, "--out", str(target)], capsys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < bound, (dt, peak)
+        if fmt == "json":
+            n_rows = json.loads(target.read_text())["n_steps"] + 1
+        else:
+            n_rows = target.read_bytes().count(b"\n") - 1
+        assert 40 * n_rows > 2 * bound
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_failure_after_several_blocks(self, to_file, tmp_path, capsys):
+        # 100,000 steps never meet the tolerance: exit 3 after several full blocks
+        whole = 100_001 // self.B * self.B  # the rows of the blocks that filled
+        assert whole > self.B
+        target = tmp_path / "run.csv"
+        argv = ["dynamics", *CANONICAL, "--t-max", "1000", "--dt", "0.01",
+                "--steady-tol", "1e-300"]
+        code, out, err = run_cli([*argv, "--out", str(target)] if to_file else argv, capsys)
+        assert code == 3
+        assert err.startswith("error: derivative norm ")
+        if to_file:
+            assert out == ""
+            assert not target.exists()  # the partial file is removed
+        else:
+            lines = out.split("\n")
+            assert lines[0] == "t,sigma_re,sigma_im,eta_a,eta_b"
+            assert lines[-1] == ""  # only whole rows, one block at a time
+            assert len(lines) - 2 == whole
+            assert lines[-2].startswith("%.12e," % ((whole - 1) * 0.01))
+
+    def test_failure_keeps_a_link_given_as_out(self, tmp_path, capsys):
+        # as with --out /dev/stdout: the link is not the run's to remove
+        target, link = tmp_path / "run.csv", tmp_path / "link.csv"
+        target.write_text("old")
+        link.symlink_to(target)
+        code, _, err = run_cli(["dynamics", *CANONICAL, "--t-max", "1000", "--dt", "0.01",
+                                "--steady-tol", "1e-300", "--out", str(link)], capsys)
+        assert code == 3
+        assert err.startswith("error: derivative norm ")
+        assert link.is_symlink()
+        assert target.read_text().startswith("t,sigma_re,sigma_im,eta_a,eta_b\n")
 
 
 class TestOracle:

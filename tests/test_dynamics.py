@@ -17,9 +17,11 @@ from cavity_squeezing import (
     TimeSeries,
     default_integrator_config,
     integrate,
+    dynamics,
     moment_derivative,
     steady_atom,
     steady_by_integration,
+    stream_trajectory,
 )
 
 
@@ -245,6 +247,57 @@ class TestSteadyByIntegration:
             assert got.sigma == pytest.approx(want.sigma, abs=1e-8)
             assert got.eta_a == pytest.approx(want.eta_a, abs=1e-8)
             assert got.eta_b == pytest.approx(want.eta_b, abs=1e-8)
+
+
+class TestStreamTrajectory:
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 64, 32768])
+    def test_is_integrate_a_block_at_a_time(self, block_rows, monkeypatch, tmp_path):
+        p, config = params_at(0.2), IntegratorConfig(dt=0.05, t_max=500.0, steady_tol=1e-8)
+        series = integrate(EXCITED_STATE, p, config)
+        want = tmp_path / "want.csv"
+        series.to_csv(want)
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+        got = tmp_path / "got.csv"
+        n_steps, final = stream_trajectory(EXCITED_STATE, p, config, got)
+        assert (n_steps, final) == (len(series.t) - 1, series.final_state())
+        assert got.read_bytes() == want.read_bytes()
+        assert stream_trajectory(EXCITED_STATE, p, config) == (n_steps, final)
+        blocked = integrate(EXCITED_STATE, p, config)
+        np.testing.assert_array_equal(blocked.states, series.states)
+        np.testing.assert_array_equal(blocked.t, series.t)
+
+    def test_undriven_ground_state_writes_one_row(self):
+        buf = io.StringIO()
+        assert stream_trajectory(GROUND_STATE, params_at(0.0), CFG, buf) == (0, GROUND_STATE)
+        assert buf.getvalue().splitlines()[1:] == ["%.12e,%.12e,%.12e,%.12e,%.12e"
+                                                   % (0.0, 0.0, 0.0, 0.0, 1.0)]
+
+    @pytest.mark.parametrize("error,config", [
+        (NonConvergence, IntegratorConfig(dt=0.01, t_max=1.0)),
+        (StepTooLarge, IntegratorConfig(dt=1000.0, t_max=1e6)),
+    ])
+    def test_failed_run_removes_its_file(self, error, config, monkeypatch, tmp_path):
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 8)  # fails after whole blocks
+        target = tmp_path / "run.csv"
+        initial = EXCITED_STATE if error is StepTooLarge else GROUND_STATE
+        with pytest.raises(error):
+            stream_trajectory(initial, params_at(0.2), config, target)
+        assert not target.exists()
+
+    def test_steady_by_integration_memory_stays_bounded(self, monkeypatch):
+        # 10x the steps in the same memory; storing the longer run would take 40 B a row
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 256)
+        p, bound = params_at(0.2), 100_000
+        for dt in (0.04, 0.004):
+            config = IntegratorConfig(dt=dt, t_max=1e4)
+            tracemalloc.start()
+            try:
+                steady_by_integration(p, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (dt, peak)
+        assert 40 * stream_trajectory(GROUND_STATE, p, config)[0] > 2 * bound
 
 
 class TestTimeSeriesCsv:

@@ -27,8 +27,8 @@ from cavity_squeezing import (
     uncertainty_product,
     write_figure_files,
 )
-from cavity_squeezing import superposed
-from cavity_squeezing.sweeps import _BLOCK_ENTRIES, _write_csv
+from cavity_squeezing import superposed, sweeps
+from cavity_squeezing.sweeps import _BLOCK_ENTRIES, _write_blocks, _write_csv
 
 CANONICAL_SPEC = SweepSpec(eps_min=0.0, eps_max=0.8, n_points=401,
                            gamma_c=0.4, kappa=0.8)
@@ -363,3 +363,67 @@ class TestCsvWriter:
         finally:
             tracemalloc.stop()
         assert peak < text_bytes / 8, (peak, text_bytes)
+
+    def test_blocks_are_written_as_one_table(self):
+        data = np.random.default_rng(5).standard_normal((_BLOCK_ENTRIES // 2 + 3, 3))
+        header = ("a", "b", "c")
+        buf = io.StringIO()
+        _write_blocks(buf, header, ((data[i:i + 700, 0], data[i:i + 700, 1:])
+                                    for i in range(0, len(data), 700)))
+        assert buf.getvalue() == _percent(data.tolist(), header)
+
+    @staticmethod
+    def _failing(rows):
+        yield (np.zeros((rows, 2)),)
+        raise RuntimeError("stop")
+
+    def test_failure_removes_the_file_it_created(self, tmp_path):
+        target = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="stop"):
+            _write_blocks(target, ("a", "b"), self._failing(_BLOCK_ENTRIES))
+        assert not target.exists()
+
+    def test_failure_empties_a_file_that_was_there(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old")
+        with pytest.raises(RuntimeError, match="stop"):
+            _write_blocks(target, ("a", "b"), self._failing(_BLOCK_ENTRIES))
+        assert target.read_bytes() == b""
+
+    def test_failure_leaves_links_and_devices(self, tmp_path):
+        target, link = tmp_path / "t.csv", tmp_path / "link.csv"
+        target.write_text("old")
+        link.symlink_to(target)
+        with pytest.raises(RuntimeError, match="stop"):
+            _write_blocks(link, ("a", "b"), self._failing(3))
+        assert link.is_symlink()
+        assert target.read_text().startswith("a,b\n")  # the rows written stay
+        with pytest.raises(RuntimeError, match="stop"):
+            _write_blocks(os.devnull, ("a", "b"), self._failing(3))
+        assert os.path.exists(os.devnull)
+
+    def test_failed_cleanup_keeps_the_write_error(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only directory")
+
+        monkeypatch.setattr(os, "remove", refuse)
+        with pytest.raises(RuntimeError, match="stop"):
+            _write_blocks(tmp_path / "t.csv", ("a", "b"), self._failing(3))
+
+    def test_a_file_that_cannot_be_opened_stays(self, tmp_path, monkeypatch):
+        target = tmp_path / "t.csv"
+        target.write_text("old")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(sweeps, "open", refuse, raising=False)
+        with pytest.raises(PermissionError):
+            _write_blocks(target, ("a", "b"), self._failing(3))
+        assert target.read_text() == "old"
+
+    def test_failure_keeps_what_a_stream_was_given(self):
+        buf = io.StringIO()
+        with pytest.raises(RuntimeError, match="stop"):
+            _write_blocks(buf, ("a", "b"), self._failing(2))
+        assert buf.getvalue() == "a,b\n" + "0.000000000000e+00,0.000000000000e+00\n" * 2
