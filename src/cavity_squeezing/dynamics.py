@@ -200,7 +200,11 @@ def integrate(
         contracting linear system only happens when ``dt`` is too large
         for stability.
     """
-    states = np.concatenate(list(_blocks(initial, params, config)))
+    buf = array("d")
+    for block in _blocks(initial, params, config):
+        buf.frombytes(memoryview(block).cast("B"))
+    del block  # before the times are built
+    states = np.frombuffer(buf).reshape(-1, 4)
     return TimeSeries(t=np.arange(len(states)) * config.dt, states=states)
 
 
@@ -215,12 +219,9 @@ def _blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorCo
     tol_sq = config.steady_tol * config.steady_tol
     lo, hi = -_POPULATION_SLACK, 1.0 + _POPULATION_SLACK
 
-    def rate(sr, si, ea, eb, c_sigma=c_sigma, c_eta=c_eta, c_pump=c_pump, q=q):
-        return c_sigma * sr + q * (eb - ea), c_sigma * si, c_eta * ea + c_pump * sr
-
-    # Plain-float loop; eta_b's rate is minus eta_a's; accepted rows fill a float64
-    # buffer.  Step i appends row i + 1, so the inner loop ends when a block holds
-    # _BLOCK_ROWS rows and checks nothing per step for it.
+    # Plain-float loop, stages written out; eta_b's rate is minus eta_a's, so each
+    # population step ``h`` is taken once.  Step i appends row i + 1 to a float64 buffer,
+    # so the inner loop ends when a block holds _BLOCK_ROWS rows and checks nothing for it.
     sr, si, ea, eb = initial.sigma_re, initial.sigma_im, initial.eta_a, initial.eta_b
     rows = array("d", (sr, si, ea, eb))
     n_max = math.ceil(config.t_max / dt - 1e-12)
@@ -228,33 +229,31 @@ def _blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorCo
     start = 0
     for stop in range(_BLOCK_ROWS - 1, n_max + _BLOCK_ROWS + 1, _BLOCK_ROWS):
         for i in range(start, min(stop, n_max + 1)):
-            k1sr, k1si, k1ea = rate(sr, si, ea, eb)
+            k1sr, k1si, k1ea = (c_sigma * sr + q * (eb - ea), c_sigma * si,
+                                c_eta * ea + c_pump * sr)
             norm_sq = k1sr * k1sr + k1si * k1si + 2.0 * (k1ea * k1ea)
             if norm_sq <= tol_sq:
                 if rows:
                     yield np.frombuffer(rows).reshape(-1, 4)
                 return
             if i == n_max:
-                raise NonConvergence(
-                    f"derivative norm {math.sqrt(norm_sq):.3e} above {config.steady_tol:.3e} "
-                    f"at t_max={config.t_max}"
-                )
-            k2sr, k2si, k2ea = rate(sr + half * k1sr, si + half * k1si,
-                                    ea + half * k1ea, eb - half * k1ea)
-            k3sr, k3si, k3ea = rate(sr + half * k2sr, si + half * k2si,
-                                    ea + half * k2ea, eb - half * k2ea)
-            k4sr, k4si, k4ea = rate(sr + dt * k3sr, si + dt * k3si,
-                                    ea + dt * k3ea, eb - dt * k3ea)
+                raise NonConvergence(f"derivative norm {math.sqrt(norm_sq):.3e} above "
+                                     f"{config.steady_tol:.3e} at t_max={config.t_max}")
+            s, a, b = sr + half * k1sr, ea + (h := half * k1ea), eb - h
+            k2sr, k2si, k2ea = (c_sigma * s + q * (b - a), c_sigma * (si + half * k1si),
+                                c_eta * a + c_pump * s)
+            s, a, b = sr + half * k2sr, ea + (h := half * k2ea), eb - h
+            k3sr, k3si, k3ea = (c_sigma * s + q * (b - a), c_sigma * (si + half * k2si),
+                                c_eta * a + c_pump * s)
+            s, a, b = sr + dt * k3sr, ea + (h := dt * k3ea), eb - h
+            k4sr, k4si, k4ea = (c_sigma * s + q * (b - a), c_sigma * (si + dt * k3si),
+                                c_eta * a + c_pump * s)
             sr += sixth * (k1sr + 2.0 * (k2sr + k3sr) + k4sr)
             si += sixth * (k1si + 2.0 * (k2si + k3si) + k4si)
-            inc_ea = sixth * (k1ea + 2.0 * (k2ea + k3ea) + k4ea)
-            ea += inc_ea
-            eb -= inc_ea
+            ea, eb = ea + (h := sixth * (k1ea + 2.0 * (k2ea + k3ea) + k4ea)), eb - h
             if not (lo <= ea <= hi and lo <= eb <= hi):
-                raise StepTooLarge(
-                    f"populations ({ea}, {eb}) left [0, 1] at t={(i + 1) * dt}; "
-                    "reduce dt"
-                )
+                raise StepTooLarge(f"populations ({ea}, {eb}) left [0, 1] at "
+                                   f"t={(i + 1) * dt}; reduce dt")
             rows.fromlist([sr, si, ea, eb])
         yield np.frombuffer(rows).reshape(-1, 4)
         rows, start = array("d"), stop
@@ -279,16 +278,17 @@ def stream_trajectory(
     def timed():
         nonlocal n_rows, final
         for states in _blocks(initial, params, config):
-            yield (n_rows + np.arange(len(states))) * config.dt, states
-            n_rows += len(states)
-            final = states[-1]
+            if out is not None:
+                yield (n_rows + np.arange(len(states))) * config.dt, states
+            n_rows, final = n_rows + len(states), _state(states[-1])
+            del states  # before _blocks fills the next block
 
     if out is None:
-        for _ in timed():
+        for _ in timed():  # yields nothing
             pass
     else:
         _write_blocks(out, _COLUMNS, timed())
-    return n_rows - 1, _state(final)
+    return n_rows - 1, final
 
 
 def steady_by_integration(

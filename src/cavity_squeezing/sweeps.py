@@ -187,6 +187,7 @@ def _write_blocks(path_or_file, header: tuple[str, ...], blocks) -> None:
             for start in range(0, len(columns[0]), step):
                 block = np.column_stack([c[start:start + step] for c in columns])
                 fh.write(_format_block(block.astype(np.float64, copy=False)))
+            del columns  # before the next item is drawn
 
     if hasattr(path_or_file, "write"):
         write(path_or_file)

@@ -186,23 +186,35 @@ class TestIntegrate:
         np.testing.assert_allclose(steps, CFG.dt, rtol=1e-12)
 
     def test_nonconvergence_raises(self):
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as info:
             integrate(GROUND_STATE, params_at(0.2),
                       IntegratorConfig(dt=0.01, t_max=0.1))
+        assert str(info.value) == "derivative norm 1.387e-01 above 1.000e-12 at t_max=0.1"
 
     def test_unstable_step_raises(self):
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge) as info:
             integrate(EXCITED_STATE, params_at(0.0),
                       IntegratorConfig(dt=1000.0, t_max=1e6))
+        assert str(info.value) == ("populations (1056079601.0000002, -1056079600.0000002) "
+                                   "left [0, 1] at t=1000.0; reduce dt")
+        # just past the stability edge, the ninth step is the first to leave
+        with pytest.raises(StepTooLarge) as info:
+            integrate(AtomMomentState(0.0, 0.0, 0.5, 0.5), params_at(0.0),
+                      IntegratorConfig(dt=7.1, t_max=1e6))
+        assert str(info.value) == ("populations (1.0476630856149758, -0.04766308561497569) "
+                                   "left [0, 1] at t=63.9; reduce dt")
 
     @pytest.mark.parametrize("gamma_c,kappa,eps,initial,dt", [
         (0.4, 0.8, 0.2, GROUND_STATE, 0.01),
         (0.7, 3.1, 0.9, EXCITED_STATE, 0.02),
         (0.25, 6.0, 0.1, AtomMomentState(0.1, -0.05, 0.3, 0.7), 0.05),
         (1.3, 2.2, 2.5, GROUND_STATE, 0.003),
+        (0.4, 0.8, 0.2, AtomMomentState(0.2, 0.3, 0.6, 0.4), 0.01),
     ])
     def test_is_classical_rk4_on_the_public_derivative(self, gamma_c, kappa, eps,
-                                                       initial, dt):
+                                                       initial, dt, monkeypatch):
+        # small blocks, so that every run's rows cross block boundaries
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 256)
         p = params_at(eps, gamma_c, kappa)
         config = IntegratorConfig(dt=dt, t_max=1e4, steady_tol=1e-10)
         series = integrate(initial, p, config)
@@ -218,6 +230,20 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert peak <= 96 * len(series.t)
+
+    def test_blocks_are_released_as_they_are_joined(self, canonical, monkeypatch):
+        # 32 B of state, 16 B for the times and their index, and the buffer's growth
+        # (58 B a row); keeping every block beside a joined copy takes 66 B a row
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 1024)
+        tracemalloc.start()
+        try:
+            series = integrate(GROUND_STATE, canonical, default_integrator_config(canonical))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series.t) > 4 * 1024
+        assert peak <= 61 * len(series.t), peak / len(series.t)
+        assert series.states.flags.writeable
 
     def test_rejects_nonsense_initial_state(self):
         with pytest.raises(ValueError):
@@ -285,9 +311,11 @@ class TestStreamTrajectory:
         assert not target.exists()
 
     def test_steady_by_integration_memory_stays_bounded(self, monkeypatch):
-        # 10x the steps in the same memory; storing the longer run would take 40 B a row
+        # 10x the steps in the same memory, one block at a time (about 18 kB; keeping
+        # a block while the next fills passes 25 kB); storing the longer run would
+        # take 40 B a row
         monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 256)
-        p, bound = params_at(0.2), 100_000
+        p, bound = params_at(0.2), 25_000
         for dt in (0.04, 0.004):
             config = IntegratorConfig(dt=dt, t_max=1e4)
             tracemalloc.start()
