@@ -15,9 +15,9 @@ plus quadrature drops below it, which is the squeezing effect this
 package quantifies.
 
 Every function of ``params`` also accepts a 1-D ``epsilon`` array and then
-returns arrays (values that do not depend on the drive, such as
-``vac_var``, stay floats); each element equals the scalar result bit for
-bit.
+returns arrays (drive-free values such as ``vac_var`` stay floats), each
+equal to the scalar result bit for bit: quartic powers use ``np.float_power``
+(libm ``pow``, as Python's ``**``), as numpy's ``**`` can round apart on AVX-512.
 """
 
 from __future__ import annotations
@@ -42,22 +42,6 @@ __all__ = [
     "optimal_drive",
     "single_mode_stats",
 ]
-
-
-def power(x, n: int):
-    """``x ** n`` elementwise, rounded exactly as the scalar ``x ** n``.
-
-    numpy's vectorised ``**`` differs from libm ``pow`` by one ulp on some
-    inputs, which would make a grid disagree with point-by-point results.
-    """
-    if np.ndim(x) == 0:
-        return x ** n
-    return np.array([v ** n for v in x.tolist()])
-
-
-def sqrt(x):
-    """Square root that keeps a float a float; both routes round correctly."""
-    return math.sqrt(x) if np.ndim(x) == 0 else np.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -163,7 +147,7 @@ def uncertainty_product(params: SystemParams) -> float:
             f"uncertainty product radicand is negative ({radicand}); "
             "this indicates a defect, not invalid parameters"
         )
-    return sqrt(radicand)
+    return np.sqrt(radicand)
 
 
 def squeezing(params: SystemParams) -> float:
@@ -180,7 +164,7 @@ def squeezing(params: SystemParams) -> float:
     numerator = 16.0 * gc * k * eps * eps
     two_sigma = 8.0 * params.g * eps / d
     s = np.where(numerator < sys.float_info.min, two_sigma * two_sigma, numerator / (d * d))
-    return min(float(s), 0.5) if np.ndim(s) == 0 else np.minimum(s, 0.5)
+    return np.minimum(s, 0.5)
 
 
 def optimal_drive(gamma_c: float, kappa: float) -> tuple[float, float]:

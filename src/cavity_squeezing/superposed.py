@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
-from .single_mode import mean_photons, power, sqrt, squeezing
+from .single_mode import mean_photons, squeezing
 
 __all__ = [
     "SuperposedStats",
@@ -88,14 +88,14 @@ def superposed_bounds(params: SystemParams) -> tuple[float, float]:
     radicand = (
         4.0 * gc * gc / (k * k)
         - 64.0 * gc ** 3 * eps * eps / (k * d * d)
-        + 256.0 * gc ** 4 * power(eps, 4) / power(d, 4)
+        + 256.0 * gc ** 4 * np.float_power(eps, 4) / np.float_power(d, 4)
     )
     if np.any(radicand < 0.0):
         raise AssertionError(
             f"superposed uncertainty radicand is negative ({radicand}); "
             "this indicates a defect, not invalid parameters"
         )
-    return f_c, sqrt(radicand)
+    return f_c, np.sqrt(radicand)
 
 
 def superposed_squeezing(params: SystemParams) -> tuple[float, float, float]:

@@ -306,7 +306,7 @@ def _identities(spec: SweepSpec, params: SystemParams, columns: dict) -> Identit
     """The identity report read off the bounds in ``columns`` (see ``_columns``)."""
     eps = params.epsilon
     gc, k, d = params.gamma_c, params.kappa, params.denominator
-    eps4 = single_mode.power(eps, 4)
+    eps4 = np.float_power(eps, 4)
 
     f_a, f_b = columns["f_a"], columns["f_b"]
     gap_single = f_b * f_b - f_a * f_a

@@ -147,6 +147,14 @@ class TestArrayEqualsScalar:
         SweepSpec(0.0, 1.5, 1001, 0.7, 1.3),
         SweepSpec(0.0, 2.0, 1001, 2.0, 0.5),
         SweepSpec(0.01, 0.9, 1001, 0.25, 1.6),
+        # the edges of the domain: the underflow branch of ``squeezing``, eps**4
+        # near underflow, and D near its 1e77 bound
+        SweepSpec(0.0, 1e-29, 1001, 1e-30, 1e-30),
+        SweepSpec(0.0, 1e31, 1001, 1e30, 1e30),
+        SweepSpec(0.0, 3e37, 1001, 1e38, 1e38),
+        SweepSpec(0.0, 1e-18, 1001, 1e-38, 1e38),
+        SweepSpec(1e-150, 1e-140, 1001, 0.4, 0.8),
+        SweepSpec(0.0, 1e38, 1001, 1e-38, 1e-38),
     ])
     def test_rows_match(self, spec):
         sweep, identities = _scalar_rows(spec)
