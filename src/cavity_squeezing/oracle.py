@@ -57,10 +57,8 @@ __all__ = [
     "DimensionCap",
     "SingularSystem",
     "HilbertConfig",
-    "CavityAtomOperators",
     "DensityMatrix",
     "OracleReport",
-    "build_operators",
     "hamiltonian_matrix",
     "liouvillian_matrix",
     "steady_density",
@@ -106,7 +104,10 @@ class HilbertConfig:
 
     ``n_cut`` must be at least 2 (quadrature variances need two rungs of
     the ladder); exceeding ``dim_cap`` raises :class:`DimensionCap` at
-    construction so no oversized operator is ever built.
+    construction so no oversized operator is ever built.  The space's real
+    dense operators (atom slow, Fock fast) are built on first use, once per
+    config.  ``a`` lowers the Fock ladder: it is the cavity field in the lab
+    frame and the fluctuation field ``b`` in the displaced frame.
     """
 
     n_cut: int
@@ -124,41 +125,24 @@ class HilbertConfig:
     def dim(self) -> int:
         return 2 * (self.n_cut + 1)
 
+    @cached_property
+    def a(self) -> np.ndarray:
+        return np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, self.n_cut + 1)), 1))
 
-@dataclass(frozen=True)
-class CavityAtomOperators:
-    """Real dense operators on the product space (atom slow, Fock fast).
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return np.eye(self.dim, k=-(self.n_cut + 1))  # |b><a|: upper block to lower block
 
-    ``a`` lowers the Fock ladder: it is the cavity field in the lab frame
-    and the fluctuation field ``b`` in the displaced frame.
-    """
+    @cached_property
+    def eta_a(self) -> np.ndarray:
+        return np.diag(np.repeat([1.0, 0.0], self.n_cut + 1))
 
-    a: np.ndarray
-    sigma: np.ndarray
-    eta_a: np.ndarray
-    eta_b: np.ndarray
-    n_cut: int
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+    @cached_property
+    def eta_b(self) -> np.ndarray:
+        return np.diag(np.repeat([0.0, 1.0], self.n_cut + 1))
 
 
-def build_operators(config: HilbertConfig) -> CavityAtomOperators:
-    """Annihilation, lowering and projector operators on the product space, as float64 arrays."""
-    m = config.n_cut + 1
-    upper = np.repeat([1.0, 0.0], m)
-    return CavityAtomOperators(
-        a=np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, m)), 1)),
-        sigma=np.eye(2 * m, k=-m),  # |b><a|: upper block to lower block
-        eta_a=np.diag(upper),
-        eta_b=np.diag(1.0 - upper),
-        n_cut=config.n_cut,
-    )
-
-
-def hamiltonian_matrix(g: float, epsilon: float, ops: CavityAtomOperators,
-                       shift: float = 0.0):
+def hamiltonian_matrix(g: float, epsilon: float, ops: HilbertConfig, shift: float = 0.0):
     """Resonant Hamiltonian ``i g (sigma^dag a - a^dag sigma) + i eps (a^dag - a)``.
 
     A dense complex array.  Takes raw rates so the decoupled ``g = 0`` limit
@@ -202,17 +186,17 @@ def _kron_triplets(c: float, x: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix, the residual of the equation it solves, and its operators.
+    """A density matrix, the residual of the equation it solves, and its space.
 
     ``residual`` is the max-entrywise value of ``drho/dt`` evaluated with
-    the original (unmodified) generator; ``ops`` are the operators of the
-    Hilbert space that ``matrix`` lives on.  ``shift`` is the frame: the
-    state's ladder operator ``ops.a`` is the lab field minus ``shift``.
+    the original (unmodified) generator; ``ops`` is the truncated Hilbert
+    space that ``matrix`` lives on, with its operators.  ``shift`` is the
+    frame: the state's ladder operator ``ops.a`` is the lab field minus ``shift``.
     """
 
     matrix: np.ndarray
     residual: float
-    ops: CavityAtomOperators = field(repr=False)
+    ops: HilbertConfig = field(repr=False)
     shift: float = 0.0
 
     def trace_error(self) -> float:
@@ -286,8 +270,7 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     return x[pos]
 
 
-def _checked(rho: np.ndarray, lv, ops: CavityAtomOperators,
-             shift: float = 0.0) -> DensityMatrix:
+def _checked(rho: np.ndarray, lv, ops: HilbertConfig, shift: float = 0.0) -> DensityMatrix:
     """``rho`` with its residual under the full generator, at most ``_RESIDUAL_TOL``."""
     residual = float(np.abs(lv @ _vec(rho)).max())
     if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
@@ -303,11 +286,10 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
-    ops = build_operators(config)
     alpha = 2.0 * params.epsilon / params.kappa
-    h = hamiltonian_matrix(params.g, 0.0, ops, shift=alpha)
-    lv = liouvillian_matrix(h, ops.a, params.kappa)
-    return _checked(_solve_stationary(lv, ops.dim), lv, ops, shift=alpha)
+    h = hamiltonian_matrix(params.g, 0.0, config, shift=alpha)
+    lv = liouvillian_matrix(h, config.a, params.kappa)
+    return _checked(_solve_stationary(lv, config.dim), lv, config, shift=alpha)
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -460,12 +442,11 @@ def decoupled_cavity_steady(
     that level.  The residual is evaluated with the same full-space generator.
     """
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
-    ops = build_operators(config)
-    m, d = config.n_cut + 1, ops.dim
-    lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, ops), ops.a, kappa)
+    m, d = config.n_cut + 1, config.dim
+    lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, config), config.a, kappa)
     lower = _vec(np.add.outer(np.arange(m, d), d * np.arange(m, d)))
     rho = np.kron(np.diag([0.0, 1.0]), _solve_stationary(lv[lower][:, lower], m))
-    return _checked(rho, lv, ops)
+    return _checked(rho, lv, config)
 
 
 def decoupled_benchmark(
@@ -522,11 +503,11 @@ def evolve_density(
     """
     from scipy.sparse.linalg import expm_multiply
     _require_positive("t_final", t_final)
-    ops = build_operators(config)
-    h = hamiltonian_matrix(params.g, params.epsilon, ops)
-    lv = liouvillian_matrix(h, ops.a, params.kappa)
-    d = ops.dim
+    h = hamiltonian_matrix(params.g, params.epsilon, config)
+    lv = liouvillian_matrix(h, config.a, params.kappa)
+    d = config.dim
     initial = np.zeros((d, d))
     initial[config.n_cut + 1, config.n_cut + 1] = 1.0  # atom lower level, zero photons
     rho = expm_multiply(t_final * lv, _vec(initial)).reshape((d, d), order="F")
-    return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ _vec(rho)).max()), ops=ops)
+    return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ _vec(rho)).max()),
+                         ops=config)

@@ -251,25 +251,21 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
     """
     SystemParams.from_gamma_c(gamma_c, kappa, 0.0)  # validates the rates
 
-    def s_of(eps: float) -> float:
-        return single_mode.squeezing(
-            SystemParams.from_gamma_c(gamma_c, kappa, eps)
-        )
+    def s_of(eps):
+        return single_mode.squeezing(SystemParams.from_gamma_c(gamma_c, kappa, eps))
 
     scale = math.sqrt(kappa * gamma_c / 8.0)
     grid = np.linspace(0.0, min(5.0 * scale, math.sqrt(_MAX_DENOMINATOR / 16.0)), 1000)
-    values = single_mode.squeezing(SystemParams.from_gamma_c(gamma_c, kappa, grid))
-    best = int(np.argmax(values))
+    best = int(np.argmax(s_of(grid)))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
     while hi - lo > 5e-10 * scale:
         third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        if s_of(m1) < s_of(m2):
-            lo = m1
+        s1, s2 = s_of(np.array([lo + third, hi - third]))
+        if s1 < s2:
+            lo += third
         else:
-            hi = m2
+            hi -= third
     eps_star = 0.5 * (lo + hi)
     return eps_star, s_of(eps_star)
 

@@ -914,19 +914,17 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
                   "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))
 """
 
-# The oracle module, its configuration and its dense operators cost no scipy;
-# its first sparse step loads it.
+# The oracle module, a configuration with its dense operators and a Hamiltonian
+# cost no scipy; its first sparse step loads it.
 ORACLE_SCRIPT = """
 import json, sys
-from cavity_squeezing.oracle import (
-    HilbertConfig, build_operators, hamiltonian_matrix, steady_density)
+from cavity_squeezing.oracle import HilbertConfig, hamiltonian_matrix, steady_density
 from cavity_squeezing.params import SystemParams
 
 def scipy_loaded():
     return any(name.split(".")[0] == "scipy" for name in sys.modules)
 
-ops = build_operators(HilbertConfig(8))
-hamiltonian_matrix(0.2, 0.1, ops)
+hamiltonian_matrix(0.2, 0.1, HilbertConfig(8))
 before = scipy_loaded()
 steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
 print(json.dumps({"before": before, "after": scipy_loaded()}))

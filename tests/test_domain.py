@@ -1,17 +1,23 @@
-"""Property test of the closed forms over the whole double range of rates.
+"""Property tests of the closed forms and of the oracle over their domains.
 
 Every parameter draw must either be rejected by ``SystemParams`` with a
 ``ValueError`` or give finite outputs that keep the documented bounds.
+Every ``oracle`` draw inside the validated range must end in exit 0, 3 or
+4, and an accepted state must be a physical one.
 """
 
+import contextlib
+import io
+import json
 import math
 import sys
 from dataclasses import asdict
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cavity_squeezing import cli
 from cavity_squeezing import (
     SystemParams,
     single_mode_stats,
@@ -91,3 +97,42 @@ def test_squeezing_is_four_sigma_squared(point):
     if sigma_sq < sys.float_info.min:
         return
     assert abs(s - 4.0 * sigma_sq) <= S_VS_SIGMA_REL * max(s, 4.0 * sigma_sq)
+
+
+@st.composite
+def oracle_points(draw):
+    """gamma_c log-uniform over the rate window, kappa/gamma_c in [1e-3, 1e6] with kappa
+    in the window, and x = (eps/eps*)**2 in [1e-4, 1e4], eps* = sqrt(kappa gamma_c/8)."""
+    lg = draw(st.floats(-38.0, 38.0))
+    ratio = draw(st.floats(max(-3.0, -38.0 - lg), min(6.0, 38.0 - lg)))
+    gamma_c, kappa = 10.0 ** lg, 10.0 ** (lg + ratio)
+    x = 10.0 ** draw(st.floats(-4.0, 4.0))
+    epsilon = math.sqrt(kappa * gamma_c / 8.0 * x)
+    assume(8.0 * epsilon * epsilon + kappa * gamma_c <= 1e77)  # the drive bound
+    return gamma_c, kappa, epsilon
+
+
+def run_oracle(gamma_c, kappa, epsilon):
+    """``oracle``'s exit code and, on exit 0, its parsed report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["oracle", "--gamma-c", repr(gamma_c), "--kappa", repr(kappa),
+                         "--epsilon", repr(epsilon)])
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_points())
+@example((1e-30, 1e30, 1.0))
+@example((1e-38, 1e-38, 1e-140))
+def test_oracle_ends_in_a_documented_exit_with_a_physical_state(point):
+    code, report = run_oracle(*point)
+    assert code in (0, 3, 4)
+    if code:
+        return
+    oracle = {name: entry["oracle"] for name, entry in report["comparisons"].items()}
+    assert report["trace_error"] <= 1e-12
+    assert report["min_eigenvalue"] >= -1e-10
+    assert abs(oracle["sigma"]) <= 0.5
+    assert 0.0 <= oracle["eta_a"] <= 1.0
+    assert oracle["var_plus"] * oracle["var_minus"] >= 1.0 - 1e-10

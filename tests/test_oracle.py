@@ -15,7 +15,6 @@ from cavity_squeezing import (
     HilbertConfig,
     SingularSystem,
     SystemParams,
-    build_operators,
     compare_with_closed_form,
     cutoff_converged,
     decoupled_benchmark,
@@ -70,7 +69,7 @@ def fold_matrix_system(lv, d):
 def lab_frame_density(params, n_cut):
     """Lab-frame stationary state at a fixed cutoff, from the public pieces,
     solved on the full space with zero frame shift."""
-    ops = build_operators(HilbertConfig(n_cut))
+    ops = HilbertConfig(n_cut)
     lv = liouvillian_matrix(hamiltonian_matrix(params.g, params.epsilon, ops),
                             ops.a, params.kappa)
     rho = full_space_stationary(lv, ops.dim)
@@ -121,7 +120,7 @@ class TestHilbertConfig:
 
 class TestOperators:
     def test_shapes_and_ladder_entries(self):
-        ops = build_operators(HilbertConfig(2))
+        ops = HilbertConfig(2)
         assert ops.a.shape == (6, 6)
         a = ops.a
         fock = a[:3, :3]
@@ -130,13 +129,13 @@ class TestOperators:
         np.testing.assert_array_equal(a[:3, 3:], np.zeros((3, 3)))
 
     def test_operators_are_real(self):
-        ops = build_operators(HilbertConfig(4))
+        ops = HilbertConfig(4)
         for op in (ops.a, ops.sigma, ops.eta_a, ops.eta_b):
             assert isinstance(op, np.ndarray)
             assert op.dtype == np.float64
 
     def test_atomic_projectors(self):
-        ops = build_operators(HilbertConfig(4))
+        ops = HilbertConfig(4)
         s, eta_a, eta_b = ops.sigma, ops.eta_a, ops.eta_b
         sd = s.conj().T
         np.testing.assert_allclose(sd @ s, eta_a, atol=1e-15)
@@ -145,7 +144,7 @@ class TestOperators:
 
     def test_truncated_commutator(self):
         n_cut = 5
-        a = build_operators(HilbertConfig(n_cut)).a
+        a = HilbertConfig(n_cut).a
         comm = a @ a.conj().T - a.conj().T @ a
         block = np.diag([1.0] * n_cut + [-float(n_cut)])
         np.testing.assert_allclose(comm, np.kron(np.eye(2), block), atol=1e-13)
@@ -153,33 +152,33 @@ class TestOperators:
 
 class TestHamiltonian:
     def test_zero_rates_give_zero_matrix(self):
-        ops = build_operators(HilbertConfig(3))
+        ops = HilbertConfig(3)
         np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops),
                                       np.zeros((8, 8)))
         np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops, shift=2.0),
                                       np.zeros((8, 8)))
 
     def test_hermitian(self, canonical):
-        ops = build_operators(HilbertConfig(12))
+        ops = HilbertConfig(12)
         for shift in (0.0, 0.5):
             h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift)
             assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_drive_matrix_element(self):
-        ops = build_operators(HilbertConfig(4))
+        ops = HilbertConfig(4)
         h = hamiltonian_matrix(0.0, 0.3, ops)
         m = 5  # atom in lower level, vacuum
         assert h[m, m] == 0.0
         assert h[m + 1, m] == pytest.approx(0.3j, abs=1e-15)
 
     def test_coupling_matrix_element(self):
-        ops = build_operators(HilbertConfig(4))
+        ops = HilbertConfig(4)
         h = hamiltonian_matrix(0.7, 0.0, ops)
         # emission path |upper,0> -> |lower,1> enters through -i g a^dag sigma
         assert h[5 + 1, 0] == pytest.approx(-0.7j, abs=1e-15)
 
     def test_frame_shift_pumps_the_atom(self):
-        ops = build_operators(HilbertConfig(4))
+        ops = HilbertConfig(4)
         h = hamiltonian_matrix(0.7, 0.0, ops, shift=0.5) - hamiltonian_matrix(0.7, 0.0, ops)
         # the shift adds i g shift (sigma^dag - sigma): |lower,n> -> |upper,n>
         expected = 1j * 0.35 * (ops.sigma.T - ops.sigma)
@@ -188,8 +187,7 @@ class TestHamiltonian:
 
 class TestLiouvillian:
     def test_action_matches_matrix(self, canonical):
-        config = HilbertConfig(6)
-        ops = build_operators(config)
+        ops = HilbertConfig(6)
         rng = np.random.default_rng(3)
         d = ops.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -202,7 +200,7 @@ class TestLiouvillian:
             np.testing.assert_allclose(via_matrix, direct, rtol=1e-12, atol=1e-13)
 
     def test_rejects_a_generator_that_is_not_real(self):
-        ops = build_operators(HilbertConfig(3))
+        ops = HilbertConfig(3)
         h = hamiltonian_matrix(0.7, 0.2, ops)
         with pytest.raises(ValueError):
             liouvillian_matrix(h + ops.eta_a, ops.a, 0.8)  # a real diagonal part
@@ -210,8 +208,7 @@ class TestLiouvillian:
             liouvillian_matrix(h, 1j * ops.a, 0.8)
 
     def test_conserves_trace(self, canonical):
-        config = HilbertConfig(6)
-        ops = build_operators(config)
+        ops = HilbertConfig(6)
         h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
         rng = np.random.default_rng(4)
         d = ops.dim
@@ -245,7 +242,7 @@ class TestSteadyDensity:
 
     def test_expect_is_the_trace_of_the_product(self):
         # complex states too: the gather takes the trace of the product for any dtype
-        ops = build_operators(HilbertConfig(4))
+        ops = HilbertConfig(4)
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         rho = DensityMatrix(matrix=matrix, residual=0.0, ops=ops)
@@ -257,7 +254,7 @@ class TestSteadyDensity:
         # the gather reads the dense operator's nonzeros; a sparse matrix raises
         # rather than return a number (np.sum(op * rho.T) would give 16 here)
         rho = DensityMatrix(matrix=np.ones((4, 4)), residual=0.0,
-                            ops=build_operators(HilbertConfig(2)))
+                            ops=HilbertConfig(2))
         with pytest.raises(TypeError):
             rho.expect(sp.identity(4, format=fmt))
 
@@ -268,16 +265,15 @@ class TestSymmetricSolve:
     @pytest.mark.parametrize("problem", ["displaced", "decoupled"])
     def test_matches_the_full_space_solve(self, problem, canonical):
         config = HilbertConfig(16)
-        ops = build_operators(config)
         if problem == "displaced":
             alpha = 2.0 * canonical.epsilon / canonical.kappa
-            lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, ops, shift=alpha),
-                                    ops.a, canonical.kappa)
-            full = full_space_stationary(lv, ops.dim)
+            lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, config, shift=alpha),
+                                    config.a, canonical.kappa)
+            full = full_space_stationary(lv, config.dim)
             folded = steady_density(canonical, config).matrix
         else:
             m = config.n_cut + 1
-            a = ops.a[:m, :m]
+            a = config.a[:m, :m]
             lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
             full = np.kron(np.diag([0.0, 1.0]), full_space_stationary(lv, m))
             folded = decoupled_cavity_steady(0.2, 0.8, config).matrix
@@ -338,11 +334,10 @@ class TestFoldedSystem:
     def test_displaced_solve(self, n_cut, eps, monkeypatch):
         params, config = params_at(eps), HilbertConfig(n_cut)
         system = self.solved_system(monkeypatch, lambda: steady_density(params, config))
-        ops = build_operators(config)
         shift = 2.0 * params.epsilon / params.kappa
-        lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, ops, shift=shift),
-                                ops.a, params.kappa)
-        self.assert_same_system(system, fold_matrix_system(lv, ops.dim))
+        lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, config, shift=shift),
+                                config.a, params.kappa)
+        self.assert_same_system(system, fold_matrix_system(lv, config.dim))
 
     @pytest.mark.parametrize("n_cut", [8, 16])
     def test_decoupled_cavity_solve(self, n_cut, monkeypatch):
@@ -350,7 +345,7 @@ class TestFoldedSystem:
         system = self.solved_system(monkeypatch,
                                     lambda: decoupled_cavity_steady(0.2, 0.8, config))
         m = n_cut + 1
-        a = build_operators(config).a[:m, :m]
+        a = config.a[:m, :m]
         lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
         self.assert_same_system(system, fold_matrix_system(lv, m))
 
@@ -417,6 +412,13 @@ class TestCutoffConvergence:
 class TestOperatorBuilds:
     """Each Fock rung builds its product-space operators once."""
 
+    def test_built_on_first_use_and_kept(self):
+        config = HilbertConfig(4)
+        names = ("a", "sigma", "eta_a", "eta_b")
+        assert not set(names) & set(vars(config))  # none at construction
+        for name in names:
+            assert getattr(config, name) is getattr(config, name)
+
     @pytest.mark.parametrize(
         "run,builds",
         [
@@ -429,12 +431,14 @@ class TestOperatorBuilds:
     )
     def test_one_build_per_rung(self, run, builds, monkeypatch):
         calls = []
+        prop = vars(HilbertConfig)["a"]
+        build = prop.func
 
         def counting(config):
             calls.append(config.n_cut)
-            return build_operators(config)
+            return build(config)
 
-        monkeypatch.setattr(oracle, "build_operators", counting)
+        monkeypatch.setattr(prop, "func", counting)
         run()
         assert len(calls) == builds
 
@@ -480,7 +484,7 @@ class TestMomentReads:
 
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     def test_moments_are_the_direct_reads(self, shift):
-        ops = build_operators(HilbertConfig(n_cut=6))
+        ops = HilbertConfig(n_cut=6)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((ops.dim, ops.dim))
         rho = DensityMatrix(matrix=x @ x.T / np.trace(x @ x.T), residual=0.0, ops=ops,

@@ -198,6 +198,35 @@ class TestFindMaxSqueezing:
         assert abs(eps_star - scale) <= 5e-8 * scale
         assert abs(s_max - 0.5) <= 1e-9
 
+    @staticmethod
+    def scalar_probe_search(gamma_c, kappa):
+        """The search with one closed-form call per ternary probe."""
+        def s_of(eps):
+            return squeezing(SystemParams.from_gamma_c(gamma_c, kappa, eps))
+
+        scale = math.sqrt(kappa * gamma_c / 8.0)
+        grid = np.linspace(0.0, min(5.0 * scale, math.sqrt(1e77 / 16.0)), 1000)
+        best = int(np.argmax(squeezing(SystemParams.from_gamma_c(gamma_c, kappa, grid))))
+        lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])
+        while hi - lo > 5e-10 * scale:
+            third = (hi - lo) / 3.0
+            m1, m2 = lo + third, hi - third
+            if s_of(m1) < s_of(m2):
+                lo = m1
+            else:
+                hi = m2
+        eps_star = 0.5 * (lo + hi)
+        return eps_star, s_of(eps_star)
+
+    def test_batched_probes_match_scalar_probes(self):
+        rng = np.random.default_rng(20)
+        pairs = [(0.4, 0.8), *(10.0 ** rng.uniform(-30.0, 30.0, (29, 2)))]
+        for gamma_c, kappa in pairs:
+            got = find_max_squeezing(float(gamma_c), float(kappa))
+            want = self.scalar_probe_search(float(gamma_c), float(kappa))
+            assert got == want, (gamma_c, kappa)  # bit for bit
+            assert [type(v) for v in got] == [type(v) for v in want]
+
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             find_max_squeezing(-1.0, 0.8)
