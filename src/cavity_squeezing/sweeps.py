@@ -93,30 +93,36 @@ class SweepSpec:
 
 # The CSV writer formats a block of entries at a time in numpy and matches
 # ``"%.12e" % x`` byte for byte.  Each entry becomes a 24-byte record of six
-# uint32 words: (pad, sign, lead digit, '.'), three 4-digit groups, and as one
-# uint64 ('e', exponent sign, 2 or 3 exponent digits, ',' or '\n', pad, pad).
-# NUL bytes mark the pads and are deleted at the end.
+# uint32 words: (NUL, sign or NUL, lead digit, '.'), three 4-digit groups, and
+# as one uint64 ('e', exponent sign, 2 or 3 exponent digits, ',' or, in the
+# last column, '\n', then NULs).  A value with no sign bit and a two-digit
+# exponent fills bytes 2 to 20 exactly, so a block of only such values is cut
+# out of its records as one slice; any other block has its NULs deleted.
 #
 # Exactness.  With e = floor(log10|x|), the mantissa is rint(y) for
 # y = |x| * 10**(12 - e), taken from a table of correctly rounded powers, so
-# the computed y carries two roundings: |y' - y| <= 2**-52 * y < 2.3e-3 for
-# y' < 1e13.  An entry goes to ``%`` when y' lies within _GUARD (over four
-# times that bound) of a half-integer, where rint could round the wrong way
-# or meet a tie; so do non-finite values, subnormals and values outside
-# [1e-270, 1e270), which keeps the power table finite.  When y' is in
-# [1e12, 1e13) but y is just across 1e12 or 1e13, both round to the same text.
+# the computed y carries two roundings: |y' - y| <= 2**-52 * y < 2.221e-3 for
+# y' < 1e13.  An entry goes to ``%`` when y' lies within _GUARD of a
+# half-integer, where rint could round the wrong way or meet a tie.  Any
+# other entry has |y - rint(y')| <= 0.5 - _GUARD + 2.221e-3 < 0.5, so y is no
+# tie and rounds to the same integer.  Non-finite values, subnormals and
+# values outside [1e-270, 1e270) go to ``%`` too, which keeps the power table
+# finite.  When y' is in [1e12, 1e13) but y is just across 1e12 or 1e13, both
+# round to the same text.  The digit groups of the integer m < 1e13 are split
+# in float64: (m + 0.5) * 1e-12 is at least 5e-13 from an integer and off by at
+# most 2.3e-15, so its floor is exact, and likewise for 1e-8 and 1e-4.
 _POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])  # index k + 300
-_GUARD = 0.01
+_GUARD = 0.003
 _BLOCK_ENTRIES = 8192  # the temporaries of a block peak at about 1.2 MB
 # Word 0 by sign * 10 + lead digit, a group word by its value, the exponent
-# pair by e + 300.
+# and separator word by e + 300 (',') or e + 901 ('\n').
 _HEAD = np.frombuffer(b"".join(b"\0" + sign + b"%d." % d
                                for sign in (b"\0", b"-") for d in range(10)), np.uint32)
 _GROUP = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_TAIL = np.frombuffer(b"".join(
-    b"e%c%s,\0\0" % (b"-+"[e >= 0], (b"%02d" % abs(e)).rjust(3, b"\0"))
-    for e in range(-300, 301)), np.uint64)
+_TAIL = b"".join((b"e%c%02d," % (b"-+"[e >= 0], abs(e))).ljust(8, b"\0")
+                 for e in range(-300, 301))
+_TAIL = np.frombuffer(_TAIL + _TAIL.replace(b",", b"\n"), np.uint64)
 
 
 def _format_block(block: np.ndarray) -> str:
@@ -136,27 +142,36 @@ def _format_block(block: np.ndarray) -> str:
     m = np.rint(y)
     exact = inside & (y >= 1e12) & (y < 1e13) & (np.abs(y - m) <= 0.5 - _GUARD)
     slow = np.flatnonzero(~exact & (x != 0.0))  # zeros take m = e = 0 below
-    m = np.where(exact, m, 0.0).astype(np.int64)
+    m = np.where(exact, m, 0.0)
     e = np.where(exact, e, 0)
-    top = m == 10**13  # rounded up to the next power of ten
-    m[top] = 10**12
+    top = m == 1e13  # rounded up to the next power of ten
+    m[top] = 1e12
     e[top] += 1
 
-    lead, m = np.divmod(m, 10**12)
-    high, m = np.divmod(m, 10**8)
-    mid, low = np.divmod(m, 10**4)
+    sign = np.signbit(x)
+    lead = np.floor((m + 0.5) * 1e-12)
+    m -= lead * 1e12
+    high = np.floor((m + 0.5) * 1e-8)
+    m -= high * 1e8
+    mid = np.floor((m + 0.5) * 1e-4)
+    m -= mid * 1e4
     out = np.empty((rows, cols, 6), np.uint32)
     words = out.reshape(-1, 6)
-    words[:, 0] = _HEAD[np.signbit(x) * 10 + lead]
-    words[:, 1] = _GROUP[high]
-    words[:, 2] = _GROUP[mid]
-    words[:, 3] = _GROUP[low]
-    out.view(np.uint64)[:, :, 2] = _TAIL[e.reshape(rows, cols) + 300]
-    out.view(np.uint8)[:, -1, 21] = ord("\n")
+    words[:, 0] = _HEAD[sign * 10 + lead.astype(np.intp)]
+    words[:, 1] = _GROUP[high.astype(np.intp)]
+    words[:, 2] = _GROUP[mid.astype(np.intp)]
+    words[:, 3] = _GROUP[m.astype(np.intp)]
+    out.view(np.uint64)[:, :, 2] = _TAIL[e.reshape(rows, cols)
+                                         + np.where(np.arange(cols) < cols - 1, 300, 901)]
+    records = out.view(np.uint8).reshape(-1, 24)
+    fixed = not sign.any() and -100 < e.min() and e.max() < 100
     if slow.size:
-        text = b"".join((b"%.12e" % v).ljust(21, b"\0") for v in x[slow].tolist())
-        out.view(np.uint8).reshape(-1, 24)[slow, :21] = np.frombuffer(
-            text, np.uint8).reshape(-1, 21)
+        text = [b"%.12e" % v for v in x[slow].tolist()]
+        fixed = fixed and all(len(t) == 18 for t in text)
+        records[slow, :20] = np.frombuffer(
+            b"".join(t.rjust(20, b"\0") for t in text), np.uint8).reshape(-1, 20)
+    if fixed:  # every record is the 19 bytes 2 to 20
+        return records[:, 2:21].tobytes().decode("ascii")
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
