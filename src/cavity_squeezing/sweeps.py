@@ -95,9 +95,10 @@ class SweepSpec:
 # ``"%.12e" % x`` byte for byte.  Each entry becomes a 24-byte record of six
 # uint32 words: (NUL, sign or NUL, lead digit, '.'), three 4-digit groups, and
 # as one uint64 ('e', exponent sign, 2 or 3 exponent digits, ',' or, in the
-# last column, '\n', then NULs).  A value with no sign bit and a two-digit
-# exponent fills bytes 2 to 20 exactly, so a block of only such values is cut
-# out of its records as one slice; any other block has its NULs deleted.
+# last column, '\n', then NULs); a ``%`` text is right-aligned to end at byte
+# 20.  A record is exactly bytes 2 to 20 when byte 1 (no sign) and byte 21 (a
+# two-digit exponent) are NUL and byte 2 is not, so a block of only such
+# records is cut out as one slice; any other block has its NULs deleted.
 #
 # Exactness.  With e = floor(log10|x|), the mantissa is rint(y) for
 # y = |x| * 10**(12 - e), taken from a table of correctly rounded powers, so
@@ -164,13 +165,11 @@ def _format_block(block: np.ndarray) -> str:
     out.view(np.uint64)[:, :, 2] = _TAIL[e.reshape(rows, cols)
                                          + np.where(np.arange(cols) < cols - 1, 300, 901)]
     records = out.view(np.uint8).reshape(-1, 24)
-    fixed = not sign.any() and -100 < e.min() and e.max() < 100
     if slow.size:
         text = [b"%.12e" % v for v in x[slow].tolist()]
-        fixed = fixed and all(len(t) == 18 for t in text)
         records[slow, :20] = np.frombuffer(
             b"".join(t.rjust(20, b"\0") for t in text), np.uint8).reshape(-1, 20)
-    if fixed:  # every record is the 19 bytes 2 to 20
+    if not records[:, 1].any() and not records[:, 21].any() and records[:, 2].all():
         return records[:, 2:21].tobytes().decode("ascii")
     return out.tobytes().translate(None, b"\0").decode("ascii")
 

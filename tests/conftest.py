@@ -3,9 +3,8 @@ from hypothesis import settings
 
 from cavity_squeezing import SystemParams
 
-# Property tests that pin no example count (the CSV writer's) run 100 examples;
-# `--hypothesis-profile thorough` runs ten times as many.
-settings.register_profile("default", max_examples=100)
+# Property tests that pin no example count (the CSV writer's) run Hypothesis's
+# default of 100 examples; `--hypothesis-profile thorough` runs ten times as many.
 settings.register_profile("thorough", max_examples=1000)
 
 
