@@ -22,10 +22,10 @@ decays at ``-gamma_c/2``; with ``eta_a + eta_b`` fixed, the pair
 RK4 is stable only while ``2 q dt`` stays below about ``2 sqrt(2)``, so
 there the pump rate ``q``, not the decay rates, bounds the step.  At
 ``gamma_c = 0.4``, ``kappa = 0.8`` and the default step, ``epsilon = 200``
-leaves the region and raises :class:`StepTooLarge` after one step; just
-inside it, ``epsilon = 150`` "converges" in 72 steps with a per-step
-amplification of about 0.63, so the integrator, not the physics, damps the
-Rabi transient.
+leaves the region, and :class:`StepTooLarge` reports the first step, raised
+when its block is handed on; just inside it, ``epsilon = 150`` "converges"
+in 72 steps with a per-step amplification of about 0.63, so the integrator,
+not the physics, damps the Rabi transient.
 
 The number of steps grows with ``kappa / gamma_c``, so the one RK4 loop
 hands its trajectory on in blocks of ``_BLOCK_ROWS`` rows.
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -61,9 +62,8 @@ __all__ = [
     "steady_by_integration",
 ]
 
-# Populations may stray this far outside [0, 1] before the run is declared
-# numerically broken.
-_POPULATION_SLACK = 1e-6
+# Populations may stray 1e-6 outside [0, 1] before the run is declared numerically broken.
+_POP_LO, _POP_HI = -1e-6, 1.0 + 1e-6
 # Rows per block of the trajectory (1 MB of state).  Freeing blocks this large
 # raises glibc's mmap and trim thresholds, so the CSV formatter's temporaries
 # are reused; below about 32k rows they are mapped and trimmed on every call.
@@ -172,8 +172,7 @@ def _check_initial(state: AtomMomentState) -> None:
     for name in ("sigma_re", "sigma_im", "eta_a", "eta_b"):
         if not math.isfinite(getattr(state, name)):
             raise ValueError(f"initial state has non-finite {name}")
-    lo, hi = -_POPULATION_SLACK, 1.0 + _POPULATION_SLACK
-    if not (lo <= state.eta_a <= hi and lo <= state.eta_b <= hi):
+    if not (_POP_LO <= state.eta_a <= _POP_HI and _POP_LO <= state.eta_b <= _POP_HI):
         raise ValueError(
             f"initial populations ({state.eta_a}, {state.eta_b}) outside [0, 1]"
         )
@@ -219,46 +218,63 @@ def _blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorCo
     c_sigma, c_eta, c_pump = -0.5 * params.gamma_c, -params.gamma_c, 2.0 * q
     dt = config.dt
     tol_sq = config.steady_tol * config.steady_tol
-    lo, hi = -_POPULATION_SLACK, 1.0 + _POPULATION_SLACK
 
-    # Plain-float loop, stages written out; eta_b's rate is minus eta_a's, so each
-    # population step ``h`` is taken once.  Step i appends row i + 1 to a float64 buffer,
-    # so the inner loop ends when a block holds _BLOCK_ROWS rows and checks nothing for it.
+    # Plain-float loop, stages written out; eta_b's rate is minus eta_a's, so each population
+    # step ``h`` is taken once.  sigma_im feeds only the stop test and steps on its own (a zero
+    # stays or turns +0.0).  Step i appends row i + 1 to a float64 buffer; no step checks the
+    # block's length (the outer loop ends it) or its populations (checked once per block).
     sr, si, ea, eb = initial.sigma_re, initial.sigma_im, initial.eta_a, initial.eta_b
     rows = array("d", (sr, si, ea, eb))
     n_max = math.ceil(config.t_max / dt - 1e-12)
     half, sixth = 0.5 * dt, dt / 6.0
-    start = 0
+    decay = repeat((0.0, 0.0)) if si == 0.0 else _sigma_im_steps(si, c_sigma, half, dt, sixth)
+    start = first = 0  # the next step, and the index of the block's first row
     for stop in range(_BLOCK_ROWS - 1, n_max + _BLOCK_ROWS + 1, _BLOCK_ROWS):
-        for i in range(start, min(stop, n_max + 1)):
-            k1sr, k1si, k1ea = (c_sigma * sr + q * (eb - ea), c_sigma * si,
-                                c_eta * ea + c_pump * sr)
-            norm_sq = k1sr * k1sr + k1si * k1si + 2.0 * (k1ea * k1ea)
+        for i, (k1si_sq, si) in zip(range(start, min(stop, n_max + 1)), decay):
+            k1sr, k1ea = c_sigma * sr + q * (eb - ea), c_eta * ea + c_pump * sr
+            norm_sq = k1sr * k1sr + k1si_sq + 2.0 * (k1ea * k1ea)
             if norm_sq <= tol_sq:
                 if rows:
-                    yield np.frombuffer(rows).reshape(-1, 4)
+                    yield _populations_checked(rows, first, dt)
                 return
             if i == n_max:
+                _populations_checked(rows, first, dt)
                 raise NonConvergence(f"derivative norm {math.sqrt(norm_sq):.3e} above "
                                      f"{config.steady_tol:.3e} at t_max={config.t_max}")
             s, a, b = sr + half * k1sr, ea + (h := half * k1ea), eb - h
-            k2sr, k2si, k2ea = (c_sigma * s + q * (b - a), c_sigma * (si + half * k1si),
-                                c_eta * a + c_pump * s)
+            k2sr, k2ea = c_sigma * s + q * (b - a), c_eta * a + c_pump * s
             s, a, b = sr + half * k2sr, ea + (h := half * k2ea), eb - h
-            k3sr, k3si, k3ea = (c_sigma * s + q * (b - a), c_sigma * (si + half * k2si),
-                                c_eta * a + c_pump * s)
+            k3sr, k3ea = c_sigma * s + q * (b - a), c_eta * a + c_pump * s
             s, a, b = sr + dt * k3sr, ea + (h := dt * k3ea), eb - h
-            k4sr, k4si, k4ea = (c_sigma * s + q * (b - a), c_sigma * (si + dt * k3si),
-                                c_eta * a + c_pump * s)
+            k4sr, k4ea = c_sigma * s + q * (b - a), c_eta * a + c_pump * s
             sr += sixth * (k1sr + 2.0 * (k2sr + k3sr) + k4sr)
-            si += sixth * (k1si + 2.0 * (k2si + k3si) + k4si)
             ea, eb = ea + (h := sixth * (k1ea + 2.0 * (k2ea + k3ea) + k4ea)), eb - h
-            if not (lo <= ea <= hi and lo <= eb <= hi):
-                raise StepTooLarge(f"populations ({ea}, {eb}) left [0, 1] at "
-                                   f"t={(i + 1) * dt}; reduce dt")
             rows.fromlist([sr, si, ea, eb])
-        yield np.frombuffer(rows).reshape(-1, 4)
-        rows, start = array("d"), stop
+        yield _populations_checked(rows, first, dt)
+        rows, start, first = array("d"), stop, stop + 1
+
+
+def _sigma_im_steps(si: float, c: float, half: float, dt: float, sixth: float):
+    """Per RK4 step of ``sigma_im`` at rate ``c``: ``k1 * k1`` here, ``sigma_im`` next."""
+    while True:
+        k1 = c * si
+        k2 = c * (si + half * k1)
+        k3 = c * (si + half * k2)
+        k4 = c * (si + dt * k3)
+        si += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        yield k1 * k1, si
+
+
+def _populations_checked(rows: array, first: int, dt: float) -> np.ndarray:
+    """``rows`` (from row ``first``) as (k, 4); StepTooLarge at the first bad or NaN row."""
+    block = np.frombuffer(rows).reshape(-1, 4)
+    ea, eb = block[:, 2], block[:, 3]
+    bad = ~((_POP_LO <= ea) & (ea <= _POP_HI) & (_POP_LO <= eb) & (eb <= _POP_HI))
+    if bad.any():
+        k = int(bad.argmax())
+        raise StepTooLarge(f"populations ({float(ea[k])}, {float(eb[k])}) left [0, 1] at "
+                           f"t={(first + k) * dt}; reduce dt")
+    return block
 
 
 def stream_trajectory(

@@ -321,6 +321,20 @@ class TestStreamedDynamics:
             assert len(lines) - 2 == whole
             assert lines[-2].startswith("%.12e," % ((whole - 1) * 0.01))
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_unstable_step_fails_before_its_block_is_written(self, to_file, tmp_path, capsys):
+        # 2 q dt = 3.54 at the default step: the populations leave at the first step and
+        # overflow to NaN long before the first block of B rows fills and is checked
+        assert self.B == 32768
+        target = tmp_path / "run.csv"
+        argv = ["dynamics", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "200"]
+        code, out, err = run_cli([*argv, "--out", str(target)] if to_file else argv, capsys)
+        assert code == 3
+        assert out == ("" if to_file else "t,sigma_re,sigma_im,eta_a,eta_b\n")  # no rows
+        assert err == ("error: populations (-0.138009440104166, 1.138009440104166) left "
+                       "[0, 1] at t=0.012499999999999999; reduce dt\n")
+        assert not target.exists()
+
     def test_failure_keeps_a_link_given_as_out(self, tmp_path, capsys):
         # as with --out /dev/stdout: the link is not the run's to remove
         target, link = tmp_path / "run.csv", tmp_path / "link.csv"

@@ -1,10 +1,15 @@
 import io
+import itertools
 import math
 import os
 import tracemalloc
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_squeezing import (
     EXCITED_STATE,
@@ -62,6 +67,27 @@ def rk4_reference(initial, params, config):
                                   zip(*map(_components, (state, k1, k2, k3, k4)))))
         rows.append(_components(state))
     raise AssertionError("the reference did not converge")
+
+
+@st.composite
+def stable_runs(draw):
+    """Rates, a physical initial state and a stable step that converges in under 900 steps.
+
+    With ``epsilon`` at most twice its optimum ``sqrt(kappa gamma_c / 8)`` the pump is
+    ``q <= gamma_c / sqrt(2)``, so ``dt <= 0.5 / gamma_c`` keeps ``2 q dt`` below 0.71.
+    """
+    gamma_c = draw(st.floats(0.05, 5.0))
+    kappa = gamma_c * draw(st.floats(1.0, 64.0))
+    eps = draw(st.floats(0.0, 2.0)) * math.sqrt(kappa * gamma_c / 8.0)
+    eta_a = draw(st.floats(0.0, 1.0))
+    bound = math.sqrt(eta_a * (1.0 - eta_a))  # |sigma| <= sqrt(eta_a eta_b)
+    sigma_re = draw(st.floats(-1.0, 1.0)) * bound / math.sqrt(2.0)
+    sigma_im = draw(st.sampled_from([0.0, -0.0])
+                    | st.floats(-1.0, 1.0).filter(bool).map(lambda x: x * bound / math.sqrt(2.0)))
+    initial = AtomMomentState(sigma_re, sigma_im, eta_a, 1.0 - eta_a)
+    config = IntegratorConfig(dt=draw(st.floats(0.05, 0.5)) / gamma_c, t_max=1e4 / gamma_c,
+                              steady_tol=draw(st.floats(1e-9, 1e-5)) * gamma_c)
+    return params_at(eps, gamma_c, kappa), initial, config, draw(st.sampled_from([1, 2, 3, 7, 64]))
 
 
 class TestConfig:
@@ -219,6 +245,74 @@ class TestIntegrate:
         config = IntegratorConfig(dt=dt, t_max=1e4, steady_tol=1e-10)
         series = integrate(initial, p, config)
         np.testing.assert_array_equal(series.states, rk4_reference(initial, p, config))
+
+    @settings(deadline=None)
+    @given(stable_runs())
+    def test_is_classical_rk4_for_drawn_runs(self, run):
+        p, initial, config, block_rows = run
+        with mock.patch.object(dynamics, "_BLOCK_ROWS", block_rows):
+            series = integrate(initial, p, config)
+        np.testing.assert_array_equal(series.states, rk4_reference(initial, p, config))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("gamma_c,dt", [(0.4, 0.0125), (3.0, 0.5), (1e-3, 1e3)])
+    def test_zero_sigma_im_steps_give_positive_zeros(self, zero, gamma_c, dt):
+        # what _blocks repeats in their place when the run starts at sigma_im == 0
+        steps = dynamics._sigma_im_steps(zero, -0.5 * gamma_c, 0.5 * dt, dt, dt / 6.0)
+        signed = {(x, math.copysign(1.0, x)) for pair in itertools.islice(steps, 10_000)
+                  for x in pair}
+        assert signed == {(0.0, 1.0)}
+
+    def test_first_bad_row_is_named_after_later_rows_overflow(self, monkeypatch):
+        # the populations leave at step 1 and overflow to NaN before the block is full
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 64)
+        checked, check = [], dynamics._populations_checked
+
+        def spy(rows, *args):
+            checked.append(np.frombuffer(rows).reshape(-1, 4).copy())
+            return check(rows, *args)
+
+        monkeypatch.setattr(dynamics, "_populations_checked", spy)
+        with pytest.raises(StepTooLarge) as info:
+            integrate(EXCITED_STATE, params_at(0.0), IntegratorConfig(dt=1000.0, t_max=1e6))
+        assert str(info.value) == ("populations (1056079601.0000002, -1056079600.0000002) "
+                                   "left [0, 1] at t=1000.0; reduce dt")
+        (block,) = checked
+        assert len(block) == 64
+        assert np.isnan(block[-1, 2:]).all()
+
+    @pytest.mark.parametrize("block_rows", [1, 4, 9, 10])
+    def test_bad_row_in_a_later_block_keeps_its_time(self, block_rows, monkeypatch):
+        # the ninth step is the first to leave, as in test_unstable_step_raises
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+        with pytest.raises(StepTooLarge) as info:
+            integrate(AtomMomentState(0.0, 0.0, 0.5, 0.5), params_at(0.0),
+                      IntegratorConfig(dt=7.1, t_max=1e6))
+        assert str(info.value) == ("populations (1.0476630856149758, -0.04766308561497569) "
+                                   "left [0, 1] at t=63.9; reduce dt")
+
+    def test_step_too_large_wins_over_nonconvergence_in_the_same_block(self):
+        # the populations leave at step 1 and t_max ends at step 5, inside the first block
+        with pytest.raises(StepTooLarge) as info:
+            integrate(EXCITED_STATE, params_at(0.0), IntegratorConfig(dt=1000.0, t_max=5000.0))
+        assert str(info.value) == ("populations (1056079601.0000002, -1056079600.0000002) "
+                                   "left [0, 1] at t=1000.0; reduce dt")
+
+    def test_step_too_large_wins_over_convergence_in_the_same_block(self):
+        # an unphysical coherence drives eta_a below 0 at step 1; the run would then
+        # settle at row 8,985, inside the first block
+        with pytest.raises(StepTooLarge) as info:
+            integrate(AtomMomentState(-0.5, 0.0, 0.0, 1.0), params_at(0.2), CFG)
+        assert str(info.value) == ("populations (-0.0014079796309836368, 1.0014079796309836) "
+                                   "left [0, 1] at t=0.01; reduce dt")
+
+    def test_nan_population_is_out_of_range(self):
+        rows = array("d", [0.0, 0.0, 0.5, 0.5, 0.0, 0.0, math.nan, math.nan, 0.0, 0.0, 2.0, -1.0])
+        with pytest.raises(StepTooLarge) as info:
+            dynamics._populations_checked(rows, 10, 0.5)
+        assert str(info.value) == "populations (nan, nan) left [0, 1] at t=5.5; reduce dt"
+        ok = array("d", [0.1, 0.2, 1.0 + 1e-6, -1e-6])
+        np.testing.assert_array_equal(dynamics._populations_checked(ok, 0, 1.0), [ok])
 
     def test_trajectory_is_stored_once(self, canonical):
         # 32 B of state and 8 B of time per row, plus the buffer's growth;
