@@ -28,7 +28,8 @@ Conventions, fixed once and used everywhere:
   ``d(d+1)/2`` entries ``i <= j``: half the unknowns, and no rounding in the
   antisymmetric part, a nearly null direction of the generator at strong
   drive; the folded system is the generator's own entries re-indexed onto
-  those unknowns, with the trace row in place of the redundant ``(0, 0)`` one.
+  those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
+* both are summed on index plans cached per sparsity pattern (``_index_plan``).
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,26 +163,48 @@ def liouvillian_matrix(hamiltonian, a, kappa: float):
     columns (``reshape(-1, order='F')``).  The model's Hamiltonians are
     ``i K`` with ``K`` real and its jump operator ``a`` is real, so
     ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input raises
-    ``ValueError``.
+    ``ValueError``.  Its index arrays are read-only and shared: ``.copy()`` it to edit them.
     """
-    from scipy.sparse import csr_matrix
     k, a = -1j * np.asarray(hamiltonian), np.asarray(a)
     if np.any(k.imag) or np.any(a.imag):
         raise ValueError("the generator is real only for H = i K and a with K, a real")
     k, a = k.real, a.real
-    d = k.shape[0]
-    eye, n_op = np.eye(d), a.T @ a
+    eye, n_op = np.eye(len(k)), a.T @ a
     terms = ((1.0, eye, k), (-1.0, k.T, eye), (kappa, a, a),
              (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
-    rows, cols, data = map(np.concatenate, zip(*(_kron_triplets(*t) for t in terms)))
-    return csr_matrix((data, (rows, cols)), shape=(d * d, d * d))  # sums duplicates
+    nz, matrix = _kron_plan(len(k), np.packbits([x != 0 for t in terms for x in t[1:]]).tobytes())
+    return matrix([c * x[xs][:, None] * y[ys] for (c, x, y), (xs, ys) in zip(terms, nz)])
 
 
-def _kron_triplets(c: float, x: np.ndarray, y: np.ndarray):
-    """COO triplets of the nonzeros of ``c * kron(x, y)``."""
-    (xr, xc), (yr, yc), step = np.nonzero(x), np.nonzero(y), y.shape[0]
-    return (np.ravel(xr[:, None] * step + yr), np.ravel(xc[:, None] * step + yc),
-            np.ravel(c * x[xr, xc][:, None] * y[yr, yc]))
+@lru_cache(maxsize=16)  # holds every rung of the ladders, 8 to 127, coupled and at g = 0
+def _kron_plan(d: int, masks: bytes):
+    """Nonzeros (NaN counts) of five factor pairs' packed masks; their Kronecker sum's plan."""
+    x = np.unpackbits(np.frombuffer(masks, np.uint8), count=10 * d * d).reshape(10, d, d) != 0
+    nonzeros = [(np.nonzero(x[i]), np.nonzero(x[i + 1])) for i in range(0, 10, 2)]
+    t = np.uint32 if d <= 256 else np.int64  # for the keys row * d**2 + col
+    keys = np.concatenate([(xr * d**3 + xc * d).astype(t)[:, None] + (yr * d * d + yc).astype(t)
+                           for (xr, xc), (yr, yc) in nonzeros], axis=None)
+    return nonzeros, _index_plan(keys, d * d, keys.argsort(kind="stable"))  # sorted runs
+
+
+def _index_plan(keys, n: int, order):
+    """``matrix(values)``, the ``n x n`` CSR matrix of values at ``keys = row * n + col``."""
+    from scipy.sparse import csr_matrix
+    keys, order = keys[order], order.astype(np.int32)  # any sort: a slot sums at most 2 values
+    first = np.diff(keys, prepend=~keys[:1]) != 0  # each slot's first entry
+    more = np.flatnonzero(~first)  # the others, at slots more - 1, more - 2, ...
+    firsts, slots, rest = order[first], more - np.arange(1, more.size + 1), order[more]
+    row, col = np.divmod(keys[first], n)
+    col, ptr = col.astype(np.int32), np.bincount(row + 1, minlength=n + 1).cumsum(dtype=np.int32)
+    del keys, order, first, more, row  # so that the copies kept below can take their place
+    firsts, slots, rest, col, ptr = (np.array(v) for v in (firsts, slots, rest, col, ptr))
+    col.flags.writeable = ptr.flags.writeable = False  # shared by every matrix built here
+    def matrix(values):
+        values = np.concatenate(values, axis=None)
+        data = values[firsts]  # a lone -0.0 stays -0.0
+        np.add.at(data, slots, values[rest])
+        return csr_matrix((data, col, ptr), shape=(n, n))
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -230,10 +253,6 @@ class DensityMatrix:
                 s * s + 2.0 * s * mean_b.real + n_b)
 
 
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
-
-
 def spsolve(system, rhs) -> np.ndarray:
     """scipy's sparse direct solve; :func:`_solve_stationary` calls it by this name."""
     from scipy.sparse.linalg import spsolve
@@ -247,22 +266,13 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     and ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each
     entry ``(r, s)`` to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``.
     """
-    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import MatrixRankWarning
-    i, j = np.triu_indices(d)
-    pos = np.empty((d, d), dtype=np.int64)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    coo, at = lv.tocoo(), _vec(pos)  # at[r + d * s] is pos[r, s]
-    keep = _vec(np.triu(pos))[coo.row] > 0  # the rows i <= j but (0, 0), where pos is 0
-    system = csc_matrix((np.r_[np.ones(d), coo.data[keep]],  # sums (r, s) with (s, r)
-                         (np.r_[np.zeros(d, np.int64), at[coo.row[keep]]],  # trace row 0
-                          np.r_[np.diag(pos), at[coo.col[keep]]])), shape=(i.size, i.size))
-    rhs = np.zeros(i.size)
-    rhs[0] = 1.0
+    pos, kept, system = _fold_plan(d, lv.indptr.tobytes(), lv.indices.tobytes())
+    system = system([np.ones(d), lv.data[kept]]).T  # sums (r, s) with (s, r)
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            x = spsolve(system, rhs)
+            x = spsolve(system, np.eye(1, system.shape[0])[0])  # the trace row's 1
         except (MatrixRankWarning, RuntimeError) as exc:
             raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -270,9 +280,24 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
     return x[pos]
 
 
+@lru_cache(maxsize=16)
+def _fold_plan(d: int, indptr: bytes, indices: bytes):
+    """``pos``, the entries kept and the transposed folded system's plan, from int32 CSR."""
+    indptr, indices = np.frombuffer(indptr, np.int32), np.frombuffer(indices, np.int32)
+    i, j = np.triu_indices(d)
+    pos, t = np.empty((d, d), dtype=np.int32), np.uint32 if d <= 361 else np.int64
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    counts = np.diff(indptr)[(rows := (i + d * j)[1:])]  # rows i <= j but (0, 0), by unknown
+    kept = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    major = np.r_[np.diag(pos), pos.ravel("F")[indices[kept]]].astype(t)  # trace row first
+    keys = major * i.size + np.repeat(np.arange(i.size, dtype=t), np.r_[d, counts])  # in order
+    radix = major.astype(np.min_scalar_type(i.size - 1)).argsort(kind="stable")  # to d = 361
+    return pos, kept, _index_plan(keys, i.size, radix)
+
+
 def _checked(rho: np.ndarray, lv, ops: HilbertConfig, shift: float = 0.0) -> DensityMatrix:
     """``rho`` with its residual under the full generator, at most ``_RESIDUAL_TOL``."""
-    residual = float(np.abs(lv @ _vec(rho)).max())
+    residual = float(np.abs(lv @ rho.ravel("F")).max())
     if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
     return DensityMatrix(matrix=rho, residual=residual, ops=ops, shift=shift)
@@ -444,7 +469,7 @@ def decoupled_cavity_steady(
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
     m, d = config.n_cut + 1, config.dim
     lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, config), config.a, kappa)
-    lower = _vec(np.add.outer(np.arange(m, d), d * np.arange(m, d)))
+    lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
     rho = np.kron(np.diag([0.0, 1.0]), _solve_stationary(lv[lower][:, lower], m))
     return _checked(rho, lv, config)
 
@@ -508,6 +533,6 @@ def evolve_density(
     d = config.dim
     initial = np.zeros((d, d))
     initial[config.n_cut + 1, config.n_cut + 1] = 1.0  # atom lower level, zero photons
-    rho = expm_multiply(t_final * lv, _vec(initial)).reshape((d, d), order="F")
-    return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ _vec(rho)).max()),
+    rho = expm_multiply(t_final * lv, initial.ravel("F")).reshape((d, d), order="F")
+    return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ rho.ravel("F")).max()),
                          ops=config)

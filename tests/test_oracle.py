@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from cavity_squeezing import oracle
@@ -64,6 +66,47 @@ def fold_matrix_system(lv, d):
                          shape=(d * d, i.size))
     trace_row = sp.csr_matrix(np.eye(d).reshape(1, -1, order="F"))
     return (sp.vstack([trace_row, lv[(i + d * j)[1:]]]) @ fold).tocsc()
+
+
+def kron_triplets(c, x, y):
+    """COO triplets of the nonzeros of ``c * kron(x, y)``."""
+    (xr, xc), (yr, yc), step = np.nonzero(x), np.nonzero(y), y.shape[0]
+    return (np.ravel(xr[:, None] * step + yr), np.ravel(xc[:, None] * step + yc),
+            np.ravel(c * x[xr, xc][:, None] * y[yr, yc]))
+
+
+def coo_liouvillian(hamiltonian, a, kappa):
+    """The generator built without a plan: every term's COO triplets, summed by
+    scipy's COO -> CSR conversion."""
+    k, a = (-1j * np.asarray(hamiltonian)).real, np.asarray(a)
+    d = k.shape[0]
+    eye, n_op = np.eye(d), a.T @ a
+    terms = ((1.0, eye, k), (-1.0, k.T, eye), (kappa, a, a),
+             (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
+    rows, cols, data = map(np.concatenate, zip(*(kron_triplets(*t) for t in terms)))
+    return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))
+
+
+def assert_same_bits(matrix, reference):
+    """Same shape, structure and data, signed zeros included."""
+    assert matrix.shape == reference.shape
+    assert matrix.dtype == reference.dtype == np.float64
+    for part in ("indptr", "indices"):
+        assert np.array_equal(getattr(matrix, part), getattr(reference, part)), part
+    assert np.array_equal(matrix.data.view(np.uint64), reference.data.view(np.uint64))
+
+
+PLANS = (oracle._kron_plan, oracle._fold_plan)
+
+
+def clear_plans():
+    for plans in PLANS:
+        plans.cache_clear()
+
+
+def plans_built():
+    """The generator and folded-system plans built since the caches were cleared."""
+    return tuple(plans.cache_info().misses for plans in PLANS)
 
 
 def lab_frame_density(params, n_cut):
@@ -348,6 +391,112 @@ class TestFoldedSystem:
         a = config.a[:m, :m]
         lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
         self.assert_same_system(system, fold_matrix_system(lv, m))
+
+
+# Rates with exact zeros, ordinary sizes, and sizes whose products underflow
+# (to subnormals, or to zeros of either sign).
+RATES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-160, 1e-150),
+                  st.floats(5e-324, 1e-300))
+SIGNED = st.tuples(st.sampled_from([1.0, -1.0]), RATES).map(lambda t: t[0] * t[1])
+POINTS = st.tuples(SIGNED, SIGNED, RATES, SIGNED)  # g, eps, kappa, shift
+
+
+class TestPlannedGenerator:
+    """The generator summed from its cached plan equals the COO build bit for bit."""
+
+    @settings(deadline=None)
+    @given(n_cut=st.integers(2, 32), first=POINTS, second=POINTS)
+    @example(n_cut=8, first=(0.3, 0.0, 0.8, 0.5), second=(0.0, 0.2, 0.8, 0.0))
+    @example(n_cut=2, first=(0.0, 0.0, 0.0, 0.0), second=(1e-160, -1e-160, 5e-324, 0.0))
+    def test_equals_the_coo_build(self, n_cut, first, second):
+        # the first call builds its plan, the second may switch pattern, the third hits
+        config, counts = HilbertConfig(n_cut), []
+        clear_plans()
+        for g, eps, kappa, shift in (first, second, first):
+            h = hamiltonian_matrix(g, eps, config, shift=shift)
+            assert_same_bits(liouvillian_matrix(h, config.a, kappa),
+                             coo_liouvillian(h, config.a, kappa))
+            counts.append(plans_built()[0])
+        assert counts[0] == 1 and counts[2] == counts[1] <= 2
+
+    def test_operators_without_nonzeros(self):
+        zero = np.zeros((6, 6))
+        lv = liouvillian_matrix(zero, zero, 0.8)
+        assert lv.nnz == 0
+        assert_same_bits(lv, coo_liouvillian(zero, zero, 0.8))
+
+    def test_index_arrays_are_shared_and_read_only(self, canonical):
+        # an in-place change of the structure fails rather than reach the plan; a copy may
+        config = HilbertConfig(4)
+        h = hamiltonian_matrix(canonical.g, canonical.epsilon, config)
+        first, second = (liouvillian_matrix(h, config.a, canonical.kappa) for _ in range(2))
+        for part in ("indices", "indptr"):
+            assert np.shares_memory(getattr(first, part), getattr(second, part))
+        with pytest.raises(ValueError):
+            first.eliminate_zeros()
+        copy = first.copy()
+        copy.data[::2] = 0.0
+        copy.eliminate_zeros()
+        assert_same_bits(liouvillian_matrix(h, config.a, canonical.kappa),
+                         coo_liouvillian(h, config.a, canonical.kappa))
+
+
+class TestPlanCache:
+    """One plan per sparsity pattern, in caches of a bounded size."""
+
+    def test_one_plan_per_pattern(self):
+        clear_plans()
+        for eps in (0.2, 0.5):
+            steady_density(params_at(eps), HilbertConfig(16))
+        assert plans_built() == (1, 1)
+        for eps in (0.2, 0.5):  # the g = 0 block has a plan of its own
+            decoupled_cavity_steady(eps, 0.8, HilbertConfig(16))
+        assert plans_built() == (2, 2)
+
+    def test_stays_bounded(self, monkeypatch):
+        clear_plans()
+        monkeypatch.setattr(oracle, "spsolve", lambda system, rhs: np.zeros(rhs.size))
+        patterns = [(0.3, 0.0, 0.5), (0.3, 0.0, 0.0), (0.0, 0.2, 0.0)]  # g, eps, shift
+        for n_cut in range(2, 65):
+            config = HilbertConfig(n_cut)
+            for g, eps, shift in patterns:
+                lv = liouvillian_matrix(hamiltonian_matrix(g, eps, config, shift=shift),
+                                        config.a, 0.8)
+                oracle._solve_stationary(lv, config.dim)
+                assert all(p.cache_info().currsize <= p.cache_info().maxsize for p in PLANS)
+        assert plans_built() == (63 * 3, 63 * 3)
+        assert [p.cache_info().currsize for p in PLANS] == [p.cache_info().maxsize for p in PLANS]
+
+
+class TestFoldedSystemOnACacheHit:
+    """Patterns the benchmark's ladders never draw, solved a second time with other
+    values, so that the generator and the folded system come from cached plans."""
+
+    @staticmethod
+    def second_system(monkeypatch, solve, value):
+        clear_plans()
+        solve(2.0 * value)
+        built = plans_built()
+        system = TestFoldedSystem.solved_system(monkeypatch, lambda: solve(value))
+        assert plans_built() == built
+        return system
+
+    def test_coupled_without_drive(self, monkeypatch):
+        config = HilbertConfig(16)
+        system = self.second_system(
+            monkeypatch, lambda kappa: steady_density(params_at(0.0, kappa=kappa), config), 0.8)
+        params = params_at(0.0)
+        lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, config), config.a,
+                                params.kappa)
+        TestFoldedSystem.assert_same_system(system, fold_matrix_system(lv, config.dim))
+
+    def test_decoupled_cavity_at_n_cut_32(self, monkeypatch):
+        config = HilbertConfig(32)
+        system = self.second_system(
+            monkeypatch, lambda eps: decoupled_cavity_steady(eps, 0.8, config), 0.2)
+        a = config.a[:33, :33]
+        lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
+        TestFoldedSystem.assert_same_system(system, fold_matrix_system(lv, 33))
 
 
 class TestStrongDrive:
