@@ -15,7 +15,8 @@ truncates the small fluctuation field ``b``.  All generators and states
 are real (``float64``); :meth:`DensityMatrix.field_moments` maps moments
 back to ``a``.  The ``g = 0`` limit and :func:`evolve_density` stay in
 the lab frame and build the same drive term, :func:`hamiltonian_matrix`
-at ``shift = 0``, so ``g = 0`` still checks ``alpha`` independently.
+at ``shift = 0``, so ``g = 0``, solved on the cavity's ``n_cut + 1`` states
+with the atom in its lower level, still checks ``alpha`` independently.
 
 Conventions, fixed once and used everywhere:
 
@@ -81,7 +82,7 @@ _FRAMEWORK_NOTE = (
 
 # The cutoff ladder's default moment tolerance and largest Hilbert-space
 # dimension (the CLI's defaults), its first rung, and the largest stationary
-# residual the full-space generator may leave on an accepted state.  The
+# residual the unfolded generator may leave on an accepted state.  The
 # bound is absolute, whatever the generator's scale: at the canonical rates
 # the residuals stay below 1e-10 up to eps = 1e6, where the entries are about
 # 7e5, and the bound refuses from about eps = 1e10.
@@ -176,7 +177,7 @@ def liouvillian_matrix(hamiltonian, a, kappa: float):
     return matrix([c * x[xs][:, None] * y[ys] for (c, x, y), (xs, ys) in zip(terms, nz)])
 
 
-@lru_cache(maxsize=16)  # holds every rung of the ladders, 8 to 127, coupled and at g = 0
+@lru_cache(maxsize=16)  # ladder runs use 6: d = 18, 34, 256 coupled and 9, 17, 33 at g = 0
 def _kron_plan(d: int, masks: bytes):
     """Nonzeros (NaN counts) of five factor pairs' packed masks; their Kronecker sum's plan."""
     x = np.unpackbits(np.frombuffer(masks, np.uint8), count=10 * d * d).reshape(10, d, d) != 0
@@ -254,19 +255,21 @@ class DensityMatrix:
 
 
 def spsolve(system, rhs) -> np.ndarray:
-    """scipy's sparse direct solve; :func:`_solve_stationary` calls it by this name."""
+    """scipy's sparse direct solve; :func:`_stationary` calls it by this name."""
     from scipy.sparse.linalg import spsolve
     return spsolve(system, rhs)
 
 
-def _solve_stationary(lv, d: int) -> np.ndarray:
-    """Solve for the real symmetric stationary state on its ``d(d+1)/2`` unknowns.
+def _stationary(hamiltonian, a, kappa: float) -> tuple[np.ndarray, float]:
+    """The real symmetric stationary state of ``liouvillian_matrix(hamiltonian, a, kappa)``.
 
-    ``lv`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)``
-    and ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each
-    entry ``(r, s)`` to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``.
+    ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
+    ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each entry ``(r, s)``
+    to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``.  Returns the
+    state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
     """
     from scipy.sparse.linalg import MatrixRankWarning
+    lv, d = liouvillian_matrix(hamiltonian, a, kappa), len(hamiltonian)
     pos, kept, system = _fold_plan(d, lv.indptr.tobytes(), lv.indices.tobytes())
     system = system([np.ones(d), lv.data[kept]]).T  # sums (r, s) with (s, r)
     with warnings.catch_warnings():
@@ -277,7 +280,11 @@ def _solve_stationary(lv, d: int) -> np.ndarray:
             raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("stationary solve produced non-finite entries")
-    return x[pos]
+    rho = x[pos]
+    residual = float(np.abs(lv @ rho.ravel("F")).max())
+    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
+        raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
+    return rho, residual
 
 
 @lru_cache(maxsize=16)
@@ -295,14 +302,6 @@ def _fold_plan(d: int, indptr: bytes, indices: bytes):
     return pos, kept, _index_plan(keys, i.size, radix)
 
 
-def _checked(rho: np.ndarray, lv, ops: HilbertConfig, shift: float = 0.0) -> DensityMatrix:
-    """``rho`` with its residual under the full generator, at most ``_RESIDUAL_TOL``."""
-    residual = float(np.abs(lv @ rho.ravel("F")).max())
-    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
-        raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
-    return DensityMatrix(matrix=rho, residual=residual, ops=ops, shift=shift)
-
-
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
     """Stationary density matrix of the full master equation, in the displaced frame.
 
@@ -313,8 +312,8 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     """
     alpha = 2.0 * params.epsilon / params.kappa
     h = hamiltonian_matrix(params.g, 0.0, config, shift=alpha)
-    lv = liouvillian_matrix(h, config.a, params.kappa)
-    return _checked(_solve_stationary(lv, config.dim), lv, config, shift=alpha)
+    rho, residual = _stationary(h, config.a, params.kappa)
+    return DensityMatrix(matrix=rho, residual=residual, ops=config, shift=alpha)
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -461,17 +460,17 @@ def decoupled_cavity_steady(
     At ``g = 0`` the full generator has a degenerate stationary manifold
     (the atom never relaxes), so the full-space solve is singular.  The
     cavity factor alone still has a unique stationary state — a coherent
-    state of amplitude ``2 eps / kappa`` — so the lab-frame generator is
-    solved on its block with the atom in the lower level, rows and columns
-    ``r + d s`` with ``m <= r, s < d``, and the solution is tensored with
-    that level.  The residual is evaluated with the same full-space generator.
+    state of amplitude ``2 eps / kappa`` — so the lab-frame Hamiltonian and jump
+    operator are solved on their ``m = n_cut + 1`` states with the atom in the
+    lower level, and the solution is tensored with that level.  No term of the
+    generator changes an atomic index and ``rho`` is 0 off that block, so the
+    full-space ``L vec(rho)`` is the block's on it and 0 elsewhere: the residual is the same.
     """
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
-    m, d = config.n_cut + 1, config.dim
-    lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, config), config.a, kappa)
-    lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
-    rho = np.kron(np.diag([0.0, 1.0]), _solve_stationary(lv[lower][:, lower], m))
-    return _checked(rho, lv, config)
+    m = config.n_cut + 1
+    rho, residual = _stationary(hamiltonian_matrix(0.0, epsilon, config)[m:, m:],
+                                config.a[m:, m:], kappa)
+    return DensityMatrix(matrix=np.kron(np.diag([0.0, 1.0]), rho), residual=residual, ops=config)
 
 
 def decoupled_benchmark(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from cavity_squeezing import oracle
+from cavity_squeezing.params import _require_drive, _require_rate
 from cavity_squeezing import (
     DensityMatrix,
     DimensionCap,
@@ -85,6 +87,33 @@ def coo_liouvillian(hamiltonian, a, kappa):
              (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
     rows, cols, data = map(np.concatenate, zip(*(kron_triplets(*t) for t in terms)))
     return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))
+
+
+def sliced_decoupled_steady(epsilon, kappa, config):
+    """The ``g = 0`` state and residual by the product-space route: the full
+    generator's lower-atom block sliced out by index, folded and solved, and the
+    state tensored with the lower level and gated on the full generator."""
+    epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
+    m, d = config.n_cut + 1, config.dim
+    lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, config), config.a, kappa)
+    lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
+    block = lv[lower][:, lower]
+    pos, kept, system = oracle._fold_plan(m, block.indptr.tobytes(), block.indices.tobytes())
+    system = system([np.ones(m), block.data[kept]]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            x = spsolve(system, np.eye(1, system.shape[0])[0])
+        except (MatrixRankWarning, RuntimeError) as exc:
+            raise SingularSystem(f"stationary solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("stationary solve produced non-finite entries")
+    rho = np.kron(np.diag([0.0, 1.0]), x[pos])
+    residual = float(np.abs(lv @ rho.ravel("F")).max())
+    tol = oracle._RESIDUAL_TOL
+    if not math.isfinite(residual) or residual > tol:
+        raise SingularSystem(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
+    return rho, residual
 
 
 def assert_same_bits(matrix, reference):
@@ -335,17 +364,19 @@ class TestSymmetricSolve:
         n = 34 * 35 // 2
         assert shapes == [((n, n), (n,))]
 
-    def test_residual_gate_reads_the_unfolded_generator(self, canonical):
-        rho = steady_density(canonical, HilbertConfig(16))
-        ops = rho.ops
-        alpha = 2.0 * canonical.epsilon / canonical.kappa
-        lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, ops, shift=alpha),
-                                ops.a, canonical.kappa)
-        noise = np.random.default_rng(3).normal(size=rho.matrix.shape)
-        perturbed = rho.matrix + 1e-6 * (noise + noise.T)
-        assert oracle._checked(rho.matrix, lv, ops, shift=alpha).residual <= 1e-10
-        with pytest.raises(SingularSystem, match="stationary residual"):
-            oracle._checked(perturbed, lv, ops, shift=alpha)
+    def test_residual_gate_reads_the_unfolded_generator(self, canonical, monkeypatch):
+        # a solve that returns the folded solution perturbed by 1e-6 is refused
+        config = HilbertConfig(16)
+        solves = {"displaced": lambda: steady_density(canonical, config),
+                  "decoupled": lambda: decoupled_cavity_steady(0.2, 0.8, config)}
+        for solve in solves.values():
+            assert solve().residual <= 1e-10
+        rng = np.random.default_rng(3)
+        monkeypatch.setattr(oracle, "spsolve", lambda system, rhs: (
+            spsolve(system, rhs) + 1e-6 * rng.normal(size=rhs.size)))
+        for solve in solves.values():
+            with pytest.raises(SingularSystem, match="stationary residual"):
+                solve()
 
 
 class TestFoldedSystem:
@@ -459,10 +490,9 @@ class TestPlanCache:
         patterns = [(0.3, 0.0, 0.5), (0.3, 0.0, 0.0), (0.0, 0.2, 0.0)]  # g, eps, shift
         for n_cut in range(2, 65):
             config = HilbertConfig(n_cut)
-            for g, eps, shift in patterns:
-                lv = liouvillian_matrix(hamiltonian_matrix(g, eps, config, shift=shift),
-                                        config.a, 0.8)
-                oracle._solve_stationary(lv, config.dim)
+            for g, eps, shift in patterns:  # the zero state passes the residual gate
+                oracle._stationary(hamiltonian_matrix(g, eps, config, shift=shift),
+                                   config.a, 0.8)
                 assert all(p.cache_info().currsize <= p.cache_info().maxsize for p in PLANS)
         assert plans_built() == (63 * 3, 63 * 3)
         assert [p.cache_info().currsize for p in PLANS] == [p.cache_info().maxsize for p in PLANS]
@@ -593,16 +623,18 @@ class TestOperatorBuilds:
 
 
 def test_one_generator_per_decoupled_rung(monkeypatch):
-    """The ``g = 0`` solve and its residual gate read the same generator."""
-    calls = []
+    """The ``g = 0`` solve and its residual gate read the same generator, the
+    cavity block's: no product-space generator is built."""
+    rows = []
 
     def counting(*args):
-        calls.append(args)
-        return liouvillian_matrix(*args)
+        lv = liouvillian_matrix(*args)
+        rows.append(lv.shape[0])
+        return lv
 
     monkeypatch.setattr(oracle, "liouvillian_matrix", counting)
     decoupled_benchmark(0.2, 0.8)
-    assert len(calls) == 3  # rungs 8, 16 and 32
+    assert rows == [(n_cut + 1) ** 2 for n_cut in (8, 16, 32)]
 
 
 class TestMomentReads:
@@ -680,6 +712,18 @@ class TestReport:
             assert abs(report.comparisons[name]["delta"]) <= 1e-10
 
 
+# (epsilon, kappa) at g = 0: kappa of ordinary size, at the rate window's edges
+# [1e-38, 1e38] and one step outside them; epsilon 0, subnormal or tiny, or up to
+# alpha = 2 eps / kappa = 3.
+EDGES = [1e-38, 1e38, float(np.nextafter(1e-38, 0.0)), float(np.nextafter(1e38, math.inf))]
+KAPPAS = st.one_of(st.floats(1e-3, 1e3), st.sampled_from(EDGES), st.floats(1e-38, 1e-36),
+                   st.floats(1e36, 1e38))
+DECOUPLED_POINTS = KAPPAS.flatmap(lambda kappa: st.tuples(
+    st.one_of(st.just(0.0), st.floats(5e-324, 1e-300),
+              st.floats(0.0, 1.5).map(lambda u: u * kappa)),
+    st.just(kappa)))
+
+
 class TestDecoupled:
     def test_matches_coherent_state(self):
         bench = decoupled_benchmark(0.2, 0.8)
@@ -707,6 +751,25 @@ class TestDecoupled:
         with pytest.raises(ValueError) as got:
             decoupled_cavity_steady(epsilon, 0.8, HilbertConfig(8))
         assert str(got.value) == str(want.value)
+
+    @settings(deadline=None)
+    @given(n_cut=st.integers(2, 32), point=DECOUPLED_POINTS)
+    @example(n_cut=8, point=(0.2, 0.8))
+    @example(n_cut=2, point=(0.0, 1e-38))
+    @example(n_cut=4, point=(5e-324, 1e38))
+    @example(n_cut=16, point=(1e38, 1e38))  # the residual gate refuses
+    def test_equals_the_sliced_product_space_route(self, n_cut, point):
+        config = HilbertConfig(n_cut)
+        try:
+            want = sliced_decoupled_steady(*point, config)
+        except (ValueError, SingularSystem) as exc:
+            with pytest.raises(type(exc)) as got:
+                decoupled_cavity_steady(*point, config)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        rho = decoupled_cavity_steady(*point, config)
+        assert np.array_equal(rho.matrix.view(np.uint64), want[0].view(np.uint64))
+        assert np.float64(rho.residual).view(np.uint64) == np.float64(want[1]).view(np.uint64)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
