@@ -30,6 +30,8 @@ Conventions, fixed once and used everywhere:
   antisymmetric part, a nearly null direction of the generator at strong
   drive; the folded system is the generator's own entries re-indexed onto
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
+* the unknowns and their rows are numbered in a nested-dissection order of the
+  photon-number lattice, read off the pattern, and SuperLU factors in that order;
 * both are summed on index plans cached per sparsity pattern (``_index_plan``).
 
 The oracle's quadrature variances use the standard commutator, whose
@@ -45,7 +47,6 @@ operators and its Hamiltonians cost numpy alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -85,7 +86,7 @@ _FRAMEWORK_NOTE = (
 # residual the unfolded generator may leave on an accepted state.  The
 # bound is absolute, whatever the generator's scale: at the canonical rates
 # the residuals stay below 1e-10 up to eps = 1e6, where the entries are about
-# 7e5, and the bound refuses from about eps = 1e10.
+# 7e5, and the bound refuses from about eps = 1e9.
 _LADDER_TOL = 1e-8
 _DIM_CAP = 256
 _LADDER_START = 8
@@ -255,9 +256,13 @@ class DensityMatrix:
 
 
 def spsolve(system, rhs) -> np.ndarray:
-    """scipy's sparse direct solve; :func:`_stationary` calls it by this name."""
-    from scipy.sparse.linalg import spsolve
-    return spsolve(system, rhs)
+    """SuperLU's solve of the CSC ``system`` with no column ordering of its own:
+    :func:`_fold_plan` has numbered the unknowns in the order to factor in.
+    :func:`_stationary` calls it by this name, and an exactly singular factor raises
+    ``RuntimeError``.  A diagonal pivot is kept while it is at least half its column's
+    largest entry (canonical ``n_cut`` 127: 4.84M entries in L and U, 4.90M at 1)."""
+    from scipy.sparse.linalg import splu
+    return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
 
 
 def _stationary(hamiltonian, a, kappa: float) -> tuple[np.ndarray, float]:
@@ -265,19 +270,18 @@ def _stationary(hamiltonian, a, kappa: float) -> tuple[np.ndarray, float]:
 
     ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
     ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each entry ``(r, s)``
-    to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``.  Returns the
+    to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``'s.  Returns the
     state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
     """
-    from scipy.sparse.linalg import MatrixRankWarning
     lv, d = liouvillian_matrix(hamiltonian, a, kappa), len(hamiltonian)
-    pos, kept, system = _fold_plan(d, lv.indptr.tobytes(), lv.indices.tobytes())
+    fock = np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64)  # a's column j: sqrt(n_j)
+    pos, kept, system = _fold_plan(d, lv.indptr.tobytes(), lv.indices.tobytes(),
+                                   fock.tobytes())
     system = system([np.ones(d), lv.data[kept]]).T  # sums (r, s) with (s, r)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            x = spsolve(system, np.eye(1, system.shape[0])[0])  # the trace row's 1
-        except (MatrixRankWarning, RuntimeError) as exc:
-            raise SingularSystem(f"stationary solve failed: {exc}") from exc
+    try:
+        x = spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])  # the trace row's 1
+    except RuntimeError as exc:
+        raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("stationary solve produced non-finite entries")
     rho = x[pos]
@@ -288,18 +292,70 @@ def _stationary(hamiltonian, a, kappa: float) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=16)
-def _fold_plan(d: int, indptr: bytes, indices: bytes):
-    """``pos``, the entries kept and the transposed folded system's plan, from int32 CSR."""
+def _fold_plan(d: int, indptr: bytes, indices: bytes, fock: bytes):
+    """``pos``, the entries kept and the transposed folded system's plan, from int32 CSR
+    and the basis states' int64 Fock numbers.
+
+    Unknown ``(r, s)`` sits on the lattice site ``(min, max)`` of its two Fock numbers,
+    and the unknowns are numbered in the sites' nested-dissection order
+    (:func:`_dissection`), one group's in ``triu`` order.  The row of ``(r, s)`` takes
+    the number ``pos[r, s]`` too, and the trace row ``pos[0, 0]``: the folded system
+    comes symmetrically permuted into the order SuperLU factors in.  The order is read
+    off the pattern alone, on every build.
+    """
     indptr, indices = np.frombuffer(indptr, np.int32), np.frombuffer(indices, np.int32)
-    i, j = np.triu_indices(d)
-    pos, t = np.empty((d, d), dtype=np.int32), np.uint32 if d <= 361 else np.int64
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    counts = np.diff(indptr)[(rows := (i + d * j)[1:])]  # rows i <= j but (0, 0), by unknown
+    fock, (i, j) = np.frombuffer(fock, np.int64), np.triu_indices(d)
+    span = int(fock.max()) + 1
+    site = np.minimum(fock[i], fock[j]) * span + np.maximum(fock[i], fock[j])  # by unknown
+    sites, group = np.flatnonzero(np.bincount(site)), np.zeros(span * span, np.intp)
+    group[sites] = _dissection(*np.divmod(sites, span))  # sites in natural order
+    n, small, t = i.size, np.min_scalar_type(i.size - 1), np.uint32 if d <= 361 else np.int64
+    order = group[site].astype(small).argsort(kind="stable")  # the unknown numbered k
+    pos = np.empty((d, d), dtype=np.int32)
+    pos[i[order], j[order]] = pos[j[order], i[order]] = np.arange(n)
+    rows = (i + d * j)[np.delete(order, trace := pos[0, 0])]  # by number, but the trace row
+    counts = np.diff(indptr)[rows]
     kept = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     major = np.r_[np.diag(pos), pos.ravel("F")[indices[kept]]].astype(t)  # trace row first
-    keys = major * i.size + np.repeat(np.arange(i.size, dtype=t), np.r_[d, counts])  # in order
-    radix = major.astype(np.min_scalar_type(i.size - 1)).argsort(kind="stable")  # to d = 361
-    return pos, kept, _index_plan(keys, i.size, radix)
+    minor = np.r_[np.full(d, trace, t), np.repeat(np.delete(np.arange(n, dtype=t), trace), counts)]
+    split = d + counts[:trace].sum()  # the trace row goes after the rows numbered below it
+    by_row = np.concatenate((np.arange(d, split), np.arange(d), np.arange(split, major.size)))
+    radix = by_row[major[by_row].astype(small).argsort(kind="stable")]  # to d = 361
+    return pos, kept, _index_plan(major * n + minor, n, radix)
+
+
+def _dissection(u, v) -> np.ndarray:
+    """Nested-dissection group numbers of the lattice sites ``(u, v)``, given in
+    natural (lexicographic) order (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
+
+    No generator term moves a Fock number by more than 1, so a line ``u = c`` or
+    ``v = c`` separates the sites on its two sides.  Each set of more than 4 sites is
+    cut at the median of its longer extent (``v`` on a tie); the sites below come
+    first, then those above, then the line, each set numbered so in turn.  A set of
+    at most 4 sites, or a line, is one group and keeps the natural order.  Sets are
+    split a level at a time, every set of a level at once: a site's path is its key,
+    2 bits a level.
+    """
+    n = u.size
+    key, node = np.zeros(n, np.int64), np.zeros(n, np.intp)
+    by_u, by_v = np.arange(n), np.argsort(v, kind="stable")  # the live sites, by set
+    while by_u.size:
+        key <<= 2
+        count = np.bincount(sets := node[by_u])
+        first = np.cumsum(count) - count
+        mid, last = first + count // 2, first + count - 1
+        su, sv = u[by_u], v[by_v]
+        along_v = sv[last] - sv[first] >= su[last] - su[first]
+        side = np.where(along_v[sets], v[by_u], su) - np.where(along_v, sv[mid], su[mid])[sets]
+        split = count[sets] > 4
+        key[by_u[split]] += np.where(side[split] == 0, 2, side[split] > 0)
+        live = np.zeros(n, bool)
+        live[by_u[split & (side != 0)]] = True
+        node[by_u] = 2 * sets + (side > 0)
+        by_u, by_v = (s[live[s]] for s in (by_u, by_v))
+        by_u, by_v = (s[node[s].astype(np.min_scalar_type(2 * n)).argsort(kind="stable")]
+                      for s in (by_u, by_v))
+    return np.unique(key, return_inverse=True)[1]
 
 
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:

@@ -907,7 +907,10 @@ class TestConsoleEntry:
 
 
 # Every subcommand but ``oracle`` runs without scipy, and the oracle's
-# failures still map to their exit codes once the CLI loads it.
+# failures still map to their exit codes once the CLI loads it.  At kappa 1e-20
+# and eps 1 the atom's Rabi frequency 4 g eps/kappa is about 1e10, so the cavity
+# decay is below the rounding of the drive terms: SuperLU meets the Hamiltonian
+# part's degenerate stationary manifold as an exactly singular factor.
 BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 from cavity_squeezing import cli
@@ -922,7 +925,7 @@ with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         ["figures", "--n-points", "3", "--out-dir", out_dir])]
     scipy_loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
     cap = cli.main(["oracle", *canonical, "--dim-cap", "16"])
-    singular = cli.main(["oracle", *rates, "--epsilon", "1e30"])
+    singular = cli.main(["oracle", "--gamma-c", "0.4", "--kappa", "1e-20", "--epsilon", "1"])
     residual = cli.main(["oracle", *rates, "--epsilon", "1e20"])
 print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
                   "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import spsolve
 
 from cavity_squeezing import oracle
 from cavity_squeezing.params import _require_drive, _require_rate
@@ -57,17 +56,33 @@ def full_space_stationary(lv, d):
     return spsolve(system, rhs).reshape((d, d), order="F")
 
 
-def fold_matrix_system(lv, d):
-    """The folded stationary system built by matrix algebra: the trace row stacked
-    on the generator rows ``(i, j)``, ``i <= j`` but ``(0, 0)``, times a 0/1 matrix
-    that adds the columns of ``(r, s)`` and ``(s, r)``."""
+def triu_numbering(d):
+    """``pos`` of the entries ``i <= j`` numbered in ``triu`` order, as the plan
+    numbered them before it ordered them for SuperLU."""
     i, j = np.triu_indices(d)
     pos = np.empty((d, d), dtype=np.int64)
     pos[i, j] = pos[j, i] = np.arange(i.size)
-    fold = sp.csr_matrix((np.ones(d * d), (np.arange(d * d), pos.reshape(-1, order="F"))),
+    return pos
+
+
+def planned_numbering(lv, a):
+    """The plan's ``pos`` for the generator ``lv`` with jump operator ``a``."""
+    fock = np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64)
+    return oracle._fold_plan(len(a), lv.indptr.tobytes(), lv.indices.tobytes(),
+                             fock.tobytes())[0]
+
+
+def fold_matrix_system(lv, d, pos):
+    """The folded stationary system built by matrix algebra: the trace row stacked
+    on the generator rows ``(i, j)``, ``i <= j`` but ``(0, 0)``, times a 0/1 matrix
+    that adds the columns of ``(r, s)`` and ``(s, r)``; then the row and the column
+    of ``(i, j)``, the trace row for ``(0, 0)``, both moved to ``pos[i, j]``."""
+    i, j = np.triu_indices(d)
+    fold = sp.csr_matrix((np.ones(d * d), (np.arange(d * d), triu_numbering(d).ravel("F"))),
                          shape=(d * d, i.size))
     trace_row = sp.csr_matrix(np.eye(d).reshape(1, -1, order="F"))
-    return (sp.vstack([trace_row, lv[(i + d * j)[1:]]]) @ fold).tocsc()
+    by_number = np.argsort(pos[i, j])
+    return (sp.vstack([trace_row, lv[(i + d * j)[1:]]]) @ fold)[by_number][:, by_number].tocsc()
 
 
 def kron_triplets(c, x, y):
@@ -98,14 +113,14 @@ def sliced_decoupled_steady(epsilon, kappa, config):
     lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, config), config.a, kappa)
     lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
     block = lv[lower][:, lower]
-    pos, kept, system = oracle._fold_plan(m, block.indptr.tobytes(), block.indices.tobytes())
+    fock = np.arange(m, dtype=np.int64).tobytes()  # the block's Fock numbers
+    pos, kept, system = oracle._fold_plan(m, block.indptr.tobytes(), block.indices.tobytes(),
+                                          fock)
     system = system([np.ones(m), block.data[kept]]).T
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            x = spsolve(system, np.eye(1, system.shape[0])[0])
-        except (MatrixRankWarning, RuntimeError) as exc:
-            raise SingularSystem(f"stationary solve failed: {exc}") from exc
+    try:
+        x = oracle.spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])
+    except RuntimeError as exc:
+        raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("stationary solve produced non-finite entries")
     rho = np.kron(np.diag([0.0, 1.0]), x[pos])
@@ -381,8 +396,8 @@ class TestSymmetricSolve:
 
 class TestFoldedSystem:
     """The system handed to the solver is, entry for entry, the generator's rows
-    ``i <= j`` with the trace row first, folded by the 0/1 matrix of
-    :func:`fold_matrix_system`."""
+    ``i <= j`` and the trace row, folded by the 0/1 matrix of
+    :func:`fold_matrix_system` and numbered by the plan's ``pos``."""
 
     @staticmethod
     def solved_system(monkeypatch, solve):
@@ -411,7 +426,8 @@ class TestFoldedSystem:
         shift = 2.0 * params.epsilon / params.kappa
         lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, config, shift=shift),
                                 config.a, params.kappa)
-        self.assert_same_system(system, fold_matrix_system(lv, config.dim))
+        self.assert_same_system(system, fold_matrix_system(lv, config.dim,
+                                                           planned_numbering(lv, config.a)))
 
     @pytest.mark.parametrize("n_cut", [8, 16])
     def test_decoupled_cavity_solve(self, n_cut, monkeypatch):
@@ -421,7 +437,7 @@ class TestFoldedSystem:
         m = n_cut + 1
         a = config.a[:m, :m]
         lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
-        self.assert_same_system(system, fold_matrix_system(lv, m))
+        self.assert_same_system(system, fold_matrix_system(lv, m, planned_numbering(lv, a)))
 
 
 # Rates with exact zeros, ordinary sizes, and sizes whose products underflow
@@ -518,7 +534,8 @@ class TestFoldedSystemOnACacheHit:
         params = params_at(0.0)
         lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, config), config.a,
                                 params.kappa)
-        TestFoldedSystem.assert_same_system(system, fold_matrix_system(lv, config.dim))
+        TestFoldedSystem.assert_same_system(
+            system, fold_matrix_system(lv, config.dim, planned_numbering(lv, config.a)))
 
     def test_decoupled_cavity_at_n_cut_32(self, monkeypatch):
         config = HilbertConfig(32)
@@ -526,7 +543,124 @@ class TestFoldedSystemOnACacheHit:
             monkeypatch, lambda eps: decoupled_cavity_steady(eps, 0.8, config), 0.2)
         a = config.a[:33, :33]
         lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
-        TestFoldedSystem.assert_same_system(system, fold_matrix_system(lv, 33))
+        TestFoldedSystem.assert_same_system(system,
+                                            fold_matrix_system(lv, 33, planned_numbering(lv, a)))
+
+
+def assert_dissected(u, v):
+    """Sites ``(u, v)`` listed by number are a nested dissection: a set of more than
+    4 sites is numbered as the sites on one side of a line across its longer extent,
+    then those on the other, then the line; each side holds at most half the set and
+    is out of the other's reach, and each is numbered so in turn."""
+    if u.size <= 4:
+        return
+    along = v if np.ptp(v) >= np.ptp(u) else u
+    line = along == along[-1]
+    assert line[-np.count_nonzero(line):].all(), "the line is numbered last"
+    below, above = along < along[-1], along > along[-1]
+    assert np.all(np.diff(above[~line].astype(int)) >= 0), "one side after the other"
+    assert max(np.count_nonzero(below), np.count_nonzero(above)) <= u.size // 2
+    sides = (bu, bv), (au, av) = [(u[s], v[s]) for s in (below, above)]
+    reach = (np.abs(bu[:, None] - au) <= 1) & (np.abs(bv[:, None] - av) <= 1)
+    assert not reach.any(), "no generator term links the sides"
+    for side in sides:
+        assert_dissected(*side)
+
+
+class TestNestedDissection:
+    """The plan numbers the folded unknowns for SuperLU, which factors in that order."""
+
+    @pytest.mark.parametrize("n_cut", [2, 3, 8, 16, 33])
+    def test_sites_are_dissected(self, n_cut):
+        u, v = np.triu_indices(n_cut + 1)
+        number = np.argsort(oracle._dissection(u, v), kind="stable")
+        assert_dissected(u[number], v[number])
+
+    @pytest.mark.parametrize("problem", ["displaced", "decoupled"])
+    @pytest.mark.parametrize("n_cut", [2, 8, 16])
+    def test_numbering_and_right_hand_side(self, problem, n_cut, canonical, monkeypatch):
+        # pos is a symmetric bijection onto range(N), and the trace row's 1 is at pos[0, 0]
+        config, solves = HilbertConfig(n_cut), []
+        monkeypatch.setattr(oracle, "spsolve",
+                            lambda system, rhs: solves.append((system, rhs)) or spsolve(system, rhs))
+        if problem == "displaced":
+            steady_density(canonical, config)
+            alpha = 2.0 * canonical.epsilon / canonical.kappa
+            a = config.a
+            lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, config, shift=alpha),
+                                    a, canonical.kappa)
+        else:
+            decoupled_cavity_steady(0.2, 0.8, config)
+            a = config.a[: n_cut + 1, : n_cut + 1]
+            lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
+        pos, ((system, rhs),) = planned_numbering(lv, a), solves
+        i, j = np.triu_indices(len(a))
+        assert np.array_equal(pos, pos.T)
+        assert np.array_equal(np.sort(pos[i, j]), np.arange(i.size))
+        fock = np.rint(np.einsum("ij,ij->j", a, a))
+        high = np.maximum(fock[i], fock[j])[np.argsort(pos[i, j])]  # by number
+        line = high == high[-1]
+        assert line[-np.count_nonzero(line):].all(), "the root separator is numbered last"
+        assert rhs.shape == (i.size,)
+        assert np.flatnonzero(rhs).tolist() == [pos[0, 0]] and rhs[pos[0, 0]] == 1.0
+        trace_row = system.tocsr()[pos[0, 0]]
+        assert sorted(trace_row.indices) == sorted(np.diag(pos)) and np.all(trace_row.data == 1)
+
+    def test_a_cold_solve_equals_a_cached_one(self, canonical):
+        config = HilbertConfig(16)
+        for solve in (lambda: steady_density(canonical, config),
+                      lambda: decoupled_cavity_steady(0.2, 0.8, config)):
+            clear_plans()
+            cold = solve()
+            built = plans_built()
+            cached = solve()
+            assert plans_built() == built
+            assert np.array_equal(cold.matrix.view(np.uint64), cached.matrix.view(np.uint64))
+            assert np.float64(cold.residual).view(np.uint64) == np.float64(cached.residual).view(np.uint64)
+
+    def test_trace_row_away_from_the_first_number(self, canonical):
+        # with the basis reversed, (0, 0) holds the top Fock state and is not numbered first
+        config = HilbertConfig(8)
+        h = hamiltonian_matrix(canonical.g, 0.0, config, shift=0.5)
+        rho, _ = oracle._stationary(h, config.a, canonical.kappa)
+        p = np.arange(config.dim)[::-1]
+        h, a = h[np.ix_(p, p)], config.a[np.ix_(p, p)]
+        assert planned_numbering(liouvillian_matrix(h, a, canonical.kappa), a)[0, 0] > 0
+        reversed_rho, residual = oracle._stationary(h, a, canonical.kappa)
+        assert residual <= 1e-12
+        assert np.abs(reversed_rho - rho[np.ix_(p, p)]).max() <= 1e-13
+
+    @pytest.mark.parametrize("problem", ["no generator", "no decay"])
+    def test_singular_system_is_refused(self, problem):
+        # the trace row alone, or a Hamiltonian's degenerate stationary manifold
+        config = HilbertConfig(4)
+        h = (np.zeros((config.dim, config.dim)) if problem == "no generator"
+             else hamiltonian_matrix(0.3, 0.2, config))
+        with pytest.raises(SingularSystem, match="^stationary solve failed: .*singular"):
+            oracle._stationary(h, config.a, 0.0)
+
+    @settings(deadline=None)
+    @given(n_cut=st.integers(2, 24), decoupled=st.booleans(),
+           rates=st.tuples(*[st.floats(0.05, 2.0)] * 3))
+    @example(n_cut=8, decoupled=False, rates=(0.4, 0.8, 0.2))
+    @example(n_cut=24, decoupled=True, rates=(0.4, 0.8, 2.0))
+    def test_matches_colamd_on_the_triu_numbering(self, n_cut, decoupled, rates):
+        # scipy's spsolve (COLAMD) on the unpermuted folded system is the reference
+        gamma_c, kappa, eps = rates
+        config = HilbertConfig(n_cut)
+        if decoupled:
+            rho = decoupled_cavity_steady(eps, kappa, config).matrix[n_cut + 1:, n_cut + 1:]
+            a = config.a[: n_cut + 1, : n_cut + 1]
+            h = 1j * eps * (a.T - a)
+        else:
+            params = params_at(eps, gamma_c, kappa)
+            rho = steady_density(params, config).matrix
+            a = config.a
+            h = hamiltonian_matrix(params.g, 0.0, config, shift=2.0 * eps / kappa)
+        d, pos = len(a), triu_numbering(len(a))
+        system = fold_matrix_system(liouvillian_matrix(h, a, kappa), d, pos)
+        want = spsolve(system, np.eye(1, system.shape[0])[0])[pos]
+        assert np.abs(rho - want).max() <= 1e-12
 
 
 class TestStrongDrive:
