@@ -14,9 +14,9 @@ i g alpha (sigma^dag - sigma)`` and ``kappa D[b]``, so the Fock cutoff
 truncates the small fluctuation field ``b``.  All generators and states
 are real (``float64``); :meth:`DensityMatrix.field_moments` maps moments
 back to ``a``.  The ``g = 0`` limit and :func:`evolve_density` stay in
-the lab frame and build the same drive term, :func:`hamiltonian_matrix`
-at ``shift = 0``, so ``g = 0``, solved on the cavity's ``n_cut + 1`` states
-with the atom in its lower level, still checks ``alpha`` independently.
+the lab frame and evaluate the same drive term ``i eps (a^dag - a)``, so
+``g = 0``, solved on the cavity's ``n_cut + 1`` states with the atom in its
+lower level, still checks ``alpha`` independently.
 
 Conventions, fixed once and used everywhere:
 
@@ -32,22 +32,27 @@ Conventions, fixed once and used everywhere:
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
 * the unknowns and their rows are numbered in a nested-dissection order of the
   photon-number lattice, read off the pattern, and SuperLU factors in that order;
-* both are summed on index plans cached per sparsity pattern (``_index_plan``).
+* what the rates leave unchanged is built once and kept read-only: per cutoff,
+  the Hamiltonian's unit parts on the union of their slots, on the product space
+  or the ``g = 0`` cavity block (``_frame``), and the moments' gathers; per pattern
+  of ``K = -i H``, the generator's index plan, and per generator plan, the folded
+  system's.  A rung evaluates its rates on the slots, sums the values on the
+  plans, solves and gathers.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
 effective-mode normalisation.  The two disagree by design, so the report
 carries both values without judging the difference.
 
-Only the sparse steps import scipy, each in its own body: the generator,
-the stationary solve and :func:`evolve_density`.  The module, its dense
-operators and its Hamiltonians cost numpy alone.
+Only the sparse steps import scipy, each in its own body: the sparse
+assembly (``_IndexPlan``), the stationary solve and :func:`evolve_density`.
+The module, its dense operators and its Hamiltonians cost numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -109,8 +114,9 @@ class HilbertConfig:
     the ladder); exceeding ``dim_cap`` raises :class:`DimensionCap` at
     construction so no oversized operator is ever built.  The space's real
     dense operators (atom slow, Fock fast) are built on first use, once per
-    config.  ``a`` lowers the Fock ladder: it is the cavity field in the lab
-    frame and the fluctuation field ``b`` in the displaced frame.
+    cutoff, and shared read-only by every config of that cutoff.  ``a`` lowers
+    the Fock ladder: it is the cavity field in the lab frame and the
+    fluctuation field ``b`` in the displaced frame.
     """
 
     n_cut: int
@@ -128,21 +134,33 @@ class HilbertConfig:
     def dim(self) -> int:
         return 2 * (self.n_cut + 1)
 
-    @cached_property
-    def a(self) -> np.ndarray:
-        return np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, self.n_cut + 1)), 1))
+    a = property(lambda self: _operators(self.n_cut)["a"])
+    sigma = property(lambda self: _operators(self.n_cut)["sigma"])
+    eta_a = property(lambda self: _operators(self.n_cut)["eta_a"])
+    eta_b = property(lambda self: _operators(self.n_cut)["eta_b"])
 
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        return np.eye(self.dim, k=-(self.n_cut + 1))  # |b><a|: upper block to lower block
 
-    @cached_property
-    def eta_a(self) -> np.ndarray:
-        return np.diag(np.repeat([1.0, 0.0], self.n_cut + 1))
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    @cached_property
-    def eta_b(self) -> np.ndarray:
-        return np.diag(np.repeat([0.0, 1.0], self.n_cut + 1))
+
+def _lowering(m: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, m)), 1)  # Fock states 0..m-1
+
+
+def _product_operators(n_cut: int) -> dict:
+    """The product space's dense operators at ``n_cut``, read-only."""
+    m = n_cut + 1
+    return {"a": _frozen(np.kron(np.eye(2), _lowering(m))),
+            "sigma": _frozen(np.eye(2 * m, k=-m)),  # |b><a|: upper block to lower block
+            "eta_a": _frozen(np.diag(np.repeat([1.0, 0.0], m))),
+            "eta_b": _frozen(np.diag(np.repeat([0.0, 1.0], m)))}
+
+
+# Shared by the configs of a cutoff.  The solves build them only to derive the
+# parts they cache, and keep none (at n_cut 127 each is 512 KB).
+_operators = lru_cache(maxsize=8)(_product_operators)
 
 
 def hamiltonian_matrix(g: float, epsilon: float, ops: HilbertConfig, shift: float = 0.0):
@@ -151,10 +169,14 @@ def hamiltonian_matrix(g: float, epsilon: float, ops: HilbertConfig, shift: floa
     A dense complex array.  Takes raw rates so the decoupled ``g = 0`` limit
     can be built too.  A frame shift ``a -> shift + a`` adds the atomic pump
     ``i g shift (sigma^dag - sigma)``; the cavity drive left in that frame
-    is ``eps - kappa shift / 2``, which the displaced solve sets to 0.
+    is ``eps - kappa shift / 2``, which the displaced solve sets to 0.  The
+    solves evaluate the same sums on their frame's slots (:class:`_Frame`).
     """
     a, s = ops.a, ops.sigma
     return 1j * (g * (s.T @ a - a.T @ s + shift * (s.T - s)) + epsilon * (a.T - a))
+
+
+_NOT_REAL = "the generator is real only for H = i K and a with K, a real"
 
 
 def liouvillian_matrix(hamiltonian, a, kappa: float):
@@ -165,48 +187,144 @@ def liouvillian_matrix(hamiltonian, a, kappa: float):
     columns (``reshape(-1, order='F')``).  The model's Hamiltonians are
     ``i K`` with ``K`` real and its jump operator ``a`` is real, so
     ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input raises
-    ``ValueError``.  Its index arrays are read-only and shared: ``.copy()`` it to edit them.
+    ``ValueError``.  It is built as the solves build theirs, from ``K``'s
+    nonzero entries and ``a``'s cached :class:`_Space`.  Its index arrays are
+    read-only and shared: ``.copy()`` it to edit them.
     """
     k, a = -1j * np.asarray(hamiltonian), np.asarray(a)
+    if not k.shape == a.shape == (len(a), len(a)):
+        raise ValueError(f"H and a must be square and of one shape, got {k.shape} and {a.shape}")
     if np.any(k.imag) or np.any(a.imag):
-        raise ValueError("the generator is real only for H = i K and a with K, a real")
-    k, a = k.real, a.real
-    eye, n_op = np.eye(len(k)), a.T @ a
-    terms = ((1.0, eye, k), (-1.0, k.T, eye), (kappa, a, a),
-             (-0.5 * kappa, eye, n_op), (-0.5 * kappa, n_op.T, eye))
-    nz, matrix = _kron_plan(len(k), np.packbits([x != 0 for t in terms for x in t[1:]]).tobytes())
-    return matrix([c * x[xs][:, None] * y[ys] for (c, x, y), (xs, ys) in zip(terms, nz)])
+        raise ValueError(_NOT_REAL)
+    k = k.real.ravel()
+    slots = np.flatnonzero(k)
+    return _generator(_space_of(a.real), slots, k[slots], kappa)[0]
 
 
-@lru_cache(maxsize=16)  # ladder runs use 6: d = 18, 34, 256 coupled and 9, 17, 33 at g = 0
-def _kron_plan(d: int, masks: bytes):
-    """Nonzeros (NaN counts) of five factor pairs' packed masks; their Kronecker sum's plan."""
-    x = np.unpackbits(np.frombuffer(masks, np.uint8), count=10 * d * d).reshape(10, d, d) != 0
-    nonzeros = [(np.nonzero(x[i]), np.nonzero(x[i + 1])) for i in range(0, 10, 2)]
+class _Space:
+    """What the jump operator ``a`` fixes in a generator: the dimension, the basis
+    states' Fock numbers (``a``'s column ``j`` is ``sqrt(n_j)``), and the nonzeros
+    and values of the Kronecker factors ``a``, ``n = a^T a`` and ``n^T``.  Plans
+    are cached per space, by identity."""
+
+    def __init__(self, a: np.ndarray):
+        n_op = a.T @ a
+        self.d = len(a)
+        self.fock = _frozen(np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64))
+        self.factors = []
+        for x in (a, n_op, n_op.T):
+            rows, cols = np.nonzero(x)
+            self.factors.append(((_frozen(rows), _frozen(cols)), _frozen(x[rows, cols])))
+
+
+def _space_of(a) -> _Space:
+    a = np.asarray(a, dtype=np.float64)
+    slots = np.flatnonzero(a)
+    return _space(len(a), slots.tobytes(), a.ravel()[slots].tobytes())
+
+
+@lru_cache(maxsize=12)  # one per frame, and one per jump operator liouvillian_matrix reads
+def _space(d: int, slots: bytes, values: bytes) -> _Space:
+    """The :class:`_Space` of the ``d x d`` operator with ``values`` at the flat ``slots``."""
+    a = np.zeros(d * d)
+    a[np.frombuffer(slots, np.intp)] = np.frombuffer(values)
+    return _Space(a.reshape(d, d))
+
+
+class _Frame:
+    """A truncated space's rate-independent parts: its :class:`_Space` and the
+    Hamiltonian's unit parts ``J = sigma^dag a - a^dag sigma``, ``S = sigma^dag -
+    sigma`` and ``E = a^dag - a`` on ``slots``, the union of their nonzeros (flat,
+    row-major)."""
+
+    def __init__(self, a: np.ndarray, units: list):
+        self.space = _space_of(a)
+        self.slots = _frozen(np.flatnonzero(np.any(units, axis=0)))
+        self.units = _frozen(np.array([unit.ravel()[self.slots] for unit in units]))
+
+    def at(self, g: float, epsilon: float, shift: float):
+        """The space, the slots and ``K = -i H`` on them: :func:`hamiltonian_matrix`'s
+        sums, entry by entry, so that every slot keeps its bits."""
+        j, s, e = self.units
+        return self.space, self.slots, g * (j + shift * s) + epsilon * e
+
+
+@lru_cache(maxsize=12)  # oracle_ladder runs use 6: n_cut 8, 16, 127 coupled and 8, 16, 32 at g = 0
+def _frame(n_cut: int, coupled: bool) -> _Frame:
+    """The product space's frame at ``n_cut``, or the cavity's own on its ``n_cut + 1``
+    states, where the atom stays in its lower level and only ``E`` is left."""
+    if coupled:
+        ops = _product_operators(n_cut)
+        a, s = ops["a"], ops["sigma"]
+        units = [s.T @ a - a.T @ s, s.T - s, a.T - a]
+    else:
+        a = _lowering(n_cut + 1)
+        units = [np.zeros_like(a), np.zeros_like(a), a.T - a]
+    return _Frame(a, units)
+
+
+def _generator(space: _Space, slots, k, kappa: float):
+    """The generator of ``K`` valued ``k`` at the flat ``slots`` and of ``space``'s jump
+    operator, with its index plan.  ``K``'s zeros drop out of its pattern, and a
+    non-finite ``K`` is refused as :func:`liouvillian_matrix` refuses one."""
+    if not np.all(np.isfinite(k)):
+        raise ValueError(_NOT_REAL)
+    nonzero = k != 0
+    k = k[nonzero]
+    plan = _generator_plan(space, slots[nonzero].tobytes())
+    one = np.ones(space.d)  # the identity's nonzeros
+    (_, a), (_, n_op), (_, n_op_t) = space.factors
+    terms = ((1.0, one, k), (-1.0, k, one), (kappa, a, a),
+             (-0.5 * kappa, one, n_op), (-0.5 * kappa, n_op_t, one))
+    values, start = np.empty(plan.size), 0  # each term's outer product, row-major
+    for c, x, y in terms:
+        stop = start + x.size * y.size
+        np.multiply(c * x[:, None], y, out=values[start:stop].reshape(x.size, y.size))
+        start = stop
+    return plan(values), plan
+
+
+@lru_cache(maxsize=16)  # oracle_ladder runs use 6: one pattern of K per frame
+def _generator_plan(space: _Space, k_slots: bytes):
+    """The index plan of the Kronecker sum ``I (x) K - K^T (x) I + kappa a (x) a -
+    kappa/2 (I (x) n + n^T (x) I)`` for ``K``'s nonzeros at the flat ``k_slots``.  Each
+    term holds a slot at most once, so ``K^T``'s entries may come in ``K``'s order."""
+    d = space.d
+    k_rows, k_cols = np.divmod(np.frombuffer(k_slots, np.intp), d)
+    eye = (np.arange(d),) * 2
+    (a, _), (n_op, _), (n_op_t, _) = space.factors
+    nonzeros = ((eye, (k_rows, k_cols)), ((k_cols, k_rows), eye), (a, a), (eye, n_op),
+                (n_op_t, eye))
     t = np.uint32 if d <= 256 else np.int64  # for the keys row * d**2 + col
     keys = np.concatenate([(xr * d**3 + xc * d).astype(t)[:, None] + (yr * d * d + yc).astype(t)
                            for (xr, xc), (yr, yc) in nonzeros], axis=None)
-    return nonzeros, _index_plan(keys, d * d, keys.argsort(kind="stable"))  # sorted runs
+    return _IndexPlan(keys, d * d, keys.argsort(kind="stable"))
 
 
-def _index_plan(keys, n: int, order):
-    """``matrix(values)``, the ``n x n`` CSR matrix of values at ``keys = row * n + col``."""
-    from scipy.sparse import csr_matrix
-    keys, order = keys[order], order.astype(np.int32)  # any sort: a slot sums at most 2 values
-    first = np.diff(keys, prepend=~keys[:1]) != 0  # each slot's first entry
-    more = np.flatnonzero(~first)  # the others, at slots more - 1, more - 2, ...
-    firsts, slots, rest = order[first], more - np.arange(1, more.size + 1), order[more]
-    row, col = np.divmod(keys[first], n)
-    col, ptr = col.astype(np.int32), np.bincount(row + 1, minlength=n + 1).cumsum(dtype=np.int32)
-    del keys, order, first, more, row  # so that the copies kept below can take their place
-    firsts, slots, rest, col, ptr = (np.array(v) for v in (firsts, slots, rest, col, ptr))
-    col.flags.writeable = ptr.flags.writeable = False  # shared by every matrix built here
-    def matrix(values):
-        values = np.concatenate(values, axis=None)
-        data = values[firsts]  # a lone -0.0 stays -0.0
-        np.add.at(data, slots, values[rest])
-        return csr_matrix((data, col, ptr), shape=(n, n))
-    return matrix
+class _IndexPlan:
+    """``plan(values)``: the ``n x n`` CSR matrix of the flat ``values`` summed at ``keys =
+    row * n + col`` (``keys[order]`` sorted, runs in any order), or its transpose as a CSC
+    matrix if ``transpose``; every matrix it builds shares its read-only ``indices``
+    and ``indptr``."""
+
+    def __init__(self, keys, n: int, order, transpose: bool = False):
+        keys, order = keys[order], order.astype(np.int32)  # any sort: a slot sums at most 2 values
+        first = np.diff(keys, prepend=~keys[:1]) != 0  # each slot's first entry
+        more = np.flatnonzero(~first)  # the others, at slots more - 1, more - 2, ...
+        firsts, slots, rest = order[first], more - np.arange(1, more.size + 1), order[more]
+        row, col = np.divmod(keys[first], n)
+        col, ptr = col.astype(np.int32), np.bincount(row + 1, minlength=n + 1).cumsum(dtype=np.int32)
+        del keys, order, first, more, row  # so that the copies kept below can take their place
+        self.n, self.size, self.transpose = n, firsts.size + rest.size, transpose
+        self.firsts, self.slots, self.rest, self.indices, self.indptr = (
+            _frozen(np.array(v)) for v in (firsts, slots, rest, col, ptr))
+
+    def __call__(self, values):
+        from scipy.sparse import csc_matrix, csr_matrix
+        data = values.take(self.firsts)  # a lone -0.0 stays -0.0
+        np.add.at(data, self.slots, values.take(self.rest))
+        matrix = csc_matrix if self.transpose else csr_matrix
+        return matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -235,15 +353,17 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(herm)[0])
 
     def expect(self, op: np.ndarray) -> complex:
-        rows, cols = np.nonzero(op)  # tr(op rho) gathered over the nonzeros of op
-        return complex(op[rows, cols] @ self.matrix[cols, rows])
+        return self._read(_gather(op))
+
+    def _read(self, gather) -> complex:
+        values, rows, cols = gather
+        return complex(values @ self.matrix[rows, cols])
 
     @cached_property
     def moments(self) -> tuple[complex, ...]:
         """``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>``, ``<sigma^dag sigma>`` of the
         solved frame, ``b = ops.a``: the one place they are read, once per state."""
-        b, ops = self.ops.a, self.ops
-        return tuple(self.expect(op) for op in (b, b @ b, b.T @ b, ops.sigma, ops.eta_a))
+        return tuple(map(self._read, _moment_gathers(self.ops.n_cut)[:5]))
 
     def field_moments(self) -> tuple[complex, complex, complex]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
@@ -253,6 +373,23 @@ class DensityMatrix:
         return (s + mean_b,
                 s * s + 2.0 * s * mean_b + mean_b2,
                 s * s + 2.0 * s * mean_b.real + n_b)
+
+
+def _gather(op: np.ndarray):
+    """``tr(op rho)`` as a gather over the nonzeros of the dense ``op``: their values,
+    and the rows and columns of ``rho`` they meet."""
+    rows, cols = np.nonzero(op)
+    return op[rows, cols], cols, rows
+
+
+@lru_cache(maxsize=8)  # oracle_ladder runs use 4: n_cut 8, 16, 32 and 127
+def _moment_gathers(n_cut: int) -> tuple:
+    """Read-only gathers of ``b``, ``b^2``, ``b^dag b``, ``sigma``, ``eta_a`` and
+    ``eta_b`` on the product space at ``n_cut``, ``b = a``."""
+    ops = _product_operators(n_cut)
+    b = ops["a"]
+    return tuple(tuple(map(_frozen, _gather(op)))
+                 for op in (b, b @ b, b.T @ b, ops["sigma"], ops["eta_a"], ops["eta_b"]))
 
 
 def spsolve(system, rhs) -> np.ndarray:
@@ -265,19 +402,19 @@ def spsolve(system, rhs) -> np.ndarray:
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
 
 
-def _stationary(hamiltonian, a, kappa: float) -> tuple[np.ndarray, float]:
-    """The real symmetric stationary state of ``liouvillian_matrix(hamiltonian, a, kappa)``.
+def _stationary(space: _Space, slots, k, kappa: float) -> tuple[np.ndarray, float]:
+    """The real symmetric stationary state of the generator ``L`` of :func:`_generator`.
 
     ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
     ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each entry ``(r, s)``
     to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``'s.  Returns the
     state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
     """
-    lv, d = liouvillian_matrix(hamiltonian, a, kappa), len(hamiltonian)
-    fock = np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64)  # a's column j: sqrt(n_j)
-    pos, kept, system = _fold_plan(d, lv.indptr.tobytes(), lv.indices.tobytes(),
-                                   fock.tobytes())
-    system = system([np.ones(d), lv.data[kept]]).T  # sums (r, s) with (s, r)
+    lv, plan = _generator(space, slots, k, kappa)
+    pos, kept, system = _fold_plan(space, plan)
+    values = np.ones(space.d + kept.size)  # the trace row's 1s, then the entries kept
+    lv.data.take(kept, out=values[space.d:])
+    system = system(values)  # sums (r, s) with (s, r)
     try:
         x = spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])  # the trace row's 1
     except RuntimeError as exc:
@@ -291,10 +428,10 @@ def _stationary(hamiltonian, a, kappa: float) -> tuple[np.ndarray, float]:
     return rho, residual
 
 
-@lru_cache(maxsize=16)
-def _fold_plan(d: int, indptr: bytes, indices: bytes, fock: bytes):
-    """``pos``, the entries kept and the transposed folded system's plan, from int32 CSR
-    and the basis states' int64 Fock numbers.
+@lru_cache(maxsize=16)  # one per generator plan
+def _fold_plan(space: _Space, plan: _IndexPlan):
+    """``pos``, the entries kept and the folded system's plan, which builds it as CSC, for the
+    generator that ``plan`` builds on ``space``.
 
     Unknown ``(r, s)`` sits on the lattice site ``(min, max)`` of its two Fock numbers,
     and the unknowns are numbered in the sites' nested-dissection order
@@ -303,8 +440,8 @@ def _fold_plan(d: int, indptr: bytes, indices: bytes, fock: bytes):
     comes symmetrically permuted into the order SuperLU factors in.  The order is read
     off the pattern alone, on every build.
     """
-    indptr, indices = np.frombuffer(indptr, np.int32), np.frombuffer(indices, np.int32)
-    fock, (i, j) = np.frombuffer(fock, np.int64), np.triu_indices(d)
+    d, fock, indptr, indices = space.d, space.fock, plan.indptr, plan.indices
+    i, j = np.triu_indices(d)
     span = int(fock.max()) + 1
     site = np.minimum(fock[i], fock[j]) * span + np.maximum(fock[i], fock[j])  # by unknown
     sites, group = np.flatnonzero(np.bincount(site)), np.zeros(span * span, np.intp)
@@ -321,7 +458,7 @@ def _fold_plan(d: int, indptr: bytes, indices: bytes, fock: bytes):
     split = d + counts[:trace].sum()  # the trace row goes after the rows numbered below it
     by_row = np.concatenate((np.arange(d, split), np.arange(d), np.arange(split, major.size)))
     radix = by_row[major[by_row].astype(small).argsort(kind="stable")]  # to d = 361
-    return pos, kept, _index_plan(major * n + minor, n, radix)
+    return _frozen(pos), _frozen(kept), _IndexPlan(major * n + minor, n, radix, transpose=True)
 
 
 def _dissection(u, v) -> np.ndarray:
@@ -367,8 +504,8 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
     alpha = 2.0 * params.epsilon / params.kappa
-    h = hamiltonian_matrix(params.g, 0.0, config, shift=alpha)
-    rho, residual = _stationary(h, config.a, params.kappa)
+    rho, residual = _stationary(*_frame(config.n_cut, True).at(params.g, 0.0, alpha),
+                                params.kappa)
     return DensityMatrix(matrix=rho, residual=residual, ops=config, shift=alpha)
 
 
@@ -410,7 +547,10 @@ class OracleReport:
     framework_note: str = _FRAMEWORK_NOTE
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; ``comparisons`` and its entries are copies."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["comparisons"] = {name: dict(entry) for name, entry in self.comparisons.items()}
+        return out
 
 
 def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
@@ -422,7 +562,7 @@ def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
         "mean_field": mean_a,
         "mean_field_squared": mean_a2,
         "eta_a": eta_a,
-        "eta_b": rho.expect(rho.ops.eta_b),
+        "eta_b": rho._read(_moment_gathers(rho.ops.n_cut)[5]),
         "sigma": sigma,
         "var_plus": var_plus,
         "var_minus": var_minus,
@@ -523,9 +663,7 @@ def decoupled_cavity_steady(
     full-space ``L vec(rho)`` is the block's on it and 0 elsewhere: the residual is the same.
     """
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
-    m = config.n_cut + 1
-    rho, residual = _stationary(hamiltonian_matrix(0.0, epsilon, config)[m:, m:],
-                                config.a[m:, m:], kappa)
+    rho, residual = _stationary(*_frame(config.n_cut, False).at(0.0, epsilon, 0.0), kappa)
     return DensityMatrix(matrix=np.kron(np.diag([0.0, 1.0]), rho), residual=residual, ops=config)
 
 
@@ -583,8 +721,8 @@ def evolve_density(
     """
     from scipy.sparse.linalg import expm_multiply
     _require_positive("t_final", t_final)
-    h = hamiltonian_matrix(params.g, params.epsilon, config)
-    lv = liouvillian_matrix(h, config.a, params.kappa)
+    lv, _ = _generator(*_frame(config.n_cut, True).at(params.g, params.epsilon, 0.0),
+                       params.kappa)
     d = config.dim
     initial = np.zeros((d, d))
     initial[config.n_cut + 1, config.n_cut + 1] = 1.0  # atom lower level, zero photons

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -65,11 +66,23 @@ def triu_numbering(d):
     return pos
 
 
-def planned_numbering(lv, a):
-    """The plan's ``pos`` for the generator ``lv`` with jump operator ``a``."""
-    fock = np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64)
-    return oracle._fold_plan(len(a), lv.indptr.tobytes(), lv.indices.tobytes(),
-                             fock.tobytes())[0]
+def generator_parts(hamiltonian, a):
+    """The space, slots and values that ``liouvillian_matrix(hamiltonian, a, kappa)``
+    hands to the one assembly, ``oracle._generator``: ``K``'s nonzero entries."""
+    k = (-1j * np.asarray(hamiltonian)).real.ravel()
+    slots = np.flatnonzero(k)
+    return oracle._space_of(a), slots, k[slots]
+
+
+def stationary(hamiltonian, a, kappa):
+    """``oracle._stationary`` on the generator of the dense ``hamiltonian`` and ``a``."""
+    return oracle._stationary(*generator_parts(hamiltonian, a), kappa)
+
+
+def planned_numbering(hamiltonian, a):
+    """The plan's ``pos`` for the generator of ``hamiltonian`` with jump operator ``a``."""
+    space, slots, _ = generator_parts(hamiltonian, a)
+    return oracle._fold_plan(space, oracle._generator_plan(space, slots.tobytes()))[0]
 
 
 def fold_matrix_system(lv, d, pos):
@@ -110,13 +123,16 @@ def sliced_decoupled_steady(epsilon, kappa, config):
     state tensored with the lower level and gated on the full generator."""
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
     m, d = config.n_cut + 1, config.dim
-    lv = liouvillian_matrix(hamiltonian_matrix(0.0, epsilon, config), config.a, kappa)
+    h = hamiltonian_matrix(0.0, epsilon, config)
+    lv = liouvillian_matrix(h, config.a, kappa)
     lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
     block = lv[lower][:, lower]
-    fock = np.arange(m, dtype=np.int64).tobytes()  # the block's Fock numbers
-    pos, kept, system = oracle._fold_plan(m, block.indptr.tobytes(), block.indices.tobytes(),
-                                          fock)
-    system = system([np.ones(m), block.data[kept]]).T
+    # the fold plan of the block's pattern, which the block's own K and a give
+    space, slots, _ = generator_parts(h[m:, m:], config.a[m:, m:])
+    plan = oracle._generator_plan(space, slots.tobytes())
+    assert np.array_equal(plan.indptr, block.indptr) and np.array_equal(plan.indices, block.indices)
+    pos, kept, system = oracle._fold_plan(space, plan)
+    system = system(np.r_[np.ones(m), block.data[kept]])
     try:
         x = oracle.spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])
     except RuntimeError as exc:
@@ -140,12 +156,21 @@ def assert_same_bits(matrix, reference):
     assert np.array_equal(matrix.data.view(np.uint64), reference.data.view(np.uint64))
 
 
-PLANS = (oracle._kron_plan, oracle._fold_plan)
+PLANS = (oracle._generator_plan, oracle._fold_plan)
 
 
 def clear_plans():
     for plans in PLANS:
         plans.cache_clear()
+
+
+CACHES = {name: getattr(oracle, name) for name in (
+    "_operators", "_moment_gathers", "_space", "_frame", "_generator_plan", "_fold_plan")}
+
+
+def clear_caches():
+    for cache in CACHES.values():
+        cache.cache_clear()
 
 
 def plans_built():
@@ -294,6 +319,13 @@ class TestLiouvillian:
         with pytest.raises(ValueError):
             liouvillian_matrix(h, 1j * ops.a, 0.8)
 
+    def test_rejects_operators_of_other_shapes(self):
+        ops = HilbertConfig(3)
+        h = hamiltonian_matrix(0.7, 0.2, ops)
+        for args in ((h, ops.a[:4, :4]), (h[:, :4], ops.a[:, :4]), (h[0], ops.a[0])):
+            with pytest.raises(ValueError, match="square and of one shape"):
+                liouvillian_matrix(*args, 0.8)
+
     def test_conserves_trace(self, canonical):
         ops = HilbertConfig(6)
         h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
@@ -424,10 +456,10 @@ class TestFoldedSystem:
         params, config = params_at(eps), HilbertConfig(n_cut)
         system = self.solved_system(monkeypatch, lambda: steady_density(params, config))
         shift = 2.0 * params.epsilon / params.kappa
-        lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, config, shift=shift),
-                                config.a, params.kappa)
+        h = hamiltonian_matrix(params.g, 0.0, config, shift=shift)
+        lv = liouvillian_matrix(h, config.a, params.kappa)
         self.assert_same_system(system, fold_matrix_system(lv, config.dim,
-                                                           planned_numbering(lv, config.a)))
+                                                           planned_numbering(h, config.a)))
 
     @pytest.mark.parametrize("n_cut", [8, 16])
     def test_decoupled_cavity_solve(self, n_cut, monkeypatch):
@@ -436,8 +468,9 @@ class TestFoldedSystem:
                                     lambda: decoupled_cavity_steady(0.2, 0.8, config))
         m = n_cut + 1
         a = config.a[:m, :m]
-        lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
-        self.assert_same_system(system, fold_matrix_system(lv, m, planned_numbering(lv, a)))
+        h = 0.2j * (a.T - a)
+        lv = liouvillian_matrix(h, a, 0.8)
+        self.assert_same_system(system, fold_matrix_system(lv, m, planned_numbering(h, a)))
 
 
 # Rates with exact zeros, ordinary sizes, and sizes whose products underflow
@@ -507,11 +540,107 @@ class TestPlanCache:
         for n_cut in range(2, 65):
             config = HilbertConfig(n_cut)
             for g, eps, shift in patterns:  # the zero state passes the residual gate
-                oracle._stationary(hamiltonian_matrix(g, eps, config, shift=shift),
-                                   config.a, 0.8)
+                stationary(hamiltonian_matrix(g, eps, config, shift=shift), config.a, 0.8)
                 assert all(p.cache_info().currsize <= p.cache_info().maxsize for p in PLANS)
         assert plans_built() == (63 * 3, 63 * 3)
         assert [p.cache_info().currsize for p in PLANS] == [p.cache_info().maxsize for p in PLANS]
+
+
+# The three frames a solve builds its generator in, and the rates each leaves at 0.
+FRAMES = {"displaced": ("epsilon",), "lab": ("shift",), "cavity": ("g", "shift")}
+
+
+class TestRatePath:
+    """The solves evaluate their rates on a frame's cached unit parts; the generator
+    equals the COO build from the dense Hamiltonian, bit for bit."""
+
+    @settings(deadline=None)
+    @given(n_cut=st.integers(2, 24), frame=st.sampled_from(sorted(FRAMES)), g=SIGNED,
+           epsilon=SIGNED, shift=SIGNED, kappa=RATES)
+    @example(n_cut=8, frame="displaced", g=0.3, epsilon=0.0, shift=0.5, kappa=0.8)
+    @example(n_cut=2, frame="lab", g=1e-160, epsilon=-1e-160, shift=0.0, kappa=5e-324)
+    @example(n_cut=3, frame="cavity", g=0.0, epsilon=5e-324, shift=0.0, kappa=1e-155)
+    def test_equals_the_coo_build_of_the_dense_hamiltonian(self, n_cut, frame, g, epsilon,
+                                                           shift, kappa):
+        rates = {"g": g, "epsilon": epsilon, "shift": shift}
+        rates.update(dict.fromkeys(FRAMES[frame], 0.0))
+        config, m = HilbertConfig(n_cut), n_cut + 1
+        h, a = hamiltonian_matrix(ops=config, **rates), config.a
+        if frame == "cavity":
+            h, a = h[m:, m:], a[m:, m:]
+        parts = oracle._frame(n_cut, frame != "cavity").at(**rates)
+        assert_same_bits(oracle._generator(*parts, kappa)[0], coo_liouvillian(h, a, kappa))
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_refuses_an_overflowing_rate_as_the_dense_route_does(self, coupled):
+        config, m = HilbertConfig(8), 9
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, a = hamiltonian_matrix(0.0, 1e308, config), config.a
+            parts = oracle._frame(8, coupled).at(0.0, 1e308, 0.0)
+            with pytest.raises(ValueError) as want:
+                liouvillian_matrix(h if coupled else h[m:, m:], a if coupled else a[m:, m:], 1.0)
+            with pytest.raises(ValueError) as got:
+                oracle._generator(*parts, 1.0)
+        assert str(got.value) == str(want.value)
+
+
+def arrays_in(value):
+    """Every numpy array held by a cached value, through its tuples, lists, dicts
+    and the attributes of the oracle's plan objects."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif isinstance(value, (oracle._Space, oracle._Frame, oracle._IndexPlan)):
+        yield from arrays_in(vars(value))
+
+
+class TestCachedParts:
+    """What a rung keeps is shared, read-only, and built once per cutoff, frame and
+    pattern."""
+
+    def test_shared_and_read_only(self, canonical):
+        config = HilbertConfig(8)
+        assert HilbertConfig(8).a is config.a
+        alpha = 2.0 * canonical.epsilon / canonical.kappa
+        cached = [config.a, config.sigma, config.eta_a, config.eta_b,
+                  oracle._moment_gathers(8)]
+        for coupled, rates in ((True, (canonical.g, 0.0, alpha)), (False, (0.0, 0.2, 0.0))):
+            frame = oracle._frame(8, coupled)
+            space, slots, k = frame.at(*rates)
+            plan = oracle._generator_plan(space, slots[k != 0].tobytes())
+            cached += [frame, plan, oracle._fold_plan(space, plan)]
+        arrays = list(arrays_in(cached))
+        assert len(arrays) >= 40
+        assert not [x for x in arrays if x.flags.writeable]
+        with pytest.raises(ValueError):
+            config.a[0, 1] = 2.0
+
+    def test_one_build_per_cutoff_frame_and_pattern(self):
+        def ladder():
+            for eps in (0.0, 0.2, 0.3):  # rungs 8 and 16; K = g J without drive
+                cutoff_converged(params_at(eps))
+            for eps in (0.2, 0.3):  # rungs 8, 16 and 32 of the cavity block
+                decoupled_benchmark(eps, 0.8)
+            evolve_density(params_at(0.2), HilbertConfig(8), t_final=1.0)  # lab frame
+
+        clear_caches()
+        ladder()
+        built = {name: cache.cache_info().misses for name, cache in CACHES.items()}
+        ladder()  # a replay builds nothing
+        assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
+        assert built == {
+            "_operators": 0,  # the solves keep no dense operator
+            "_moment_gathers": 3,  # n_cut 8, 16 and 32
+            "_space": 5, "_frame": 5,  # coupled 8 and 16, cavity 8, 16 and 32
+            # per frame: g J + g alpha S, g J, and at n_cut 8 the lab frame's g J + eps E
+            "_generator_plan": 8,
+            "_fold_plan": 7,  # evolve_density solves nothing
+        }
 
 
 class TestFoldedSystemOnACacheHit:
@@ -532,19 +661,20 @@ class TestFoldedSystemOnACacheHit:
         system = self.second_system(
             monkeypatch, lambda kappa: steady_density(params_at(0.0, kappa=kappa), config), 0.8)
         params = params_at(0.0)
-        lv = liouvillian_matrix(hamiltonian_matrix(params.g, 0.0, config), config.a,
-                                params.kappa)
+        h = hamiltonian_matrix(params.g, 0.0, config)
+        lv = liouvillian_matrix(h, config.a, params.kappa)
         TestFoldedSystem.assert_same_system(
-            system, fold_matrix_system(lv, config.dim, planned_numbering(lv, config.a)))
+            system, fold_matrix_system(lv, config.dim, planned_numbering(h, config.a)))
 
     def test_decoupled_cavity_at_n_cut_32(self, monkeypatch):
         config = HilbertConfig(32)
         system = self.second_system(
             monkeypatch, lambda eps: decoupled_cavity_steady(eps, 0.8, config), 0.2)
         a = config.a[:33, :33]
-        lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
+        h = 0.2j * (a.T - a)
+        lv = liouvillian_matrix(h, a, 0.8)
         TestFoldedSystem.assert_same_system(system,
-                                            fold_matrix_system(lv, 33, planned_numbering(lv, a)))
+                                            fold_matrix_system(lv, 33, planned_numbering(h, a)))
 
 
 def assert_dissected(u, v):
@@ -587,13 +717,12 @@ class TestNestedDissection:
             steady_density(canonical, config)
             alpha = 2.0 * canonical.epsilon / canonical.kappa
             a = config.a
-            lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, config, shift=alpha),
-                                    a, canonical.kappa)
+            h = hamiltonian_matrix(canonical.g, 0.0, config, shift=alpha)
         else:
             decoupled_cavity_steady(0.2, 0.8, config)
             a = config.a[: n_cut + 1, : n_cut + 1]
-            lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
-        pos, ((system, rhs),) = planned_numbering(lv, a), solves
+            h = 0.2j * (a.T - a)
+        pos, ((system, rhs),) = planned_numbering(h, a), solves
         i, j = np.triu_indices(len(a))
         assert np.array_equal(pos, pos.T)
         assert np.array_equal(np.sort(pos[i, j]), np.arange(i.size))
@@ -622,11 +751,11 @@ class TestNestedDissection:
         # with the basis reversed, (0, 0) holds the top Fock state and is not numbered first
         config = HilbertConfig(8)
         h = hamiltonian_matrix(canonical.g, 0.0, config, shift=0.5)
-        rho, _ = oracle._stationary(h, config.a, canonical.kappa)
+        rho, _ = stationary(h, config.a, canonical.kappa)
         p = np.arange(config.dim)[::-1]
         h, a = h[np.ix_(p, p)], config.a[np.ix_(p, p)]
-        assert planned_numbering(liouvillian_matrix(h, a, canonical.kappa), a)[0, 0] > 0
-        reversed_rho, residual = oracle._stationary(h, a, canonical.kappa)
+        assert planned_numbering(h, a)[0, 0] > 0
+        reversed_rho, residual = stationary(h, a, canonical.kappa)
         assert residual <= 1e-12
         assert np.abs(reversed_rho - rho[np.ix_(p, p)]).max() <= 1e-13
 
@@ -637,7 +766,7 @@ class TestNestedDissection:
         h = (np.zeros((config.dim, config.dim)) if problem == "no generator"
              else hamiltonian_matrix(0.3, 0.2, config))
         with pytest.raises(SingularSystem, match="^stationary solve failed: .*singular"):
-            oracle._stationary(h, config.a, 0.0)
+            stationary(h, config.a, 0.0)
 
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 24), decoupled=st.booleans(),
@@ -723,7 +852,7 @@ class TestCutoffConvergence:
 
 
 class TestOperatorBuilds:
-    """Each Fock rung builds its product-space operators once."""
+    """Each Fock cutoff builds its operators, and the parts a solve keeps of them, once."""
 
     def test_built_on_first_use_and_kept(self):
         config = HilbertConfig(4)
@@ -742,31 +871,26 @@ class TestOperatorBuilds:
         ],
         ids=["cutoff_converged", "decoupled_benchmark", "compare_with_closed_form"],
     )
-    def test_one_build_per_rung(self, run, builds, monkeypatch):
-        calls = []
-        prop = vars(HilbertConfig)["a"]
-        build = prop.func
-
-        def counting(config):
-            calls.append(config.n_cut)
-            return build(config)
-
-        monkeypatch.setattr(prop, "func", counting)
+    def test_one_build_per_rung(self, run, builds):
+        # a second run builds none: the parts are kept per cutoff, not per config
+        clear_caches()
         run()
-        assert len(calls) == builds
+        run()
+        assert oracle._frame.cache_info().misses == builds
+        assert oracle._moment_gathers.cache_info().misses == builds
 
 
 def test_one_generator_per_decoupled_rung(monkeypatch):
     """The ``g = 0`` solve and its residual gate read the same generator, the
     cavity block's: no product-space generator is built."""
-    rows = []
+    rows, generator = [], oracle._generator
 
     def counting(*args):
-        lv = liouvillian_matrix(*args)
+        lv, plan = generator(*args)
         rows.append(lv.shape[0])
-        return lv
+        return lv, plan
 
-    monkeypatch.setattr(oracle, "liouvillian_matrix", counting)
+    monkeypatch.setattr(oracle, "_generator", counting)
     decoupled_benchmark(0.2, 0.8)
     assert rows == [(n_cut + 1) ** 2 for n_cut in (8, 16, 32)]
 
@@ -839,6 +963,16 @@ class TestReport:
         assert payload["max_imag_part"] <= 1e-12
         assert payload["framework_note"]
         json.dumps(payload)  # must not raise
+
+    def test_dict_is_the_callers_own(self, canonical):
+        report = compare_with_closed_form(canonical, HilbertConfig(8))
+        payload = report.to_dict()
+        assert payload == dataclasses.asdict(report)
+        assert list(payload) == list(dataclasses.asdict(report))
+        payload["comparisons"]["sigma"]["oracle"] = 0.0
+        payload["comparisons"].clear()
+        assert report.to_dict() == dataclasses.asdict(report)
+        assert len(report.comparisons) == 8 and report.comparisons["sigma"]["oracle"] != 0.0
 
     def test_population_moments_match_closed_form_without_drive(self):
         report = compare_with_closed_form(params_at(0.0), HilbertConfig(8))
