@@ -32,12 +32,12 @@ Conventions, fixed once and used everywhere:
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
 * the unknowns and their rows are numbered in a nested-dissection order of the
   photon-number lattice, read off the pattern, and SuperLU factors in that order;
-* what the rates leave unchanged is built once and kept read-only: per cutoff,
-  the Hamiltonian's unit parts on the union of their slots, on the product space
-  or the ``g = 0`` cavity block (``_frame``), and the moments' gathers; per pattern
-  of ``K = -i H``, the generator's index plan, and per generator plan, the folded
-  system's.  A rung evaluates its rates on the slots, sums the values on the
-  plans, solves and gathers.
+* what the rates leave unchanged is built once, in read-only arrays: per cutoff,
+  the moments' gathers, and per cutoff and frame (``_frame``, the product space or
+  the ``g = 0`` cavity block) one object that owns the rest: the Kronecker factors,
+  the Hamiltonian's unit parts on their slots, and per pattern of ``K = -i H`` the
+  generator's plan and the folded system's.  A rung evaluates its rates on the
+  slots, sums the values on the plans, solves and gathers.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -58,8 +58,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import single_mode, superposed
-from .params import (SystemParams, _require_count, _require_drive, _require_positive,
-                     _require_rate)
+from .params import (SystemParams, _require_bounded_drive, _require_count, _require_drive,
+                     _require_positive, _require_rate)
 
 __all__ = [
     "DimensionCap",
@@ -187,27 +187,36 @@ def liouvillian_matrix(hamiltonian, a, kappa: float):
     columns (``reshape(-1, order='F')``).  The model's Hamiltonians are
     ``i K`` with ``K`` real and its jump operator ``a`` is real, so
     ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input raises
-    ``ValueError``.  It is built as the solves build theirs, from ``K``'s
-    nonzero entries and ``a``'s cached :class:`_Space`.  Its index arrays are
-    read-only and shared: ``.copy()`` it to edit them.
+    ``ValueError``.  It is built as the solves build theirs, from ``K``'s nonzero
+    entries and ``a``'s Kronecker factors, on a :class:`_Frame` of its own that no
+    other call shares.  Its index arrays are read-only: ``.copy()`` it to edit them.
     """
     k, a = -1j * np.asarray(hamiltonian), np.asarray(a)
     if not k.shape == a.shape == (len(a), len(a)):
         raise ValueError(f"H and a must be square and of one shape, got {k.shape} and {a.shape}")
     if np.any(k.imag) or np.any(a.imag):
         raise ValueError(_NOT_REAL)
-    k = k.real.ravel()
-    slots = np.flatnonzero(k)
-    return _generator(_space_of(a.real), slots, k[slots], kappa)[0]
+    frame = _Frame(np.asarray(a.real, dtype=np.float64), [k.real])
+    return _generator(frame, frame.units[0], kappa)[0]
 
 
-class _Space:
-    """What the jump operator ``a`` fixes in a generator: the dimension, the basis
-    states' Fock numbers (``a``'s column ``j`` is ``sqrt(n_j)``), and the nonzeros
-    and values of the Kronecker factors ``a``, ``n = a^T a`` and ``n^T``.  Plans
-    are cached per space, by identity."""
+class _Frame:
+    """A truncated space's rate-independent parts, in read-only arrays.  What the jump
+    operator ``a`` fixes in a generator: the dimension ``d``, the basis states' Fock
+    numbers (``a``'s column ``j`` is ``sqrt(n_j)``), and the nonzeros and values of the
+    Kronecker factors ``a``, ``n = a^T a`` and ``n^T``.  The Hamiltonian's unit parts, for
+    the solves ``J = sigma^dag a - a^dag sigma``, ``S = sigma^dag - sigma`` and ``E = a^dag
+    - a``, on ``slots``, the union of their nonzeros (flat, row-major).  And ``plans``, by
+    ``K``'s nonzero mask over ``slots``: ``[generator plan, fold plan]``, the second built
+    on the first solve.
 
-    def __init__(self, a: np.ndarray):
+    The units' nonzeros are at least 1 in magnitude and no two units share a slot, so on
+    a unit's slots ``K`` is one rate, ``g``, ``g shift`` or ``eps``, times the unit, and a
+    nonzero rate times such an entry does not underflow to 0: ``K`` is 0 on all of a
+    unit's slots or on none.  A pattern is a union of whole units: at most 8 plans.
+    """
+
+    def __init__(self, a: np.ndarray, units: list):
         n_op = a.T @ a
         self.d = len(a)
         self.fock = _frozen(np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64))
@@ -215,41 +224,19 @@ class _Space:
         for x in (a, n_op, n_op.T):
             rows, cols = np.nonzero(x)
             self.factors.append(((_frozen(rows), _frozen(cols)), _frozen(x[rows, cols])))
-
-
-def _space_of(a) -> _Space:
-    a = np.asarray(a, dtype=np.float64)
-    slots = np.flatnonzero(a)
-    return _space(len(a), slots.tobytes(), a.ravel()[slots].tobytes())
-
-
-@lru_cache(maxsize=12)  # one per frame, and one per jump operator liouvillian_matrix reads
-def _space(d: int, slots: bytes, values: bytes) -> _Space:
-    """The :class:`_Space` of the ``d x d`` operator with ``values`` at the flat ``slots``."""
-    a = np.zeros(d * d)
-    a[np.frombuffer(slots, np.intp)] = np.frombuffer(values)
-    return _Space(a.reshape(d, d))
-
-
-class _Frame:
-    """A truncated space's rate-independent parts: its :class:`_Space` and the
-    Hamiltonian's unit parts ``J = sigma^dag a - a^dag sigma``, ``S = sigma^dag -
-    sigma`` and ``E = a^dag - a`` on ``slots``, the union of their nonzeros (flat,
-    row-major)."""
-
-    def __init__(self, a: np.ndarray, units: list):
-        self.space = _space_of(a)
         self.slots = _frozen(np.flatnonzero(np.any(units, axis=0)))
         self.units = _frozen(np.array([unit.ravel()[self.slots] for unit in units]))
+        self.plans = {}
 
     def at(self, g: float, epsilon: float, shift: float):
-        """The space, the slots and ``K = -i H`` on them: :func:`hamiltonian_matrix`'s
-        sums, entry by entry, so that every slot keeps its bits."""
+        """``K = -i H`` on the slots: :func:`hamiltonian_matrix`'s sums, entry by entry,
+        so that every slot keeps its bits."""
         j, s, e = self.units
-        return self.space, self.slots, g * (j + shift * s) + epsilon * e
+        return g * (j + shift * s) + epsilon * e
 
 
-@lru_cache(maxsize=12)  # oracle_ladder runs use 6: n_cut 8, 16, 127 coupled and 8, 16, 32 at g = 0
+# oracle_ladder runs use 6, each with one plan: n_cut 8, 16 and 127 coupled, 8, 16 and 32 at g = 0
+@lru_cache(maxsize=12)
 def _frame(n_cut: int, coupled: bool) -> _Frame:
     """The product space's frame at ``n_cut``, or the cavity's own on its ``n_cut + 1``
     states, where the atom stays in its lower level and only ``E`` is left."""
@@ -263,17 +250,20 @@ def _frame(n_cut: int, coupled: bool) -> _Frame:
     return _Frame(a, units)
 
 
-def _generator(space: _Space, slots, k, kappa: float):
-    """The generator of ``K`` valued ``k`` at the flat ``slots`` and of ``space``'s jump
-    operator, with its index plan.  ``K``'s zeros drop out of its pattern, and a
-    non-finite ``K`` is refused as :func:`liouvillian_matrix` refuses one."""
+def _generator(frame: _Frame, k, kappa: float):
+    """The generator of ``K`` valued ``k`` on ``frame.slots`` and of the frame's jump
+    operator, and the frame's ``[generator plan, fold plan or None]`` of ``K``'s pattern.
+    ``K``'s zeros drop out of its pattern, and a non-finite ``K`` is refused as
+    :func:`liouvillian_matrix` refuses one."""
     if not np.all(np.isfinite(k)):
         raise ValueError(_NOT_REAL)
     nonzero = k != 0
-    k = k[nonzero]
-    plan = _generator_plan(space, slots[nonzero].tobytes())
-    one = np.ones(space.d)  # the identity's nonzeros
-    (_, a), (_, n_op), (_, n_op_t) = space.factors
+    plans = frame.plans.get(key := nonzero.tobytes())
+    if plans is None:
+        plans = frame.plans[key] = [_generator_plan(frame, frame.slots[nonzero]), None]
+    plan, k = plans[0], k[nonzero]
+    one = np.ones(frame.d)  # the identity's nonzeros
+    (_, a), (_, n_op), (_, n_op_t) = frame.factors
     terms = ((1.0, one, k), (-1.0, k, one), (kappa, a, a),
              (-0.5 * kappa, one, n_op), (-0.5 * kappa, n_op_t, one))
     values, start = np.empty(plan.size), 0  # each term's outer product, row-major
@@ -281,18 +271,17 @@ def _generator(space: _Space, slots, k, kappa: float):
         stop = start + x.size * y.size
         np.multiply(c * x[:, None], y, out=values[start:stop].reshape(x.size, y.size))
         start = stop
-    return plan(values), plan
+    return plan(values), plans
 
 
-@lru_cache(maxsize=16)  # oracle_ladder runs use 6: one pattern of K per frame
-def _generator_plan(space: _Space, k_slots: bytes):
+def _generator_plan(frame: _Frame, k_slots):
     """The index plan of the Kronecker sum ``I (x) K - K^T (x) I + kappa a (x) a -
     kappa/2 (I (x) n + n^T (x) I)`` for ``K``'s nonzeros at the flat ``k_slots``.  Each
     term holds a slot at most once, so ``K^T``'s entries may come in ``K``'s order."""
-    d = space.d
-    k_rows, k_cols = np.divmod(np.frombuffer(k_slots, np.intp), d)
+    d = frame.d
+    k_rows, k_cols = np.divmod(k_slots, d)
     eye = (np.arange(d),) * 2
-    (a, _), (n_op, _), (n_op_t, _) = space.factors
+    (a, _), (n_op, _), (n_op_t, _) = frame.factors
     nonzeros = ((eye, (k_rows, k_cols)), ((k_cols, k_rows), eye), (a, a), (eye, n_op),
                 (n_op_t, eye))
     t = np.uint32 if d <= 256 else np.int64  # for the keys row * d**2 + col
@@ -402,7 +391,7 @@ def spsolve(system, rhs) -> np.ndarray:
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
 
 
-def _stationary(space: _Space, slots, k, kappa: float) -> tuple[np.ndarray, float]:
+def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float]:
     """The real symmetric stationary state of the generator ``L`` of :func:`_generator`.
 
     ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
@@ -410,10 +399,12 @@ def _stationary(space: _Space, slots, k, kappa: float) -> tuple[np.ndarray, floa
     to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``'s.  Returns the
     state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
     """
-    lv, plan = _generator(space, slots, k, kappa)
-    pos, kept, system = _fold_plan(space, plan)
-    values = np.ones(space.d + kept.size)  # the trace row's 1s, then the entries kept
-    lv.data.take(kept, out=values[space.d:])
+    lv, plans = _generator(frame, k, kappa)
+    if plans[1] is None:
+        plans[1] = _fold_plan(frame, plans[0])
+    pos, kept, system = plans[1]
+    values = np.ones(frame.d + kept.size)  # the trace row's 1s, then the entries kept
+    lv.data.take(kept, out=values[frame.d:])
     system = system(values)  # sums (r, s) with (s, r)
     try:
         x = spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])  # the trace row's 1
@@ -428,10 +419,9 @@ def _stationary(space: _Space, slots, k, kappa: float) -> tuple[np.ndarray, floa
     return rho, residual
 
 
-@lru_cache(maxsize=16)  # one per generator plan
-def _fold_plan(space: _Space, plan: _IndexPlan):
+def _fold_plan(frame: _Frame, plan: _IndexPlan):
     """``pos``, the entries kept and the folded system's plan, which builds it as CSC, for the
-    generator that ``plan`` builds on ``space``.
+    generator that ``plan`` builds on ``frame``.
 
     Unknown ``(r, s)`` sits on the lattice site ``(min, max)`` of its two Fock numbers,
     and the unknowns are numbered in the sites' nested-dissection order
@@ -440,7 +430,7 @@ def _fold_plan(space: _Space, plan: _IndexPlan):
     comes symmetrically permuted into the order SuperLU factors in.  The order is read
     off the pattern alone, on every build.
     """
-    d, fock, indptr, indices = space.d, space.fock, plan.indptr, plan.indices
+    d, fock, indptr, indices = frame.d, frame.fock, plan.indptr, plan.indices
     i, j = np.triu_indices(d)
     span = int(fock.max()) + 1
     site = np.minimum(fock[i], fock[j]) * span + np.maximum(fock[i], fock[j])  # by unknown
@@ -503,9 +493,8 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
-    alpha = 2.0 * params.epsilon / params.kappa
-    rho, residual = _stationary(*_frame(config.n_cut, True).at(params.g, 0.0, alpha),
-                                params.kappa)
+    alpha, frame = 2.0 * params.epsilon / params.kappa, _frame(config.n_cut, True)
+    rho, residual = _stationary(frame, frame.at(params.g, 0.0, alpha), params.kappa)
     return DensityMatrix(matrix=rho, residual=residual, ops=config, shift=alpha)
 
 
@@ -661,9 +650,13 @@ def decoupled_cavity_steady(
     lower level, and the solution is tensored with that level.  No term of the
     generator changes an atomic index and ``rho`` is 0 off that block, so the
     full-space ``L vec(rho)`` is the block's on it and 0 elsewhere: the residual is the same.
+    A drive is refused as :class:`SystemParams` refuses one with ``gamma_c = 0``: from
+    ``8 eps**2 > 1e77``.
     """
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
-    rho, residual = _stationary(*_frame(config.n_cut, False).at(0.0, epsilon, 0.0), kappa)
+    _require_bounded_drive(epsilon)
+    frame = _frame(config.n_cut, False)
+    rho, residual = _stationary(frame, frame.at(0.0, epsilon, 0.0), kappa)
     return DensityMatrix(matrix=np.kron(np.diag([0.0, 1.0]), rho), residual=residual, ops=config)
 
 
@@ -721,8 +714,8 @@ def evolve_density(
     """
     from scipy.sparse.linalg import expm_multiply
     _require_positive("t_final", t_final)
-    lv, _ = _generator(*_frame(config.n_cut, True).at(params.g, params.epsilon, 0.0),
-                       params.kappa)
+    frame = _frame(config.n_cut, True)
+    lv, _ = _generator(frame, frame.at(params.g, params.epsilon, 0.0), params.kappa)
     d = config.dim
     initial = np.zeros((d, d))
     initial[config.n_cut + 1, config.n_cut + 1] = 1.0  # atom lower level, zero photons

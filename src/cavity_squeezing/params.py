@@ -72,6 +72,16 @@ def _require_drive(value):
     return value
 
 
+def _require_bounded_drive(epsilon, kappa_gamma_c: float = 0.0) -> None:
+    """Refuses a drive whose ``8 eps**2 + kappa*gamma_c`` exceeds ``_MAX_DENOMINATOR``: the
+    closed forms' bound, and with ``gamma_c = 0`` that of the oracle's ``g = 0`` limit."""
+    with np.errstate(over="ignore"):  # an overflow to inf is what this rejects
+        in_range = np.all(8.0 * epsilon * epsilon + kappa_gamma_c <= _MAX_DENOMINATOR)
+    if not in_range:
+        raise ValueError(f"epsilon={float(np.max(epsilon))!r} is out of range: "
+                         f"8*epsilon**2 + kappa*gamma_c must not exceed {_MAX_DENOMINATOR:g}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Rate constants for one driven atom-cavity system.
@@ -122,13 +132,7 @@ class SystemParams:
             raise ValueError(
                 f"gamma_c={gamma_c} inconsistent with 4*g**2/kappa={derived}"
             )
-        with np.errstate(over="ignore"):  # an overflow to inf is what this rejects
-            in_range = np.all(self.denominator <= _MAX_DENOMINATOR)
-        if not in_range:
-            raise ValueError(
-                f"epsilon={float(np.max(self.epsilon))!r} is out of range: "
-                f"8*epsilon**2 + kappa*gamma_c must not exceed {_MAX_DENOMINATOR:g}"
-            )
+        _require_bounded_drive(self.epsilon, self.kappa * self.gamma_c)
 
     @classmethod
     def from_gamma_c(cls, gamma_c: float, kappa: float, epsilon: float) -> "SystemParams":

@@ -402,6 +402,15 @@ class TestOracle:
         assert out == ""
         assert err == "error: dimension 2*(128+1)=258 exceeds cap 256\n"
 
+    @pytest.mark.parametrize("epsilon", ["1e307", "1e308"])
+    def test_decoupled_drive_out_of_range(self, epsilon):
+        # refused as SystemParams refuses it with gamma_c = 0, before eps sqrt(n) overflows
+        result = run_module(["oracle", "--g", "0", "--kappa", "1", "--epsilon", epsilon])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: epsilon={float(epsilon)!r} is out of range: "
+                                 "8*epsilon**2 + kappa*gamma_c must not exceed 1e+77\n")
+
     @pytest.mark.parametrize("limit,code", [(["--dim-cap", "16"], 4), (["--tol", "0"], 2)])
     def test_decoupled_limits_are_passed_through(self, limit, code, capsys):
         got, _, err = run_cli(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from cavity_squeezing import oracle
-from cavity_squeezing.params import _require_drive, _require_rate
+from cavity_squeezing.params import _require_bounded_drive, _require_drive, _require_rate
 from cavity_squeezing import (
     DensityMatrix,
     DimensionCap,
@@ -66,23 +66,23 @@ def triu_numbering(d):
     return pos
 
 
-def generator_parts(hamiltonian, a):
-    """The space, slots and values that ``liouvillian_matrix(hamiltonian, a, kappa)``
-    hands to the one assembly, ``oracle._generator``: ``K``'s nonzero entries."""
-    k = (-1j * np.asarray(hamiltonian)).real.ravel()
-    slots = np.flatnonzero(k)
-    return oracle._space_of(a), slots, k[slots]
+def frame_parts(hamiltonian, a):
+    """The frame and values that ``liouvillian_matrix(hamiltonian, a, kappa)`` hands to
+    the one assembly, ``oracle._generator``: a frame of their own, whose one unit is
+    ``K = -i H``, and ``K``'s nonzero entries."""
+    frame = oracle._Frame(np.asarray(a, dtype=np.float64), [(-1j * np.asarray(hamiltonian)).real])
+    return frame, frame.units[0]
 
 
 def stationary(hamiltonian, a, kappa):
     """``oracle._stationary`` on the generator of the dense ``hamiltonian`` and ``a``."""
-    return oracle._stationary(*generator_parts(hamiltonian, a), kappa)
+    return oracle._stationary(*frame_parts(hamiltonian, a), kappa)
 
 
 def planned_numbering(hamiltonian, a):
     """The plan's ``pos`` for the generator of ``hamiltonian`` with jump operator ``a``."""
-    space, slots, _ = generator_parts(hamiltonian, a)
-    return oracle._fold_plan(space, oracle._generator_plan(space, slots.tobytes()))[0]
+    frame, _ = frame_parts(hamiltonian, a)
+    return oracle._fold_plan(frame, oracle._generator_plan(frame, frame.slots))[0]
 
 
 def fold_matrix_system(lv, d, pos):
@@ -122,16 +122,17 @@ def sliced_decoupled_steady(epsilon, kappa, config):
     generator's lower-atom block sliced out by index, folded and solved, and the
     state tensored with the lower level and gated on the full generator."""
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
+    _require_bounded_drive(epsilon)
     m, d = config.n_cut + 1, config.dim
     h = hamiltonian_matrix(0.0, epsilon, config)
     lv = liouvillian_matrix(h, config.a, kappa)
     lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
     block = lv[lower][:, lower]
     # the fold plan of the block's pattern, which the block's own K and a give
-    space, slots, _ = generator_parts(h[m:, m:], config.a[m:, m:])
-    plan = oracle._generator_plan(space, slots.tobytes())
+    frame, _ = frame_parts(h[m:, m:], config.a[m:, m:])
+    plan = oracle._generator_plan(frame, frame.slots)
     assert np.array_equal(plan.indptr, block.indptr) and np.array_equal(plan.indices, block.indices)
-    pos, kept, system = oracle._fold_plan(space, plan)
+    pos, kept, system = oracle._fold_plan(frame, plan)
     system = system(np.r_[np.ones(m), block.data[kept]])
     try:
         x = oracle.spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])
@@ -156,16 +157,7 @@ def assert_same_bits(matrix, reference):
     assert np.array_equal(matrix.data.view(np.uint64), reference.data.view(np.uint64))
 
 
-PLANS = (oracle._generator_plan, oracle._fold_plan)
-
-
-def clear_plans():
-    for plans in PLANS:
-        plans.cache_clear()
-
-
-CACHES = {name: getattr(oracle, name) for name in (
-    "_operators", "_moment_gathers", "_space", "_frame", "_generator_plan", "_fold_plan")}
+CACHES = {name: getattr(oracle, name) for name in ("_operators", "_moment_gathers", "_frame")}
 
 
 def clear_caches():
@@ -173,9 +165,28 @@ def clear_caches():
         cache.cache_clear()
 
 
-def plans_built():
-    """The generator and folded-system plans built since the caches were cleared."""
-    return tuple(plans.cache_info().misses for plans in PLANS)
+def count_plan_builds(monkeypatch):
+    """``[generator plans, folded-system plans]`` built from this call on."""
+    built = [0, 0]
+    for i, name in enumerate(("_generator_plan", "_fold_plan")):
+        def counting(*args, build=getattr(oracle, name), i=i):
+            built[i] += 1
+            return build(*args)
+        monkeypatch.setattr(oracle, name, counting)
+    return built
+
+
+def held_plans(frame):
+    """The plans ``frame`` holds by pattern: the identities of its generator plan and of
+    its folded-system plan, ``None`` while no solve has built that one."""
+    return {key: tuple(None if x is None else id(x) for x in entry)
+            for key, entry in frame.plans.items()}
+
+
+def whole_units(frame, mask):
+    """Whether the nonzero ``mask`` over ``frame.slots`` covers each unit's slots wholly or
+    not at all."""
+    return all(len(set(mask[unit != 0])) <= 1 for unit in frame.units)
 
 
 def lab_frame_density(params, n_cut):
@@ -482,22 +493,19 @@ POINTS = st.tuples(SIGNED, SIGNED, RATES, SIGNED)  # g, eps, kappa, shift
 
 
 class TestPlannedGenerator:
-    """The generator summed from its cached plan equals the COO build bit for bit."""
+    """The generator summed from its plan equals the COO build bit for bit."""
 
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 32), first=POINTS, second=POINTS)
     @example(n_cut=8, first=(0.3, 0.0, 0.8, 0.5), second=(0.0, 0.2, 0.8, 0.0))
     @example(n_cut=2, first=(0.0, 0.0, 0.0, 0.0), second=(1e-160, -1e-160, 5e-324, 0.0))
     def test_equals_the_coo_build(self, n_cut, first, second):
-        # the first call builds its plan, the second may switch pattern, the third hits
-        config, counts = HilbertConfig(n_cut), []
-        clear_plans()
+        # the second call may switch pattern, and the third comes back to the first's
+        config = HilbertConfig(n_cut)
         for g, eps, kappa, shift in (first, second, first):
             h = hamiltonian_matrix(g, eps, config, shift=shift)
             assert_same_bits(liouvillian_matrix(h, config.a, kappa),
                              coo_liouvillian(h, config.a, kappa))
-            counts.append(plans_built()[0])
-        assert counts[0] == 1 and counts[2] == counts[1] <= 2
 
     def test_operators_without_nonzeros(self):
         zero = np.zeros((6, 6))
@@ -505,45 +513,99 @@ class TestPlannedGenerator:
         assert lv.nnz == 0
         assert_same_bits(lv, coo_liouvillian(zero, zero, 0.8))
 
-    def test_index_arrays_are_shared_and_read_only(self, canonical):
+    def test_index_arrays_are_read_only(self, canonical):
         # an in-place change of the structure fails rather than reach the plan; a copy may
         config = HilbertConfig(4)
         h = hamiltonian_matrix(canonical.g, canonical.epsilon, config)
-        first, second = (liouvillian_matrix(h, config.a, canonical.kappa) for _ in range(2))
-        for part in ("indices", "indptr"):
-            assert np.shares_memory(getattr(first, part), getattr(second, part))
+        lv = liouvillian_matrix(h, config.a, canonical.kappa)
+        assert not lv.indices.flags.writeable and not lv.indptr.flags.writeable
         with pytest.raises(ValueError):
-            first.eliminate_zeros()
-        copy = first.copy()
+            lv.eliminate_zeros()
+        copy = lv.copy()
         copy.data[::2] = 0.0
         copy.eliminate_zeros()
         assert_same_bits(liouvillian_matrix(h, config.a, canonical.kappa),
                          coo_liouvillian(h, config.a, canonical.kappa))
 
 
+# Rates for the plan patterns: 0 of either sign, subnormals, sizes whose products
+# underflow (1e-160 squared is subnormal, 1e-160 times 1e-300 is 0) and ordinary sizes.
+PATTERN_RATES = st.tuples(st.sampled_from([1.0, -1.0]), st.one_of(
+    st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e-150),
+    st.floats(1e-3, 1e3))).map(lambda t: t[0] * t[1])
+
+
 class TestPlanCache:
-    """One plan per sparsity pattern, in caches of a bounded size."""
+    """Each frame holds one plan per pattern of ``K``, at most 8, and only the solves'
+    frames hold any."""
 
     def test_one_plan_per_pattern(self):
-        clear_plans()
-        for eps in (0.2, 0.5):
-            steady_density(params_at(eps), HilbertConfig(16))
-        assert plans_built() == (1, 1)
-        for eps in (0.2, 0.5):  # the g = 0 block has a plan of its own
-            decoupled_cavity_steady(eps, 0.8, HilbertConfig(16))
-        assert plans_built() == (2, 2)
+        # the coupled and the g = 0 frames hold their own, reused at another drive
+        oracle._frame.cache_clear()
+        config = HilbertConfig(16)
+        for coupled, solve in ((True, lambda eps: steady_density(params_at(eps), config)),
+                               (False, lambda eps: decoupled_cavity_steady(eps, 0.8, config))):
+            solve(0.2)
+            frame = oracle._frame(16, coupled)
+            held = held_plans(frame)
+            assert len(held) == 1 and None not in next(iter(held.values()))
+            solve(0.5)
+            assert held_plans(frame) == held
+        assert oracle._frame.cache_info().currsize == 2
 
     def test_stays_bounded(self, monkeypatch):
-        clear_plans()
+        # every pattern the rates can give, on more frames than the cache keeps
         monkeypatch.setattr(oracle, "spsolve", lambda system, rhs: np.zeros(rhs.size))
-        patterns = [(0.3, 0.0, 0.5), (0.3, 0.0, 0.0), (0.0, 0.2, 0.0)]  # g, eps, shift
-        for n_cut in range(2, 65):
-            config = HilbertConfig(n_cut)
-            for g, eps, shift in patterns:  # the zero state passes the residual gate
-                stationary(hamiltonian_matrix(g, eps, config, shift=shift), config.a, 0.8)
-                assert all(p.cache_info().currsize <= p.cache_info().maxsize for p in PLANS)
-        assert plans_built() == (63 * 3, 63 * 3)
-        assert [p.cache_info().currsize for p in PLANS] == [p.cache_info().maxsize for p in PLANS]
+        oracle._frame.cache_clear()
+        rates = [(0.0, 0.0, 0.0), (0.0, 0.2, 0.0), (0.3, 0.0, 0.0), (0.3, 0.2, 0.0),
+                 (0.3, 0.0, 0.5), (0.3, 0.2, 0.5), (1e-160, 0.0, 1e-160)]  # g, eps, shift
+        for n_cut in range(2, 33):
+            frame = oracle._frame(n_cut, True)
+            for g, eps, shift in rates:  # the zero state passes the residual gate
+                oracle._stationary(frame, frame.at(g, eps, shift), 0.8)
+            assert len(frame.plans) == 6  # g = 1e-160 with g shift underflowing is g J
+            assert all(whole_units(frame, np.frombuffer(key, bool)) for key in frame.plans)
+            info = oracle._frame.cache_info()
+            assert info.currsize <= info.maxsize
+        assert info.currsize == info.maxsize
+
+    def test_liouvillian_matrix_leaves_the_frames_alone(self, canonical):
+        oracle._frame.cache_clear()
+        config, m = HilbertConfig(8), 9
+        steady_density(canonical, config)
+        decoupled_cavity_steady(0.2, 0.8, config)
+        frames = [oracle._frame(8, coupled) for coupled in (True, False)]
+        info = oracle._frame.cache_info()
+        assert info.currsize == len(frames)  # every cached frame
+        held = [held_plans(frame) for frame in frames]
+        alpha = 2.0 * canonical.epsilon / canonical.kappa
+        rates = [(canonical.g, 0.0, alpha), (canonical.g, 0.0, 0.0), (0.0, 0.2, 0.0),
+                 (canonical.g, 0.2, 0.0), (canonical.g, 0.2, alpha), (0.3, 0.5, 0.7),
+                 (1e-160, 0.0, 1e-160), (0.0, 5e-324, 0.0), (-0.4, 0.1, -0.2), (2.0, 3.0, 0.0)]
+        drives = [0.2, 0.0, 5e-324, 1e-160, 0.1, 0.3, 0.7, 1.5, 2.0, 3.0]  # g = 0
+        operators = [(hamiltonian_matrix(g, eps, config, shift=shift), config.a)
+                     for g, eps, shift in rates]  # the frames' own patterns among them
+        operators += [(hamiltonian_matrix(0.0, eps, config)[m:, m:], config.a[m:, m:])
+                      for eps in drives]
+        assert len({(h.tobytes(), a.tobytes()) for h, a in operators}) == 20
+        for h, a in operators:
+            assert_same_bits(liouvillian_matrix(h, a, 0.8), coo_liouvillian(h, a, 0.8))
+        assert oracle._frame.cache_info() == info
+        assert [held_plans(frame) for frame in frames] == held
+
+    @settings(deadline=None)
+    @given(n_cut=st.sampled_from([2, 3, 8, 16, 32]), coupled=st.booleans(), g=PATTERN_RATES,
+           epsilon=PATTERN_RATES, shift=PATTERN_RATES)
+    @example(n_cut=8, coupled=True, g=1e-160, epsilon=0.0, shift=-1e-160)  # g shift subnormal
+    @example(n_cut=8, coupled=True, g=1e-160, epsilon=5e-324, shift=1e-300)  # g shift 0
+    @example(n_cut=2, coupled=False, g=0.3, epsilon=-5e-324, shift=0.5)
+    def test_patterns_are_unions_of_whole_units(self, n_cut, coupled, g, epsilon, shift):
+        frame = oracle._frame(n_cut, coupled)
+        k = frame.at(g, epsilon, shift)
+        assert whole_units(frame, k != 0)
+        oracle._generator(frame, k, 0.8)
+        assert 1 <= len(frame.plans) <= 8
+        assert all(whole_units(frame, np.frombuffer(key, bool)) for key in frame.plans)
 
 
 # The three frames a solve builds its generator in, and the rates each leaves at 0.
@@ -568,19 +630,21 @@ class TestRatePath:
         h, a = hamiltonian_matrix(ops=config, **rates), config.a
         if frame == "cavity":
             h, a = h[m:, m:], a[m:, m:]
-        parts = oracle._frame(n_cut, frame != "cavity").at(**rates)
-        assert_same_bits(oracle._generator(*parts, kappa)[0], coo_liouvillian(h, a, kappa))
+        frame = oracle._frame(n_cut, frame != "cavity")
+        assert_same_bits(oracle._generator(frame, frame.at(**rates), kappa)[0],
+                         coo_liouvillian(h, a, kappa))
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_refuses_an_overflowing_rate_as_the_dense_route_does(self, coupled):
         config, m = HilbertConfig(8), 9
         with np.errstate(over="ignore", invalid="ignore"):
             h, a = hamiltonian_matrix(0.0, 1e308, config), config.a
-            parts = oracle._frame(8, coupled).at(0.0, 1e308, 0.0)
+            frame = oracle._frame(8, coupled)
+            k = frame.at(0.0, 1e308, 0.0)
             with pytest.raises(ValueError) as want:
                 liouvillian_matrix(h if coupled else h[m:, m:], a if coupled else a[m:, m:], 1.0)
             with pytest.raises(ValueError) as got:
-                oracle._generator(*parts, 1.0)
+                oracle._generator(frame, k, 1.0)
         assert str(got.value) == str(want.value)
 
 
@@ -595,7 +659,7 @@ def arrays_in(value):
     elif isinstance(value, dict):
         for item in value.values():
             yield from arrays_in(item)
-    elif isinstance(value, (oracle._Space, oracle._Frame, oracle._IndexPlan)):
+    elif isinstance(value, (oracle._Frame, oracle._IndexPlan)):
         yield from arrays_in(vars(value))
 
 
@@ -606,14 +670,14 @@ class TestCachedParts:
     def test_shared_and_read_only(self, canonical):
         config = HilbertConfig(8)
         assert HilbertConfig(8).a is config.a
-        alpha = 2.0 * canonical.epsilon / canonical.kappa
+        oracle._frame.cache_clear()
+        steady_density(canonical, config)
+        decoupled_cavity_steady(0.2, 0.8, config)
+        frames = [oracle._frame(8, coupled) for coupled in (True, False)]
+        for frame in frames:  # the walk reaches both plans of every pattern
+            assert frame.plans and all(None not in entry for entry in frame.plans.values())
         cached = [config.a, config.sigma, config.eta_a, config.eta_b,
-                  oracle._moment_gathers(8)]
-        for coupled, rates in ((True, (canonical.g, 0.0, alpha)), (False, (0.0, 0.2, 0.0))):
-            frame = oracle._frame(8, coupled)
-            space, slots, k = frame.at(*rates)
-            plan = oracle._generator_plan(space, slots[k != 0].tobytes())
-            cached += [frame, plan, oracle._fold_plan(space, plan)]
+                  oracle._moment_gathers(8), *frames]
         arrays = list(arrays_in(cached))
         assert len(arrays) >= 40
         assert not [x for x in arrays if x.flags.writeable]
@@ -631,16 +695,24 @@ class TestCachedParts:
         clear_caches()
         ladder()
         built = {name: cache.cache_info().misses for name, cache in CACHES.items()}
+        frames = {(n_cut, coupled): oracle._frame(n_cut, coupled)
+                  for n_cut, coupled in ((8, True), (16, True), (8, False), (16, False), (32, False))}
+        assert oracle._frame.cache_info().misses == built["_frame"]  # the frames cached
+        held = {key: held_plans(frame) for key, frame in frames.items()}
         ladder()  # a replay builds nothing
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
+        assert {key: held_plans(frame) for key, frame in frames.items()} == held
         assert built == {
             "_operators": 0,  # the solves keep no dense operator
             "_moment_gathers": 3,  # n_cut 8, 16 and 32
-            "_space": 5, "_frame": 5,  # coupled 8 and 16, cavity 8, 16 and 32
-            # per frame: g J + g alpha S, g J, and at n_cut 8 the lab frame's g J + eps E
-            "_generator_plan": 8,
-            "_fold_plan": 7,  # evolve_density solves nothing
+            "_frame": 5,  # coupled 8 and 16, cavity 8, 16 and 32
         }
+        # (generator plans, fold plans) per frame: g J + g alpha S and g J, and at n_cut 8
+        # the lab frame's g J + eps E, for which evolve_density solves nothing
+        assert {key: (len(plans), sum(None not in entry for entry in plans.values()))
+                for key, plans in held.items()} == {
+            (8, True): (3, 2), (16, True): (2, 2), (8, False): (1, 1), (16, False): (1, 1),
+            (32, False): (1, 1)}
 
 
 class TestFoldedSystemOnACacheHit:
@@ -649,11 +721,11 @@ class TestFoldedSystemOnACacheHit:
 
     @staticmethod
     def second_system(monkeypatch, solve, value):
-        clear_plans()
+        oracle._frame.cache_clear()
         solve(2.0 * value)
-        built = plans_built()
+        built = count_plan_builds(monkeypatch)
         system = TestFoldedSystem.solved_system(monkeypatch, lambda: solve(value))
-        assert plans_built() == built
+        assert built == [0, 0]
         return system
 
     def test_coupled_without_drive(self, monkeypatch):
@@ -735,15 +807,14 @@ class TestNestedDissection:
         trace_row = system.tocsr()[pos[0, 0]]
         assert sorted(trace_row.indices) == sorted(np.diag(pos)) and np.all(trace_row.data == 1)
 
-    def test_a_cold_solve_equals_a_cached_one(self, canonical):
-        config = HilbertConfig(16)
+    def test_a_cold_solve_equals_a_cached_one(self, canonical, monkeypatch):
+        config, built = HilbertConfig(16), count_plan_builds(monkeypatch)
         for solve in (lambda: steady_density(canonical, config),
                       lambda: decoupled_cavity_steady(0.2, 0.8, config)):
-            clear_plans()
-            cold = solve()
-            built = plans_built()
-            cached = solve()
-            assert plans_built() == built
+            oracle._frame.cache_clear()
+            built[:] = [0, 0]
+            cold, cached = solve(), solve()
+            assert built == [1, 1]  # both plans on the cold solve, none on the cached one
             assert np.array_equal(cold.matrix.view(np.uint64), cached.matrix.view(np.uint64))
             assert np.float64(cold.residual).view(np.uint64) == np.float64(cached.residual).view(np.uint64)
 
@@ -1012,7 +1083,7 @@ class TestDecoupled:
         a = rho.ops.a
         assert abs(rho.expect(a.conj().T @ a)) <= 1e-12
 
-    @pytest.mark.parametrize("epsilon", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("epsilon", [math.nan, -1.0, math.inf, 1.2e38, 1e307, 1e308])
     def test_refuses_the_drives_system_params_refuses(self, epsilon):
         with pytest.raises(ValueError) as want:
             params_at(epsilon)
@@ -1026,6 +1097,7 @@ class TestDecoupled:
     @example(n_cut=2, point=(0.0, 1e-38))
     @example(n_cut=4, point=(5e-324, 1e38))
     @example(n_cut=16, point=(1e38, 1e38))  # the residual gate refuses
+    @example(n_cut=4, point=(1.5e38, 1e38))  # the drive bound refuses
     def test_equals_the_sliced_product_space_route(self, n_cut, point):
         config = HilbertConfig(n_cut)
         try:
