@@ -903,6 +903,26 @@ def run_module(args):
     return run_python("-m", "cavity_squeezing", *args)
 
 
+def test_oracle_bits_do_not_depend_on_blas_threads():
+    # eps = 5 at n_cut 127 is solved by GMRES on the rung-16 factor.  Only the
+    # smallest eigenvalue, from LAPACK's eigvalsh, may move with the thread count.
+    src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "cavity_squeezing", "oracle", *CANONICAL[:4],
+            "--epsilon", "5", "--n-cut", "127"]
+    runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env={
+        **os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")]
+    outputs = []
+    for run in runs:
+        stdout, _ = run.communicate()
+        assert run.returncode == 0
+        outputs.append(stdout.splitlines())
+    kept = [[line for line in lines if '"min_eigenvalue"' not in line] for lines in outputs]
+    assert len(kept[0]) == len(outputs[0]) - 1
+    assert kept[0] == kept[1]
+
+
 class TestConsoleEntry:
     def test_module_execution(self):
         result = run_module(["steady", "--gamma-c", "0.4", "--kappa", "0.8",

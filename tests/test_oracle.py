@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -861,6 +861,80 @@ class TestNestedDissection:
         system = fold_matrix_system(liouvillian_matrix(h, a, kappa), d, pos)
         want = spsolve(system, np.eye(1, system.shape[0])[0])[pos]
         assert np.abs(rho - want).max() <= 1e-12
+
+
+def colamd_outcome(params, n_cut):
+    """The displaced state at ``n_cut`` by scipy's ``spsolve`` (COLAMD) on
+    :func:`fold_matrix_system` of the triu numbering, and its residual, or ``None``
+    where the residual gate would refuse it."""
+    config = HilbertConfig(n_cut)
+    h = hamiltonian_matrix(params.g, 0.0, config, shift=2.0 * params.epsilon / params.kappa)
+    lv = liouvillian_matrix(h, config.a, params.kappa)
+    d, pos = config.dim, triu_numbering(config.dim)
+    rho = spsolve(fold_matrix_system(lv, d, pos), np.eye(1, d * (d + 1) // 2)[0])[pos]
+    residual = float(np.abs(lv @ rho.ravel("F")).max())
+    return (rho, residual) if residual <= oracle._RESIDUAL_TOL else None
+
+
+def count_factorisations(monkeypatch):
+    """The sizes of the systems SuperLU factors from this call on."""
+    import scipy.sparse.linalg
+    sizes, splu = [], scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda system, **options: sizes.append(system.shape[0]) or
+                        splu(system, **options))
+    return sizes
+
+
+# Rates log-uniform over six decades.  Inside them the accepted residuals stay far
+# below the 1e-8 gate, so a rounding-level move cannot flip it.
+WIDE_RATES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+# Above a pump g alpha of 1e4 kappa the two direct solves' states part by more than
+# 1e-12 at rung 17 (1.5e-10 at gamma_c 100, kappa 1e-3, eps 1e3); at or below it, by
+# at most 3e-13 on the grid of powers of 10 at rungs 17 and 40.
+MAX_PUMP = 1e4
+
+
+class TestAboveRungSixteen:
+    """A displaced solve above rung 16 tries GMRES on the rung-16 factor first, and
+    the direct solve only if that misses its target."""
+
+    @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
+    @given(n_cut=st.integers(17, 40), rates=st.tuples(WIDE_RATES, WIDE_RATES, WIDE_RATES))
+    @example(n_cut=127, rates=(0.4, 0.8, 0.2))
+    @example(n_cut=127, rates=(0.4, 0.8, 5.0))
+    @example(n_cut=127, rates=(0.4, 400.0, 0.2))
+    @example(n_cut=127, rates=(0.4, 0.1, 0.3))  # the padded rung-16 state is 2.7e-9 off
+    def test_matches_colamd(self, n_cut, rates):
+        # a tenth of the profile's examples: each draws two solves of up to 3,403 unknowns
+        params = params_at(rates[2], *rates[:2])
+        assume(2.0 * params.g * params.epsilon <= MAX_PUMP * params.kappa**2)
+        want = colamd_outcome(params, n_cut)
+        try:
+            got = steady_density(params, HilbertConfig(n_cut))
+        except SingularSystem:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.abs(got.matrix - want[0]).max() <= 1e-12
+            assert got.residual <= 1e-10
+
+    def test_factorisations(self, monkeypatch):
+        # the rung-16 block alone, at any power-of-2 scale of the rates; at kappa 0.004
+        # GMRES misses and the whole system is factored once
+        config, sizes = HilbertConfig(127), count_factorisations(monkeypatch)
+        for scale in (1.0, 2.0**-20, 2.0**20):
+            steady_density(params_at(0.2 * scale, 0.4 * scale, 0.8 * scale), config)
+            assert sizes == [595]
+            sizes.clear()
+        steady_density(params_at(0.2, kappa=0.004), config)
+        assert sizes == [595, 32896]
+
+    def test_the_ladder_keeps_one_direct_solve_per_rung(self, monkeypatch):
+        sizes = count_factorisations(monkeypatch)
+        cutoff_converged(params_at(0.2))
+        decoupled_benchmark(0.2, 0.8)
+        assert sizes == [171, 595, 45, 153, 561]  # rungs 8 and 16, and g = 0's 8, 16 and 32
 
 
 class TestStrongDrive:
