@@ -51,7 +51,7 @@ carries both values without judging the difference.
 
 Only the sparse steps import scipy, each in its own body: the sparse
 assembly (``_IndexPlan``), the stationary solve and :func:`evolve_density`.
-The module, its dense operators and its Hamiltonians cost numpy alone.
+The module, its frames and their Hamiltonians cost numpy alone.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ __all__ = [
     "HilbertConfig",
     "DensityMatrix",
     "OracleReport",
-    "hamiltonian_matrix",
-    "liouvillian_matrix",
     "steady_density",
     "standard_quadrature_variances",
     "compare_with_closed_form",
@@ -124,11 +122,7 @@ class HilbertConfig:
 
     ``n_cut`` must be at least 2 (quadrature variances need two rungs of
     the ladder); exceeding ``dim_cap`` raises :class:`DimensionCap` at
-    construction so no oversized operator is ever built.  The space's real
-    dense operators (atom slow, Fock fast) are built on first use, once per
-    cutoff, and shared read-only by every config of that cutoff.  ``a`` lowers
-    the Fock ladder: it is the cavity field in the lab frame and the
-    fluctuation field ``b`` in the displaced frame.
+    construction so no oversized operator is ever built.
     """
 
     n_cut: int
@@ -145,11 +139,6 @@ class HilbertConfig:
     @property
     def dim(self) -> int:
         return 2 * (self.n_cut + 1)
-
-    a = property(lambda self: _operators(self.n_cut)["a"])
-    sigma = property(lambda self: _operators(self.n_cut)["sigma"])
-    eta_a = property(lambda self: _operators(self.n_cut)["eta_a"])
-    eta_b = property(lambda self: _operators(self.n_cut)["eta_b"])
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -168,48 +157,6 @@ def _product_operators(n_cut: int) -> dict:
             "sigma": _frozen(np.eye(2 * m, k=-m)),  # |b><a|: upper block to lower block
             "eta_a": _frozen(np.diag(np.repeat([1.0, 0.0], m))),
             "eta_b": _frozen(np.diag(np.repeat([0.0, 1.0], m)))}
-
-
-# Shared by the configs of a cutoff.  The solves build them only to derive the
-# parts they cache, and keep none (at n_cut 127 each is 512 KB).
-_operators = lru_cache(maxsize=8)(_product_operators)
-
-
-def hamiltonian_matrix(g: float, epsilon: float, ops: HilbertConfig, shift: float = 0.0):
-    """Resonant Hamiltonian ``i g (sigma^dag a - a^dag sigma) + i eps (a^dag - a)``.
-
-    A dense complex array.  Takes raw rates so the decoupled ``g = 0`` limit
-    can be built too.  A frame shift ``a -> shift + a`` adds the atomic pump
-    ``i g shift (sigma^dag - sigma)``; the cavity drive left in that frame
-    is ``eps - kappa shift / 2``, which the displaced solve sets to 0.  The
-    solves evaluate the same sums on their frame's slots (:class:`_Frame`).
-    """
-    a, s = ops.a, ops.sigma
-    return 1j * (g * (s.T @ a - a.T @ s + shift * (s.T - s)) + epsilon * (a.T - a))
-
-
-_NOT_REAL = "the generator is real only for H = i K and a with K, a real"
-
-
-def liouvillian_matrix(hamiltonian, a, kappa: float):
-    """Real sparse generator of the master equation in column-stacked form.
-
-    Takes the dense Hamiltonian and jump operator and returns a float64 CSR
-    matrix ``L`` with ``L @ vec(rho) = vec(drho/dt)`` where ``vec`` stacks
-    columns (``reshape(-1, order='F')``).  The model's Hamiltonians are
-    ``i K`` with ``K`` real and its jump operator ``a`` is real, so
-    ``-i [H, rho] = [K, rho]`` and ``L`` is real; any other input raises
-    ``ValueError``.  It is built as the solves build theirs, from ``K``'s nonzero
-    entries and ``a``'s Kronecker factors, on a :class:`_Frame` of its own that no
-    other call shares.  Its index arrays are read-only: ``.copy()`` it to edit them.
-    """
-    k, a = -1j * np.asarray(hamiltonian), np.asarray(a)
-    if not k.shape == a.shape == (len(a), len(a)):
-        raise ValueError(f"H and a must be square and of one shape, got {k.shape} and {a.shape}")
-    if np.any(k.imag) or np.any(a.imag):
-        raise ValueError(_NOT_REAL)
-    frame = _Frame(np.asarray(a.real, dtype=np.float64), [k.real])
-    return _generator(frame, frame.units[0], kappa)[0]
 
 
 class _Frame:
@@ -241,8 +188,10 @@ class _Frame:
         self.plans = {}
 
     def at(self, g: float, epsilon: float, shift: float):
-        """``K = -i H`` on the slots: :func:`hamiltonian_matrix`'s sums, entry by entry,
-        so that every slot keeps its bits."""
+        """``K = -i H`` on the slots, entry by entry, for the model's Hamiltonian ``H = i g
+        (sigma^dag a - a^dag sigma) + i eps (a^dag - a)`` in the frame ``a -> shift + a``.
+        The shift adds the atomic pump ``i g shift (sigma^dag - sigma)`` and leaves the
+        cavity drive ``eps - kappa shift / 2``, which the displaced solve sets to 0."""
         j, s, e = self.units
         return g * (j + shift * s) + epsilon * e
 
@@ -265,10 +214,9 @@ def _frame(n_cut: int, coupled: bool) -> _Frame:
 def _generator(frame: _Frame, k, kappa: float):
     """The generator of ``K`` valued ``k`` on ``frame.slots`` and of the frame's jump
     operator, and the frame's ``[generator plan, fold plan or None]`` of ``K``'s pattern.
-    ``K``'s zeros drop out of its pattern, and a non-finite ``K`` is refused as
-    :func:`liouvillian_matrix` refuses one."""
+    ``K``'s zeros drop out of its pattern, and a non-finite ``K`` raises ``ValueError``."""
     if not np.all(np.isfinite(k)):
-        raise ValueError(_NOT_REAL)
+        raise ValueError("K = -i H has a non-finite entry")
     nonzero = k != 0
     plans = frame.plans.get(key := nonzero.tobytes())
     if plans is None:
@@ -334,8 +282,8 @@ class DensityMatrix:
 
     ``residual`` is the max-entrywise value of ``drho/dt`` evaluated with
     the original (unmodified) generator; ``ops`` is the truncated Hilbert
-    space that ``matrix`` lives on, with its operators.  ``shift`` is the
-    frame: the state's ladder operator ``ops.a`` is the lab field minus ``shift``.
+    space that ``matrix`` lives on.  ``shift`` is the frame: the state's
+    ladder operator ``b`` is the lab field minus ``shift``.
     """
 
     matrix: np.ndarray
@@ -363,7 +311,7 @@ class DensityMatrix:
     @cached_property
     def moments(self) -> tuple[complex, ...]:
         """``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>``, ``<sigma^dag sigma>`` of the
-        solved frame, ``b = ops.a``: the one place they are read, once per state."""
+        solved frame, ``b`` its ladder operator: the one place they are read, once per state."""
         return tuple(map(self._read, _moment_gathers(self.ops.n_cut)[:5]))
 
     def field_moments(self) -> tuple[complex, complex, complex]:

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -960,17 +961,18 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
                   "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))
 """
 
-# The oracle module, a configuration with its dense operators and a Hamiltonian
-# cost no scipy; its first sparse step loads it.
+# The oracle module, a configuration, a frame and its Hamiltonian cost no scipy;
+# its first sparse step loads it.
 ORACLE_SCRIPT = """
 import json, sys
-from cavity_squeezing.oracle import HilbertConfig, hamiltonian_matrix, steady_density
+from cavity_squeezing.oracle import HilbertConfig, _frame, steady_density
 from cavity_squeezing.params import SystemParams
 
 def scipy_loaded():
     return any(name.split(".")[0] == "scipy" for name in sys.modules)
 
-hamiltonian_matrix(0.2, 0.1, HilbertConfig(8))
+HilbertConfig(8)
+_frame(8, True).at(0.2, 0.0, 0.5)
 before = scipy_loaded()
 steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
 print(json.dumps({"before": before, "after": scipy_loaded()}))
@@ -1054,3 +1056,38 @@ class TestImportBoundary:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
             "all_is_joined": True, "unbound": [], "lazy_is_oracle": True}
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, loaded by path and never installed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+class TestBenchmarkSurface:
+    """The names the benchmark's tracer wraps by name exist in the package, so that a
+    traced run neither fails nor loses a hook's counts."""
+
+    def test_traced_methods_are_defined_on_their_classes(self):
+        tracer = load_tracer()
+        for layer, classes in tracer.METHODS.items():
+            module = importlib.import_module(f"cavity_squeezing.{layer}")
+            for cls_name, methods in classes.items():
+                cls = getattr(module, cls_name)
+                assert [m for m in methods if m not in cls.__dict__] == [], cls_name
+
+    def test_hooked_and_report_names_are_wrapped(self):
+        # the tracer wraps the functions in each module's __all__, the METHODS entries
+        # and oracle.spsolve; a hook on any other name would never run
+        tracer = load_tracer()
+        methods = {f"{layer}.{cls_name}.{m}" for layer, classes in tracer.METHODS.items()
+                   for cls_name, names in classes.items() for m in names}
+        for name in {*tracer.HOOKS, *tracer.REPORT_NAMES}:
+            layer, *path = name.split(".")
+            assert layer in tracer.MODULES, name
+            module = importlib.import_module(f"cavity_squeezing.{layer}")
+            assert callable(functools.reduce(getattr, path, module)), name
+            assert name in methods or name == "oracle.spsolve" or path[0] in module.__all__, name

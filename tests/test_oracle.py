@@ -24,8 +24,6 @@ from cavity_squeezing import (
     decoupled_benchmark,
     decoupled_cavity_steady,
     evolve_density,
-    hamiltonian_matrix,
-    liouvillian_matrix,
     standard_quadrature_variances,
     steady_density,
 )
@@ -35,6 +33,25 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def params_at(eps, gamma_c=0.4, kappa=0.8):
     return SystemParams.from_gamma_c(gamma_c, kappa, eps)
+
+
+def dense_operators(n_cut):
+    """``a``, ``sigma``, ``eta_a`` and ``eta_b`` on the product space, from raw Kronecker
+    products: atom slow, Fock fast, atomic basis ``[upper, lower]``."""
+    m = n_cut + 1
+    return {"a": np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, m)), 1)),
+            "sigma": np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(m)),  # |lower><upper|
+            "eta_a": np.kron(np.diag([1.0, 0.0]), np.eye(m)),
+            "eta_b": np.kron(np.diag([0.0, 1.0]), np.eye(m))}
+
+
+def dense_hamiltonian(g, epsilon, n_cut, shift=0.0):
+    """The model's Hamiltonian ``i g (sigma^dag a - a^dag sigma) + i eps (a^dag - a)`` as a
+    dense complex array, in the frame ``a -> shift + a``, which adds the atomic pump
+    ``i g shift (sigma^dag - sigma)``."""
+    ops = dense_operators(n_cut)
+    a, s = ops["a"], ops["sigma"]
+    return 1j * (g * (s.T @ a - a.T @ s + shift * (s.T - s)) + epsilon * (a.T - a))
 
 
 def lindblad_action(rho, hamiltonian, a, kappa):
@@ -67,9 +84,8 @@ def triu_numbering(d):
 
 
 def frame_parts(hamiltonian, a):
-    """The frame and values that ``liouvillian_matrix(hamiltonian, a, kappa)`` hands to
-    the one assembly, ``oracle._generator``: a frame of their own, whose one unit is
-    ``K = -i H``, and ``K``'s nonzero entries."""
+    """A frame of the dense ``hamiltonian`` and ``a`` for the solve's own assembly,
+    ``oracle._generator``: its one unit is ``K = -i H``; and ``K``'s nonzero entries."""
     frame = oracle._Frame(np.asarray(a, dtype=np.float64), [(-1j * np.asarray(hamiltonian)).real])
     return frame, frame.units[0]
 
@@ -106,8 +122,8 @@ def kron_triplets(c, x, y):
 
 
 def coo_liouvillian(hamiltonian, a, kappa):
-    """The generator built without a plan: every term's COO triplets, summed by
-    scipy's COO -> CSR conversion."""
+    """The generator of the dense ``hamiltonian`` and jump operator ``a`` built without a
+    plan: every term's COO triplets, summed by scipy's COO -> CSR conversion."""
     k, a = (-1j * np.asarray(hamiltonian)).real, np.asarray(a)
     d = k.shape[0]
     eye, n_op = np.eye(d), a.T @ a
@@ -124,12 +140,12 @@ def sliced_decoupled_steady(epsilon, kappa, config):
     epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
     _require_bounded_drive(epsilon)
     m, d = config.n_cut + 1, config.dim
-    h = hamiltonian_matrix(0.0, epsilon, config)
-    lv = liouvillian_matrix(h, config.a, kappa)
+    h, a = dense_hamiltonian(0.0, epsilon, config.n_cut), dense_operators(config.n_cut)["a"]
+    lv = coo_liouvillian(h, a, kappa)
     lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
     block = lv[lower][:, lower]
     # the fold plan of the block's pattern, which the block's own K and a give
-    frame, _ = frame_parts(h[m:, m:], config.a[m:, m:])
+    frame, _ = frame_parts(h[m:, m:], a[m:, m:])
     plan = oracle._generator_plan(frame, frame.slots)
     assert np.array_equal(plan.indptr, block.indptr) and np.array_equal(plan.indices, block.indices)
     pos, kept, system = oracle._fold_plan(frame, plan)
@@ -157,7 +173,7 @@ def assert_same_bits(matrix, reference):
     assert np.array_equal(matrix.data.view(np.uint64), reference.data.view(np.uint64))
 
 
-CACHES = {name: getattr(oracle, name) for name in ("_operators", "_moment_gathers", "_frame")}
+CACHES = {name: getattr(oracle, name) for name in ("_moment_gathers", "_frame")}
 
 
 def clear_caches():
@@ -190,11 +206,11 @@ def whole_units(frame, mask):
 
 
 def lab_frame_density(params, n_cut):
-    """Lab-frame stationary state at a fixed cutoff, from the public pieces,
+    """Lab-frame stationary state at a fixed cutoff, from the dense references,
     solved on the full space with zero frame shift."""
     ops = HilbertConfig(n_cut)
-    lv = liouvillian_matrix(hamiltonian_matrix(params.g, params.epsilon, ops),
-                            ops.a, params.kappa)
+    lv = coo_liouvillian(dense_hamiltonian(params.g, params.epsilon, n_cut),
+                         dense_operators(n_cut)["a"], params.kappa)
     rho = full_space_stationary(lv, ops.dim)
     residual = float(np.abs(lv @ rho.reshape(-1, order="F")).max())
     return DensityMatrix(matrix=rho, residual=residual, ops=ops)
@@ -202,16 +218,16 @@ def lab_frame_density(params, n_cut):
 
 def lab_frame_moments(rho):
     """The report's oracle moments, read directly off a lab-frame state."""
-    ops = rho.ops
-    a = ops.a
+    ops = dense_operators(rho.ops.n_cut)
+    a = ops["a"]
     var_plus, var_minus = standard_quadrature_variances(rho)
     moments = {
         "mean_photon_number": rho.expect(a.T @ a),
         "mean_field": rho.expect(a),
         "mean_field_squared": rho.expect(a @ a),
-        "eta_a": rho.expect(ops.eta_a),
-        "eta_b": rho.expect(ops.eta_b),
-        "sigma": rho.expect(ops.sigma),
+        "eta_a": rho.expect(ops["eta_a"]),
+        "eta_b": rho.expect(ops["eta_b"]),
+        "sigma": rho.expect(ops["sigma"]),
     }
     return {**{k: v.real for k, v in moments.items()},
             "var_plus": var_plus, "var_minus": var_minus}
@@ -242,24 +258,29 @@ class TestHilbertConfig:
 
 
 class TestOperators:
+    """The product space's dense operators, from which ``_frame`` and ``_moment_gathers``
+    build their parts."""
+
     def test_shapes_and_ladder_entries(self):
-        ops = HilbertConfig(2)
-        assert ops.a.shape == (6, 6)
-        a = ops.a
+        a = oracle._product_operators(2)["a"]
+        assert a.shape == (6, 6)
         fock = a[:3, :3]
         assert fock[0, 1] == 1.0
         assert fock[1, 2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
         np.testing.assert_array_equal(a[:3, 3:], np.zeros((3, 3)))
 
     def test_operators_are_real(self):
-        ops = HilbertConfig(4)
-        for op in (ops.a, ops.sigma, ops.eta_a, ops.eta_b):
+        ops, reference = oracle._product_operators(4), dense_operators(4)
+        assert set(ops) == set(reference)
+        for name, op in ops.items():
             assert isinstance(op, np.ndarray)
             assert op.dtype == np.float64
+            assert not op.flags.writeable
+            assert np.array_equal(op.view(np.uint64), reference[name].view(np.uint64)), name
 
     def test_atomic_projectors(self):
-        ops = HilbertConfig(4)
-        s, eta_a, eta_b = ops.sigma, ops.eta_a, ops.eta_b
+        ops = oracle._product_operators(4)
+        s, eta_a, eta_b = ops["sigma"], ops["eta_a"], ops["eta_b"]
         sd = s.conj().T
         np.testing.assert_allclose(sd @ s, eta_a, atol=1e-15)
         np.testing.assert_allclose(s @ sd, eta_b, atol=1e-15)
@@ -267,83 +288,78 @@ class TestOperators:
 
     def test_truncated_commutator(self):
         n_cut = 5
-        a = HilbertConfig(n_cut).a
+        a = oracle._product_operators(n_cut)["a"]
         comm = a @ a.conj().T - a.conj().T @ a
         block = np.diag([1.0] * n_cut + [-float(n_cut)])
         np.testing.assert_allclose(comm, np.kron(np.eye(2), block), atol=1e-13)
 
 
+def frame_k(n_cut, g, epsilon, shift=0.0):
+    """``K = -i H`` as the coupled solves evaluate it on ``_frame``'s slots, scattered
+    into a dense matrix."""
+    frame = oracle._frame(n_cut, True)
+    k = np.zeros(frame.d * frame.d)
+    k[frame.slots] = frame.at(g, epsilon, shift)
+    return k.reshape(frame.d, frame.d)
+
+
 class TestHamiltonian:
+    """The Hamiltonian the solves evaluate, ``H = i K`` with ``K`` from ``_Frame.at``."""
+
     def test_zero_rates_give_zero_matrix(self):
-        ops = HilbertConfig(3)
-        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops),
-                                      np.zeros((8, 8)))
-        np.testing.assert_array_equal(hamiltonian_matrix(0.0, 0.0, ops, shift=2.0),
-                                      np.zeros((8, 8)))
+        np.testing.assert_array_equal(frame_k(3, 0.0, 0.0), np.zeros((8, 8)))
+        np.testing.assert_array_equal(frame_k(3, 0.0, 0.0, shift=2.0), np.zeros((8, 8)))
 
     def test_hermitian(self, canonical):
-        ops = HilbertConfig(12)
+        # H = i K is Hermitian when K is real and antisymmetric
         for shift in (0.0, 0.5):
-            h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift)
-            assert np.abs(h - h.conj().T).max() <= 1e-14
+            k = frame_k(12, canonical.g, canonical.epsilon, shift=shift)
+            assert np.array_equal(k, -k.T)
 
     def test_drive_matrix_element(self):
-        ops = HilbertConfig(4)
-        h = hamiltonian_matrix(0.0, 0.3, ops)
+        k = frame_k(4, 0.0, 0.3)
         m = 5  # atom in lower level, vacuum
-        assert h[m, m] == 0.0
-        assert h[m + 1, m] == pytest.approx(0.3j, abs=1e-15)
+        assert k[m, m] == 0.0
+        assert k[m + 1, m] == pytest.approx(0.3, abs=1e-15)  # H = i K
 
     def test_coupling_matrix_element(self):
-        ops = HilbertConfig(4)
-        h = hamiltonian_matrix(0.7, 0.0, ops)
+        k = frame_k(4, 0.7, 0.0)
         # emission path |upper,0> -> |lower,1> enters through -i g a^dag sigma
-        assert h[5 + 1, 0] == pytest.approx(-0.7j, abs=1e-15)
+        assert k[5 + 1, 0] == pytest.approx(-0.7, abs=1e-15)
 
     def test_frame_shift_pumps_the_atom(self):
-        ops = HilbertConfig(4)
-        h = hamiltonian_matrix(0.7, 0.0, ops, shift=0.5) - hamiltonian_matrix(0.7, 0.0, ops)
+        h = 1j * (frame_k(4, 0.7, 0.0, shift=0.5) - frame_k(4, 0.7, 0.0))
         # the shift adds i g shift (sigma^dag - sigma): |lower,n> -> |upper,n>
-        expected = 1j * 0.35 * (ops.sigma.T - ops.sigma)
-        np.testing.assert_allclose(h, expected, atol=1e-15)
+        s = dense_operators(4)["sigma"]
+        np.testing.assert_allclose(h, 1j * 0.35 * (s.T - s), atol=1e-15)
 
 
 class TestLiouvillian:
+    """The solves' generator against the dense master equation."""
+
     def test_action_matches_matrix(self, canonical):
-        ops = HilbertConfig(6)
+        n_cut, frame = 6, oracle._frame(6, True)
+        a, d = dense_operators(n_cut)["a"], frame.d
         rng = np.random.default_rng(3)
-        d = ops.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         for shift in (0.0, 0.5):  # the lab and a displaced frame
-            h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops, shift=shift)
-            lv = liouvillian_matrix(h, ops.a, canonical.kappa)
+            k = frame.at(canonical.g, canonical.epsilon, shift)
+            lv, _ = oracle._generator(frame, k, canonical.kappa)
             assert lv.dtype == np.float64
-            direct = lindblad_action(rho, h, ops.a, canonical.kappa)
+            h = dense_hamiltonian(canonical.g, canonical.epsilon, n_cut, shift=shift)
+            direct = lindblad_action(rho, h, a, canonical.kappa)
             via_matrix = (lv @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
             np.testing.assert_allclose(via_matrix, direct, rtol=1e-12, atol=1e-13)
 
-    def test_rejects_a_generator_that_is_not_real(self):
-        ops = HilbertConfig(3)
-        h = hamiltonian_matrix(0.7, 0.2, ops)
-        with pytest.raises(ValueError):
-            liouvillian_matrix(h + ops.eta_a, ops.a, 0.8)  # a real diagonal part
-        with pytest.raises(ValueError):
-            liouvillian_matrix(h, 1j * ops.a, 0.8)
-
-    def test_rejects_operators_of_other_shapes(self):
-        ops = HilbertConfig(3)
-        h = hamiltonian_matrix(0.7, 0.2, ops)
-        for args in ((h, ops.a[:4, :4]), (h[:, :4], ops.a[:, :4]), (h[0], ops.a[0])):
-            with pytest.raises(ValueError, match="square and of one shape"):
-                liouvillian_matrix(*args, 0.8)
-
     def test_conserves_trace(self, canonical):
-        ops = HilbertConfig(6)
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
+        frame = oracle._frame(6, True)
+        k = frame.at(canonical.g, canonical.epsilon, 0.0)
+        lv, _ = oracle._generator(frame, k, canonical.kappa)
         rng = np.random.default_rng(4)
-        d = ops.dim
+        d = frame.d
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert abs(np.trace(lindblad_action(rho, h, ops.a, canonical.kappa))) <= 1e-12
+        drho = (lv @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
+        assert abs(np.trace(drho)) <= 1e-12
 
 
 class TestSteadyDensity:
@@ -365,18 +381,19 @@ class TestSteadyDensity:
 
     def test_moments_are_real_for_real_drive(self, canonical):
         rho = steady_density(canonical, HilbertConfig(16))
-        ops = rho.ops
+        a, sigma = (dense_operators(16)[name] for name in ("a", "sigma"))
         assert rho.matrix.dtype == np.float64
-        for op in (ops.a, ops.a @ ops.a, ops.sigma):
+        for op in (a, a @ a, sigma):
             assert abs(rho.expect(op).imag) <= 1e-12
 
     def test_expect_is_the_trace_of_the_product(self):
         # complex states too: the gather takes the trace of the product for any dtype
-        ops = HilbertConfig(4)
+        ops = dense_operators(4)
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        rho = DensityMatrix(matrix=matrix, residual=0.0, ops=ops)
-        for op in (ops.a, ops.a.T @ ops.a @ ops.a, ops.sigma, ops.eta_a, np.eye(10)):
+        rho = DensityMatrix(matrix=matrix, residual=0.0, ops=HilbertConfig(4))
+        a = ops["a"]
+        for op in (a, a.T @ a @ a, ops["sigma"], ops["eta_a"], np.eye(10)):
             assert rho.expect(op) == pytest.approx(np.trace(op @ matrix), abs=1e-12)
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "dia"])
@@ -397,14 +414,14 @@ class TestSymmetricSolve:
         config = HilbertConfig(16)
         if problem == "displaced":
             alpha = 2.0 * canonical.epsilon / canonical.kappa
-            lv = liouvillian_matrix(hamiltonian_matrix(canonical.g, 0.0, config, shift=alpha),
-                                    config.a, canonical.kappa)
+            lv = coo_liouvillian(dense_hamiltonian(canonical.g, 0.0, 16, shift=alpha),
+                                 dense_operators(16)["a"], canonical.kappa)
             full = full_space_stationary(lv, config.dim)
             folded = steady_density(canonical, config).matrix
         else:
             m = config.n_cut + 1
-            a = config.a[:m, :m]
-            lv = liouvillian_matrix(0.2j * (a.T - a), a, 0.8)
+            a = dense_operators(16)["a"][:m, :m]
+            lv = coo_liouvillian(0.2j * (a.T - a), a, 0.8)
             full = np.kron(np.diag([0.0, 1.0]), full_space_stationary(lv, m))
             folded = decoupled_cavity_steady(0.2, 0.8, config).matrix
         assert np.abs(folded - full).max() <= 1e-13
@@ -467,10 +484,10 @@ class TestFoldedSystem:
         params, config = params_at(eps), HilbertConfig(n_cut)
         system = self.solved_system(monkeypatch, lambda: steady_density(params, config))
         shift = 2.0 * params.epsilon / params.kappa
-        h = hamiltonian_matrix(params.g, 0.0, config, shift=shift)
-        lv = liouvillian_matrix(h, config.a, params.kappa)
+        h, a = dense_hamiltonian(params.g, 0.0, n_cut, shift=shift), dense_operators(n_cut)["a"]
+        lv = coo_liouvillian(h, a, params.kappa)
         self.assert_same_system(system, fold_matrix_system(lv, config.dim,
-                                                           planned_numbering(h, config.a)))
+                                                           planned_numbering(h, a)))
 
     @pytest.mark.parametrize("n_cut", [8, 16])
     def test_decoupled_cavity_solve(self, n_cut, monkeypatch):
@@ -478,9 +495,9 @@ class TestFoldedSystem:
         system = self.solved_system(monkeypatch,
                                     lambda: decoupled_cavity_steady(0.2, 0.8, config))
         m = n_cut + 1
-        a = config.a[:m, :m]
+        a = dense_operators(n_cut)["a"][:m, :m]
         h = 0.2j * (a.T - a)
-        lv = liouvillian_matrix(h, a, 0.8)
+        lv = coo_liouvillian(h, a, 0.8)
         self.assert_same_system(system, fold_matrix_system(lv, m, planned_numbering(h, a)))
 
 
@@ -493,39 +510,39 @@ POINTS = st.tuples(SIGNED, SIGNED, RATES, SIGNED)  # g, eps, kappa, shift
 
 
 class TestPlannedGenerator:
-    """The generator summed from its plan equals the COO build bit for bit."""
+    """The generator summed from its plan equals the COO build of the dense Hamiltonian
+    bit for bit."""
 
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 32), first=POINTS, second=POINTS)
     @example(n_cut=8, first=(0.3, 0.0, 0.8, 0.5), second=(0.0, 0.2, 0.8, 0.0))
     @example(n_cut=2, first=(0.0, 0.0, 0.0, 0.0), second=(1e-160, -1e-160, 5e-324, 0.0))
     def test_equals_the_coo_build(self, n_cut, first, second):
-        # the second call may switch pattern, and the third comes back to the first's
-        config = HilbertConfig(n_cut)
+        # the second call may switch pattern, and the third comes back to the first's plan
+        frame, a = oracle._frame(n_cut, True), dense_operators(n_cut)["a"]
         for g, eps, kappa, shift in (first, second, first):
-            h = hamiltonian_matrix(g, eps, config, shift=shift)
-            assert_same_bits(liouvillian_matrix(h, config.a, kappa),
-                             coo_liouvillian(h, config.a, kappa))
+            assert_same_bits(oracle._generator(frame, frame.at(g, eps, shift), kappa)[0],
+                             coo_liouvillian(dense_hamiltonian(g, eps, n_cut, shift), a, kappa))
 
     def test_operators_without_nonzeros(self):
         zero = np.zeros((6, 6))
-        lv = liouvillian_matrix(zero, zero, 0.8)
+        lv, _ = oracle._generator(*frame_parts(zero, zero), 0.8)
         assert lv.nnz == 0
         assert_same_bits(lv, coo_liouvillian(zero, zero, 0.8))
 
     def test_index_arrays_are_read_only(self, canonical):
         # an in-place change of the structure fails rather than reach the plan; a copy may
-        config = HilbertConfig(4)
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, config)
-        lv = liouvillian_matrix(h, config.a, canonical.kappa)
+        frame, rates = oracle._frame(4, True), (canonical.g, canonical.epsilon, 0.0)
+        lv, _ = oracle._generator(frame, frame.at(*rates), canonical.kappa)
         assert not lv.indices.flags.writeable and not lv.indptr.flags.writeable
         with pytest.raises(ValueError):
             lv.eliminate_zeros()
         copy = lv.copy()
         copy.data[::2] = 0.0
         copy.eliminate_zeros()
-        assert_same_bits(liouvillian_matrix(h, config.a, canonical.kappa),
-                         coo_liouvillian(h, config.a, canonical.kappa))
+        assert_same_bits(oracle._generator(frame, frame.at(*rates), canonical.kappa)[0],
+                         coo_liouvillian(dense_hamiltonian(canonical.g, canonical.epsilon, 4),
+                                         dense_operators(4)["a"], canonical.kappa))
 
 
 # Rates for the plan patterns: 0 of either sign, subnormals, sizes whose products
@@ -536,8 +553,7 @@ PATTERN_RATES = st.tuples(st.sampled_from([1.0, -1.0]), st.one_of(
 
 
 class TestPlanCache:
-    """Each frame holds one plan per pattern of ``K``, at most 8, and only the solves'
-    frames hold any."""
+    """Each frame holds one plan per pattern of ``K``, at most 8."""
 
     def test_one_plan_per_pattern(self):
         # the coupled and the g = 0 frames hold their own, reused at another drive
@@ -568,30 +584,6 @@ class TestPlanCache:
             info = oracle._frame.cache_info()
             assert info.currsize <= info.maxsize
         assert info.currsize == info.maxsize
-
-    def test_liouvillian_matrix_leaves_the_frames_alone(self, canonical):
-        oracle._frame.cache_clear()
-        config, m = HilbertConfig(8), 9
-        steady_density(canonical, config)
-        decoupled_cavity_steady(0.2, 0.8, config)
-        frames = [oracle._frame(8, coupled) for coupled in (True, False)]
-        info = oracle._frame.cache_info()
-        assert info.currsize == len(frames)  # every cached frame
-        held = [held_plans(frame) for frame in frames]
-        alpha = 2.0 * canonical.epsilon / canonical.kappa
-        rates = [(canonical.g, 0.0, alpha), (canonical.g, 0.0, 0.0), (0.0, 0.2, 0.0),
-                 (canonical.g, 0.2, 0.0), (canonical.g, 0.2, alpha), (0.3, 0.5, 0.7),
-                 (1e-160, 0.0, 1e-160), (0.0, 5e-324, 0.0), (-0.4, 0.1, -0.2), (2.0, 3.0, 0.0)]
-        drives = [0.2, 0.0, 5e-324, 1e-160, 0.1, 0.3, 0.7, 1.5, 2.0, 3.0]  # g = 0
-        operators = [(hamiltonian_matrix(g, eps, config, shift=shift), config.a)
-                     for g, eps, shift in rates]  # the frames' own patterns among them
-        operators += [(hamiltonian_matrix(0.0, eps, config)[m:, m:], config.a[m:, m:])
-                      for eps in drives]
-        assert len({(h.tobytes(), a.tobytes()) for h, a in operators}) == 20
-        for h, a in operators:
-            assert_same_bits(liouvillian_matrix(h, a, 0.8), coo_liouvillian(h, a, 0.8))
-        assert oracle._frame.cache_info() == info
-        assert [held_plans(frame) for frame in frames] == held
 
     @settings(deadline=None)
     @given(n_cut=st.sampled_from([2, 3, 8, 16, 32]), coupled=st.booleans(), g=PATTERN_RATES,
@@ -626,8 +618,8 @@ class TestRatePath:
                                                            shift, kappa):
         rates = {"g": g, "epsilon": epsilon, "shift": shift}
         rates.update(dict.fromkeys(FRAMES[frame], 0.0))
-        config, m = HilbertConfig(n_cut), n_cut + 1
-        h, a = hamiltonian_matrix(ops=config, **rates), config.a
+        m = n_cut + 1
+        h, a = dense_hamiltonian(n_cut=n_cut, **rates), dense_operators(n_cut)["a"]
         if frame == "cavity":
             h, a = h[m:, m:], a[m:, m:]
         frame = oracle._frame(n_cut, frame != "cavity")
@@ -636,16 +628,18 @@ class TestRatePath:
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_refuses_an_overflowing_rate_as_the_dense_route_does(self, coupled):
-        config, m = HilbertConfig(8), 9
+        # the frame's K overflows where the dense Hamiltonian's does, and _generator
+        # refuses it rather than build a generator of infinities
         with np.errstate(over="ignore", invalid="ignore"):
-            h, a = hamiltonian_matrix(0.0, 1e308, config), config.a
+            h = (-1j * dense_hamiltonian(0.0, 1e308, 8)).real
             frame = oracle._frame(8, coupled)
             k = frame.at(0.0, 1e308, 0.0)
-            with pytest.raises(ValueError) as want:
-                liouvillian_matrix(h if coupled else h[m:, m:], a if coupled else a[m:, m:], 1.0)
-            with pytest.raises(ValueError) as got:
+            with pytest.raises(ValueError, match="^K = -i H has a non-finite entry$"):
                 oracle._generator(frame, k, 1.0)
-        assert str(got.value) == str(want.value)
+        dense = np.zeros(frame.d * frame.d)
+        dense[frame.slots] = k
+        want = h if coupled else h[9:, 9:]  # the cavity block at n_cut 8
+        assert np.array_equal(np.isfinite(dense), np.isfinite(want.ravel()))
 
 
 def arrays_in(value):
@@ -669,20 +663,18 @@ class TestCachedParts:
 
     def test_shared_and_read_only(self, canonical):
         config = HilbertConfig(8)
-        assert HilbertConfig(8).a is config.a
         oracle._frame.cache_clear()
         steady_density(canonical, config)
         decoupled_cavity_steady(0.2, 0.8, config)
         frames = [oracle._frame(8, coupled) for coupled in (True, False)]
         for frame in frames:  # the walk reaches both plans of every pattern
             assert frame.plans and all(None not in entry for entry in frame.plans.values())
-        cached = [config.a, config.sigma, config.eta_a, config.eta_b,
-                  oracle._moment_gathers(8), *frames]
-        arrays = list(arrays_in(cached))
+        assert oracle._frame(8, True) is frames[0]
+        arrays = list(arrays_in([oracle._moment_gathers(8), *frames]))
         assert len(arrays) >= 40
         assert not [x for x in arrays if x.flags.writeable]
         with pytest.raises(ValueError):
-            config.a[0, 1] = 2.0
+            frames[0].units[0, 0] = 2.0
 
     def test_one_build_per_cutoff_frame_and_pattern(self):
         def ladder():
@@ -703,7 +695,6 @@ class TestCachedParts:
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
         assert {key: held_plans(frame) for key, frame in frames.items()} == held
         assert built == {
-            "_operators": 0,  # the solves keep no dense operator
             "_moment_gathers": 3,  # n_cut 8, 16 and 32
             "_frame": 5,  # coupled 8 and 16, cavity 8, 16 and 32
         }
@@ -733,18 +724,18 @@ class TestFoldedSystemOnACacheHit:
         system = self.second_system(
             monkeypatch, lambda kappa: steady_density(params_at(0.0, kappa=kappa), config), 0.8)
         params = params_at(0.0)
-        h = hamiltonian_matrix(params.g, 0.0, config)
-        lv = liouvillian_matrix(h, config.a, params.kappa)
+        h, a = dense_hamiltonian(params.g, 0.0, 16), dense_operators(16)["a"]
+        lv = coo_liouvillian(h, a, params.kappa)
         TestFoldedSystem.assert_same_system(
-            system, fold_matrix_system(lv, config.dim, planned_numbering(h, config.a)))
+            system, fold_matrix_system(lv, config.dim, planned_numbering(h, a)))
 
     def test_decoupled_cavity_at_n_cut_32(self, monkeypatch):
         config = HilbertConfig(32)
         system = self.second_system(
             monkeypatch, lambda eps: decoupled_cavity_steady(eps, 0.8, config), 0.2)
-        a = config.a[:33, :33]
+        a = dense_operators(32)["a"][:33, :33]
         h = 0.2j * (a.T - a)
-        lv = liouvillian_matrix(h, a, 0.8)
+        lv = coo_liouvillian(h, a, 0.8)
         TestFoldedSystem.assert_same_system(system,
                                             fold_matrix_system(lv, 33, planned_numbering(h, a)))
 
@@ -788,11 +779,11 @@ class TestNestedDissection:
         if problem == "displaced":
             steady_density(canonical, config)
             alpha = 2.0 * canonical.epsilon / canonical.kappa
-            a = config.a
-            h = hamiltonian_matrix(canonical.g, 0.0, config, shift=alpha)
+            a = dense_operators(n_cut)["a"]
+            h = dense_hamiltonian(canonical.g, 0.0, n_cut, shift=alpha)
         else:
             decoupled_cavity_steady(0.2, 0.8, config)
-            a = config.a[: n_cut + 1, : n_cut + 1]
+            a = dense_operators(n_cut)["a"][: n_cut + 1, : n_cut + 1]
             h = 0.2j * (a.T - a)
         pos, ((system, rhs),) = planned_numbering(h, a), solves
         i, j = np.triu_indices(len(a))
@@ -820,11 +811,10 @@ class TestNestedDissection:
 
     def test_trace_row_away_from_the_first_number(self, canonical):
         # with the basis reversed, (0, 0) holds the top Fock state and is not numbered first
-        config = HilbertConfig(8)
-        h = hamiltonian_matrix(canonical.g, 0.0, config, shift=0.5)
-        rho, _ = stationary(h, config.a, canonical.kappa)
-        p = np.arange(config.dim)[::-1]
-        h, a = h[np.ix_(p, p)], config.a[np.ix_(p, p)]
+        h, a = dense_hamiltonian(canonical.g, 0.0, 8, shift=0.5), dense_operators(8)["a"]
+        rho, _ = stationary(h, a, canonical.kappa)
+        p = np.arange(len(a))[::-1]
+        h, a = h[np.ix_(p, p)], a[np.ix_(p, p)]
         assert planned_numbering(h, a)[0, 0] > 0
         reversed_rho, residual = stationary(h, a, canonical.kappa)
         assert residual <= 1e-12
@@ -833,11 +823,10 @@ class TestNestedDissection:
     @pytest.mark.parametrize("problem", ["no generator", "no decay"])
     def test_singular_system_is_refused(self, problem):
         # the trace row alone, or a Hamiltonian's degenerate stationary manifold
-        config = HilbertConfig(4)
-        h = (np.zeros((config.dim, config.dim)) if problem == "no generator"
-             else hamiltonian_matrix(0.3, 0.2, config))
+        a = dense_operators(4)["a"]
+        h = np.zeros_like(a) if problem == "no generator" else dense_hamiltonian(0.3, 0.2, 4)
         with pytest.raises(SingularSystem, match="^stationary solve failed: .*singular"):
-            stationary(h, config.a, 0.0)
+            stationary(h, a, 0.0)
 
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 24), decoupled=st.booleans(),
@@ -850,15 +839,15 @@ class TestNestedDissection:
         config = HilbertConfig(n_cut)
         if decoupled:
             rho = decoupled_cavity_steady(eps, kappa, config).matrix[n_cut + 1:, n_cut + 1:]
-            a = config.a[: n_cut + 1, : n_cut + 1]
+            a = dense_operators(n_cut)["a"][: n_cut + 1, : n_cut + 1]
             h = 1j * eps * (a.T - a)
         else:
             params = params_at(eps, gamma_c, kappa)
             rho = steady_density(params, config).matrix
-            a = config.a
-            h = hamiltonian_matrix(params.g, 0.0, config, shift=2.0 * eps / kappa)
+            a = dense_operators(n_cut)["a"]
+            h = dense_hamiltonian(params.g, 0.0, n_cut, shift=2.0 * eps / kappa)
         d, pos = len(a), triu_numbering(len(a))
-        system = fold_matrix_system(liouvillian_matrix(h, a, kappa), d, pos)
+        system = fold_matrix_system(coo_liouvillian(h, a, kappa), d, pos)
         want = spsolve(system, np.eye(1, system.shape[0])[0])[pos]
         assert np.abs(rho - want).max() <= 1e-12
 
@@ -867,10 +856,9 @@ def colamd_outcome(params, n_cut):
     """The displaced state at ``n_cut`` by scipy's ``spsolve`` (COLAMD) on
     :func:`fold_matrix_system` of the triu numbering, and its residual, or ``None``
     where the residual gate would refuse it."""
-    config = HilbertConfig(n_cut)
-    h = hamiltonian_matrix(params.g, 0.0, config, shift=2.0 * params.epsilon / params.kappa)
-    lv = liouvillian_matrix(h, config.a, params.kappa)
-    d, pos = config.dim, triu_numbering(config.dim)
+    h = dense_hamiltonian(params.g, 0.0, n_cut, shift=2.0 * params.epsilon / params.kappa)
+    lv = coo_liouvillian(h, dense_operators(n_cut)["a"], params.kappa)
+    d, pos = len(h), triu_numbering(len(h))
     rho = spsolve(fold_matrix_system(lv, d, pos), np.eye(1, d * (d + 1) // 2)[0])[pos]
     residual = float(np.abs(lv @ rho.ravel("F")).max())
     return (rho, residual) if residual <= oracle._RESIDUAL_TOL else None
@@ -952,7 +940,7 @@ class TestStrongDrive:
             rho = steady_density(params, HilbertConfig(n_cut))
             assert rho.residual <= 1e-10
             assert rho.hermiticity_error() == 0.0
-            sigmas.append(rho.expect(rho.ops.sigma).real)
+            sigmas.append(rho.expect(dense_operators(n_cut)["sigma"]).real)
         assert max(sigmas) - min(sigmas) <= 1e-12
         assert abs(sigmas[0] * params.epsilon / params.g - 0.25) <= 1e-6
 
@@ -997,14 +985,15 @@ class TestCutoffConvergence:
 
 
 class TestOperatorBuilds:
-    """Each Fock cutoff builds its operators, and the parts a solve keeps of them, once."""
+    """Each Fock cutoff builds the parts a solve keeps of its operators once."""
 
     def test_built_on_first_use_and_kept(self):
+        clear_caches()
         config = HilbertConfig(4)
-        names = ("a", "sigma", "eta_a", "eta_b")
-        assert not set(names) & set(vars(config))  # none at construction
-        for name in names:
-            assert getattr(config, name) is getattr(config, name)
+        assert vars(config) == {"n_cut": 4, "dim_cap": 256}  # a config holds no operator
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0]
+        assert oracle._frame(4, True) is oracle._frame(4, True)
+        assert oracle._moment_gathers(4) is oracle._moment_gathers(4)
 
     @pytest.mark.parametrize(
         "run,builds",
@@ -1073,8 +1062,9 @@ class TestMomentReads:
         x = rng.standard_normal((ops.dim, ops.dim))
         rho = DensityMatrix(matrix=x @ x.T / np.trace(x @ x.T), residual=0.0, ops=ops,
                             shift=shift)
-        b = ops.a
-        direct = [rho.expect(op) for op in (b, b @ b, b.T @ b, ops.sigma, ops.eta_a)]
+        dense = dense_operators(6)
+        b = dense["a"]
+        direct = [rho.expect(op) for op in (b, b @ b, b.T @ b, dense["sigma"], dense["eta_a"])]
         assert rho.moments == tuple(direct)  # bit for bit
         assert rho.moments is rho.moments  # read once per state
         s = shift
@@ -1149,12 +1139,12 @@ class TestDecoupled:
 
     def test_atom_is_pinned_to_the_lower_level(self):
         rho = decoupled_cavity_steady(0.2, 0.8, HilbertConfig(8))
-        assert rho.expect(rho.ops.eta_b).real == pytest.approx(1.0, abs=1e-12)
+        assert rho.expect(dense_operators(8)["eta_b"]).real == pytest.approx(1.0, abs=1e-12)
         assert rho.trace_error() <= 1e-12
 
     def test_undriven_decoupled_cavity_is_empty(self):
         rho = decoupled_cavity_steady(0.0, 0.8, HilbertConfig(8))
-        a = rho.ops.a
+        a = dense_operators(8)["a"]
         assert abs(rho.expect(a.conj().T @ a)) <= 1e-12
 
     @pytest.mark.parametrize("epsilon", [math.nan, -1.0, math.inf, 1.2e38, 1e307, 1e308])
@@ -1214,10 +1204,9 @@ class TestEvolution:
     def test_matches_the_dense_propagator_at_the_final_time(self, canonical):
         config = HilbertConfig(4)
         evolved = evolve_density(canonical, config, t_final=5.0)
-        ops = evolved.ops
-        h = hamiltonian_matrix(canonical.g, canonical.epsilon, ops)
-        lv = liouvillian_matrix(h, ops.a, canonical.kappa).toarray()
-        d = ops.dim
+        h = dense_hamiltonian(canonical.g, canonical.epsilon, 4)
+        lv = coo_liouvillian(h, dense_operators(4)["a"], canonical.kappa).toarray()
+        d = config.dim
         ground = np.zeros(d * d, dtype=complex)
         ground[(config.n_cut + 1) * (d + 1)] = 1.0  # lower level, zero photons
         exact = (scipy.linalg.expm(5.0 * lv) @ ground).reshape((d, d), order="F")
@@ -1248,7 +1237,7 @@ class TestDisplacedFrame:
     def test_fluctuation_field_stays_small_at_strong_drive(self):
         # alpha = 4: the lab-frame ladder needed n_cut 128, beyond the cap
         rho = steady_density(params_at(1.6), HilbertConfig(16))
-        b = rho.ops.a
+        b = dense_operators(16)["a"]
         assert rho.shift == 4.0
         assert rho.expect(b.T @ b).real <= 0.2
         mean_a, _, mean_n = rho.field_moments()
