@@ -44,7 +44,6 @@ from itertools import repeat
 import numpy as np
 
 from .params import SystemParams, _require_positive
-from .single_mode import AtomSteady
 from .sweeps import _write_blocks, _write_csv
 
 __all__ = [
@@ -55,11 +54,9 @@ __all__ = [
     "StepTooLarge",
     "GROUND_STATE",
     "EXCITED_STATE",
-    "moment_derivative",
     "default_integrator_config",
     "integrate",
     "stream_trajectory",
-    "steady_by_integration",
 ]
 
 # Populations may stray 1e-6 outside [0, 1] before the run is declared numerically broken.
@@ -153,19 +150,6 @@ class TimeSeries:
 
 def _state(row) -> AtomMomentState:
     return AtomMomentState(*(float(x) for x in row))
-
-
-def moment_derivative(state: AtomMomentState, params: SystemParams) -> AtomMomentState:
-    """Time derivative of the atomic moments (returned in the same container)."""
-    gc = params.gamma_c
-    q = 2.0 * params.g * params.epsilon / params.kappa
-    d_eta_a = -gc * state.eta_a + 2.0 * q * state.sigma_re
-    return AtomMomentState(
-        sigma_re=-0.5 * gc * state.sigma_re + q * (state.eta_b - state.eta_a),
-        sigma_im=-0.5 * gc * state.sigma_im,
-        eta_a=d_eta_a,
-        eta_b=-d_eta_a,
-    )
 
 
 def _check_initial(state: AtomMomentState) -> None:
@@ -310,18 +294,3 @@ def stream_trajectory(
         _write_blocks(out, _COLUMNS, timed())
     return n_rows - 1, final
 
-
-def steady_by_integration(
-    params: SystemParams,
-    config: IntegratorConfig | None = None,
-) -> AtomSteady:
-    """Steady atomic moments found by integrating from the ground state.
-
-    Independent route to the same numbers as
-    :func:`cavity_squeezing.single_mode.steady_atom`; the imaginary part
-    of the coherence stays zero for a real drive and is dropped.
-    """
-    if config is None:
-        config = default_integrator_config(params)
-    _, final = stream_trajectory(GROUND_STATE, params, config)
-    return AtomSteady(eta_a=final.eta_a, eta_b=final.eta_b, sigma=final.sigma_re)

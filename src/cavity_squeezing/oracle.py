@@ -37,12 +37,12 @@ Conventions, fixed once and used everywhere:
   both at most 16, which are rung 16's folded system.  Then, if they miss a normwise
   backward error of 1e-15, the direct solve.  Rung 16 and below, and the ``g = 0``
   frame, whose coherent state fills its cutoff, are solved directly;
-* what the rates leave unchanged is built once, in read-only arrays: per cutoff,
-  the moments' gathers, and per cutoff and frame (``_frame``, the product space or
-  the ``g = 0`` cavity block) one object that owns the rest: the Kronecker factors,
-  the Hamiltonian's unit parts on their slots, and per pattern of ``K = -i H`` the
-  generator's plan and the folded system's.  A rung evaluates its rates on the
-  slots, sums the values on the plans, solves and gathers.
+* what the rates leave unchanged is built once, in read-only arrays, per cutoff and
+  frame (``_frame``, the product space or the ``g = 0`` cavity block) in one object:
+  the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
+  ``K = -i H`` the generator's plan and the folded system's, and on the product space
+  the moments' gathers, which the ``g = 0`` states read too.  A rung evaluates its
+  rates on the slots, sums the values on the plans, solves and gathers.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -165,9 +165,10 @@ class _Frame:
     numbers (``a``'s column ``j`` is ``sqrt(n_j)``), and the nonzeros and values of the
     Kronecker factors ``a``, ``n = a^T a`` and ``n^T``.  The Hamiltonian's unit parts, for
     the solves ``J = sigma^dag a - a^dag sigma``, ``S = sigma^dag - sigma`` and ``E = a^dag
-    - a``, on ``slots``, the union of their nonzeros (flat, row-major).  And ``plans``, by
+    - a``, on ``slots``, the union of their nonzeros (flat, row-major).  ``plans``, by
     ``K``'s nonzero mask over ``slots``: ``[generator plan, fold plan]``, the second built
-    on the first solve.
+    on the first solve.  And ``gathers``, one per dense operator of ``reads``: the
+    :func:`_gather` of ``tr(op rho)``.
 
     The units' nonzeros are at least 1 in magnitude and no two units share a slot, so on
     a unit's slots ``K`` is one rate, ``g``, ``g shift`` or ``eps``, times the unit, and a
@@ -175,7 +176,7 @@ class _Frame:
     unit's slots or on none.  A pattern is a union of whole units: at most 8 plans.
     """
 
-    def __init__(self, a: np.ndarray, units: list):
+    def __init__(self, a: np.ndarray, units: list, reads=()):
         n_op = a.T @ a
         self.d = len(a)
         self.fock = _frozen(np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64))
@@ -186,6 +187,7 @@ class _Frame:
         self.slots = _frozen(np.flatnonzero(np.any(units, axis=0)))
         self.units = _frozen(np.array([unit.ravel()[self.slots] for unit in units]))
         self.plans = {}
+        self.gathers = tuple(tuple(map(_frozen, _gather(op))) for op in reads)
 
     def at(self, g: float, epsilon: float, shift: float):
         """``K = -i H`` on the slots, entry by entry, for the model's Hamiltonian ``H = i g
@@ -196,19 +198,19 @@ class _Frame:
         return g * (j + shift * s) + epsilon * e
 
 
-# oracle_ladder runs use 6, each with one plan: n_cut 8, 16 and 127 coupled, 8, 16 and 32 at g = 0
+# oracle_ladder runs use 7: n_cut 8, 16, 32 and 127 coupled, 8, 16 and 32 at g = 0
 @lru_cache(maxsize=12)
 def _frame(n_cut: int, coupled: bool) -> _Frame:
-    """The product space's frame at ``n_cut``, or the cavity's own on its ``n_cut + 1``
-    states, where the atom stays in its lower level and only ``E`` is left."""
+    """The product space's frame at ``n_cut``, with the gathers of ``b``, ``b^2``,
+    ``b^dag b``, ``sigma``, ``eta_a`` and ``eta_b``, ``b = a``; or the cavity's own on its
+    ``n_cut + 1`` states, where the atom stays in its lower level and only ``E`` is left."""
     if coupled:
         ops = _product_operators(n_cut)
         a, s = ops["a"], ops["sigma"]
-        units = [s.T @ a - a.T @ s, s.T - s, a.T - a]
-    else:
-        a = _lowering(n_cut + 1)
-        units = [np.zeros_like(a), np.zeros_like(a), a.T - a]
-    return _Frame(a, units)
+        return _Frame(a, [s.T @ a - a.T @ s, s.T - s, a.T - a],
+                      (a, a @ a, a.T @ a, s, ops["eta_a"], ops["eta_b"]))
+    a = _lowering(n_cut + 1)
+    return _Frame(a, [np.zeros_like(a), np.zeros_like(a), a.T - a])
 
 
 def _generator(frame: _Frame, k, kappa: float):
@@ -312,7 +314,7 @@ class DensityMatrix:
     def moments(self) -> tuple[complex, ...]:
         """``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>``, ``<sigma^dag sigma>`` of the
         solved frame, ``b`` its ladder operator: the one place they are read, once per state."""
-        return tuple(map(self._read, _moment_gathers(self.ops.n_cut)[:5]))
+        return tuple(map(self._read, _frame(self.ops.n_cut, True).gathers[:5]))
 
     def field_moments(self) -> tuple[complex, complex, complex]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
@@ -329,16 +331,6 @@ def _gather(op: np.ndarray):
     and the rows and columns of ``rho`` they meet."""
     rows, cols = np.nonzero(op)
     return op[rows, cols], cols, rows
-
-
-@lru_cache(maxsize=8)  # oracle_ladder runs use 4: n_cut 8, 16, 32 and 127
-def _moment_gathers(n_cut: int) -> tuple:
-    """Read-only gathers of ``b``, ``b^2``, ``b^dag b``, ``sigma``, ``eta_a`` and
-    ``eta_b`` on the product space at ``n_cut``, ``b = a``."""
-    ops = _product_operators(n_cut)
-    b = ops["a"]
-    return tuple(tuple(map(_frozen, _gather(op)))
-                 for op in (b, b @ b, b.T @ b, ops["sigma"], ops["eta_a"], ops["eta_b"]))
 
 
 def spsolve(system, rhs) -> np.ndarray:
@@ -596,7 +588,7 @@ def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
         "mean_field": mean_a,
         "mean_field_squared": mean_a2,
         "eta_a": eta_a,
-        "eta_b": rho._read(_moment_gathers(rho.ops.n_cut)[5]),
+        "eta_b": rho._read(_frame(rho.ops.n_cut, True).gathers[5]),
         "sigma": sigma,
         "var_plus": var_plus,
         "var_minus": var_minus,

@@ -22,7 +22,6 @@ equal to the scalar result bit for bit: quartic powers use ``np.float_power``
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ __all__ = [
     "uncertainty_bound",
     "uncertainty_product",
     "squeezing",
-    "optimal_drive",
     "single_mode_stats",
 ]
 
@@ -154,7 +152,7 @@ def squeezing(params: SystemParams) -> float:
     """Fractional noise reduction ``S = 16 gamma_c kappa eps**2 / D**2``.
 
     Equals ``1 - var_plus / vac_var``; ranges over [0, 1/2], reaching the
-    maximum 1/2 at the optimal driving amplitude.  Rounding can put the
+    maximum 1/2 at ``eps = sqrt(kappa gamma_c / 8)``.  Rounding can put the
     quotient one ulp above 1/2 near the optimum, so it is capped there.
     Where the numerator underflows, ``S = 4 sigma**2 = (8 g eps / D)**2``
     is evaluated instead, which stays normal wherever ``sigma**2`` does.
@@ -165,18 +163,6 @@ def squeezing(params: SystemParams) -> float:
     two_sigma = 8.0 * params.g * eps / d
     s = np.where(numerator < sys.float_info.min, two_sigma * two_sigma, numerator / (d * d))
     return np.minimum(s, 0.5)
-
-
-def optimal_drive(gamma_c: float, kappa: float) -> tuple[float, float]:
-    """Driving amplitude that maximises squeezing, and the maximum.
-
-    Returns ``(eps_star, s_max)`` with ``eps_star = sqrt(kappa*gamma_c/8)``.
-    The maximum squeezing is exactly one half for every parameter pair,
-    so ``s_max`` is always 0.5.  The rates are validated by
-    :meth:`SystemParams.from_gamma_c`.
-    """
-    params = SystemParams.from_gamma_c(gamma_c, kappa, 0.0)
-    return math.sqrt(params.kappa * params.gamma_c / 8.0), 0.5
 
 
 def single_mode_stats(params: SystemParams) -> SingleModeStats:

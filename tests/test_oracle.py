@@ -173,7 +173,7 @@ def assert_same_bits(matrix, reference):
     assert np.array_equal(matrix.data.view(np.uint64), reference.data.view(np.uint64))
 
 
-CACHES = {name: getattr(oracle, name) for name in ("_moment_gathers", "_frame")}
+CACHES = {"_frame": oracle._frame}
 
 
 def clear_caches():
@@ -258,8 +258,8 @@ class TestHilbertConfig:
 
 
 class TestOperators:
-    """The product space's dense operators, from which ``_frame`` and ``_moment_gathers``
-    build their parts."""
+    """The product space's dense operators, from which ``_frame`` builds a coupled frame's
+    parts and gathers."""
 
     def test_shapes_and_ladder_entries(self):
         a = oracle._product_operators(2)["a"]
@@ -670,7 +670,9 @@ class TestCachedParts:
         for frame in frames:  # the walk reaches both plans of every pattern
             assert frame.plans and all(None not in entry for entry in frame.plans.values())
         assert oracle._frame(8, True) is frames[0]
-        arrays = list(arrays_in([oracle._moment_gathers(8), *frames]))
+        assert len(list(arrays_in(frames[0].gathers))) == 18  # 6 gathers of 3 arrays
+        assert frames[1].gathers == ()  # the moments are read on the product space
+        arrays = list(arrays_in(frames))  # the gathers among them
         assert len(arrays) >= 40
         assert not [x for x in arrays if x.flags.writeable]
         with pytest.raises(ValueError):
@@ -688,22 +690,21 @@ class TestCachedParts:
         ladder()
         built = {name: cache.cache_info().misses for name, cache in CACHES.items()}
         frames = {(n_cut, coupled): oracle._frame(n_cut, coupled)
-                  for n_cut, coupled in ((8, True), (16, True), (8, False), (16, False), (32, False))}
+                  for n_cut, coupled in ((8, True), (16, True), (32, True), (8, False), (16, False),
+                                         (32, False))}
         assert oracle._frame.cache_info().misses == built["_frame"]  # the frames cached
         held = {key: held_plans(frame) for key, frame in frames.items()}
         ladder()  # a replay builds nothing
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
         assert {key: held_plans(frame) for key, frame in frames.items()} == held
-        assert built == {
-            "_moment_gathers": 3,  # n_cut 8, 16 and 32
-            "_frame": 5,  # coupled 8 and 16, cavity 8, 16 and 32
-        }
+        # coupled 8, 16 and 32, the last for the cavity's rung-32 moments; cavity 8, 16 and 32
+        assert built == {"_frame": 6}
         # (generator plans, fold plans) per frame: g J + g alpha S and g J, and at n_cut 8
         # the lab frame's g J + eps E, for which evolve_density solves nothing
         assert {key: (len(plans), sum(None not in entry for entry in plans.values()))
                 for key, plans in held.items()} == {
-            (8, True): (3, 2), (16, True): (2, 2), (8, False): (1, 1), (16, False): (1, 1),
-            (32, False): (1, 1)}
+            (8, True): (3, 2), (16, True): (2, 2), (32, True): (0, 0), (8, False): (1, 1),
+            (16, False): (1, 1), (32, False): (1, 1)}
 
 
 class TestFoldedSystemOnACacheHit:
@@ -991,16 +992,16 @@ class TestOperatorBuilds:
         clear_caches()
         config = HilbertConfig(4)
         assert vars(config) == {"n_cut": 4, "dim_cap": 256}  # a config holds no operator
-        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0, 0]
+        assert [cache.cache_info().currsize for cache in CACHES.values()] == [0]
         assert oracle._frame(4, True) is oracle._frame(4, True)
-        assert oracle._moment_gathers(4) is oracle._moment_gathers(4)
 
     @pytest.mark.parametrize(
         "run,builds",
         [
             (lambda: cutoff_converged(params_at(0.2)), 2),  # rungs 8 and 16
-            # rungs 8, 16 and 32: <a^2> at rung 8 is 1.1e-8 from rung 16
-            (lambda: decoupled_benchmark(0.2, 0.8), 3),
+            # rungs 8, 16 and 32: <a^2> at rung 8 is 1.1e-8 from rung 16; each builds the
+            # cavity's frame and the product space's, whose gathers read the moments
+            (lambda: decoupled_benchmark(0.2, 0.8), 6),
             (lambda: compare_with_closed_form(params_at(0.2), HilbertConfig(16)), 1),
         ],
         ids=["cutoff_converged", "decoupled_benchmark", "compare_with_closed_form"],
@@ -1011,7 +1012,6 @@ class TestOperatorBuilds:
         run()
         run()
         assert oracle._frame.cache_info().misses == builds
-        assert oracle._moment_gathers.cache_info().misses == builds
 
 
 def test_one_generator_per_decoupled_rung(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from cavity_squeezing import (
     SystemParams,
     mean_photons,
-    optimal_drive,
     quadrature_variances,
     single_mode_stats,
     squeezing,
@@ -174,35 +173,43 @@ class TestSqueezing:
 
 
 class TestOptimalDrive:
+    """The closed-form optimum: ``S`` peaks at exactly 1/2, at ``eps* = sqrt(kappa gamma_c
+    / 8)``, the scale from which ``find_max_squeezing`` searches."""
+
+    @staticmethod
+    def eps_star(gamma_c, kappa):
+        SystemParams.from_gamma_c(gamma_c, kappa, 0.0)  # validates the rates
+        return math.sqrt(kappa * gamma_c / 8.0)
+
     def test_canonical_pair(self):
-        eps_star, s_max = optimal_drive(0.4, 0.8)
+        eps_star = self.eps_star(0.4, 0.8)
         assert eps_star == pytest.approx(0.2, rel=1e-12)
-        assert s_max == 0.5
+        assert squeezing(params_at(eps_star)) == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("gamma_c,kappa", [(1.0, 1.0), (2.0, 0.5), (0.25, 1.6)])
     def test_maximum_is_always_one_half(self, gamma_c, kappa):
-        eps_star, s_max = optimal_drive(gamma_c, kappa)
-        assert eps_star == pytest.approx(math.sqrt(kappa * gamma_c / 8.0), rel=1e-12)
-        assert s_max == 0.5
+        eps_star = self.eps_star(gamma_c, kappa)
+        s_max = squeezing(params_at(eps_star, gamma_c, kappa))
+        assert s_max == pytest.approx(0.5, rel=1e-12)
+        for eps in (0.999 * eps_star, 1.001 * eps_star):
+            assert squeezing(params_at(eps, gamma_c, kappa)) < s_max
 
     def test_agrees_with_brute_force_scan(self):
         gamma_c, kappa = 0.7, 1.3
         grid = np.linspace(0.0, 2.0, 20001)
         values = [squeezing(params_at(float(e), gamma_c, kappa)) for e in grid]
         best = float(grid[int(np.argmax(values))])
-        eps_star, s_max = optimal_drive(gamma_c, kappa)
+        eps_star = self.eps_star(gamma_c, kappa)
         assert abs(best - eps_star) <= (grid[1] - grid[0])
-        assert squeezing(params_at(eps_star, gamma_c, kappa)) == pytest.approx(
-            s_max, rel=1e-12
-        )
+        assert squeezing(params_at(eps_star, gamma_c, kappa)) == pytest.approx(0.5, rel=1e-12)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
-            optimal_drive(0.0, 1.0)
+            self.eps_star(0.0, 1.0)
         with pytest.raises(ValueError):
-            optimal_drive(1.0, -1.0)
+            self.eps_star(1.0, -1.0)
         with pytest.raises(ValueError):  # rates outside [1e-38, 1e38]
-            optimal_drive(1e-300, 1e-300)
+            self.eps_star(1e-300, 1e-300)
 
 
 def test_stats_bundle_is_consistent(canonical):
