@@ -43,7 +43,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .params import SystemParams, _require_positive
+from .params import SystemParams, _require_one_drive, _require_positive
 from .sweeps import _write_blocks, _write_csv
 
 __all__ = [
@@ -94,14 +94,14 @@ EXCITED_STATE = AtomMomentState(0.0, 0.0, 1.0, 0.0)
 class IntegratorConfig:
     """Fixed-step RK4 settings.
 
-    ``steady_tol`` is the Euclidean norm of the moment derivative below
-    which the trajectory is declared converged.  Its field default 1e-12 is
-    absolute; :func:`default_integrator_config` scales it as ``2.5e-12 gamma_c``.
+    ``steady_tol`` is the Euclidean norm of the moment derivative below which the
+    trajectory is declared converged.  It has no default, since the norm scales with
+    the rates; :func:`default_integrator_config` sets it to ``2.5e-12 gamma_c``.
     """
 
     dt: float
     t_max: float
-    steady_tol: float = 1e-12
+    steady_tol: float
 
     def __post_init__(self) -> None:
         _require_positive("dt", self.dt)
@@ -197,7 +197,7 @@ def _blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorCo
     """The rows of :func:`integrate`'s ``states``, yielded as (k, 4) arrays of
     ``_BLOCK_ROWS`` rows each as they fill; the last block may be shorter."""
     _check_initial(initial)
-    q = 2.0 * params.g * params.epsilon / params.kappa
+    q = 2.0 * params.g * _require_one_drive(params.epsilon) / params.kappa
     # The rates' coefficients, named once: ``c * x`` rounds like ``-0.5 * gc * x``.
     c_sigma, c_eta, c_pump = -0.5 * params.gamma_c, -params.gamma_c, 2.0 * q
     dt = config.dt

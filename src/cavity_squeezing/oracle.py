@@ -13,10 +13,9 @@ cavity drive cancels, leaving ``i g (sigma^dag b - b^dag sigma) +
 i g alpha (sigma^dag - sigma)`` and ``kappa D[b]``, so the Fock cutoff
 truncates the small fluctuation field ``b``.  All generators and states
 are real (``float64``); :meth:`DensityMatrix.field_moments` maps moments
-back to ``a``.  The ``g = 0`` limit and :func:`evolve_density` stay in
-the lab frame and evaluate the same drive term ``i eps (a^dag - a)``, so
-``g = 0``, solved on the cavity's ``n_cut + 1`` states with the atom in its
-lower level, still checks ``alpha`` independently.
+back to ``a``.  The ``g = 0`` limit, solved in the lab frame on the
+cavity's ``n_cut + 1`` states with the atom in its lower level, still
+checks ``alpha`` independently.
 
 Conventions, fixed once and used everywhere:
 
@@ -50,7 +49,7 @@ effective-mode normalisation.  The two disagree by design, so the report
 carries both values without judging the difference.
 
 Only the sparse steps import scipy, each in its own body: the sparse
-assembly (``_IndexPlan``), the stationary solve and :func:`evolve_density`.
+assembly (``_IndexPlan``) and the stationary solve.
 The module, its frames and their Hamiltonians cost numpy alone.
 """
 
@@ -64,7 +63,7 @@ import numpy as np
 
 from . import single_mode, superposed
 from .params import (SystemParams, _require_bounded_drive, _require_count, _require_drive,
-                     _require_positive, _require_rate)
+                     _require_one_drive, _require_positive, _require_rate)
 
 __all__ = [
     "DimensionCap",
@@ -78,7 +77,6 @@ __all__ = [
     "cutoff_converged",
     "decoupled_cavity_steady",
     "decoupled_benchmark",
-    "evolve_density",
 ]
 
 _FRAMEWORK_NOTE = (
@@ -280,12 +278,12 @@ class _IndexPlan:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix, the residual of the equation it solves, and its space.
+    """A stationary density matrix, the residual of the equation it solves, and its space.
 
-    ``residual`` is the max-entrywise value of ``drho/dt`` evaluated with
-    the original (unmodified) generator; ``ops`` is the truncated Hilbert
-    space that ``matrix`` lives on.  ``shift`` is the frame: the state's
-    ladder operator ``b`` is the lab field minus ``shift``.
+    ``matrix`` is real and exactly symmetric: every solve reads it through a symmetric
+    index.  ``residual`` is the max-entrywise ``drho/dt`` under the original (unmodified)
+    generator; ``ops`` is the truncated Hilbert space that ``matrix`` lives on.  ``shift``
+    is the frame: the state's ladder operator ``b`` is the lab field minus ``shift``.
     """
 
     matrix: np.ndarray
@@ -300,8 +298,7 @@ class DensityMatrix:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
     def min_eigenvalue(self) -> float:
-        herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
+        return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def expect(self, op: np.ndarray) -> complex:
         return self._read(_gather(op))
@@ -529,7 +526,8 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
-    alpha, frame = 2.0 * params.epsilon / params.kappa, _frame(config.n_cut, True)
+    alpha = 2.0 * _require_one_drive(params.epsilon) / params.kappa
+    frame = _frame(config.n_cut, True)
     block = _frame(_BLOCK_N_CUT, True) if config.n_cut > _BLOCK_N_CUT else None
     rho, residual = _stationary(frame, frame.at(params.g, 0.0, alpha), params.kappa, block)
     return DensityMatrix(matrix=rho, residual=residual, ops=config, shift=alpha)
@@ -690,7 +688,7 @@ def decoupled_cavity_steady(
     A drive is refused as :class:`SystemParams` refuses one with ``gamma_c = 0``: from
     ``8 eps**2 > 1e77``.
     """
-    epsilon, kappa = _require_drive(float(epsilon)), _require_rate("kappa", kappa)
+    epsilon, kappa = _require_drive(_require_one_drive(epsilon)), _require_rate("kappa", kappa)
     _require_bounded_drive(epsilon)
     frame = _frame(config.n_cut, False)
     rho, residual = _stationary(frame, frame.at(0.0, epsilon, 0.0), kappa)
@@ -731,31 +729,3 @@ def decoupled_benchmark(
             for name, (o, e) in values.items()
         },
     }
-
-
-def evolve_density(
-    params: SystemParams,
-    config: HilbertConfig,
-    t_final: float,
-) -> DensityMatrix:
-    """Evolve a lab-frame density matrix by the exact propagator ``exp(t_final L)``.
-
-    Independent route to the stationary state: for ``t_final`` long
-    against the slowest relaxation rate the result approaches the
-    lab-frame stationary state.  The action of the matrix exponential on the
-    vectorised state is computed by ``scipy.sparse.linalg.expm_multiply``
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011), which chooses its
-    own steps.  The initial state is the absolute ground state (lower
-    level, empty cavity).  The returned residual is the max-entrywise time
-    derivative at the final state.
-    """
-    from scipy.sparse.linalg import expm_multiply
-    _require_positive("t_final", t_final)
-    frame = _frame(config.n_cut, True)
-    lv, _ = _generator(frame, frame.at(params.g, params.epsilon, 0.0), params.kappa)
-    d = config.dim
-    initial = np.zeros((d, d))
-    initial[config.n_cut + 1, config.n_cut + 1] = 1.0  # atom lower level, zero photons
-    rho = expm_multiply(t_final * lv, initial.ravel("F")).reshape((d, d), order="F")
-    return DensityMatrix(matrix=rho, residual=float(np.abs(lv @ rho.ravel("F")).max()),
-                         ops=config)

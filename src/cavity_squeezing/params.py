@@ -10,7 +10,8 @@ with the parameter set.
 
 All rates share a single inverse-time unit; only ratios matter.  The
 drive ``epsilon`` may also be a 1-D array, so that every closed form
-evaluates a whole grid of drives in one call.
+evaluates a whole grid of drives in one call; the oracle and the moment
+integrator solve for one drive and refuse an array.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def _require_drive(value):
     if np.ndim(value) > 1 or not np.all(np.isfinite(value)) or np.any(value < 0.0):
         raise ValueError(f"epsilon must be finite and >= 0 (float or 1-D), got {value!r}")
     return value
+
+
+def _require_one_drive(value) -> float:
+    """``epsilon`` as one float, for the solvers that take a single drive."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"epsilon must be one drive, got an array of shape {np.shape(value)}")
+    return float(value)
 
 
 def _require_bounded_drive(epsilon, kappa_gamma_c: float = 0.0) -> None:

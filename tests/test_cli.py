@@ -1095,8 +1095,7 @@ class TestBenchmarkSurface:
 
     def test_every_public_name_has_a_caller(self):
         # A name stays in a module's __all__ while the package's code loads it, the
-        # acceptance tests import it or the tracer wraps its methods; evolve_density
-        # stays as the lab-frame route to the stationary state.
+        # acceptance tests import it or the tracer wraps its methods.
         package = os.path.dirname(cavity_squeezing.__file__)
         loaded, modules = set(), []
         for entry in sorted(os.listdir(package)):
@@ -1117,4 +1116,4 @@ class TestBenchmarkSurface:
         uncalled = {f"{layer}.{name}" for layer in modules
                     for name in importlib.import_module(f"cavity_squeezing.{layer}").__all__
                     if name not in loaded | accepted | traced}
-        assert sorted(uncalled - {"oracle.evolve_density"}) == []
+        assert sorted(uncalled) == []

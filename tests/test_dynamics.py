@@ -32,7 +32,7 @@ def params_at(eps, gamma_c=0.4, kappa=0.8):
     return SystemParams.from_gamma_c(gamma_c, kappa, eps)
 
 
-CFG = IntegratorConfig(dt=0.01, t_max=500.0)
+CFG = IntegratorConfig(dt=0.01, t_max=500.0, steady_tol=1e-12)
 
 
 def _components(state):
@@ -127,17 +127,22 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(dt=0.0, t_max=1.0),
-            dict(dt=-0.1, t_max=1.0),
-            dict(dt=0.1, t_max=0.05),
-            dict(dt=0.1, t_max=math.inf),
-            dict(dt=1e-300, t_max=1e300),  # t_max / dt overflows
+            dict(dt=0.0, t_max=1.0, steady_tol=1e-12),
+            dict(dt=-0.1, t_max=1.0, steady_tol=1e-12),
+            dict(dt=0.1, t_max=0.05, steady_tol=1e-12),
+            dict(dt=0.1, t_max=math.inf, steady_tol=1e-12),
+            dict(dt=1e-300, t_max=1e300, steady_tol=1e-12),  # t_max / dt overflows
             dict(dt=0.1, t_max=1.0, steady_tol=0.0),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_stop_rule_has_no_default(self):
+        # the derivative norm scales with the rates, so no absolute tolerance fits all
+        with pytest.raises(TypeError, match="steady_tol"):
+            IntegratorConfig(dt=0.1, t_max=1.0)
 
 
 class TestDerivative:
@@ -211,7 +216,7 @@ class TestIntegrate:
 
     def test_halving_the_step_does_not_move_the_answer(self):
         p = params_at(0.3, 0.7, 1.1)
-        fine = IntegratorConfig(dt=CFG.dt / 2.0, t_max=CFG.t_max)
+        fine = IntegratorConfig(dt=CFG.dt / 2.0, t_max=CFG.t_max, steady_tol=1e-12)
         a = integrate(GROUND_STATE, p, CFG).final_state()
         b = integrate(GROUND_STATE, p, fine).final_state()
         assert a.sigma_re == pytest.approx(b.sigma_re, abs=1e-10)
@@ -227,19 +232,19 @@ class TestIntegrate:
     def test_nonconvergence_raises(self):
         with pytest.raises(NonConvergence) as info:
             integrate(GROUND_STATE, params_at(0.2),
-                      IntegratorConfig(dt=0.01, t_max=0.1))
+                      IntegratorConfig(dt=0.01, t_max=0.1, steady_tol=1e-12))
         assert str(info.value) == "derivative norm 1.387e-01 above 1.000e-12 at t_max=0.1"
 
     def test_unstable_step_raises(self):
         with pytest.raises(StepTooLarge) as info:
             integrate(EXCITED_STATE, params_at(0.0),
-                      IntegratorConfig(dt=1000.0, t_max=1e6))
+                      IntegratorConfig(dt=1000.0, t_max=1e6, steady_tol=1e-12))
         assert str(info.value) == ("populations (1056079601.0000002, -1056079600.0000002) "
                                    "left [0, 1] at t=1000.0; reduce dt")
         # just past the stability edge, the ninth step is the first to leave
         with pytest.raises(StepTooLarge) as info:
             integrate(AtomMomentState(0.0, 0.0, 0.5, 0.5), params_at(0.0),
-                      IntegratorConfig(dt=7.1, t_max=1e6))
+                      IntegratorConfig(dt=7.1, t_max=1e6, steady_tol=1e-12))
         assert str(info.value) == ("populations (1.0476630856149758, -0.04766308561497569) "
                                    "left [0, 1] at t=63.9; reduce dt")
 
@@ -287,7 +292,8 @@ class TestIntegrate:
 
         monkeypatch.setattr(dynamics, "_populations_checked", spy)
         with pytest.raises(StepTooLarge) as info:
-            integrate(EXCITED_STATE, params_at(0.0), IntegratorConfig(dt=1000.0, t_max=1e6))
+            integrate(EXCITED_STATE, params_at(0.0),
+                      IntegratorConfig(dt=1000.0, t_max=1e6, steady_tol=1e-12))
         assert str(info.value) == ("populations (1056079601.0000002, -1056079600.0000002) "
                                    "left [0, 1] at t=1000.0; reduce dt")
         (block,) = checked
@@ -300,14 +306,15 @@ class TestIntegrate:
         monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
         with pytest.raises(StepTooLarge) as info:
             integrate(AtomMomentState(0.0, 0.0, 0.5, 0.5), params_at(0.0),
-                      IntegratorConfig(dt=7.1, t_max=1e6))
+                      IntegratorConfig(dt=7.1, t_max=1e6, steady_tol=1e-12))
         assert str(info.value) == ("populations (1.0476630856149758, -0.04766308561497569) "
                                    "left [0, 1] at t=63.9; reduce dt")
 
     def test_step_too_large_wins_over_nonconvergence_in_the_same_block(self):
         # the populations leave at step 1 and t_max ends at step 5, inside the first block
         with pytest.raises(StepTooLarge) as info:
-            integrate(EXCITED_STATE, params_at(0.0), IntegratorConfig(dt=1000.0, t_max=5000.0))
+            integrate(EXCITED_STATE, params_at(0.0),
+                      IntegratorConfig(dt=1000.0, t_max=5000.0, steady_tol=1e-12))
         assert str(info.value) == ("populations (1056079601.0000002, -1056079600.0000002) "
                                    "left [0, 1] at t=1000.0; reduce dt")
 
@@ -409,8 +416,8 @@ class TestStreamTrajectory:
                                                    % (0.0, 0.0, 0.0, 0.0, 1.0)]
 
     @pytest.mark.parametrize("error,config", [
-        (NonConvergence, IntegratorConfig(dt=0.01, t_max=1.0)),
-        (StepTooLarge, IntegratorConfig(dt=1000.0, t_max=1e6)),
+        (NonConvergence, IntegratorConfig(dt=0.01, t_max=1.0, steady_tol=1e-12)),
+        (StepTooLarge, IntegratorConfig(dt=1000.0, t_max=1e6, steady_tol=1e-12)),
     ])
     def test_failed_run_removes_its_file(self, error, config, monkeypatch, tmp_path):
         monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 8)  # fails after whole blocks
@@ -427,7 +434,7 @@ class TestStreamTrajectory:
         monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 256)
         p, bound = params_at(0.2), 25_000
         for dt in (0.04, 0.004):
-            config = IntegratorConfig(dt=dt, t_max=1e4)
+            config = IntegratorConfig(dt=dt, t_max=1e4, steady_tol=1e-12)
             tracemalloc.start()
             try:
                 stream_trajectory(GROUND_STATE, p, config)

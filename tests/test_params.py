@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from cavity_squeezing import (
+    GROUND_STATE,
     HilbertConfig,
     IntegratorConfig,
     SweepSpec,
     SystemParams,
     cutoff_converged,
-    evolve_density,
+    decoupled_cavity_steady,
+    default_integrator_config,
+    integrate,
+    steady_density,
+    stream_trajectory,
 )
 
 
@@ -138,11 +143,9 @@ _COUNTS = {
     "n_points": (2, lambda v: SweepSpec(0.0, 1.0, v, 0.4, 0.8)),
 }
 _POSITIVES = {
-    "dt": lambda v: IntegratorConfig(dt=v, t_max=1.0),
+    "dt": lambda v: IntegratorConfig(dt=v, t_max=1.0, steady_tol=1e-12),
     "steady_tol": lambda v: IntegratorConfig(dt=0.1, t_max=1.0, steady_tol=v),
     "tol": lambda v: cutoff_converged(SystemParams.from_gamma_c(0.4, 0.8, 0.2), tol=v),
-    "t_final": lambda v: evolve_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2),
-                                        HilbertConfig(2), v),
     "g": lambda v: SystemParams(g=v, kappa=0.8, epsilon=0.2),
 }
 
@@ -165,3 +168,24 @@ def test_shared_numeric_rules(build, value, message):
     """Every count and every positive setting is refused with its rule's message."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(value)
+
+
+# The solvers that take one drive, each given a parameter set.
+_ONE_DRIVE = {
+    "steady_density": lambda p: steady_density(p, HilbertConfig(8)),
+    "decoupled_cavity_steady": lambda p: decoupled_cavity_steady(p.epsilon, p.kappa,
+                                                                 HilbertConfig(8)),
+    "integrate": lambda p: integrate(GROUND_STATE, p, default_integrator_config(p)),
+    "stream_trajectory": lambda p: stream_trajectory(GROUND_STATE, p,
+                                                     default_integrator_config(p)),
+}
+
+
+@pytest.mark.parametrize("drive", [[0.2], [0.2, 0.3]], ids=["1 drive", "2 drives"])
+@pytest.mark.parametrize("solve", _ONE_DRIVE.values(), ids=_ONE_DRIVE)
+def test_solvers_refuse_a_drive_array(solve, drive):
+    """The closed forms take a grid of drives; the oracle and the integrator take one."""
+    p = SystemParams.from_gamma_c(0.4, 0.8, np.array(drive))
+    message = f"epsilon must be one drive, got an array of shape ({len(drive)},)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(p)
