@@ -195,9 +195,16 @@ def integrate(
 
 def _blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorConfig):
     """The rows of :func:`integrate`'s ``states``, yielded as (k, 4) arrays of
-    ``_BLOCK_ROWS`` rows each as they fill; the last block may be shorter."""
+    ``_BLOCK_ROWS`` rows each as they fill; the last block may be shorter.  ``initial``
+    and the drive are checked here, before a caller draws or writes anything."""
     _check_initial(initial)
     q = 2.0 * params.g * _require_one_drive(params.epsilon) / params.kappa
+    return _rk4_blocks(initial, params, config, q)
+
+
+def _rk4_blocks(initial: AtomMomentState, params: SystemParams, config: IntegratorConfig,
+                q: float):
+    """:func:`_blocks`' generator, with the pump ``q = 2 g eps / kappa``."""
     # The rates' coefficients, named once: ``c * x`` rounds like ``-0.5 * gc * x``.
     c_sigma, c_eta, c_pump = -0.5 * params.gamma_c, -params.gamma_c, 2.0 * q
     dt = config.dt
@@ -275,11 +282,11 @@ def stream_trajectory(
     device (see ``sweeps._write_blocks``).  Returns the number of steps and
     the final state.  Raises as :func:`integrate` does.
     """
-    n_rows, final = 0, None
+    n_rows, final, blocks = 0, None, _blocks(initial, params, config)
 
     def timed():
         nonlocal n_rows, final
-        for states in _blocks(initial, params, config):
+        for states in blocks:
             if out is not None:
                 t = np.arange(n_rows, n_rows + len(states), dtype=float)
                 t *= config.dt

@@ -31,11 +31,11 @@ Conventions, fixed once and used everywhere:
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
 * the unknowns and their rows are numbered in a nested-dissection order of the
   photon-number lattice, read off the pattern, and SuperLU factors in that order;
-* a displaced solve above rung 16 makes two tries.  First, a few GMRES steps on the
-  folded system, preconditioned by the factor of the unknowns whose Fock numbers are
-  both at most 16, which are rung 16's folded system.  Then, if they miss a normwise
-  backward error of 1e-15, the direct solve.  Rung 16 and below, and the ``g = 0``
-  frame, whose coherent state fills its cutoff, are solved directly;
+* a displaced solve above rung 16 first tries rung 16's state padded with zeros: the
+  unknowns whose Fock numbers are both at most 16 are rung 16's folded system, solved
+  alone, and every other unknown is 0.  If that state misses a normwise backward error
+  of 1e-15 on the whole system, the direct solve runs.  Rung 16 and below, and the
+  ``g = 0`` frame, whose coherent state fills its cutoff, are solved directly;
 * what the rates leave unchanged is built once, in read-only arrays, per cutoff and
   frame (``_frame``, the product space or the ``g = 0`` cavity block) in one object:
   the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
@@ -97,12 +97,11 @@ _LADDER_TOL = 1e-8
 _DIM_CAP = 256
 _LADDER_START = 8
 _RESIDUAL_TOL = 1e-8
-# A displaced solve above rung 16 tries GMRES on rung 16's factor first (_krylov).  At
-# n_cut 127 and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's
-# backward error by _krylov's measure reads 4e-19 to 3.3e-16.  GMRES meets the bound
-# below in 1 step in the bad cavity; at gamma_c 0.4 it misses it in 20 from kappa 0.1.
+# A displaced solve above rung 16 tries rung 16's state padded with zeros first (_padded).
+# At n_cut 127 and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's
+# backward error by _padded's measure reads 4e-19 to 3.3e-16.  The padded state meets the
+# bound below in the bad cavity; at gamma_c 0.4 and eps 0.2 it misses it from kappa 0.15.
 _BLOCK_N_CUT = 16
-_KRYLOV_STEPS = 20
 _BACKWARD_TOL = 1e-15
 
 
@@ -333,16 +332,13 @@ def _gather(op: np.ndarray):
 def spsolve(system, rhs) -> np.ndarray:
     """SuperLU's solve of the CSC ``system`` with no column ordering of its own:
     :func:`_fold_plan` has numbered the unknowns in the order to factor in.
-    :func:`_stationary` calls it by this name, and an exactly singular factor raises
-    ``RuntimeError``.  A diagonal pivot is kept while it is at least half its column's
-    largest entry (at ``n_cut`` 127, which only a good cavity's fallback factors whole:
-    5.00M entries in L and U at gamma_c 0.4, kappa 0.1, eps 0.3, and 5.01M at 1)."""
-    return _factor(system).solve(rhs)
-
-
-def _factor(system):
+    :func:`_stationary` and :func:`_padded` call it by this name, and an exactly singular
+    factor raises ``RuntimeError``.  A diagonal pivot is kept while it is at least half
+    its column's largest entry (at ``n_cut`` 127, which only a good cavity's fallback
+    factors whole: 5.00M entries in L and U at gamma_c 0.4, kappa 0.1, eps 0.3, and 5.01M
+    at 1)."""
     from scipy.sparse.linalg import splu
-    return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5)
+    return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
 
 
 def _stationary(frame: _Frame, k, kappa: float,
@@ -353,13 +349,13 @@ def _stationary(frame: _Frame, k, kappa: float,
     ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each entry ``(r, s)``
     to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``'s.  Returns the
     state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
-    Given a smaller frame ``block``, :func:`_krylov` tries its factor first, and only a
+    Given a smaller frame ``block``, :func:`_padded` tries its state first, and only a
     miss pays the direct solve.
     """
     lv, pos, system = _folded(frame, k, kappa)
     rhs = np.eye(1, system.shape[0], pos[0, 0])[0]  # the trace row's 1
     try:
-        x = None if block is None else _krylov(frame, k, kappa, block, pos, system, rhs)
+        x = None if block is None else _padded(frame, k, kappa, block, pos, system, rhs)
         x = spsolve(system, rhs) if x is None else x
     except RuntimeError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from exc
@@ -384,15 +380,12 @@ def _folded(frame: _Frame, k, kappa: float):
     return lv, pos, system(values)
 
 
-def _krylov(frame, k, kappa, block, pos, system, rhs):
-    """Try 1: GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)) from 0,
-    right-preconditioned, for at most ``_KRYLOV_STEPS`` steps; ``None`` if it misses.
+def _padded(frame, k, kappa, block, pos, system, rhs):
+    """Try 1: ``block``'s stationary state with every other unknown 0, or ``None`` unless
+    it passes as a state of the whole ``system``.
 
     The unknowns whose Fock numbers both lie in ``block``'s are ``block``'s folded system,
-    trace row included; the preconditioner is its factor there, and ``system``'s diagonal
-    elsewhere, ``-kappa (n_r + n_s) / 2`` with ``n_r + n_s`` above ``block``'s cutoff.
-    Inner products are numpy reductions in a fixed order, so the bits do not depend on
-    the BLAS's thread count.
+    trace row included, and an exactly singular factor there is a miss.
     """
     inside = np.flatnonzero(frame.fock <= block.fock.max())  # block's basis, in frame's
     r, s = np.divmod(block.slots, block.d)
@@ -400,55 +393,18 @@ def _krylov(frame, k, kappa, block, pos, system, rhs):
     _, small, sub = _folded(block, k_block, kappa)
     inner = np.empty(sub.shape[0], np.intp)
     inner[small] = pos[np.ix_(inside, inside)]  # block's unknown numbers -> frame's
+    x = np.zeros(rhs.size)
     try:
-        lu = _factor(sub)
-    except RuntimeError:  # exactly singular
+        x[inner] = spsolve(sub, rhs[inner])
+    except RuntimeError:
         return None
-    scale, outer = np.zeros(rhs.size), np.ones(rhs.size, bool)
-    outer[inner] = False
-    scale[outer] = 1.0 / system.diagonal()[outer]
-
-    def precondition(v):
-        z = v * scale
-        z[inner] = lu.solve(v[inner])
-        return z
-
     # The target: |b - A x| <= tol (|A| |x| + |b|) in the infinity norm, in each row block,
     # the generator's and the trace row's.  Neither changes when every rate is multiplied
     # by 2**k; over the whole system the trace row's norm d would outweigh small rates.
     norms = np.full(rhs.size, np.delete(abs(system) @ np.ones(rhs.size), pos[0, 0]).max())
     norms[pos[0, 0]] = frame.d
-    # A state's entries are at most 1, so |b - A x| in the 2-norm, which the rotations
-    # give as |g[j + 1]|, must first fall below this before an iterate can pass.
-    gate = math.sqrt(rhs.size) * _BACKWARD_TOL * (norms.max() + 1.0)
-    basis, columns, g, turns = [rhs], [], [1.0], []  # columns of R, |rhs| = 1
-    for j in range(_KRYLOV_STEPS):
-        w, h = system @ precondition(basis[j]), []
-        for v in basis:  # modified Gram-Schmidt
-            h.append(float(np.add.reduce(w * v)))
-            w -= h[-1] * v
-        h.append(norm := math.sqrt(np.add.reduce(w * w)))
-        for i, (c, t) in enumerate(turns):  # the Givens rotations so far, then one more
-            h[i], h[i + 1] = c * h[i] + t * h[i + 1], c * h[i + 1] - t * h[i]
-        if (diagonal := math.hypot(h[j], h[j + 1])) == 0.0:
-            return None
-        turns.append((c := h[j] / diagonal, t := h[j + 1] / diagonal))
-        g[j:] = c * g[j], -t * g[j]
-        columns.append(h[:j] + [diagonal])
-        if abs(g[j + 1]) <= gate:
-            y = g[:j + 1]
-            for i in reversed(range(j + 1)):  # R y = g
-                y[i] -= sum(columns[m][i] * y[m] for m in range(i + 1, j + 1))
-                y[i] /= columns[i][i]
-            z = y[0] * basis[0]
-            for m in range(1, j + 1):
-                z += y[m] * basis[m]
-            x = precondition(z)
-            if np.all(np.abs(rhs - system @ x) <= _BACKWARD_TOL * (norms * np.abs(x).max() + rhs)):
-                return x
-        if norm == 0.0:
-            return None
-        basis.append(w / norm)
+    if np.all(np.abs(rhs - system @ x) <= _BACKWARD_TOL * (norms * np.abs(x).max() + rhs)):
+        return x
     return None
 
 

@@ -906,7 +906,7 @@ def run_module(args):
 
 
 def test_oracle_bits_do_not_depend_on_blas_threads():
-    # eps = 5 at n_cut 127 is solved by GMRES on the rung-16 factor.  Only the
+    # eps = 5 at n_cut 127 is the rung-16 state padded with zeros.  Only the
     # smallest eigenvalue, from LAPACK's eigvalsh, may move with the thread count.
     src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -415,6 +415,16 @@ class TestStreamTrajectory:
         assert buf.getvalue().splitlines()[1:] == ["%.12e,%.12e,%.12e,%.12e,%.12e"
                                                    % (0.0, 0.0, 0.0, 0.0, 1.0)]
 
+    @pytest.mark.parametrize("initial,eps", [
+        (AtomMomentState(0.0, 0.0, 2.0, 0.0), 0.2),
+        (GROUND_STATE, np.array([0.2, 0.3])),
+    ], ids=["bad initial state", "2 drives"])
+    def test_refusal_writes_nothing(self, initial, eps):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            stream_trajectory(initial, params_at(eps), CFG, buf)
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize("error,config", [
         (NonConvergence, IntegratorConfig(dt=0.01, t_max=1.0, steady_tol=1e-12)),
         (StepTooLarge, IntegratorConfig(dt=1000.0, t_max=1e6, steady_tol=1e-12)),

@@ -436,7 +436,7 @@ class TestSymmetricSolve:
         sizes = count_factorisations(monkeypatch)
         for rates in ((0.4, 0.8, 0.2), (0.4, 0.1, 0.3)):
             oracle.steady_density(params_at(rates[2], *rates[:2]), HilbertConfig(127))
-        assert sizes == [595, 595, 32896]  # GMRES settles the first; the good cavity falls back
+        assert sizes == [595, 595, 32896]  # the first is the padded state; the good cavity falls back
         assert [(rho.ops.n_cut, rho.shift > 0) for rho in states] == [
             (8, True), (16, True), (8, False), (16, False), (32, False), (127, True), (127, True)]
         for rho in states:
@@ -898,8 +898,8 @@ MAX_PUMP = 1e4
 
 
 class TestAboveRungSixteen:
-    """A displaced solve above rung 16 tries GMRES on the rung-16 factor first, and
-    the direct solve only if that misses its target."""
+    """A displaced solve above rung 16 tries the rung-16 state padded with zeros first,
+    and the direct solve only if that misses its target."""
 
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(n_cut=st.integers(17, 40), rates=st.tuples(WIDE_RATES, WIDE_RATES, WIDE_RATES))
@@ -907,6 +907,7 @@ class TestAboveRungSixteen:
     @example(n_cut=127, rates=(0.4, 0.8, 5.0))
     @example(n_cut=127, rates=(0.4, 400.0, 0.2))
     @example(n_cut=127, rates=(0.4, 0.1, 0.3))  # the padded rung-16 state is 2.7e-9 off
+    @example(n_cut=127, rates=(1.0, 0.5, 3.0))
     def test_matches_colamd(self, n_cut, rates):
         # a tenth of the profile's examples: each draws two solves of up to 3,403 unknowns
         params = params_at(rates[2], *rates[:2])
@@ -922,15 +923,18 @@ class TestAboveRungSixteen:
             assert got.residual <= 1e-10
 
     def test_factorisations(self, monkeypatch):
-        # the rung-16 block alone, at any power-of-2 scale of the rates; at kappa 0.004
-        # GMRES misses and the whole system is factored once
+        # the rung-16 block alone, at any power-of-2 scale of the rates; at kappa 0.004,
+        # and at gamma_c 1, kappa 0.5, eps 3, the padded state misses and the whole
+        # system is factored once
         config, sizes = HilbertConfig(127), count_factorisations(monkeypatch)
         for scale in (1.0, 2.0**-20, 2.0**20):
             steady_density(params_at(0.2 * scale, 0.4 * scale, 0.8 * scale), config)
             assert sizes == [595]
             sizes.clear()
-        steady_density(params_at(0.2, kappa=0.004), config)
-        assert sizes == [595, 32896]
+        for params in (params_at(0.2, kappa=0.004), params_at(3.0, 1.0, 0.5)):
+            steady_density(params, config)
+            assert sizes == [595, 32896]
+            sizes.clear()
 
     def test_the_ladder_keeps_one_direct_solve_per_rung(self, monkeypatch):
         sizes = count_factorisations(monkeypatch)
