@@ -49,7 +49,6 @@ from .dynamics import (
 )
 from .oracle import (
     _DIM_CAP,
-    _LADDER_TOL,
     DimensionCap,
     HilbertConfig,
     SingularSystem,
@@ -57,7 +56,7 @@ from .oracle import (
     cutoff_converged,
     decoupled_benchmark,
 )
-from .params import SystemParams, _require_finite, _require_positive
+from .params import SystemParams, _require_finite
 from .single_mode import single_mode_stats, steady_atom
 from .superposed import superposed_squeezing, superposed_stats
 from .sweeps import SweepSpec, _write_csv, write_figure_files
@@ -261,16 +260,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ConfigError("--n-cut and --gamma-c have no meaning at g = 0")
         if args.kappa is None:
             raise ConfigError("kappa is required")
-        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa,
-                                     tol=args.tol, dim_cap=args.dim_cap)
+        report = decoupled_benchmark(_resolve_epsilon(args), args.kappa, dim_cap=args.dim_cap)
         _emit(render_json(report), args.out)
         return 0
     params = _resolve_params(args)
     if args.n_cut is not None:
-        _require_positive("tol", args.tol)  # refused as in the ladder, though unused here
         report = compare_with_closed_form(params, HilbertConfig(args.n_cut, args.dim_cap))
     else:
-        _, report = cutoff_converged(params, tol=args.tol, dim_cap=args.dim_cap)
+        _, report = cutoff_converged(params, dim_cap=args.dim_cap)
     _emit(render_json(report.to_dict()), args.out)
     return 0
 
@@ -337,11 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="master-equation cross-check")
     _add_common(p)
     p.add_argument("--n-cut", type=int, dest="n_cut",
-                   help="fixed Fock cutoff (default: double until converged)")
-    p.add_argument("--tol", type=float, default=_LADDER_TOL,
-                   help="cutoff convergence tolerance on the moments <b>, <b^2>, "
-                        "<b^dag b>, <sigma>, <sigma^dag sigma> of the solved frame "
-                        "(default %(default)g)")
+                   help="fixed Fock cutoff (default: double from 16 until a rung passes)")
     p.add_argument("--dim-cap", type=int, dest="dim_cap", default=_DIM_CAP,
                    help="maximum Hilbert-space dimension (default %(default)d)")
 

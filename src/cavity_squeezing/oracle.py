@@ -31,11 +31,12 @@ Conventions, fixed once and used everywhere:
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
 * the unknowns and their rows are numbered in a nested-dissection order of the
   photon-number lattice, read off the pattern, and SuperLU factors in that order;
-* a displaced solve above rung 16 first tries rung 16's state padded with zeros: the
-  unknowns whose Fock numbers are both at most 16 are rung 16's folded system, solved
-  alone, and every other unknown is 0.  If that state misses a normwise backward error
-  of 1e-15 on the whole system, the direct solve runs.  Rung 16 and below, and the
-  ``g = 0`` frame, whose coherent state fills its cutoff, are solved directly;
+* every cutoff has one acceptance rule (``_settled``): rung n = 16, 32, ... is solved
+  directly and passes when its state, padded with zeros, meets a normwise backward error
+  of 1e-15 in each row block of rung n + 1's folded system, which is never factored.  No
+  generator term moves a Fock number by more than 1, so on that state rung n + 1 has the
+  rows of every larger cutoff.  A fixed ``g = 0`` cutoff, which the coherent state fills,
+  is solved directly;
 * what the rates leave unchanged is built once, in read-only arrays, per cutoff and
   frame (``_frame``, the product space or the ``g = 0`` cavity block) in one object:
   the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
@@ -63,7 +64,7 @@ import numpy as np
 
 from . import single_mode, superposed
 from .params import (SystemParams, _require_bounded_drive, _require_count, _require_drive,
-                     _require_one_drive, _require_positive, _require_rate)
+                     _require_one_drive, _require_rate)
 
 __all__ = [
     "DimensionCap",
@@ -75,7 +76,6 @@ __all__ = [
     "standard_quadrature_variances",
     "compare_with_closed_form",
     "cutoff_converged",
-    "decoupled_cavity_steady",
     "decoupled_benchmark",
 ]
 
@@ -87,21 +87,17 @@ _FRAMEWORK_NOTE = (
 )
 
 
-# The cutoff ladder's default moment tolerance and largest Hilbert-space
-# dimension (the CLI's defaults), its first rung, and the largest stationary
-# residual the unfolded generator may leave on an accepted state.  The
-# bound is absolute, whatever the generator's scale: at the canonical rates
-# the residuals stay below 1e-10 up to eps = 1e6, where the entries are about
-# 7e5, and the bound refuses from about eps = 1e9.
-_LADDER_TOL = 1e-8
+# The cutoff ladder's largest Hilbert-space dimension (the CLI's default), its first rung,
+# and the largest stationary residual the unfolded generator may leave on an accepted
+# state.  The bound is absolute, whatever the generator's scale: at the canonical rates
+# the residuals stay below 1e-10 up to eps = 1e6, where the entries are about 7e5, and
+# the bound refuses at eps = 1e12 (6.1e-5 at rung 16).
 _DIM_CAP = 256
-_LADDER_START = 8
+_LADDER_START = 16
 _RESIDUAL_TOL = 1e-8
-# A displaced solve above rung 16 tries rung 16's state padded with zeros first (_padded).
-# At n_cut 127 and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's
-# backward error by _padded's measure reads 4e-19 to 3.3e-16.  The padded state meets the
-# bound below in the bad cavity; at gamma_c 0.4 and eps 0.2 it misses it from kappa 0.15.
-_BLOCK_N_CUT = 16
+# A rung's state passes on the next rung at this backward error (_padded).  At n_cut 127
+# and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's backward error
+# by _padded's measure reads 4e-19 to 3.3e-16.
 _BACKWARD_TOL = 1e-15
 
 
@@ -195,7 +191,7 @@ class _Frame:
         return g * (j + shift * s) + epsilon * e
 
 
-# oracle_ladder runs use 7: n_cut 8, 16, 32 and 127 coupled, 8, 16 and 32 at g = 0
+# oracle_ladder runs use 8: coupled 16, 17, 32 (for g = 0's moments), 127; g = 0 16, 17, 32, 33
 @lru_cache(maxsize=12)
 def _frame(n_cut: int, coupled: bool) -> _Frame:
     """The product space's frame at ``n_cut``, with the gathers of ``b``, ``b^2``,
@@ -332,31 +328,25 @@ def _gather(op: np.ndarray):
 def spsolve(system, rhs) -> np.ndarray:
     """SuperLU's solve of the CSC ``system`` with no column ordering of its own:
     :func:`_fold_plan` has numbered the unknowns in the order to factor in.
-    :func:`_stationary` and :func:`_padded` call it by this name, and an exactly singular
-    factor raises ``RuntimeError``.  A diagonal pivot is kept while it is at least half
-    its column's largest entry (at ``n_cut`` 127, which only a good cavity's fallback
-    factors whole: 5.00M entries in L and U at gamma_c 0.4, kappa 0.1, eps 0.3, and 5.01M
-    at 1)."""
+    :func:`_stationary` calls it by this name, and an exactly singular factor raises
+    ``RuntimeError``.  A diagonal pivot is kept while it is at least half its column's
+    largest entry (at ``n_cut`` 127, which only a good cavity's fixed cutoff factors
+    whole: 5.27M entries in L and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
     from scipy.sparse.linalg import splu
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
 
 
-def _stationary(frame: _Frame, k, kappa: float,
-                block: _Frame | None = None) -> tuple[np.ndarray, float]:
+def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float]:
     """The real symmetric stationary state of the generator ``L`` of :func:`_generator`.
 
     ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
     ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each entry ``(r, s)``
     to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``'s.  Returns the
     state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
-    Given a smaller frame ``block``, :func:`_padded` tries its state first, and only a
-    miss pays the direct solve.
     """
     lv, pos, system = _folded(frame, k, kappa)
-    rhs = np.eye(1, system.shape[0], pos[0, 0])[0]  # the trace row's 1
     try:
-        x = None if block is None else _padded(frame, k, kappa, block, pos, system, rhs)
-        x = spsolve(system, rhs) if x is None else x
+        x = spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])  # the trace row's 1
     except RuntimeError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -380,32 +370,32 @@ def _folded(frame: _Frame, k, kappa: float):
     return lv, pos, system(values)
 
 
-def _padded(frame, k, kappa, block, pos, system, rhs):
-    """Try 1: ``block``'s stationary state with every other unknown 0, or ``None`` unless
-    it passes as a state of the whole ``system``.
+def _pad(rho: np.ndarray, frame: _Frame, n_cut: int) -> np.ndarray:
+    """``rho`` of rung ``n_cut`` on ``frame``'s basis, 0 at every Fock number above it."""
+    padded, inside = np.zeros((frame.d, frame.d)), np.flatnonzero(frame.fock <= n_cut)
+    padded[np.ix_(inside, inside)] = rho
+    return padded
 
-    The unknowns whose Fock numbers both lie in ``block``'s are ``block``'s folded system,
-    trace row included, and an exactly singular factor there is a miss.
-    """
-    inside = np.flatnonzero(frame.fock <= block.fock.max())  # block's basis, in frame's
-    r, s = np.divmod(block.slots, block.d)
-    k_block = k[np.searchsorted(frame.slots, inside[r] * frame.d + inside[s])]
-    _, small, sub = _folded(block, k_block, kappa)
-    inner = np.empty(sub.shape[0], np.intp)
-    inner[small] = pos[np.ix_(inside, inside)]  # block's unknown numbers -> frame's
-    x = np.zeros(rhs.size)
-    try:
-        x[inner] = spsolve(sub, rhs[inner])
-    except RuntimeError:
-        return None
+
+def _padded(frame: _Frame, rates, kappa: float, rho: np.ndarray):
+    """The residual on ``frame`` of ``rho``, one Fock number short of it, padded with zeros;
+    or ``None`` unless that state passes, on ``frame``'s folded system (built, never
+    factored) and on the residual gate, as a stationary state of ``frame`` and so of every
+    larger cutoff."""
+    lv, pos, system = _folded(frame, frame.at(*rates), kappa)
+    padded = _pad(rho, frame, frame.fock.max() - 1)
+    x = np.empty(system.shape[0])
+    x[pos] = padded
+    rhs = np.eye(1, x.size, pos[0, 0])[0]
     # The target: |b - A x| <= tol (|A| |x| + |b|) in the infinity norm, in each row block,
     # the generator's and the trace row's.  Neither changes when every rate is multiplied
     # by 2**k; over the whole system the trace row's norm d would outweigh small rates.
-    norms = np.full(rhs.size, np.delete(abs(system) @ np.ones(rhs.size), pos[0, 0]).max())
+    norms = np.full(x.size, np.delete(abs(system) @ np.ones(x.size), pos[0, 0]).max())
     norms[pos[0, 0]] = frame.d
-    if np.all(np.abs(rhs - system @ x) <= _BACKWARD_TOL * (norms * np.abs(x).max() + rhs)):
-        return x
-    return None
+    if not np.all(np.abs(rhs - system @ x) <= _BACKWARD_TOL * (norms * np.abs(x).max() + rhs)):
+        return None
+    residual = float(np.abs(lv @ padded.ravel("F")).max())
+    return residual if residual <= _RESIDUAL_TOL else None
 
 
 def _fold_plan(frame: _Frame, plan: _IndexPlan):
@@ -477,16 +467,53 @@ def _dissection(u, v) -> np.ndarray:
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
     """Stationary density matrix of the full master equation, in the displaced frame.
 
-    ``config.n_cut`` truncates the fluctuation field ``b = a - 2 eps/kappa``.
+    ``config.n_cut`` truncates the fluctuation field ``b = a - 2 eps/kappa`` (see
+    :func:`_settled`).
     Raises :class:`SingularSystem` when the linear solve fails or the
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
-    alpha = 2.0 * _require_one_drive(params.epsilon) / params.kappa
-    frame = _frame(config.n_cut, True)
-    block = _frame(_BLOCK_N_CUT, True) if config.n_cut > _BLOCK_N_CUT else None
-    rho, residual = _stationary(frame, frame.at(params.g, 0.0, alpha), params.kappa, block)
-    return DensityMatrix(matrix=rho, residual=residual, ops=config, shift=alpha)
+    return _settled(True, _displaced(params), params.kappa, config)
+
+
+def _displaced(params: SystemParams) -> tuple[float, float, float]:
+    """:meth:`_Frame.at`'s rates of the displaced frame, which cancels the cavity drive."""
+    return params.g, 0.0, 2.0 * _require_one_drive(params.epsilon) / params.kappa
+
+
+def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = None,
+             dim_cap: int = _DIM_CAP) -> DensityMatrix:
+    """The stationary state on ``_frame(n_cut, coupled)``, ``K`` valued ``_Frame.at(*rates)``,
+    at the cutoff that the one acceptance rule picks: rung ``n`` = ``_LADDER_START``, ``2 n``,
+    ... is solved directly and passes if :func:`_padded` accepts its state on rung ``n + 1``.
+
+    Without ``config`` this is the ladder: the first passing rung's own state and residual;
+    a rung's failed solve, or :class:`DimensionCap` from the first rung above ``dim_cap``,
+    raises.  With ``config``, the product space's rungs below its cutoff N are tried, a
+    failed solve is a miss, and a hit is padded onto N's space, with its residual on rung
+    ``n + 1``; once no rung passes, N is solved directly.
+    """
+    n_cut = _LADDER_START
+    while config is None or (coupled and n_cut < config.n_cut):
+        rung = HilbertConfig(n_cut, dim_cap) if config is None else config
+        try:
+            rho, residual = _stationary(frame := _frame(n_cut, coupled), frame.at(*rates), kappa)
+            wide = _padded(_frame(n_cut + 1, coupled), rates, kappa, rho)
+        except SingularSystem:
+            if config is None:
+                raise
+            wide = None
+        if wide is not None:
+            if config is not None:
+                rho, residual = _pad(rho, _frame(config.n_cut, True), n_cut), wide
+            break
+        n_cut *= 2
+    else:
+        frame = _frame(config.n_cut, coupled)
+        rho, residual = _stationary(frame, frame.at(*rates), kappa)
+    matrix = rho if coupled else np.kron(np.diag([0.0, 1.0]), rho)
+    return DensityMatrix(matrix=matrix, residual=residual, ops=rung if config is None else config,
+                         shift=rates[2])
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -591,40 +618,16 @@ def compare_with_closed_form(
     return _build_report(steady_density(params, config), params)
 
 
-def _ladder(solve, tol: float, dim_cap: int):
-    """Double the Fock cutoff from ``_LADDER_START`` until the moments settle.
-
-    ``solve(config)`` gives the stationary :class:`DensityMatrix` at one
-    cutoff.  Returns it at the first cutoff whose solved-frame moments,
-    :attr:`DensityMatrix.moments`, all agree with the previous (half-sized)
-    one within ``tol``.  The lab-frame photon number is not compared: it adds
-    ``2 alpha <b>``, which scales the rounding in ``<b>`` by the drive.
-    Raises :class:`DimensionCap` when doubling would exceed ``dim_cap``
-    before convergence.
-    """
-    _require_positive("tol", tol)
-    previous = None
-    n_cut = _LADDER_START
-    while True:
-        rho = solve(HilbertConfig(n_cut=n_cut, dim_cap=dim_cap))
-        moments = np.array(rho.moments)
-        if previous is not None and np.abs(moments - previous).max() < tol:
-            return rho
-        previous = moments
-        n_cut *= 2
-
-
 def cutoff_converged(
     params: SystemParams,
-    tol: float = _LADDER_TOL,
     dim_cap: int = _DIM_CAP,
 ) -> tuple[int, OracleReport]:
-    """Double the Fock cutoff until the state's moments settle (see ``_ladder``).
+    """Double the Fock cutoff until a rung's state passes on the next (see ``_settled``).
 
-    Returns the converged cutoff of the shared doubling ladder together
+    Returns the accepted cutoff of the shared doubling ladder together
     with the report at that cutoff.
     """
-    rho = _ladder(lambda c: steady_density(params, c), tol, dim_cap)
+    rho = _settled(True, _displaced(params), params.kappa, dim_cap=dim_cap)
     return rho.ops.n_cut, _build_report(rho, params)
 
 
@@ -641,20 +644,23 @@ def decoupled_cavity_steady(
     lower level, and the solution is tensored with that level.  No term of the
     generator changes an atomic index and ``rho`` is 0 off that block, so the
     full-space ``L vec(rho)`` is the block's on it and 0 elsewhere: the residual is the same.
+    The coherent state fills its cutoff, so ``config.n_cut`` is solved directly.
     A drive is refused as :class:`SystemParams` refuses one with ``gamma_c = 0``: from
     ``8 eps**2 > 1e77``.
     """
+    return _settled(False, *_cavity(epsilon, kappa), config)
+
+
+def _cavity(epsilon: float, kappa: float) -> tuple[tuple[float, float, float], float]:
+    """:meth:`_Frame.at`'s rates of the ``g = 0`` cavity block, and ``kappa``, both checked."""
     epsilon, kappa = _require_drive(_require_one_drive(epsilon)), _require_rate("kappa", kappa)
     _require_bounded_drive(epsilon)
-    frame = _frame(config.n_cut, False)
-    rho, residual = _stationary(frame, frame.at(0.0, epsilon, 0.0), kappa)
-    return DensityMatrix(matrix=np.kron(np.diag([0.0, 1.0]), rho), residual=residual, ops=config)
+    return (0.0, epsilon, 0.0), kappa
 
 
 def decoupled_benchmark(
     epsilon: float,
     kappa: float,
-    tol: float = _LADDER_TOL,
     dim_cap: int = _DIM_CAP,
 ) -> dict:
     """Convergence benchmark of the ``g = 0`` limit against coherent-state values.
@@ -663,7 +669,7 @@ def decoupled_benchmark(
     are ``<a> = 2 eps/kappa``, ``<a^dag a> = (2 eps/kappa)**2`` and both
     standard-commutator variances equal to 1.
     """
-    rho = _ladder(lambda c: decoupled_cavity_steady(epsilon, kappa, c), tol, dim_cap)
+    rho = _settled(False, *_cavity(epsilon, kappa), dim_cap=dim_cap)
     mean_a, _, mean_n = rho.field_moments()
     alpha = 2.0 * epsilon / kappa
     var_plus, var_minus = standard_quadrature_variances(rho)

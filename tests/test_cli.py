@@ -397,9 +397,13 @@ class TestOracle:
         assert "error:" in err
 
     def test_decoupled_lab_frame_exceeds_the_default_cap(self, capsys):
-        # alpha = 2.8: the coherent state needs n_cut 64, confirmed only at 128
-        code, out, err = run_cli(
+        # alpha = 2.8: the coherent state passes at rung 64; from alpha about 3.23 rung 64
+        # misses, and rung 128 exceeds the cap
+        code, out, _ = run_cli(
             ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "1.12"], capsys)
+        assert (code, json.loads(out)["n_cut"]) == (0, 64)
+        code, out, err = run_cli(
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "1.4"], capsys)
         assert code == 4
         assert out == ""
         assert err == "error: dimension 2*(128+1)=258 exceeds cap 256\n"
@@ -413,7 +417,7 @@ class TestOracle:
         assert result.stderr == (f"error: epsilon={float(epsilon)!r} is out of range: "
                                  "8*epsilon**2 + kappa*gamma_c must not exceed 1e+77\n")
 
-    @pytest.mark.parametrize("limit,code", [(["--dim-cap", "16"], 4), (["--tol", "0"], 2)])
+    @pytest.mark.parametrize("limit,code", [(["--dim-cap", "16"], 4), (["--dim-cap", "5"], 2)])
     def test_decoupled_limits_are_passed_through(self, limit, code, capsys):
         got, _, err = run_cli(
             ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2", *limit], capsys
@@ -592,7 +596,7 @@ class TestConfigFile:
             ("steady", {"gamma_c": 0.4, "kappa": 0.8, "lambda": 2.0, "beta": 0.1}),
             ("dynamics", {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, "dt": 0.1,
                           "format": "json"}),
-            ("oracle", {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, "tol": 1e-6}),
+            ("oracle", {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2, "dim_cap": 64}),
         ],
     )
     def test_string_numbers_match_json_numbers(self, command, entries, tmp_path,
@@ -724,9 +728,10 @@ class TestValidationErrors:
              "--gamma-c", "0.4"],
             # a grid too large to allocate (711 PiB of float64)
             ["figures", "--n-points", "100000000000000000"],
-            # a fixed cutoff refuses the tolerances the ladder refuses
-            *(["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2",
-               "--n-cut", "8", "--tol", tol] for tol in ("-1", "0", "nan")),
+            # the ladder has no tolerance to set, coupled, at a fixed cutoff or at g = 0
+            *(["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2", *cut,
+               "--tol", "1e-8"] for cut in ([], ["--n-cut", "8"])),
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "0.2", "--tol", "1e-8"],
         ],
     )
     def test_exit_code_two(self, args, capsys):
@@ -940,8 +945,9 @@ class TestConsoleEntry:
 # Every subcommand but ``oracle`` runs without scipy, and the oracle's
 # failures still map to their exit codes once the CLI loads it.  At kappa 1e-20
 # and eps 1 the atom's Rabi frequency 4 g eps/kappa is about 1e10, so the cavity
-# decay is below the rounding of the drive terms: SuperLU meets the Hamiltonian
-# part's degenerate stationary manifold as an exactly singular factor.
+# decay is below the rounding of the drive terms: at n_cut 8 SuperLU meets the
+# Hamiltonian part's degenerate stationary manifold as an exactly singular factor.
+# The ladder's rung 16 factors, and the residual gate refuses its state (5.486e-06).
 BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 from cavity_squeezing import cli
@@ -956,7 +962,8 @@ with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         ["figures", "--n-points", "3", "--out-dir", out_dir])]
     scipy_loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
     cap = cli.main(["oracle", *canonical, "--dim-cap", "16"])
-    singular = cli.main(["oracle", "--gamma-c", "0.4", "--kappa", "1e-20", "--epsilon", "1"])
+    singular = cli.main(["oracle", "--gamma-c", "0.4", "--kappa", "1e-20", "--epsilon", "1",
+                         "--n-cut", "8"])
     residual = cli.main(["oracle", *rates, "--epsilon", "1e20"])
 print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
                   "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))
@@ -1033,7 +1040,7 @@ class TestImportBoundary:
         assert report["singular"] == 3
         assert report["residual"] == 3
         cap_error, singular_error, residual_error = report["stderr"].splitlines()
-        assert cap_error == "error: dimension 2*(8+1)=18 exceeds cap 16"
+        assert cap_error == "error: dimension 2*(16+1)=34 exceeds cap 16"
         assert singular_error.startswith("error: stationary solve failed: ")
         assert residual_error.startswith("error: stationary residual ")
         assert residual_error.endswith(" exceeds 1.000e-08")

@@ -21,10 +21,10 @@ from cavity_squeezing import (
     compare_with_closed_form,
     cutoff_converged,
     decoupled_benchmark,
-    decoupled_cavity_steady,
     standard_quadrature_variances,
     steady_density,
 )
+from cavity_squeezing.oracle import decoupled_cavity_steady
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -231,10 +231,12 @@ def lab_frame_moments(rho):
             "var_plus": var_plus, "var_minus": var_minus}
 
 
-# Both entry points of the Fock-cutoff doubling ladder, at eps = 0.2, kappa = 0.8.
+# Both entry points of the Fock-cutoff doubling ladder, at points whose rung 16 misses and
+# rung 32 passes, and the cutoff each accepts: a good cavity's (gamma_c 0.4, kappa 0.1,
+# eps 0.3), and the cavity's coherent state at alpha = 0.5.
 LADDERS = {
-    "cutoff_converged": lambda **limits: cutoff_converged(params_at(0.2), **limits),
-    "decoupled_benchmark": lambda **limits: decoupled_benchmark(0.2, 0.8, **limits),
+    "cutoff_converged": lambda **limits: cutoff_converged(params_at(0.3, kappa=0.1), **limits)[0],
+    "decoupled_benchmark": lambda **limits: decoupled_benchmark(0.2, 0.8, **limits)["n_cut"],
 }
 
 
@@ -427,20 +429,23 @@ class TestSymmetricSolve:
 
     def test_every_state_is_exactly_symmetric(self, canonical, monkeypatch):
         # min_eigenvalue hands the matrix to eigvalsh, which reads one triangle
-        states = []
-        for name in ("steady_density", "decoupled_cavity_steady"):
-            monkeypatch.setattr(oracle, name, lambda *args, solve=getattr(oracle, name):
-                                states.append(solve(*args)) or states[-1])
+        solved, stationary = [], oracle._stationary
+
+        def recording(*args):
+            rho, residual = stationary(*args)
+            solved.append(rho)
+            return rho, residual
+
+        monkeypatch.setattr(oracle, "_stationary", recording)
         cutoff_converged(canonical)
         decoupled_benchmark(0.2, 0.8)
-        sizes = count_factorisations(monkeypatch)
-        for rates in ((0.4, 0.8, 0.2), (0.4, 0.1, 0.3)):
-            oracle.steady_density(params_at(rates[2], *rates[:2]), HilbertConfig(127))
-        assert sizes == [595, 595, 32896]  # the first is the padded state; the good cavity falls back
-        assert [(rho.ops.n_cut, rho.shift > 0) for rho in states] == [
-            (8, True), (16, True), (8, False), (16, False), (32, False), (127, True), (127, True)]
-        for rho in states:
-            assert np.array_equal(rho.matrix, rho.matrix.T)
+        padded = [steady_density(params_at(rates[2], *rates[:2]), HilbertConfig(127)).matrix
+                  for rates in ((0.4, 0.8, 0.2), (0.4, 0.004, 0.2))]
+        # the ladders' rung 16, and g = 0's 16 and 32; at n_cut 127 the canonical rung 16,
+        # which passes, and a good cavity's rungs 16, 32 and 64, which miss, then 127 itself
+        assert [len(rho) for rho in solved] == [34, 17, 33, 34, 34, 66, 130, 256]
+        for rho in [*solved, *padded]:
+            assert np.array_equal(rho, rho.T)
 
     def test_solver_sees_the_folded_unknowns(self, canonical, monkeypatch):
         shapes = []
@@ -695,29 +700,30 @@ class TestCachedParts:
 
     def test_one_build_per_cutoff_frame_and_pattern(self):
         def ladder():
-            for eps in (0.0, 0.2, 0.3):  # rungs 8 and 16; K = g J without drive
+            for eps in (0.0, 0.2, 0.3):  # rung 16, checked on 17; K = g J without drive
                 cutoff_converged(params_at(eps))
-            for eps in (0.2, 0.3):  # rungs 8, 16 and 32 of the cavity block
+            for eps in (0.2, 0.3):  # rungs 16 and 32 of the cavity block, checked on 17 and 33
                 decoupled_benchmark(eps, 0.8)
 
         clear_caches()
         ladder()
         built = {name: cache.cache_info().misses for name, cache in CACHES.items()}
         frames = {(n_cut, coupled): oracle._frame(n_cut, coupled)
-                  for n_cut, coupled in ((8, True), (16, True), (32, True), (8, False), (16, False),
-                                         (32, False))}
+                  for n_cut, coupled in ((16, True), (17, True), (32, True), (16, False),
+                                         (17, False), (32, False), (33, False))}
         assert oracle._frame.cache_info().misses == built["_frame"]  # the frames cached
         held = {key: held_plans(frame) for key, frame in frames.items()}
         ladder()  # a replay builds nothing
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
         assert {key: held_plans(frame) for key, frame in frames.items()} == held
-        # coupled 8, 16 and 32, the last for the cavity's rung-32 moments; cavity 8, 16 and 32
-        assert built == {"_frame": 6}
+        # coupled 16, 17 and 32, the last for the cavity's rung-32 moments; cavity 16, 17,
+        # 32 and 33
+        assert built == {"_frame": 7}
         # (generator plans, fold plans) per frame: g J + g alpha S and g J
         assert {key: (len(plans), sum(None not in entry for entry in plans.values()))
                 for key, plans in held.items()} == {
-            (8, True): (2, 2), (16, True): (2, 2), (32, True): (0, 0), (8, False): (1, 1),
-            (16, False): (1, 1), (32, False): (1, 1)}
+            (16, True): (2, 2), (17, True): (2, 2), (32, True): (0, 0), (16, False): (1, 1),
+            (17, False): (1, 1), (32, False): (1, 1), (33, False): (1, 1)}
 
 
 class TestFoldedSystemOnACacheHit:
@@ -898,8 +904,8 @@ MAX_PUMP = 1e4
 
 
 class TestAboveRungSixteen:
-    """A displaced solve above rung 16 tries the rung-16 state padded with zeros first,
-    and the direct solve only if that misses its target."""
+    """A displaced solve at a fixed cutoff N above 16 takes the first rung below N whose state
+    passes on the next rung, padded with zeros, and solves N directly only if none does."""
 
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(n_cut=st.integers(17, 40), rates=st.tuples(WIDE_RATES, WIDE_RATES, WIDE_RATES))
@@ -923,24 +929,85 @@ class TestAboveRungSixteen:
             assert got.residual <= 1e-10
 
     def test_factorisations(self, monkeypatch):
-        # the rung-16 block alone, at any power-of-2 scale of the rates; at kappa 0.004,
-        # and at gamma_c 1, kappa 0.5, eps 3, the padded state misses and the whole
+        # rung 16 alone, at any power-of-2 scale of the rates; at gamma_c 1, kappa 0.5,
+        # eps 3, rung 32 passes; at kappa 0.004 no rung below 127 passes, and the whole
         # system is factored once
         config, sizes = HilbertConfig(127), count_factorisations(monkeypatch)
         for scale in (1.0, 2.0**-20, 2.0**20):
             steady_density(params_at(0.2 * scale, 0.4 * scale, 0.8 * scale), config)
             assert sizes == [595]
             sizes.clear()
-        for params in (params_at(0.2, kappa=0.004), params_at(3.0, 1.0, 0.5)):
+        for params, want in ((params_at(3.0, 1.0, 0.5), [595, 2211]),
+                             (params_at(0.2, kappa=0.004), [595, 2211, 8515, 32896])):
             steady_density(params, config)
-            assert sizes == [595, 32896]
+            assert sizes == want
             sizes.clear()
 
     def test_the_ladder_keeps_one_direct_solve_per_rung(self, monkeypatch):
         sizes = count_factorisations(monkeypatch)
         cutoff_converged(params_at(0.2))
         decoupled_benchmark(0.2, 0.8)
-        assert sizes == [171, 595, 45, 153, 561]  # rungs 8 and 16, and g = 0's 8, 16 and 32
+        assert sizes == [595, 153, 561]  # rung 16, and g = 0's 16 and 32; no check factors
+
+    def test_a_settled_cutoff_builds_no_plan_of_its_own(self):
+        # the n_cut 127 frame gives the padded state its basis and its moments' gathers
+        clear_caches()
+        assert compare_with_closed_form(params_at(0.2), HilbertConfig(127)).n_cut == 127
+        assert oracle._frame(127, True).plans == {}
+        assert oracle._frame.cache_info().misses == 3  # 16, its check on 17, and 127
+
+    @pytest.mark.parametrize("eps", [0.2, 5.0])
+    def test_a_padded_state_keeps_its_residual_on_the_whole_space(self, eps):
+        # read on rung 17, bit for bit the residual on n_cut 127's own generator; at eps 5
+        # the largest row is one that rung 16 does not have
+        params = params_at(eps)
+        got = steady_density(params, HilbertConfig(127))
+        frame = oracle._frame(127, True)
+        lv, _ = oracle._generator(frame, frame.at(*oracle._displaced(params)), params.kappa)
+        assert got.residual == float(np.abs(lv @ got.matrix.ravel("F")).max())
+        assert got.residual >= steady_density(params, HilbertConfig(16)).residual
+
+
+def direct_state(coupled, rates, kappa, n_cut):
+    """The state at ``n_cut`` solved directly, no rung below it tried, as a
+    :class:`DensityMatrix` that may exceed the default dimension cap."""
+    frame = oracle._frame(n_cut, coupled)
+    rho, residual = oracle._stationary(frame, frame.at(*rates), kappa)
+    matrix = rho if coupled else np.kron(np.diag([0.0, 1.0]), rho)
+    return DensityMatrix(matrix, residual, HilbertConfig(n_cut, dim_cap=2 * (n_cut + 1)), rates[2])
+
+
+class TestOneAcceptanceRule:
+    """Every cutoff is accepted by one rule, ``oracle._settled``: rung n passes when its
+    state, padded with zeros, passes on rung n + 1."""
+
+    @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
+    @given(rates=st.tuples(WIDE_RATES, WIDE_RATES, WIDE_RATES), decoupled=st.booleans(),
+           alpha=st.floats(0.0, 1.2))
+    @example(rates=(0.4, 0.1, 0.3), decoupled=False, alpha=0.0)  # rung 16 misses, 32 passes
+    @example(rates=(0.4, 3.9280327822506456, 0.0), decoupled=True,
+             alpha=0.39335439191446053)  # rung 16 misses at 1.6e-15, with rung 32's moments
+    def test_accepted_rung_matches_twice_the_rung(self, rates, decoupled, alpha):
+        # a tenth of the profile's examples: a draw may solve rung 128 directly.  A fixed
+        # cutoff's direct solve is checked against COLAMD in test_matches_colamd.
+        if decoupled:  # the cavity's coherent state of amplitude alpha
+            kappa = rates[1]
+            coupled, solve_at = False, (0.0, alpha * kappa / 2.0, 0.0)
+        else:
+            params = params_at(rates[2], *rates[:2])
+            assume(2.0 * params.g * params.epsilon <= MAX_PUMP * params.kappa**2)
+            kappa, coupled = params.kappa, True
+            solve_at = (params.g, 0.0, 2.0 * params.epsilon / params.kappa)
+        try:
+            rho = oracle._settled(coupled, solve_at, kappa)
+        except (DimensionCap, SingularSystem):  # the ladder's two refusals
+            return
+        n_cut = rho.ops.n_cut
+        twice = direct_state(coupled, solve_at, kappa, 2 * n_cut)
+        assert np.abs(np.subtract(rho.moments, twice.moments)).max() <= 1e-12
+        if coupled:  # a fixed cutoff above the accepted rung takes its state, padded
+            got = steady_density(params, HilbertConfig(127)).matrix
+            assert np.array_equal(got, oracle._pad(rho.matrix, oracle._frame(127, True), n_cut))
 
 
 class TestStrongDrive:
@@ -981,7 +1048,7 @@ class TestVariancesAtEveryDrive:
 class TestCutoffConvergence:
     def test_undriven_system_converges_immediately(self):
         n_cut, report = cutoff_converged(params_at(0.0))
-        assert n_cut == 16  # first comparison, 8 vs 16
+        assert n_cut == 16  # the first rung, which passes on rung 17
         assert report.comparisons["eta_b"]["oracle"] == pytest.approx(1.0, abs=1e-12)
 
     def test_canonical_point_converges_at_moderate_cutoff(self, canonical):
@@ -992,14 +1059,9 @@ class TestCutoffConvergence:
 
     @pytest.mark.parametrize("ladder", sorted(LADDERS))
     def test_cap_stops_runaway_doubling(self, ladder):
-        with pytest.raises(DimensionCap):
-            LADDERS[ladder](tol=1e-30, dim_cap=64)
-
-    @pytest.mark.parametrize("ladder", sorted(LADDERS))
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
-    def test_rejects_bad_tolerance(self, ladder, tol):
-        with pytest.raises(ValueError):
-            LADDERS[ladder](tol=tol)
+        assert LADDERS[ladder](dim_cap=66) == 32  # rung 32's dimension
+        with pytest.raises(DimensionCap, match=r"^dimension 2\*\(32\+1\)=66 exceeds cap 64$"):
+            LADDERS[ladder](dim_cap=64)
 
 
 class TestOperatorBuilds:
@@ -1015,10 +1077,10 @@ class TestOperatorBuilds:
     @pytest.mark.parametrize(
         "run,builds",
         [
-            (lambda: cutoff_converged(params_at(0.2)), 2),  # rungs 8 and 16
-            # rungs 8, 16 and 32: <a^2> at rung 8 is 1.1e-8 from rung 16; each builds the
-            # cavity's frame and the product space's, whose gathers read the moments
-            (lambda: decoupled_benchmark(0.2, 0.8), 6),
+            (lambda: cutoff_converged(params_at(0.2)), 2),  # rung 16 and its check on 17
+            # the cavity's rungs 16 and 32 and their checks on 17 and 33, and the product
+            # space at 32, whose gathers read the accepted state's moments
+            (lambda: decoupled_benchmark(0.2, 0.8), 5),
             (lambda: compare_with_closed_form(params_at(0.2), HilbertConfig(16)), 1),
         ],
         ids=["cutoff_converged", "decoupled_benchmark", "compare_with_closed_form"],
@@ -1033,7 +1095,8 @@ class TestOperatorBuilds:
 
 def test_one_generator_per_decoupled_rung(monkeypatch):
     """The ``g = 0`` solve and its residual gate read the same generator, the
-    cavity block's: no product-space generator is built."""
+    cavity block's, and its check on the next rung that rung's: no product-space
+    generator is built."""
     rows, generator = [], oracle._generator
 
     def counting(*args):
@@ -1043,7 +1106,7 @@ def test_one_generator_per_decoupled_rung(monkeypatch):
 
     monkeypatch.setattr(oracle, "_generator", counting)
     decoupled_benchmark(0.2, 0.8)
-    assert rows == [(n_cut + 1) ** 2 for n_cut in (8, 16, 32)]
+    assert rows == [(n_cut + 1) ** 2 for n_cut in (16, 17, 32, 33)]
 
 
 class TestMomentReads:
@@ -1052,25 +1115,27 @@ class TestMomentReads:
     @pytest.mark.parametrize(
         "run,reads",
         [
-            # five moments at rungs 8 and 16, plus eta_b in the report
-            (lambda: cutoff_converged(params_at(0.2)), 11),
+            # five moments of the accepted rung, plus eta_b in the report; no rung's
+            # moments decide the cutoff
+            (lambda: cutoff_converged(params_at(0.2)), 6),
             (lambda: compare_with_closed_form(params_at(0.2), HilbertConfig(16)), 6),
-            # five moments at rungs 8, 16 and 32; the benchmark reads no more
-            (lambda: decoupled_benchmark(0.2, 0.8), 15),
+            # five moments of the accepted rung; the benchmark reads no more
+            (lambda: decoupled_benchmark(0.2, 0.8), 5),
         ],
         ids=["cutoff_converged", "compare_with_closed_form", "decoupled_benchmark"],
     )
     def test_expect_calls_per_run(self, run, reads, monkeypatch):
+        # every read goes through DensityMatrix._read, expect's too
         calls = []
-        expect = DensityMatrix.expect
+        read = DensityMatrix._read
 
-        def counting(self, op):
-            calls.append(op)
-            return expect(self, op)
+        def counting(self, gather):
+            calls.append(gather)
+            return read(self, gather)
 
-        monkeypatch.setattr(DensityMatrix, "expect", counting)
+        monkeypatch.setattr(DensityMatrix, "_read", counting)
         run()
-        assert len(calls) <= reads
+        assert len(calls) == reads
 
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     def test_moments_are_the_direct_reads(self, shift):

@@ -10,13 +10,12 @@ from cavity_squeezing import (
     IntegratorConfig,
     SweepSpec,
     SystemParams,
-    cutoff_converged,
-    decoupled_cavity_steady,
     default_integrator_config,
     integrate,
     steady_density,
     stream_trajectory,
 )
+from cavity_squeezing.oracle import decoupled_cavity_steady
 
 
 def test_gamma_c_derived_from_coupling():
@@ -145,7 +144,6 @@ _COUNTS = {
 _POSITIVES = {
     "dt": lambda v: IntegratorConfig(dt=v, t_max=1.0, steady_tol=1e-12),
     "steady_tol": lambda v: IntegratorConfig(dt=0.1, t_max=1.0, steady_tol=v),
-    "tol": lambda v: cutoff_converged(SystemParams.from_gamma_c(0.4, 0.8, 0.2), tol=v),
     "g": lambda v: SystemParams(g=v, kappa=0.8, epsilon=0.2),
 }
 
