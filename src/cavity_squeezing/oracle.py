@@ -191,7 +191,7 @@ class _Frame:
         return g * (j + shift * s) + epsilon * e
 
 
-# oracle_ladder runs use 8: coupled 16, 17, 32 (for g = 0's moments), 127; g = 0 16, 17, 32, 33
+# oracle_ladder runs use 7: coupled 16, 17 and 32 (for g = 0's moments); g = 0 16, 17, 32, 33
 @lru_cache(maxsize=12)
 def _frame(n_cut: int, coupled: bool) -> _Frame:
     """The product space's frame at ``n_cut``, with the gathers of ``b``, ``b^2``,
@@ -279,12 +279,15 @@ class DensityMatrix:
     index.  ``residual`` is the max-entrywise ``drho/dt`` under the original (unmodified)
     generator; ``ops`` is the truncated Hilbert space that ``matrix`` lives on.  ``shift``
     is the frame: the state's ladder operator ``b`` is the lab field minus ``shift``.
+    ``rung`` is set only on a state padded with zeros onto ``ops`` (:func:`steady_density`):
+    the own state of the smaller rung that settles it, whose block ``matrix`` holds.
     """
 
     matrix: np.ndarray
     residual: float
     ops: HilbertConfig = field(repr=False)
     shift: float = 0.0
+    rung: DensityMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def trace_error(self) -> float:
         return float(abs(np.trace(self.matrix) - 1.0))
@@ -370,11 +373,13 @@ def _folded(frame: _Frame, k, kappa: float):
     return lv, pos, system(values)
 
 
-def _pad(rho: np.ndarray, frame: _Frame, n_cut: int) -> np.ndarray:
-    """``rho`` of rung ``n_cut`` on ``frame``'s basis, 0 at every Fock number above it."""
-    padded, inside = np.zeros((frame.d, frame.d)), np.flatnonzero(frame.fock <= n_cut)
-    padded[np.ix_(inside, inside)] = rho
-    return padded
+def _pad(rho: np.ndarray, levels: int, n_cut: int) -> np.ndarray:
+    """``rho``, on ``levels`` atomic levels (slow) times a shorter Fock ladder (fast), on
+    the Fock states 0..``n_cut``: 0 at every Fock number above its own."""
+    m, big = len(rho) // levels, n_cut + 1
+    padded = np.zeros((levels, big, levels, big))
+    padded[:, :m, :, :m] = rho.reshape(levels, m, levels, m)
+    return padded.reshape(levels * big, levels * big)
 
 
 def _padded(frame: _Frame, rates, kappa: float, rho: np.ndarray):
@@ -383,7 +388,7 @@ def _padded(frame: _Frame, rates, kappa: float, rho: np.ndarray):
     factored) and on the residual gate, as a stationary state of ``frame`` and so of every
     larger cutoff."""
     lv, pos, system = _folded(frame, frame.at(*rates), kappa)
-    padded = _pad(rho, frame, frame.fock.max() - 1)
+    padded = _pad(rho, frame.d // (frame.fock.max() + 1), frame.fock.max())
     x = np.empty(system.shape[0])
     x[pos] = padded
     rhs = np.eye(1, x.size, pos[0, 0])[0]
@@ -465,15 +470,25 @@ def _dissection(u, v) -> np.ndarray:
 
 
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
-    """Stationary density matrix of the full master equation, in the displaced frame.
+    """Stationary density matrix of the full master equation, in the displaced frame, on
+    ``config``'s space.
 
-    ``config.n_cut`` truncates the fluctuation field ``b = a - 2 eps/kappa`` (see
-    :func:`_settled`).
+    ``config.n_cut`` truncates the fluctuation field ``b = a - 2 eps/kappa``.  A smaller
+    rung whose state settles it (see :func:`_settled`) gives that state padded with zeros,
+    index by index (atom slow, Fock fast), so ``config``'s frame is not built; the padded
+    state keeps the rung's own as its ``rung``.  Otherwise ``config.n_cut`` is solved
+    directly.
     Raises :class:`SingularSystem` when the linear solve fails or the
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
-    return _settled(True, _displaced(params), params.kappa, config)
+    rho = _settled(True, _displaced(params), params.kappa, config)
+    if rho.ops == config:
+        return rho
+    padded = DensityMatrix(matrix=_pad(rho.matrix, 2, config.n_cut), residual=rho.residual,
+                           ops=config, shift=rho.shift)
+    object.__setattr__(padded, "rung", rho)
+    return padded
 
 
 def _displaced(params: SystemParams) -> tuple[float, float, float]:
@@ -486,16 +501,18 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
     """The stationary state on ``_frame(n_cut, coupled)``, ``K`` valued ``_Frame.at(*rates)``,
     at the cutoff that the one acceptance rule picks: rung ``n`` = ``_LADDER_START``, ``2 n``,
     ... is solved directly and passes if :func:`_padded` accepts its state on rung ``n + 1``.
+    The state returned is always a solve's own, on the space it was solved on.
 
-    Without ``config`` this is the ladder: the first passing rung's own state and residual;
-    a rung's failed solve, or :class:`DimensionCap` from the first rung above ``dim_cap``,
+    Without ``config`` this is the ladder: the first passing rung's state and residual; a
+    rung's failed solve, or :class:`DimensionCap` from the first rung above ``dim_cap``,
     raises.  With ``config``, the product space's rungs below its cutoff N are tried, a
-    failed solve is a miss, and a hit is padded onto N's space, with its residual on rung
-    ``n + 1``; once no rung passes, N is solved directly.
+    failed solve is a miss, and a hit is rung n's state with its residual on rung ``n + 1``,
+    which every cutoff above n, N's included, shares, and N's frame is not built; once no
+    rung passes, N is solved directly.
     """
     n_cut = _LADDER_START
     while config is None or (coupled and n_cut < config.n_cut):
-        rung = HilbertConfig(n_cut, dim_cap) if config is None else config
+        rung = HilbertConfig(n_cut, dim_cap if config is None else config.dim_cap)
         try:
             rho, residual = _stationary(frame := _frame(n_cut, coupled), frame.at(*rates), kappa)
             wide = _padded(_frame(n_cut + 1, coupled), rates, kappa, rho)
@@ -505,15 +522,14 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
             wide = None
         if wide is not None:
             if config is not None:
-                rho, residual = _pad(rho, _frame(config.n_cut, True), n_cut), wide
+                residual = wide
             break
         n_cut *= 2
     else:
-        frame = _frame(config.n_cut, coupled)
+        rung, frame = config, _frame(config.n_cut, coupled)
         rho, residual = _stationary(frame, frame.at(*rates), kappa)
     matrix = rho if coupled else np.kron(np.diag([0.0, 1.0]), rho)
-    return DensityMatrix(matrix=matrix, residual=residual, ops=rung if config is None else config,
-                         shift=rates[2])
+    return DensityMatrix(matrix=matrix, residual=residual, ops=rung, shift=rates[2])
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -560,7 +576,7 @@ class OracleReport:
         return out
 
 
-def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
+def _build_report(rho: DensityMatrix, params: SystemParams, n_cut: int) -> OracleReport:
     mean_a, mean_a2, mean_n = rho.field_moments()
     *_, sigma, eta_a = rho.moments
     var_plus, var_minus = standard_quadrature_variances(rho)
@@ -596,16 +612,17 @@ def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
                "delta": value.real - closed[name]}
         for name, value in moments.items()
     }
+    least = rho.min_eigenvalue()  # padding rho onto a larger n_cut adds zeros to the spectrum
     return OracleReport(
         g=params.g,
         kappa=params.kappa,
         epsilon=params.epsilon,
         gamma_c=params.gamma_c,
-        n_cut=rho.ops.n_cut,
+        n_cut=n_cut,
         residual=rho.residual,
         trace_error=rho.trace_error(),
         hermiticity_error=rho.hermiticity_error(),
-        min_eigenvalue=rho.min_eigenvalue(),
+        min_eigenvalue=least if n_cut == rho.ops.n_cut else min(least, 0.0),
         max_imag_part=max(abs(value.imag) for value in moments.values()),
         comparisons=comparisons,
     )
@@ -614,8 +631,13 @@ def _build_report(rho: DensityMatrix, params: SystemParams) -> OracleReport:
 def compare_with_closed_form(
     params: SystemParams, config: HilbertConfig
 ) -> OracleReport:
-    """Solve the stationary problem at one cutoff and tabulate comparisons."""
-    return _build_report(steady_density(params, config), params)
+    """Solve the stationary problem at one cutoff and tabulate comparisons.
+
+    A cutoff that a smaller rung settles (see :func:`steady_density`) is reported from that
+    rung's own state, with the cutoff's ``n_cut`` and residual, so neither the cutoff's
+    frame nor an eigensolve of its padded matrix is needed."""
+    rho = steady_density(params, config)
+    return _build_report(rho.rung or rho, params, config.n_cut)
 
 
 def cutoff_converged(
@@ -628,7 +650,7 @@ def cutoff_converged(
     with the report at that cutoff.
     """
     rho = _settled(True, _displaced(params), params.kappa, dim_cap=dim_cap)
-    return rho.ops.n_cut, _build_report(rho, params)
+    return rho.ops.n_cut, _build_report(rho, params, rho.ops.n_cut)
 
 
 def decoupled_cavity_steady(

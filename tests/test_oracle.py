@@ -949,12 +949,37 @@ class TestAboveRungSixteen:
         decoupled_benchmark(0.2, 0.8)
         assert sizes == [595, 153, 561]  # rung 16, and g = 0's 16 and 32; no check factors
 
-    def test_a_settled_cutoff_builds_no_plan_of_its_own(self):
-        # the n_cut 127 frame gives the padded state its basis and its moments' gathers
+    def test_a_settled_cutoff_builds_no_plan_of_its_own(self, monkeypatch):
+        # rung 16 settles n_cut 127: the report reads rung 16's 34 x 34 state, and neither
+        # it nor the padded state builds a frame but 16 and its check on 17
         clear_caches()
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
         assert compare_with_closed_form(params_at(0.2), HilbertConfig(127)).n_cut == 127
-        assert oracle._frame(127, True).plans == {}
-        assert oracle._frame.cache_info().misses == 3  # 16, its check on 17, and 127
+        assert steady_density(params_at(0.2), HilbertConfig(127)).matrix.shape == (256, 256)
+        assert shapes == [(34, 34)]
+        assert oracle._frame.cache_info().misses == 2
+        oracle._frame(16, True), oracle._frame(17, True)
+        assert oracle._frame.cache_info().misses == 2  # both cached: no other frame was built
+
+    @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
+    @given(gamma_c=st.floats(0.2, 0.8), ratio=st.floats(0.3, 3.0).map(lambda e: 10.0**e),
+           alpha=st.floats(0.05, 2.6))
+    @example(gamma_c=0.4, ratio=2.0, alpha=0.5)  # the canonical point
+    @example(gamma_c=0.4, ratio=2.0, alpha=12.5)  # eps 5
+    def test_a_settled_cutoff_reports_what_the_ladder_does(self, gamma_c, ratio, alpha):
+        # bad-cavity rates, kappa/gamma_c from 2 to 1,000, and the bare amplitude alpha =
+        # 2 eps/kappa of the benchmark's ladder.  Rung n settles n_cut 127 and ends the
+        # ladder, and both report its state: the residual is read on rung n + 1, not n,
+        # and the padding adds zeros to the spectrum.
+        kappa = gamma_c * ratio
+        params = params_at(alpha * kappa / 2.0, gamma_c, kappa)
+        n_cut, ladder = cutoff_converged(params)
+        got, want = compare_with_closed_form(params, HilbertConfig(127)).to_dict(), ladder.to_dict()
+        assert (got.pop("n_cut"), want.pop("n_cut")) == (127, n_cut)
+        assert got.pop("residual") >= want.pop("residual")
+        want["min_eigenvalue"] = min(want["min_eigenvalue"], 0.0)
+        assert got == want
 
     @pytest.mark.parametrize("eps", [0.2, 5.0])
     def test_a_padded_state_keeps_its_residual_on_the_whole_space(self, eps):
@@ -1007,7 +1032,7 @@ class TestOneAcceptanceRule:
         assert np.abs(np.subtract(rho.moments, twice.moments)).max() <= 1e-12
         if coupled:  # a fixed cutoff above the accepted rung takes its state, padded
             got = steady_density(params, HilbertConfig(127)).matrix
-            assert np.array_equal(got, oracle._pad(rho.matrix, oracle._frame(127, True), n_cut))
+            assert np.array_equal(got, oracle._pad(rho.matrix, 2, 127))
 
 
 class TestStrongDrive:
