@@ -32,34 +32,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, replace
 
-from .dynamics import (
-    EXCITED_STATE,
-    GROUND_STATE,
-    NonConvergence,
-    StepTooLarge,
-    default_integrator_config,
-    stream_trajectory,
-)
-from .oracle import (
-    _DIM_CAP,
-    DimensionCap,
-    HilbertConfig,
-    SingularSystem,
-    compare_with_closed_form,
-    cutoff_converged,
-    decoupled_benchmark,
-)
-from .params import SystemParams, _require_finite
-from .single_mode import single_mode_stats, steady_atom
-from .superposed import superposed_squeezing, superposed_stats
-from .sweeps import SweepSpec, _write_csv, write_figure_files
+# Each subcommand imports the modules it runs when it runs, so a cold start loads
+# only those: ``steady`` loads ``single_mode``, and ``figures`` no ``oracle``.
+from .params import (_DIM_CAP, DimensionCap, NonConvergence, SingularSystem, StepTooLarge,
+                     SystemParams, _require_finite)
 
 __all__ = ["main", "build_parser"]
 
@@ -117,13 +99,12 @@ def _flatten(payload: dict):
 
 
 def _render(payload: dict, fmt: str) -> str:
-    """The payload as JSON, or as a one-row CSV of its flattened leaves."""
+    """The payload as JSON, or as a one-row CSV of its flattened leaves, each value
+    ``"%.12e" % v`` as ``sweeps._write_csv`` writes it."""
     if fmt == "json":
         return render_json(payload)
     header, values = zip(*_flatten(payload))
-    text = io.StringIO()
-    _write_csv(text, header, [values])
-    return text.getvalue()
+    return ",".join(header) + "\n" + ",".join("%.12e" % v for v in values) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -210,6 +191,8 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
 
 
 def _cmd_steady(args: argparse.Namespace) -> int:
+    from .single_mode import single_mode_stats, steady_atom
+
     params = _resolve_params(args)
     payload = {
         "params": asdict(params),
@@ -221,6 +204,8 @@ def _cmd_steady(args: argparse.Namespace) -> int:
 
 
 def _cmd_superpose(args: argparse.Namespace) -> int:
+    from .superposed import superposed_squeezing, superposed_stats
+
     params = _resolve_params(args)
     stats = asdict(superposed_stats(params))
     moments = {name: stats.pop(name) for name in ("c_mean", "c_sq")}
@@ -231,6 +216,9 @@ def _cmd_superpose(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
+    from .dynamics import (EXCITED_STATE, GROUND_STATE, default_integrator_config,
+                           stream_trajectory)
+
     params = _resolve_params(args)
     given = {name: getattr(args, name) for name in ("dt", "t_max", "steady_tol")
              if getattr(args, name) is not None}
@@ -252,6 +240,9 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import (HilbertConfig, compare_with_closed_form, cutoff_converged,
+                         decoupled_benchmark)
+
     if args.fmt == "csv":
         raise ConfigError("oracle reports are JSON only")
     if args.g == 0.0:
@@ -273,6 +264,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from .sweeps import SweepSpec, write_figure_files
+
     # The default grid's rates stand in for the rates that are not given.
     gamma_c = 0.4 if args.g is None and args.gamma_c is None else args.gamma_c
     rates = _resolve_rates(args.g, 0.8 if args.kappa is None else args.kappa, gamma_c)

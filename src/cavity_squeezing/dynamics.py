@@ -43,8 +43,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .params import SystemParams, _require_one_drive, _require_positive
-from .sweeps import _write_blocks, _write_csv
+from .params import (NonConvergence, StepTooLarge, SystemParams, _require_one_drive,
+                     _require_positive)
 
 __all__ = [
     "AtomMomentState",
@@ -66,14 +66,6 @@ _POP_LO, _POP_HI = -1e-6, 1.0 + 1e-6
 # are reused; below about 32k rows they are mapped and trimmed on every call.
 _BLOCK_ROWS = 32768
 _COLUMNS = ("t", "sigma_re", "sigma_im", "eta_a", "eta_b")
-
-
-class NonConvergence(RuntimeError):
-    """Raised when ``t_max`` is reached with the derivative above tolerance."""
-
-
-class StepTooLarge(RuntimeError):
-    """Raised when a population leaves [0, 1] by more than the allowed slack."""
 
 
 @dataclass(frozen=True)
@@ -145,6 +137,8 @@ class TimeSeries:
 
     def to_csv(self, path_or_file) -> None:
         """Write the trajectory as CSV (12-digit scientific, LF endings)."""
+        from .sweeps import _write_csv
+
         _write_csv(path_or_file, _COLUMNS, self.t, self.states)
 
 
@@ -298,6 +292,8 @@ def stream_trajectory(
         for _ in timed():  # yields nothing
             pass
     else:
+        from .sweeps import _write_blocks  # the writer loads only for a run that writes
+
         _write_blocks(out, _COLUMNS, timed())
     return n_rows - 1, final
 

@@ -63,7 +63,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import single_mode, superposed
-from .params import (SystemParams, _require_bounded_drive, _require_count, _require_drive,
+from .params import (_DIM_CAP, DimensionCap, SingularSystem, SystemParams,
+                     _require_bounded_drive, _require_count, _require_drive,
                      _require_one_drive, _require_rate)
 
 __all__ = [
@@ -87,26 +88,17 @@ _FRAMEWORK_NOTE = (
 )
 
 
-# The cutoff ladder's largest Hilbert-space dimension (the CLI's default), its first rung,
-# and the largest stationary residual the unfolded generator may leave on an accepted
-# state.  The bound is absolute, whatever the generator's scale: at the canonical rates
-# the residuals stay below 1e-10 up to eps = 1e6, where the entries are about 7e5, and
-# the bound refuses at eps = 1e12 (6.1e-5 at rung 16).
-_DIM_CAP = 256
+# The cutoff ladder's first rung, and the largest stationary residual the unfolded
+# generator may leave on an accepted state.  The bound is absolute, whatever the
+# generator's scale: at the canonical rates the residuals stay below 1e-10 up to
+# eps = 1e6, where the entries are about 7e5, and the bound refuses at eps = 1e12
+# (6.1e-5 at rung 16).
 _LADDER_START = 16
 _RESIDUAL_TOL = 1e-8
 # A rung's state passes on the next rung at this backward error (_padded).  At n_cut 127
 # and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's backward error
 # by _padded's measure reads 4e-19 to 3.3e-16.
 _BACKWARD_TOL = 1e-15
-
-
-class DimensionCap(RuntimeError):
-    """Raised when the requested Hilbert space exceeds the dimension cap."""
-
-
-class SingularSystem(RuntimeError):
-    """Raised when the stationary linear system cannot be solved reliably."""
 
 
 @dataclass(frozen=True)

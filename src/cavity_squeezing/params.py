@@ -32,6 +32,27 @@ _MAX_DENOMINATOR = 1e77
 # the closed forms (kappa**2, gamma_c**3, kappa*D**2, ...) under- or
 # overflows to a zero divisor or an infinity.
 _RATE_WINDOW = (1e-38, 1e38)
+# The oracle's largest Hilbert-space dimension, the default of ``--dim-cap``.
+_DIM_CAP = 256
+
+
+# The solvers' failures, which the CLI maps to exit codes 3 and 4.  They live in the
+# module that every subcommand loads, so that the CLI's parser and its exit-code mapping
+# load neither ``dynamics`` nor ``oracle``; those modules export them.
+class NonConvergence(RuntimeError):
+    """Raised when ``t_max`` is reached with the derivative above tolerance."""
+
+
+class StepTooLarge(RuntimeError):
+    """Raised when a population leaves [0, 1] by more than the allowed slack."""
+
+
+class DimensionCap(RuntimeError):
+    """Raised when the requested Hilbert space exceeds the dimension cap."""
+
+
+class SingularSystem(RuntimeError):
+    """Raised when the stationary linear system cannot be solved reliably."""
 
 
 def _require_finite(name: str, value: float) -> float:

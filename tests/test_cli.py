@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavity_squeezing
 from cavity_squeezing import (
@@ -26,6 +28,7 @@ from cavity_squeezing import (
     integrate,
 )
 from cavity_squeezing.cli import build_parser, main, render_json
+from cavity_squeezing.sweeps import _write_csv
 
 
 def run_cli(args, capsys):
@@ -52,6 +55,20 @@ class TestRenderJson:
     def test_output_is_deterministic(self):
         payload = {"a": 0.1, "b": [1, 2.0, None, True], "c": {"d": "x"}}
         assert render_json(payload) == render_json(payload)
+
+
+class TestOneRowCsv:
+    """``steady``/``superpose --format csv`` write the text ``sweeps._write_csv`` writes."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=30))
+    @example([0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, -1.5, math.inf,
+              -math.inf, math.nan])
+    def test_is_the_sweeps_writer_text(self, values):
+        header = tuple(f"v{i}" for i in range(len(values)))
+        text = io.StringIO()
+        _write_csv(text, header, [values])
+        assert cli._render(dict(zip(header, values)), "csv") == text.getvalue()
 
 
 class TestSteady:
@@ -895,13 +912,13 @@ class TestParseOnce:
         assert seen == ["steady"]
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     """A fresh interpreter that imports the package copy this process uses."""
     src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
     )
 
 
@@ -942,8 +959,9 @@ class TestConsoleEntry:
         assert result.returncode == 2
 
 
-# Every subcommand but ``oracle`` runs without scipy, and the oracle's
-# failures still map to their exit codes once the CLI loads it.  At kappa 1e-20
+# Every subcommand but ``oracle`` runs without scipy, and without the oracle module
+# even when ``dynamics`` fails with exit code 3; the oracle's failures still map to
+# their exit codes once the CLI loads it.  At kappa 1e-20
 # and eps 1 the atom's Rabi frequency 4 g eps/kappa is about 1e10, so the cavity
 # decay is below the rounding of the drive terms: at n_cut 8 SuperLU meets the
 # Hamiltonian part's degenerate stationary manifold as an exactly singular factor.
@@ -961,12 +979,16 @@ with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         ["dynamics", *canonical, "--format", "json"],
         ["figures", "--n-points", "3", "--out-dir", out_dir])]
     scipy_loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    with contextlib.redirect_stderr(io.StringIO()):
+        nonconverged = cli.main(["dynamics", *canonical, "--t-max", "0.1", "--dt", "0.01"])
+    oracle_loaded = "cavity_squeezing.oracle" in sys.modules
     cap = cli.main(["oracle", *canonical, "--dim-cap", "16"])
     singular = cli.main(["oracle", "--gamma-c", "0.4", "--kappa", "1e-20", "--epsilon", "1",
                          "--n-cut", "8"])
     residual = cli.main(["oracle", *rates, "--epsilon", "1e20"])
 print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
-                  "singular": singular, "residual": residual, "stderr": stderr.getvalue()}))
+                  "singular": singular, "residual": residual, "stderr": stderr.getvalue(),
+                  "nonconverged": nonconverged, "oracle_loaded": oracle_loaded}))
 """
 
 # The oracle module, a configuration, a frame and its Hamiltonian cost no scipy;
@@ -986,9 +1008,10 @@ steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
 print(json.dumps({"before": before, "after": scipy_loaded()}))
 """
 
-# The first import asks the package for an oracle name.
+# The first import asks the package for an oracle name; a submodule is an attribute
+# of the package before anything imports it.
 SURFACE_SCRIPT = """
-import json
+import json, sys
 from cavity_squeezing import steady_density
 import cavity_squeezing as pkg
 from cavity_squeezing import dynamics, oracle, params, single_mode, superposed, sweeps
@@ -1002,6 +1025,8 @@ print(json.dumps({
     "unbound": [name for name in pkg.__all__ if star.get(name) is not getattr(pkg, name)],
     "lazy_is_oracle": (pkg.cutoff_converged is pkg.oracle.cutoff_converged
                        and steady_density is oracle.steady_density),
+    "cli_is_attribute": "cavity_squeezing.cli" not in sys.modules
+                        and pkg.cli is sys.modules["cavity_squeezing.cli"],
 }))
 """
 
@@ -1036,6 +1061,8 @@ class TestImportBoundary:
         report = json.loads(result.stdout)
         assert report["codes"] == [0, 0, 0, 0]
         assert report["scipy_loaded"] == []
+        assert report["nonconverged"] == 3
+        assert report["oracle_loaded"] is False
         assert report["cap"] == 4
         assert report["singular"] == 3
         assert report["residual"] == 3
@@ -1063,16 +1090,76 @@ class TestImportBoundary:
         result = run_python("-c", SURFACE_SCRIPT)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "all_is_joined": True, "unbound": [], "lazy_is_oracle": True}
+            "all_is_joined": True, "unbound": [], "lazy_is_oracle": True,
+            "cli_is_attribute": True}
 
 
-def load_tracer():
-    """``perfbench/tracer.py``, loaded by path and never installed."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+# ``python -m cavity_squeezing ARG...``, then the package's loaded modules as the last
+# line of stderr.
+MODULES_SCRIPT = """
+import json, runpy, sys
+
+try:
+    runpy.run_module("cavity_squeezing", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(name for name in sys.modules
+                            if name.split(".")[0] == "cavity_squeezing")), file=sys.stderr)
+"""
+
+# What a bare import, and the benchmark's way of importing the CLI, load.
+IMPORT_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "cavity_squeezing")
+
+import cavity_squeezing
+bare = loaded()
+from cavity_squeezing import cli
+print(json.dumps([bare, loaded()]))
+"""
+
+# The modules each of the benchmark's cold CLI operations loads besides the package
+# and ``cli``: a subcommand imports what it runs when it runs.
+CLOSED_FORMS = ("params", "single_mode", "superposed")
+COLD_LOADS = {
+    "steady_json": ("params", "single_mode"),
+    "steady_csv": ("params", "single_mode"),
+    "superpose": CLOSED_FORMS,
+    "dynamics_json": ("params", "dynamics"),
+    "oracle": (*CLOSED_FORMS, "oracle"),
+    "figures": (*CLOSED_FORMS, "sweeps"),
+}
+
+
+class TestColdStartLoads:
+    def test_every_cold_operation_is_listed(self):
+        assert sorted(load_perfbench("workloads").CLI_COLD_OPS) == sorted(COLD_LOADS)
+
+    @pytest.mark.parametrize("name", sorted(COLD_LOADS))
+    def test_subcommand_loads_only_what_it_runs(self, name, tmp_path):
+        argv = load_perfbench("workloads").CLI_COLD_OPS[name]
+        result = run_python("-c", MODULES_SCRIPT, *argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        expected = ["cavity_squeezing", "cavity_squeezing.cli",
+                    *(f"cavity_squeezing.{module}" for module in COLD_LOADS[name])]
+        assert json.loads(result.stderr.splitlines()[-1]) == sorted(expected)
+
+    def test_import_loads_no_submodule(self):
+        result = run_python("-c", IMPORT_SCRIPT)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [
+            ["cavity_squeezing"],
+            ["cavity_squeezing", "cavity_squeezing.cli", "cavity_squeezing.params"]]
+
+
+def load_perfbench(module: str):
+    """``perfbench/<module>.py``, loaded by path; nothing in it is run or installed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{module}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{module}", path)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
 
 
 class TestBenchmarkSurface:
@@ -1080,7 +1167,7 @@ class TestBenchmarkSurface:
     traced run neither fails nor loses a hook's counts."""
 
     def test_traced_methods_are_defined_on_their_classes(self):
-        tracer = load_tracer()
+        tracer = load_perfbench("tracer")
         for layer, classes in tracer.METHODS.items():
             module = importlib.import_module(f"cavity_squeezing.{layer}")
             for cls_name, methods in classes.items():
@@ -1090,7 +1177,7 @@ class TestBenchmarkSurface:
     def test_hooked_and_report_names_are_wrapped(self):
         # the tracer wraps the functions in each module's __all__, the METHODS entries
         # and oracle.spsolve; a hook on any other name would never run
-        tracer = load_tracer()
+        tracer = load_perfbench("tracer")
         methods = {f"{layer}.{cls_name}.{m}" for layer, classes in tracer.METHODS.items()
                    for cls_name, names in classes.items() for m in names}
         for name in {*tracer.HOOKS, *tracer.REPORT_NAMES}:
@@ -1119,7 +1206,8 @@ class TestBenchmarkSurface:
                   encoding="utf-8") as f:
             accepted = {alias.name for node in ast.walk(ast.parse(f.read()))
                         if isinstance(node, ast.ImportFrom) for alias in node.names}
-        traced = {cls_name for classes in load_tracer().METHODS.values() for cls_name in classes}
+        traced = {cls_name for classes in load_perfbench("tracer").METHODS.values()
+                  for cls_name in classes}
         uncalled = {f"{layer}.{name}" for layer in modules
                     for name in importlib.import_module(f"cavity_squeezing.{layer}").__all__
                     if name not in loaded | accepted | traced}
