@@ -136,7 +136,8 @@ class TimeSeries:
         return _state(self.states[-1])
 
     def to_csv(self, path_or_file) -> None:
-        """Write the trajectory as CSV (12-digit scientific, LF endings)."""
+        """Write the trajectory as CSV (12-digit scientific, LF endings): a path
+        in binary, a text stream as ``str`` (see ``sweeps._write_blocks``)."""
         from .sweeps import _write_csv
 
         _write_csv(path_or_file, _COLUMNS, self.t, self.states)
@@ -270,11 +271,12 @@ def stream_trajectory(
 ) -> tuple[int, AtomMomentState]:
     """Integrate as :func:`integrate` does, holding one block of rows at a time.
 
-    Given ``out`` (a path or a writable text file), every row goes to it as
-    the CSV that ``TimeSeries.to_csv`` writes, a block at a time as it fills;
-    if the run fails, a path keeps no partial rows unless it is a link or a
-    device (see ``sweeps._write_blocks``).  Returns the number of steps and
-    the final state.  Raises as :func:`integrate` does.
+    Given ``out`` (a path, written in binary, or a writable text file, given
+    ``str``), every row goes to it as the CSV that ``TimeSeries.to_csv``
+    writes, a block at a time as it fills; if the run fails, a path keeps no
+    partial rows unless it is a link or a device (see ``sweeps._write_blocks``).
+    Returns the number of steps and the final state.  Raises as
+    :func:`integrate` does.
     """
     n_rows, final, blocks = 0, None, _blocks(initial, params, config)
 

@@ -92,13 +92,14 @@ class SweepSpec:
 
 
 # The CSV writer formats a block of entries at a time in numpy and matches
-# ``"%.12e" % x`` byte for byte.  Each entry becomes a 24-byte record of six
-# uint32 words: (NUL, sign or NUL, lead digit, '.'), three 4-digit groups, and
-# as one uint64 ('e', exponent sign, 2 or 3 exponent digits, ',' or, in the
-# last column, '\n', then NULs); a ``%`` text is right-aligned to end at byte
-# 20.  A record is exactly bytes 2 to 20 when byte 1 (no sign) and byte 21 (a
-# two-digit exponent) are NUL and byte 2 is not, so a block of only such
-# records is cut out as one slice; any other block has its NULs deleted.
+# ``"%.12e" % x`` byte for byte, as ASCII bytes.  Each entry becomes a 24-byte
+# record of six uint32 words: (NUL, sign or NUL, lead digit, '.'), three
+# 4-digit groups, and as one uint64 ('e', exponent sign, 2 or 3 exponent
+# digits, ',' or, in the last column, '\n', then NULs); a ``%`` text is
+# right-aligned to end at byte 20.  Every record of a block is exactly bytes 2
+# to 20 when no entry has its sign bit set, every exactly rounded entry has a
+# two-digit exponent and every ``%`` text is 18 bytes long; such a block is cut
+# out as one slice, and any other block has its padding deleted.
 #
 # Exactness.  With e = floor(log10|x|), the mantissa is rint(y) for
 # y = |x| * 10**(12 - e), taken from a table of correctly rounded powers, so
@@ -108,10 +109,12 @@ class SweepSpec:
 # other entry has |y - rint(y')| <= 0.5 - _GUARD + 2.221e-3 < 0.5, so y is no
 # tie and rounds to the same integer.  Non-finite values, subnormals and
 # values outside [1e-270, 1e270) go to ``%`` too, which keeps the power table
-# finite.  When y' is in [1e12, 1e13) but y is just across 1e12 or 1e13, both
-# round to the same text.  The digit groups of the integer m < 1e13 are split
-# in float64: (m + 0.5) * 1e-12 is at least 5e-13 from an integer and off by at
-# most 2.3e-15, so its floor is exact, and likewise for 1e-8 and 1e-4.
+# finite.  Renormalised, y' may still lie just across 1e12 or 1e13 from y,
+# within 2.3e-3 of it; both then round to 1e12, or both to 1e13, which prints
+# as 1e12 at the next exponent.  The digit groups of the integer m < 2e13 (a
+# set sign bit adds 1e13) are split four digits at a time in float64:
+# (m + 0.5) * 1e-4 is at least 5e-5 from an integer and off by less than
+# 5e-7, so its floor is exact.
 _POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])  # index k + 300
 _GUARD = 0.003
 _BLOCK_ENTRIES = 8192  # the temporaries of a block peak at about 1.2 MB
@@ -126,58 +129,69 @@ _TAIL = b"".join((b"e%c%02d," % (b"-+"[e >= 0], abs(e))).ljust(8, b"\0")
 _TAIL = np.frombuffer(_TAIL + _TAIL.replace(b",", b"\n"), np.uint64)
 
 
-def _format_block(block: np.ndarray) -> str:
-    """The rows of ``block`` as CSV lines, each entry exactly ``"%.12e" % x``."""
+def _format_block(block: np.ndarray) -> bytes:
+    """The rows of ``block`` as ASCII CSV lines, each entry exactly ``"%.12e" % x``."""
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
-    inside = (a >= 1e-270) & (a < 1e270)  # False for 0, nan and inf
-    a = np.where(inside, a, 1.0)  # no entry below can overflow or warn
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _POWERS[312 - e]
-    # log10 may be one off next to a power of ten: renormalise those entries.
-    off = (y >= 1e13).astype(np.int64) - (y < 1e12)
-    moved = np.flatnonzero(off)
-    e[moved] += off[moved]
-    y[moved] = a[moved] * _POWERS[312 - e[moved]]
+    outside = np.flatnonzero(~((a >= 1e-270) & (a < 1e270)))  # 0, nan and inf too
+    a[outside] = 1.0  # no entry below can overflow or warn
+    e = np.log10(a)
+    e = np.floor(e, out=e).astype(np.intp)
+    y = _POWERS.take(312 - e)
+    y *= a
+    if not (y.min() >= 1e12 and y.max() < 1e13):
+        # log10 may be one off next to a power of ten: renormalise those entries.
+        moved = np.flatnonzero((y < 1e12) | (y >= 1e13))
+        e[moved] += (y[moved] >= 1e13).astype(np.intp) - (y[moved] < 1e12)
+        y[moved] = a[moved] * _POWERS.take(312 - e[moved])
     m = np.rint(y)
-    exact = inside & (y >= 1e12) & (y < 1e13) & (np.abs(y - m) <= 0.5 - _GUARD)
-    slow = np.flatnonzero(~exact & (x != 0.0))  # zeros take m = e = 0 below
-    m = np.where(exact, m, 0.0)
-    e = np.where(exact, e, 0)
-    top = m == 1e13  # rounded up to the next power of ten
-    m[top] = 1e12
-    e[top] += 1
+    y -= m
+    np.abs(y, out=y)
+    y[outside] = 1.0
+    inexact = np.flatnonzero(y > 0.5 - _GUARD)
+    m[inexact] = 0.0  # zeros print from m = e = 0
+    e[inexact] = 0
+    slow = inexact[x.take(inexact) != 0.0]
+    if m.max() == 1e13:  # rounded up to the next power of ten
+        top = np.flatnonzero(m == 1e13)
+        m[top] = 1e12
+        e[top] += 1
 
     sign = np.signbit(x)
-    lead = np.floor((m + 0.5) * 1e-12)
-    m -= lead * 1e12
-    high = np.floor((m + 0.5) * 1e-8)
-    m -= high * 1e8
-    mid = np.floor((m + 0.5) * 1e-4)
-    m -= mid * 1e4
-    out = np.empty((rows, cols, 6), np.uint32)
-    words = out.reshape(-1, 6)
-    words[:, 0] = _HEAD[sign * 10 + lead.astype(np.intp)]
-    words[:, 1] = _GROUP[high.astype(np.intp)]
-    words[:, 2] = _GROUP[mid.astype(np.intp)]
-    words[:, 3] = _GROUP[m.astype(np.intp)]
-    out.view(np.uint64)[:, :, 2] = _TAIL[e.reshape(rows, cols)
-                                         + np.where(np.arange(cols) < cols - 1, 300, 901)]
-    records = out.view(np.uint8).reshape(-1, 24)
+    fixed = not sign.any() and e.min() >= -99 and e.max() <= 99
     if slow.size:
-        text = [b"%.12e" % v for v in x[slow].tolist()]
-        records[slow, :20] = np.frombuffer(
-            b"".join(t.rjust(20, b"\0") for t in text), np.uint8).reshape(-1, 20)
-    if not records[:, 1].any() and not records[:, 21].any() and records[:, 2].all():
-        return records[:, 2:21].tobytes().decode("ascii")
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+        text = np.frombuffer((b"%20.12e" * slow.size) % tuple(x.take(slow).tolist()),
+                             np.uint8).reshape(-1, 20)
+        fixed = fixed and (text[:, 1] == 32).all() and (text[:, 2] != 32).all()
+    if not fixed:
+        np.add(m, 1e13, out=m, where=sign)
+    out = np.empty((rows * cols, 6), np.uint32)
+    for word in (3, 2, 1):
+        q = m + 0.5
+        q *= 1e-4
+        np.floor(q, out=q)
+        m -= q * 1e4
+        out[:, word] = _GROUP.take(m.astype(np.intp))
+        m = q
+    out[:, 0] = _HEAD.take(m.astype(np.intp))
+    e = e.reshape(rows, cols)
+    e += 300
+    e[:, -1] += 601
+    out.view(np.uint64)[:, 2] = _TAIL.take(e.ravel())
+    records = out.view(np.uint8)
+    if slow.size:
+        records[slow, :20] = text
+    if fixed:
+        return records[:, 2:21].view("V19").tobytes()
+    return records.tobytes().translate(None, b"\0 ")  # a % text is padded with spaces
 
 
 def _write_csv(path_or_file, header: tuple[str, ...], *columns) -> None:
     """Write ``header`` and the rows of ``columns`` in ``%.12e``, LF endings.
 
     ``columns`` are 1-D columns, 2-D groups of columns or both, side by side.
+    A path is written in binary; a text stream is given ``str``.
     """
     _write_blocks(path_or_file, header, [columns])
 
@@ -188,29 +202,31 @@ def _write_blocks(path_or_file, header: tuple[str, ...], blocks) -> None:
     Each item is a tuple of columns as ``_write_csv`` takes them, and is written
     before the next is drawn.  Rows are stacked, formatted and written
     ``_BLOCK_ENTRIES`` values at a time, so neither a table nor its text is
-    ever held in memory whole.  If writing to a path fails, ``blocks`` raising
-    included, the partial table is not left there: a file this call created is
-    removed, a regular file that was already there is emptied, and a link or a
-    device keeps what was written, as a stream does.
+    ever held in memory whole.  A path is opened in binary and given each
+    block's ASCII bytes; a text stream (``sys.stdout``, ``io.StringIO``) is
+    given each block decoded to ``str``.  If writing to a path fails, ``blocks``
+    raising included, the partial table is not left there: a file this call
+    created is removed, a regular file that was already there is emptied, and a
+    link or a device keeps what was written, as a stream does.
     """
     step = max(1, _BLOCK_ENTRIES // len(header))
 
-    def write(fh) -> None:
-        fh.write(",".join(header) + "\n")
+    def write(put) -> None:
+        put((",".join(header) + "\n").encode("ascii"))
         for columns in blocks:
             for start in range(0, len(columns[0]), step):
                 block = np.column_stack([c[start:start + step] for c in columns])
-                fh.write(_format_block(block.astype(np.float64, copy=False)))
+                put(_format_block(block.astype(np.float64, copy=False)))
             del columns  # before the next item is drawn
 
     if hasattr(path_or_file, "write"):
-        write(path_or_file)
+        write(lambda data: path_or_file.write(data.decode("ascii")))
         return
     created = not os.path.lexists(path_or_file)
-    fh = open(path_or_file, "w", encoding="utf-8", newline="")
+    fh = open(path_or_file, "wb")
     try:
         with fh:
-            write(fh)
+            write(fh.write)
     except BaseException:
         with contextlib.suppress(OSError):  # the write's own error propagates
             if stat.S_ISREG(os.lstat(path_or_file).st_mode):

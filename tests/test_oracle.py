@@ -1329,7 +1329,10 @@ class TestBadCavityOrder:
     order-p error falls by 2**p per step.  The first steps start from
     g/kappa = 0.35 and 0.18, outside the expansion (sigma's orders there are
     1.21 and 1.79), so the order is gated on the steps with g/kappa <= 0.1
-    at both ends, and every step must shrink the delta.
+    at both ends, and every step must shrink the delta.  The mean photon
+    number and the mean field squared converge at second order in
+    gamma_c/kappa, fourth in g/kappa, and are gated at x = 8 eps**2 /
+    (kappa gamma_c) = 1/3 and 1.
     """
 
     def test_observed_order_is_at_least_1_8(self):
@@ -1348,6 +1351,28 @@ class TestBadCavityOrder:
             orders = np.log2(np.array(values[:-1]) / np.array(values[1:]))
             assert orders.min() > 0.0, (name, values)
             assert orders[in_regime].min() >= 1.8, (name, values, orders)
+
+    @pytest.mark.parametrize("x", [1.0 / 3.0, 1.0])
+    def test_photon_number_and_field_squared_fall_at_order_3_6(self, x):
+        # Second order in gamma_c/kappa, the margin of the test above doubled:
+        # measured 3.96 and 3.99 at x = 1/3, and at x = 1 3.95 and 3.99 for the
+        # photon number and 7.87 and 7.97 for the field squared, whose closed
+        # form is 0 there.
+        gamma_c = 0.4
+        coupling, deltas = [], {"mean_photon_number": [], "mean_field_squared": []}
+        for j in range(5):
+            kappa = 0.8 * 4.0**j
+            params = params_at(math.sqrt(x * kappa * gamma_c / 8.0), gamma_c, kappa)
+            coupling.append(params.g / kappa)
+            _, report = cutoff_converged(params)
+            for name, values in deltas.items():
+                values.append(abs(report.comparisons[name]["delta"]))
+        in_regime = np.array(coupling[:-1]) <= 0.1
+        assert in_regime.sum() == 2  # kappa = 12.8 -> 51.2 -> 204.8
+        for name, values in deltas.items():
+            orders = np.log2(np.array(values[:-1]) / np.array(values[1:]))
+            assert orders.min() > 0.0, (name, values)
+            assert orders[in_regime].min() >= 3.6, (name, values, orders)
 
 
 class TestBadCavityLimit:

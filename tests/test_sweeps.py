@@ -340,6 +340,24 @@ def _percent(rows, header=("x",)) -> str:
         ",".join("%.12e" % x for x in row) + "\n" for row in rows)
 
 
+def _near_tie(digits: int, exponent: int, negative: bool = False) -> float:
+    """The double nearest ``digits``.5e``exponent``: within the writer's guard band
+    of a tie in the thirteenth digit, so ``%`` formats it."""
+    return float(f"{'-' if negative else ''}{digits}5e{exponent}")
+
+
+_TIE_DIGITS = st.integers(10**12, 10**13 - 1)
+# Entries that % formats: near-ties with two-digit exponents, which keep the fixed
+# width, and negative near-ties, near-ties with three-digit exponents, subnormals,
+# infinities and nan, which do not.
+_PERCENT_ENTRIES = st.one_of(
+    st.builds(_near_tie, _TIE_DIGITS, st.integers(-112, 85)),
+    st.builds(_near_tie, _TIE_DIGITS, st.integers(-112, 85), st.just(True)),
+    st.builds(_near_tie, _TIE_DIGITS, st.integers(-283, -113) | st.integers(87, 295)),
+    st.floats(5e-324, 2.225073858507e-308),
+    st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
 class TestCsvWriter:
     """``_write_csv`` is ``"%.12e" % x`` joined by ``,``, byte for byte."""
 
@@ -394,6 +412,37 @@ class TestCsvWriter:
     def test_one_entry_off_the_fixed_width(self, odd, column):
         data = np.linspace(0.25, 3e5, 15).reshape(5, 3)
         data[2, column] = odd
+        assert _csv(data, ("a", "b", "c")) == _percent(data.tolist(), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (2, 1), (4, 2)])
+    @pytest.mark.parametrize("odd", [
+        _near_tie(1234567890123, -50, negative=True),  # -1.234567890123e-37
+        _near_tie(1234567890123, -163),  # 1.234567890123e-150
+        _near_tie(9999999999999, 86),  # 9.9999999999995e99: 1.000000000000e+100
+        5e-324, 2.225073858507e-309])  # subnormals
+    def test_one_percent_entry_off_the_fixed_width(self, odd, cell):
+        # one entry that % formats, in a block that is otherwise fixed-width; inf
+        # and nan are in test_one_entry_off_the_fixed_width
+        data = np.linspace(0.25, 3e5, 15).reshape(5, 3)
+        data[cell] = odd
+        assert _csv(data, ("a", "b", "c")) == _percent(data.tolist(), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("negative", [True, False])
+    def test_percent_texts_whose_padding_averages_the_fixed_width(self, negative):
+        # Fifteen % texts one byte longer than the fixed width and one (inf) fifteen
+        # bytes shorter: two bytes of padding per text on average, in none of them.
+        exponent = -50 if negative else -163  # e-37 or e-150
+        odd = [_near_tie(1234567890100 + k, exponent, negative) for k in range(15)]
+        data = np.linspace(0.25, 3e5, 48).reshape(16, 3)
+        data[:, 1] = [*odd, math.inf]
+        assert _csv(data, ("a", "b", "c")) == _percent(data.tolist(), ("a", "b", "c"))
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 47), _PERCENT_ENTRIES), min_size=1, max_size=16))
+    def test_percent_entries_in_a_fixed_width_block(self, entries):
+        data = np.linspace(0.25, 3e5, 48).reshape(16, 3)
+        for cell, value in entries:
+            data.flat[cell] = value
         assert _csv(data, ("a", "b", "c")) == _percent(data.tolist(), ("a", "b", "c"))
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
