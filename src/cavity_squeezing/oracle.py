@@ -30,7 +30,11 @@ Conventions, fixed once and used everywhere:
   drive; the folded system is the generator's own entries re-indexed onto
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
 * the unknowns and their rows are numbered in a nested-dissection order of the
-  photon-number lattice, read off the pattern, and SuperLU factors in that order;
+  photon-number lattice, read off the pattern, and SuperLU factors in that order a
+  system of more than ``_BAND_MAX`` unknowns; a smaller one, every ladder rung up to 32
+  and the ``g = 0`` rungs up to 64, LAPACK's banded LU factors in the reverse
+  Cuthill-McKee order of its pattern (``_Band``, half-bandwidths 36/36 at rung 16), with
+  one step of iterative refinement;
 * every cutoff has one acceptance rule (``_settled``): rung n = 16, 32, ... is solved
   directly and passes when its state, padded with zeros, meets a normwise backward error
   of 1e-15 in each row block of rung n + 1's folded system, which is never factored.  No
@@ -50,7 +54,7 @@ effective-mode normalisation.  The two disagree by design, so the report
 carries both values without judging the difference.
 
 Only the sparse steps import scipy, each in its own body: the sparse
-assembly (``_IndexPlan``) and the stationary solve.
+assembly (``_IndexPlan``), the band's order (``_Band``) and the stationary solve.
 The module, its frames and their Hamiltonians cost numpy alone.
 """
 
@@ -91,14 +95,19 @@ _FRAMEWORK_NOTE = (
 # The cutoff ladder's first rung, and the largest stationary residual the unfolded
 # generator may leave on an accepted state.  The bound is absolute, whatever the
 # generator's scale: at the canonical rates the residuals stay below 1e-10 up to
-# eps = 1e6, where the entries are about 7e5, and the bound refuses at eps = 1e12
-# (6.1e-5 at rung 16).
+# eps = 1e6, where the entries are about 7e5, and the bound refuses at eps = 1e19
+# (1.2e-3 at rung 16).
 _LADDER_START = 16
 _RESIDUAL_TOL = 1e-8
 # A rung's state passes on the next rung at this backward error (_padded).  At n_cut 127
 # and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's backward error
 # by _padded's measure reads 4e-19 to 3.3e-16.
 _BACKWARD_TOL = 1e-15
+# Folded systems of at most this many unknowns are factored by :class:`_Band`, larger ones
+# by SuperLU (:func:`spsolve`).  At the canonical rates, one core, the band took 0.25-0.33
+# of SuperLU's time at rung 16 (595 unknowns), 0.58 at rung 32 (2,211), 0.59-0.68 at fixed
+# cutoffs 40 and 48, 0.70-0.80 at 56 and 60 (7,503), and 1.03-1.06 at rung 64 (8,515).
+_BAND_MAX = 8000
 
 
 @dataclass(frozen=True)
@@ -241,7 +250,7 @@ class _IndexPlan:
     """``plan(values)``: the ``n x n`` CSR matrix of the flat ``values`` summed at ``keys =
     row * n + col`` (``keys[order]`` sorted, runs in any order), or its transpose as a CSC
     matrix if ``transpose``; every matrix it builds shares its read-only ``indices``
-    and ``indptr``."""
+    and ``indptr``, and carries the plan as its ``plan``."""
 
     def __init__(self, keys, n: int, order, transpose: bool = False):
         keys, order = keys[order], order.astype(np.int32)  # any sort: a slot sums at most 2 values
@@ -260,7 +269,14 @@ class _IndexPlan:
         data = values.take(self.firsts)  # a lone -0.0 stays -0.0
         np.add.at(data, self.slots, values.take(self.rest))
         matrix = csc_matrix if self.transpose else csr_matrix
-        return matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        matrix = matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        matrix.plan = self
+        return matrix
+
+    @cached_property
+    def band(self) -> _Band:
+        """The :class:`_Band` of the pattern, built on its first banded solve."""
+        return _Band(self)
 
 
 @dataclass(frozen=True)
@@ -321,14 +337,94 @@ def _gather(op: np.ndarray):
 
 
 def spsolve(system, rhs) -> np.ndarray:
-    """SuperLU's solve of the CSC ``system`` with no column ordering of its own:
-    :func:`_fold_plan` has numbered the unknowns in the order to factor in.
+    """The solution of the folded CSC ``system``, which a fold plan built (:func:`_fold_plan`).
     :func:`_stationary` calls it by this name, and an exactly singular factor raises
-    ``RuntimeError``.  A diagonal pivot is kept while it is at least half its column's
-    largest entry (at ``n_cut`` 127, which only a good cavity's fixed cutoff factors
-    whole: 5.27M entries in L and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
+    ``RuntimeError``.  At most ``_BAND_MAX`` unknowns, the band of the system's plan solves
+    it.  Above, SuperLU does, with no column ordering of its own: the plan has numbered the
+    unknowns in the order to factor in.  A diagonal pivot is kept while it is at least half
+    its column's largest entry (at ``n_cut`` 127, which only a good cavity's fixed cutoff
+    factors whole: 5.27M entries in L and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
+    if system.shape[0] <= _BAND_MAX:
+        return system.plan.band.solve(system, rhs)
     from scipy.sparse.linalg import splu
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
+
+
+class _Band:
+    """LAPACK's banded LU with partial pivoting (``dgbtrf``, ``dgbtrs``) of the systems of
+    one CSC pattern, in the reverse of :func:`_cuthill_mckee`'s order of its symmetrised
+    graph: ``order[k]`` is the unknown at band index ``k``, and ``kl``/``ku`` are the
+    half-bandwidths there (36/36 at rung 16).  ``at`` sends each stored entry, in CSC
+    order, to its place in the Fortran-ordered band of ``shape``, whose first ``kl`` rows
+    take the pivots' fill.
+    """
+
+    def __init__(self, plan: _IndexPlan):
+        from scipy.sparse import csc_matrix
+        n, indptr, indices = plan.n, plan.indptr, plan.indices
+        graph = csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        graph = (graph + graph.T).tocsr()
+        self.order = _frozen(_cuthill_mckee(graph.indptr, graph.indices)[::-1])
+        number = np.empty(n, np.intp)
+        number[self.order] = np.arange(n)
+        rows, cols = number[indices], number[np.repeat(np.arange(n), np.diff(indptr))]
+        self.kl, self.ku = int((rows - cols).max()), int((cols - rows).max())
+        self.shape = (2 * self.kl + self.ku + 1, n)
+        self.at = _frozen(cols * self.shape[0] + self.kl + self.ku + rows - cols)
+
+    def solve(self, system, rhs) -> np.ndarray:
+        """``system``'s solution after one step of iterative refinement on its own residual,
+        unless the step leaves a larger residual in the rows whose right-hand side is 0, the
+        generator's.  Partial pivoting may take the trace row's 1s as pivots over generator
+        entries many decades smaller, and the step recovers what that loses (gamma_c = kappa
+        = 1e-38, eps = 1e-140: ``eta_a`` 4.0e-204, not -1.3e-204).  Where the entries are
+        large, the step's own residual carries their rounding (eps 1e9 at gamma_c 0.4, kappa
+        0.8: 6.0e-8 on the residual gate, against 3.1e-11 before it), and the step is dropped."""
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+        band = np.zeros(self.shape, order="F")
+        band.reshape(-1, order="F")[self.at] = system.data
+        lu, pivots, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) is 0")
+
+        def solved(b):
+            x = np.empty(b.size)
+            x[self.order] = dgbtrs(lu, self.kl, self.ku, b[self.order], pivots)[0]
+            return x
+
+        x = solved(rhs)
+        residual = rhs - system @ x
+        refined = x + solved(residual)
+        generator = rhs == 0
+        kept = np.abs(rhs - system @ refined)[generator].max() <= np.abs(residual)[generator].max()
+        return refined if kept else x
+
+
+def _cuthill_mckee(ptr, adj) -> np.ndarray:
+    """The Cuthill-McKee order of the symmetric graph whose CSR pattern is ``ptr`` and
+    ``adj`` (E. Cuthill and J. McKee, Proc. 24th ACM Nat. Conf. (1969)).  Each
+    component is searched breadth first from an unnumbered node of least degree; each
+    node's unnumbered neighbours follow it by degree, then index, in the order of the nodes
+    that reach them first.  On a connected graph this is the reverse of the order of
+    ``scipy.sparse.csgraph.reverse_cuthill_mckee``, built a level at a time rather than node
+    by node, and without loading that module (1.1 MB and 3-7 ms)."""
+    degree = np.diff(ptr)
+    seen, parts = np.zeros(degree.size, bool), []
+    while not seen.all():
+        unseen = np.flatnonzero(~seen)
+        frontier = unseen[degree[unseen].argmin(keepdims=True)]
+        seen[frontier] = True
+        while frontier.size:
+            parts.append(frontier)
+            counts = degree[frontier]
+            near = adj[np.repeat(ptr[frontier] - np.cumsum(counts) + counts, counts)
+                       + np.arange(counts.sum())]
+            new = ~seen[near]
+            near, by = near[new], np.repeat(np.arange(frontier.size), counts)[new]
+            near = near[np.lexsort((near, degree[near], by))]
+            frontier = near[np.sort(np.unique(near, return_index=True)[1])]
+            seen[frontier] = True
+    return np.concatenate(parts)
 
 
 def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float]:

@@ -885,12 +885,17 @@ def colamd_outcome(params, n_cut):
 
 
 def count_factorisations(monkeypatch):
-    """The sizes of the systems SuperLU factors from this call on."""
+    """The sizes of the systems factored from this call on, by LAPACK's banded LU or
+    by SuperLU."""
+    import scipy.linalg.lapack
     import scipy.sparse.linalg
-    sizes, splu = [], scipy.sparse.linalg.splu
+    sizes, splu, dgbtrf = [], scipy.sparse.linalg.splu, scipy.linalg.lapack.dgbtrf
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda system, **options: sizes.append(system.shape[0]) or
                         splu(system, **options))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
+                        lambda ab, *args, **options: sizes.append(ab.shape[1]) or
+                        dgbtrf(ab, *args, **options))
     return sizes
 
 
@@ -1033,6 +1038,122 @@ class TestOneAcceptanceRule:
         if coupled:  # a fixed cutoff above the accepted rung takes its state, padded
             got = steady_density(params, HilbertConfig(127)).matrix
             assert np.array_equal(got, oracle._pad(rho.matrix, 2, 127))
+
+
+@st.composite
+def ladder_points(draw):
+    """``(coupled, gamma_c, kappa, eps)`` from the benchmark's ``oracle_ladder`` ranges, every
+    rate times one power of 2: coupled, gamma_c in [0.2, 0.8], kappa/gamma_c log-uniform in
+    [2, 16] and the bare amplitude 2 eps/kappa in [0.05, 4.5]; or ``g = 0``, kappa in [0.4,
+    4] and the amplitude in [0.1, 1.2].  The scale stops at 2**20: the residual gate is
+    absolute and a solve's rounding grows with the rates, from 1.5e-11 to 1.7e-10 at 2**20
+    up to the gate's 1e-8 at 2**27 to 2**28, where either solve may miss it."""
+    scale = 2.0 ** draw(st.integers(-100, 20))
+    if draw(st.booleans()):
+        gamma_c = draw(st.floats(0.2, 0.8))
+        kappa, alpha = gamma_c * 2.0 ** draw(st.floats(1.0, 4.0)), draw(st.floats(0.05, 4.5))
+        return True, gamma_c * scale, kappa * scale, alpha * kappa / 2.0 * scale
+    kappa, alpha = draw(st.floats(0.4, 4.0)), draw(st.floats(0.1, 1.2))
+    return False, 0.0, kappa * scale, alpha * kappa / 2.0 * scale
+
+
+def ladder_solves(coupled, gamma_c, kappa, eps):
+    """The ladder's accepted state, or the type of its refusal, and every solve it made as
+    ``(system, rhs, solution)``."""
+    if coupled:
+        params = SystemParams.from_gamma_c(gamma_c, kappa, eps)
+        rates, kappa = oracle._displaced(params), params.kappa
+    else:
+        rates, kappa = oracle._cavity(eps, kappa)
+    solves, solve = [], oracle.spsolve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "spsolve", lambda system, rhs: solves.append(
+            (system, rhs, x := solve(system, rhs))) or x)
+        try:
+            return oracle._settled(coupled, rates, kappa), solves
+        except (DimensionCap, SingularSystem) as exc:  # the ladder's two refusals
+            return type(exc), solves
+
+
+class TestBandedSolve:
+    """Folded systems of at most ``oracle._BAND_MAX`` unknowns are solved by LAPACK's banded
+    LU in a reverse Cuthill-McKee order, with one step of iterative refinement; larger ones
+    by SuperLU."""
+
+    def test_an_exactly_singular_factor_exits_3(self, monkeypatch, capsys):
+        # the trace row alone: dgbtrf finds a pivot that is exactly 0 (info > 0)
+        from cavity_squeezing import cli
+        solve, message = oracle.spsolve, "stationary solve failed: Factor is exactly singular"
+
+        def trace_row_alone(system, rhs):
+            system.data[system.indices != rhs.argmax()] = 0.0
+            return solve(system, rhs)
+
+        monkeypatch.setattr(oracle, "spsolve", trace_row_alone)
+        with pytest.raises(SingularSystem, match=f"^{message}: U"):
+            steady_density(params_at(0.2), HilbertConfig(16))
+        assert cli.main(["oracle", "--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}: U")
+
+    def test_a_refinement_step_that_raises_the_residual_is_dropped(self):
+        # at eps 1e9 the step's own residual carries the rounding of entries of about 7e8
+        # (6.0e-8 on the gate); gamma_c = kappa = 1e-38 in tests/test_domain.py needs it kept
+        n_cut, report = cutoff_converged(params_at(1e9))
+        assert n_cut == 16 and report.residual <= 1e-10
+
+    def test_the_size_rule(self, monkeypatch):
+        # rung 32 and the g = 0 rung 64 are factored as bands, rung 64 by SuperLU, each once
+        systems, solve = [], oracle.spsolve
+        monkeypatch.setattr(oracle, "spsolve",
+                            lambda system, rhs: systems.append(system) or solve(system, rhs))
+        sizes = count_factorisations(monkeypatch)
+        for n_cut, coupled, rates in ((32, True, (0.2, 0.0, 0.5)), (64, False, (0.0, 0.2, 0.0)),
+                                      (64, True, (0.2, 0.0, 0.5))):
+            oracle._stationary(frame := oracle._frame(n_cut, coupled), frame.at(*rates), 0.8)
+        assert [(len(system.indptr) - 1, "band" in vars(system.plan)) for system in systems] == [
+            (2211, True), (2145, True), (8515, False)]
+        assert sizes == [2211, 2145, 8515]
+
+    @pytest.mark.parametrize("n_cut, coupled, rates", [
+        (16, True, (0.2, 0.0, 0.5)), (17, True, (0.2, 0.0, 0.5)), (32, True, (0.2, 0.0, 0.5)),
+        (16, False, (0.0, 0.2, 0.0)), (64, False, (0.0, 0.2, 0.0)),
+        (16, True, (0.2, 0.0, 0.0)), (8, True, (0.0, 0.0, 0.0))])
+    def test_order_is_scipys_reverse_cuthill_mckee(self, n_cut, coupled, rates):
+        # node for node on a connected pattern; without drive the pattern falls apart, and
+        # where components tie on degree the starts may differ, but not the bandwidths
+        from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+        frame = oracle._frame(n_cut, coupled)
+        _, _, system = oracle._folded(frame, frame.at(*rates), 0.8)
+        graph = abs(system) + abs(system.T)
+        graph.data[:] = 1.0
+        band, want = system.plan.band, reverse_cuthill_mckee(graph.tocsr(), symmetric_mode=True)
+        if connected_components(graph)[0] == 1:
+            assert np.array_equal(band.order, want)
+        number = np.argsort(want)
+        rows, cols = number[system.indices], number[np.repeat(np.arange(len(want)),
+                                                              np.diff(system.indptr))]
+        assert (band.kl, band.ku) == ((rows - cols).max(), (cols - rows).max())
+        assert np.array_equal(np.sort(band.order), np.arange(len(want)))
+
+    @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
+    @given(point=ladder_points())
+    @example(point=(True, 0.4, 0.8, 0.2))  # the canonical point
+    @example(point=(True, 1e-30, 1e30, 1.0))  # the domain test's extreme points
+    @example(point=(True, 1e-38, 1e-38, 1e-140))
+    def test_matches_superlu(self, point):
+        # a tenth of the profile's examples: a draw may solve rung 64 twice
+        banded, solves = ladder_solves(*point)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BAND_MAX", 0)
+            superlu, _ = ladder_solves(*point)
+            for system, rhs, x in solves:
+                want = oracle.spsolve(system, rhs)
+                assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        if isinstance(banded, type):
+            assert banded is superlu
+        else:
+            assert banded.ops == superlu.ops
+            assert banded.residual <= oracle._RESIDUAL_TOL
 
 
 class TestStrongDrive:
