@@ -36,17 +36,20 @@ Conventions, fixed once and used everywhere:
   Cuthill-McKee order of its pattern (``_Band``, half-bandwidths 36/36 at rung 16), with
   one step of iterative refinement;
 * every cutoff has one acceptance rule (``_settled``): rung n = 16, 32, ... is solved
-  directly and passes when its state, padded with zeros, meets a normwise backward error
-  of 1e-15 in each row block of rung n + 1's folded system, which is never factored.  No
-  generator term moves a Fock number by more than 1, so on that state rung n + 1 has the
-  rows of every larger cutoff.  A fixed ``g = 0`` cutoff, which the coherent state fills,
-  is solved directly;
+  directly and certified from its own top Fock shell.  No generator term moves a Fock
+  number by more than 1, so on rung n's state padded with zeros every larger cutoff has
+  two kinds of rows: rung n's own, which carry its rounding and which the residual gate
+  already bounds, and a ring at Fock number n + 1, which sees one entry of ``K``, the one
+  that raises Fock number n, times the top shell: the truncation.  Rung n passes when the
+  ring is at most a normwise backward error of 1e-15 of rung n's folded generator rows
+  (J. L. Rigal and J. Gaches, J. ACM 14, 543 (1967)); no rung n + 1 is built.  A state
+  stays on the space it was solved on;
 * what the rates leave unchanged is built once, in read-only arrays, per cutoff and
   frame (``_frame``, the product space or the ``g = 0`` cavity block) in one object:
   the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
-  ``K = -i H`` the generator's plan and the folded system's, and on the product space
-  the moments' gathers, which the ``g = 0`` states read too.  A rung evaluates its
-  rates on the slots, sums the values on the plans, solves and gathers.
+  ``K = -i H`` the generator's plan and the folded system's, and the moments' gathers,
+  which a state reads on the frame that solved it.  A rung evaluates its rates on the
+  slots, sums the values on the plans, solves and gathers.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -99,9 +102,10 @@ _FRAMEWORK_NOTE = (
 # (1.2e-3 at rung 16).
 _LADDER_START = 16
 _RESIDUAL_TOL = 1e-8
-# A rung's state passes on the next rung at this backward error (_padded).  At n_cut 127
-# and 9 points, kappa 1e-3 to 400 and eps up to 1e4, the direct solve's backward error
-# by _padded's measure reads 4e-19 to 3.3e-16.
+# A rung passes when its top shell's ring is at most this backward error of its folded
+# generator rows (_settled).  At 36 good-cavity points (gamma_c 1, kappa/gamma_c 0.05 to 0.2,
+# x = 8 eps**2/(kappa gamma_c) 1e2 to 1e4) the ring fell from 1e-8 to 5e-4 at rung 16 to
+# 4.4e-25 or less at 64, and the rungs' own rows stayed at or below 2.6e-16 by that measure.
 _BACKWARD_TOL = 1e-15
 # Folded systems of at most this many unknowns are factored by :class:`_Band`, larger ones
 # by SuperLU (:func:`spsolve`).  At the canonical rates, one core, the band took 0.25-0.33
@@ -192,19 +196,20 @@ class _Frame:
         return g * (j + shift * s) + epsilon * e
 
 
-# oracle_ladder runs use 7: coupled 16, 17 and 32 (for g = 0's moments); g = 0 16, 17, 32, 33
+# oracle_ladder runs use 3: coupled 16; g = 0 16 and 32
 @lru_cache(maxsize=12)
 def _frame(n_cut: int, coupled: bool) -> _Frame:
     """The product space's frame at ``n_cut``, with the gathers of ``b``, ``b^2``,
     ``b^dag b``, ``sigma``, ``eta_a`` and ``eta_b``, ``b = a``; or the cavity's own on its
-    ``n_cut + 1`` states, where the atom stays in its lower level and only ``E`` is left."""
+    ``n_cut + 1`` states, where the atom stays in its lower level and only ``E`` is left,
+    with the gathers of ``b``, ``b^2`` and ``b^dag b``."""
     if coupled:
         ops = _product_operators(n_cut)
         a, s = ops["a"], ops["sigma"]
         return _Frame(a, [s.T @ a - a.T @ s, s.T - s, a.T - a],
                       (a, a @ a, a.T @ a, s, ops["eta_a"], ops["eta_b"]))
     a = _lowering(n_cut + 1)
-    return _Frame(a, [np.zeros_like(a), np.zeros_like(a), a.T - a])
+    return _Frame(a, [np.zeros_like(a), np.zeros_like(a), a.T - a], (a, a @ a, a.T @ a))
 
 
 def _generator(frame: _Frame, k, kappa: float):
@@ -285,17 +290,15 @@ class DensityMatrix:
 
     ``matrix`` is real and exactly symmetric: every solve reads it through a symmetric
     index.  ``residual`` is the max-entrywise ``drho/dt`` under the original (unmodified)
-    generator; ``ops`` is the truncated Hilbert space that ``matrix`` lives on.  ``shift``
+    generator; ``ops`` is the truncated Hilbert space that ``matrix`` was solved on, its
+    product space, or at ``g = 0`` the cavity's own ``ops.n_cut + 1`` states.  ``shift``
     is the frame: the state's ladder operator ``b`` is the lab field minus ``shift``.
-    ``rung`` is set only on a state padded with zeros onto ``ops`` (:func:`steady_density`):
-    the own state of the smaller rung that settles it, whose block ``matrix`` holds.
     """
 
     matrix: np.ndarray
     residual: float
     ops: HilbertConfig = field(repr=False)
     shift: float = 0.0
-    rung: DensityMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def trace_error(self) -> float:
         return float(abs(np.trace(self.matrix) - 1.0))
@@ -315,9 +318,11 @@ class DensityMatrix:
 
     @cached_property
     def moments(self) -> tuple[complex, ...]:
-        """``<b>``, ``<b^2>``, ``<b^dag b>``, ``<sigma>``, ``<sigma^dag sigma>`` of the
-        solved frame, ``b`` its ladder operator: the one place they are read, once per state."""
-        return tuple(map(self._read, _frame(self.ops.n_cut, True).gathers[:5]))
+        """``<b>``, ``<b^2>``, ``<b^dag b>`` and, on the product space, ``<sigma>`` and
+        ``<sigma^dag sigma>``, read on the frame that solved the state, ``b`` its ladder
+        operator: the one place they are read, once per state."""
+        frame = _frame(self.ops.n_cut, len(self.matrix) == self.ops.dim)
+        return tuple(map(self._read, frame.gathers[:5]))
 
     def field_moments(self) -> tuple[complex, complex, complex]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
@@ -427,13 +432,14 @@ def _cuthill_mckee(ptr, adj) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float]:
+def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float, float]:
     """The real symmetric stationary state of the generator ``L`` of :func:`_generator`.
 
     ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
     ``(j, i)`` coincide: keep ``i <= j``, send the row and column of each entry ``(r, s)``
     to unknown ``pos[r, s]``, and put the trace row in place of ``(0, 0)``'s.  Returns the
-    state and its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``.
+    state, its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``,
+    and the folded system's norm: the largest absolute row sum of the generator's rows.
     """
     lv, pos, system = _folded(frame, k, kappa)
     try:
@@ -446,7 +452,8 @@ def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float]:
     residual = float(np.abs(lv @ rho.ravel("F")).max())
     if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
-    return rho, residual
+    rows = np.bincount(system.indices, np.abs(system.data), x.size)  # CSC: indices are rows
+    return rho, residual, float(np.delete(rows, pos[0, 0]).max())
 
 
 def _folded(frame: _Frame, k, kappa: float):
@@ -459,36 +466,6 @@ def _folded(frame: _Frame, k, kappa: float):
     values = np.ones(frame.d + kept.size)  # the trace row's 1s, then the entries kept
     lv.data.take(kept, out=values[frame.d:])
     return lv, pos, system(values)
-
-
-def _pad(rho: np.ndarray, levels: int, n_cut: int) -> np.ndarray:
-    """``rho``, on ``levels`` atomic levels (slow) times a shorter Fock ladder (fast), on
-    the Fock states 0..``n_cut``: 0 at every Fock number above its own."""
-    m, big = len(rho) // levels, n_cut + 1
-    padded = np.zeros((levels, big, levels, big))
-    padded[:, :m, :, :m] = rho.reshape(levels, m, levels, m)
-    return padded.reshape(levels * big, levels * big)
-
-
-def _padded(frame: _Frame, rates, kappa: float, rho: np.ndarray):
-    """The residual on ``frame`` of ``rho``, one Fock number short of it, padded with zeros;
-    or ``None`` unless that state passes, on ``frame``'s folded system (built, never
-    factored) and on the residual gate, as a stationary state of ``frame`` and so of every
-    larger cutoff."""
-    lv, pos, system = _folded(frame, frame.at(*rates), kappa)
-    padded = _pad(rho, frame.d // (frame.fock.max() + 1), frame.fock.max())
-    x = np.empty(system.shape[0])
-    x[pos] = padded
-    rhs = np.eye(1, x.size, pos[0, 0])[0]
-    # The target: |b - A x| <= tol (|A| |x| + |b|) in the infinity norm, in each row block,
-    # the generator's and the trace row's.  Neither changes when every rate is multiplied
-    # by 2**k; over the whole system the trace row's norm d would outweigh small rates.
-    norms = np.full(x.size, np.delete(abs(system) @ np.ones(x.size), pos[0, 0]).max())
-    norms[pos[0, 0]] = frame.d
-    if not np.all(np.abs(rhs - system @ x) <= _BACKWARD_TOL * (norms * np.abs(x).max() + rhs)):
-        return None
-    residual = float(np.abs(lv @ padded.ravel("F")).max())
-    return residual if residual <= _RESIDUAL_TOL else None
 
 
 def _fold_plan(frame: _Frame, plan: _IndexPlan):
@@ -558,25 +535,19 @@ def _dissection(u, v) -> np.ndarray:
 
 
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
-    """Stationary density matrix of the full master equation, in the displaced frame, on
-    ``config``'s space.
+    """Stationary density matrix of the full master equation, in the displaced frame, at
+    ``config``'s cutoff.
 
     ``config.n_cut`` truncates the fluctuation field ``b = a - 2 eps/kappa``.  A smaller
-    rung whose state settles it (see :func:`_settled`) gives that state padded with zeros,
-    index by index (atom slow, Fock fast), so ``config``'s frame is not built; the padded
-    state keeps the rung's own as its ``rung``.  Otherwise ``config.n_cut`` is solved
-    directly.
+    rung that settles it (see :func:`_settled`) gives its own state, on its own space
+    (``ops``), with its residual on every cutoff above it, ``config``'s included, and
+    ``config``'s frame is not built: padded with zeros, index by index (atom slow, Fock
+    fast), that state is ``config``'s.  Otherwise ``config.n_cut`` is solved directly.
     Raises :class:`SingularSystem` when the linear solve fails or the
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
     """
-    rho = _settled(True, _displaced(params), params.kappa, config)
-    if rho.ops == config:
-        return rho
-    padded = DensityMatrix(matrix=_pad(rho.matrix, 2, config.n_cut), residual=rho.residual,
-                           ops=config, shift=rho.shift)
-    object.__setattr__(padded, "rung", rho)
-    return padded
+    return _settled(True, _displaced(params), params.kappa, config)
 
 
 def _displaced(params: SystemParams) -> tuple[float, float, float]:
@@ -588,36 +559,43 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
              dim_cap: int = _DIM_CAP) -> DensityMatrix:
     """The stationary state on ``_frame(n_cut, coupled)``, ``K`` valued ``_Frame.at(*rates)``,
     at the cutoff that the one acceptance rule picks: rung ``n`` = ``_LADDER_START``, ``2 n``,
-    ... is solved directly and passes if :func:`_padded` accepts its state on rung ``n + 1``.
-    The state returned is always a solve's own, on the space it was solved on.
+    ... is solved directly and passes on its top Fock shell.  The state returned is always a
+    solve's own, on the space it was solved on.
+
+    On rung n's state padded with zeros, the ring of rows at Fock number ``n + 1`` reads the
+    one entry of ``K`` that raises Fock number n (``g sqrt(n + 1)`` from the upper level in
+    the displaced frame, ``eps sqrt(n + 1)`` at ``g = 0``) times row n of ``rho``.  Rung n
+    passes when the ring is at most ``_BACKWARD_TOL`` times its folded norm times ``max
+    |rho|``, and at most ``_RESIDUAL_TOL``, which its own rows already meet.
 
     Without ``config`` this is the ladder: the first passing rung's state and residual; a
     rung's failed solve, or :class:`DimensionCap` from the first rung above ``dim_cap``,
-    raises.  With ``config``, the product space's rungs below its cutoff N are tried, a
-    failed solve is a miss, and a hit is rung n's state with its residual on rung ``n + 1``,
-    which every cutoff above n, N's included, shares, and N's frame is not built; once no
+    raises.  With ``config``, the rungs below its cutoff N are tried, a failed solve is a
+    miss, and a hit is rung n's state with the residual ``max(its own, the ring)``, that of
+    its padding on every cutoff above n, N's included, and N's frame is not built; once no
     rung passes, N is solved directly.
     """
     n_cut = _LADDER_START
-    while config is None or (coupled and n_cut < config.n_cut):
+    while config is None or n_cut < config.n_cut:
         rung = HilbertConfig(n_cut, dim_cap if config is None else config.dim_cap)
         try:
-            rho, residual = _stationary(frame := _frame(n_cut, coupled), frame.at(*rates), kappa)
-            wide = _padded(_frame(n_cut + 1, coupled), rates, kappa, rho)
+            rho, residual, norm = _stationary(frame := _frame(n_cut, coupled),
+                                              frame.at(*rates), kappa)
         except SingularSystem:
             if config is None:
                 raise
-            wide = None
-        if wide is not None:
-            if config is not None:
-                residual = wide
-            break
+        else:
+            raising = abs(rates[0] if coupled else rates[1]) * math.sqrt(n_cut + 1)  # |K|
+            ring = float(raising * np.abs(rho[n_cut]).max())
+            if ring <= min(_BACKWARD_TOL * norm * np.abs(rho).max(), _RESIDUAL_TOL):
+                if config is not None:
+                    residual = max(residual, ring)
+                break
         n_cut *= 2
     else:
         rung, frame = config, _frame(config.n_cut, coupled)
-        rho, residual = _stationary(frame, frame.at(*rates), kappa)
-    matrix = rho if coupled else np.kron(np.diag([0.0, 1.0]), rho)
-    return DensityMatrix(matrix=matrix, residual=residual, ops=rung, shift=rates[2])
+        rho, residual, _ = _stationary(frame, frame.at(*rates), kappa)
+    return DensityMatrix(matrix=rho, residual=residual, ops=rung, shift=rates[2])
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -722,10 +700,9 @@ def compare_with_closed_form(
     """Solve the stationary problem at one cutoff and tabulate comparisons.
 
     A cutoff that a smaller rung settles (see :func:`steady_density`) is reported from that
-    rung's own state, with the cutoff's ``n_cut`` and residual, so neither the cutoff's
-    frame nor an eigensolve of its padded matrix is needed."""
-    rho = steady_density(params, config)
-    return _build_report(rho.rung or rho, params, config.n_cut)
+    rung's own state, with the cutoff's ``n_cut`` and the state's residual on it, so neither
+    the cutoff's frame nor an eigensolve of the padded state is needed."""
+    return _build_report(steady_density(params, config), params, config.n_cut)
 
 
 def cutoff_converged(
@@ -741,28 +718,9 @@ def cutoff_converged(
     return rho.ops.n_cut, _build_report(rho, params, rho.ops.n_cut)
 
 
-def decoupled_cavity_steady(
-    epsilon: float, kappa: float, config: HilbertConfig
-) -> DensityMatrix:
-    """Stationary state for a decoupled atom (``g = 0``), solved reliably.
-
-    At ``g = 0`` the full generator has a degenerate stationary manifold
-    (the atom never relaxes), so the full-space solve is singular.  The
-    cavity factor alone still has a unique stationary state — a coherent
-    state of amplitude ``2 eps / kappa`` — so the lab-frame Hamiltonian and jump
-    operator are solved on their ``m = n_cut + 1`` states with the atom in the
-    lower level, and the solution is tensored with that level.  No term of the
-    generator changes an atomic index and ``rho`` is 0 off that block, so the
-    full-space ``L vec(rho)`` is the block's on it and 0 elsewhere: the residual is the same.
-    The coherent state fills its cutoff, so ``config.n_cut`` is solved directly.
-    A drive is refused as :class:`SystemParams` refuses one with ``gamma_c = 0``: from
-    ``8 eps**2 > 1e77``.
-    """
-    return _settled(False, *_cavity(epsilon, kappa), config)
-
-
 def _cavity(epsilon: float, kappa: float) -> tuple[tuple[float, float, float], float]:
-    """:meth:`_Frame.at`'s rates of the ``g = 0`` cavity block, and ``kappa``, both checked."""
+    """:meth:`_Frame.at`'s rates of the ``g = 0`` cavity block, and ``kappa``, both checked: a
+    drive as :class:`SystemParams` checks one with ``gamma_c = 0``, to ``8 eps**2 <= 1e77``."""
     epsilon, kappa = _require_drive(_require_one_drive(epsilon)), _require_rate("kappa", kappa)
     _require_bounded_drive(epsilon)
     return (0.0, epsilon, 0.0), kappa
@@ -775,7 +733,9 @@ def decoupled_benchmark(
 ) -> dict:
     """Convergence benchmark of the ``g = 0`` limit against coherent-state values.
 
-    The cavity alone settles into a coherent state, so the exact answers
+    At ``g = 0`` the full generator's stationary manifold is degenerate (the atom never
+    relaxes), but the cavity alone, solved on its own states with the atom in its lower
+    level, settles into a coherent state, so the exact answers
     are ``<a> = 2 eps/kappa``, ``<a^dag a> = (2 eps/kappa)**2`` and both
     standard-commutator variances equal to 1.
     """

@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -130,9 +131,31 @@ def test_oracle_ends_in_a_documented_exit_with_a_physical_state(point):
     assert code in (0, 3, 4)
     if code:
         return
+    assert_physical(report)
+
+
+def assert_physical(report):
+    """An accepted state's report keeps the bounds of a physical state."""
     oracle = {name: entry["oracle"] for name, entry in report["comparisons"].items()}
     assert report["trace_error"] <= 1e-12
     assert report["min_eigenvalue"] >= -1e-10
     assert abs(oracle["sigma"]) <= 0.5
     assert 0.0 <= oracle["eta_a"] <= 1.0
     assert oracle["var_plus"] * oracle["var_minus"] >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("point", [
+    (1.6361448033549306e-11, 1.4172530725944497e-12, 1.8028179491341426e-11),
+    (9.785884730357201e-35, 1.0123513251319509e-35, 7.255250732033396e-34),
+    (2.0169898757721235e-09, 1.0113327426055634e-10, 1.5560793523152175e-08),
+])
+def test_a_good_cavity_state_is_not_refused_on_rounding(point):
+    # kappa/gamma_c 0.087, 0.10 and 0.050, x = 8 eps**2/(kappa gamma_c) 112, 4.3e3 and
+    # 9.5e3.  Rung 64's state is converged: its top shell's ring is 6.4e-33, 5.5e-35 and
+    # 1.1e-25 of its folded norm times max |rho|.  Its own rows' backward error, the
+    # rounding of an 8,515-unknown solve, is 1.23e-15, 1.26e-15 and 4.4e-15, which a bound
+    # of 1e-15 on every row of the padded state refused, sending these ladders on to the
+    # cap (exit 4)
+    code, report = run_oracle(*point)
+    assert (code, report and report["n_cut"]) == (0, 64)
+    assert_physical(report)

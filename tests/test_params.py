@@ -10,12 +10,12 @@ from cavity_squeezing import (
     IntegratorConfig,
     SweepSpec,
     SystemParams,
+    decoupled_benchmark,
     default_integrator_config,
     integrate,
     steady_density,
     stream_trajectory,
 )
-from cavity_squeezing.oracle import decoupled_cavity_steady
 
 
 def test_gamma_c_derived_from_coupling():
@@ -171,8 +171,7 @@ def test_shared_numeric_rules(build, value, message):
 # The solvers that take one drive, each given a parameter set.
 _ONE_DRIVE = {
     "steady_density": lambda p: steady_density(p, HilbertConfig(8)),
-    "decoupled_cavity_steady": lambda p: decoupled_cavity_steady(p.epsilon, p.kappa,
-                                                                 HilbertConfig(8)),
+    "decoupled_benchmark": lambda p: decoupled_benchmark(p.epsilon, p.kappa),
     "integrate": lambda p: integrate(GROUND_STATE, p, default_integrator_config(p)),
     "stream_trajectory": lambda p: stream_trajectory(GROUND_STATE, p,
                                                      default_integrator_config(p)),
