@@ -11,9 +11,9 @@ The coupled solve uses the displaced (Mollow) frame ``a = alpha + b``,
 ``alpha = 2 eps/kappa`` (B. R. Mollow, Phys. Rev. A 12, 1919 (1975)): the
 cavity drive cancels, leaving ``i g (sigma^dag b - b^dag sigma) +
 i g alpha (sigma^dag - sigma)`` and ``kappa D[b]``, so the Fock cutoff
-truncates the small fluctuation field ``b``.  All generators and states
-are real (``float64``); :meth:`DensityMatrix.field_moments` maps moments
-back to ``a``.  The ``g = 0`` limit, solved in the lab frame on the
+truncates the small fluctuation field ``b``.  All generators, states and
+moments are real (``float64``); :meth:`DensityMatrix.field_moments` maps
+moments back to ``a``.  The ``g = 0`` limit, solved in the lab frame on the
 cavity's ``n_cut + 1`` states with the atom in its lower level, still
 checks ``alpha`` independently.
 
@@ -23,7 +23,7 @@ Conventions, fixed once and used everywhere:
   fast, atomic basis ``[upper, lower]``;
 * density matrices are vectorised by column stacking, so a left factor
   ``A`` becomes ``I (x) A``, a right factor ``B`` becomes ``B^T (x) I``,
-  and the sandwich ``A rho A^dag`` becomes ``conj(A) (x) A``;
+  and for a real ``A`` the sandwich ``A rho A^T`` becomes ``A (x) A``;
 * the stationary state is solved for on the real-symmetric subspace, its
   ``d(d+1)/2`` entries ``i <= j``: half the unknowns, and no rounding in the
   antisymmetric part, a nearly null direction of the generator at strong
@@ -304,41 +304,39 @@ class DensityMatrix:
         return float(abs(np.trace(self.matrix) - 1.0))
 
     def hermiticity_error(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(np.abs(self.matrix - self.matrix.T).max())
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def expect(self, op: np.ndarray) -> complex:
+    def expect(self, op: np.ndarray) -> float:
         return self._read(_gather(op))
 
-    def _read(self, gather) -> complex:
+    def _read(self, gather) -> float:
         values, rows, cols = gather
-        return complex(values @ self.matrix[rows, cols])
+        return float(values @ self.matrix[rows, cols])
 
     @cached_property
-    def moments(self) -> tuple[complex, ...]:
-        """``<b>``, ``<b^2>``, ``<b^dag b>`` and, on the product space, ``<sigma>`` and
-        ``<sigma^dag sigma>``, read on the frame that solved the state, ``b`` its ladder
-        operator: the one place they are read, once per state."""
+    def moments(self) -> tuple[float, ...]:
+        """``<b>``, ``<b^2>``, ``<b^dag b>`` and, on the product space, ``<sigma>``,
+        ``<sigma^dag sigma>`` and ``<sigma sigma^dag>``: every gather of the frame that
+        solved the state, ``b`` its ladder operator, read once per state."""
         frame = _frame(self.ops.n_cut, len(self.matrix) == self.ops.dim)
-        return tuple(map(self._read, frame.gathers[:5]))
+        return tuple(map(self._read, frame.gathers))
 
-    def field_moments(self) -> tuple[complex, complex, complex]:
+    def field_moments(self) -> tuple[float, float, float]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
         place the frame is undone.  Variances do not change under it and are read
         in the solved frame: from these, terms of size ``4 shift**2`` would cancel."""
         s, (mean_b, mean_b2, n_b) = self.shift, self.moments[:3]
-        return (s + mean_b,
-                s * s + 2.0 * s * mean_b + mean_b2,
-                s * s + 2.0 * s * mean_b.real + n_b)
+        return s + mean_b, s * s + 2.0 * s * mean_b + mean_b2, s * s + 2.0 * s * mean_b + n_b
 
 
 def _gather(op: np.ndarray):
-    """``tr(op rho)`` as a gather over the nonzeros of the dense ``op``: their values,
-    and the rows and columns of ``rho`` they meet."""
+    """``tr(op rho)`` as a gather over the nonzeros of the dense ``op``: their values, cast
+    safely to ``float64`` (else ``TypeError``), and the rows and columns of ``rho`` they meet."""
     rows, cols = np.nonzero(op)
-    return op[rows, cols], cols, rows
+    return op[rows, cols].astype(float, casting="safe"), cols, rows
 
 
 def spsolve(system, rhs) -> np.ndarray:
@@ -607,9 +605,9 @@ def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
     """
     mean, mean_sq, n_b = rho.moments[:3]
     sym = 2.0 * n_b + 1.0  # <b b^dag + b^dag b> via the commutator
-    var_plus = sym + 2.0 * mean_sq.real - 2.0 * (mean * mean).real - 2.0 * abs(mean) ** 2
-    var_minus = sym - 2.0 * mean_sq.real + 2.0 * (mean * mean).real - 2.0 * abs(mean) ** 2
-    return float(var_plus.real), float(var_minus.real)
+    var_plus = sym + 2.0 * mean_sq - 2.0 * (mean * mean) - 2.0 * abs(mean) ** 2
+    var_minus = sym - 2.0 * mean_sq + 2.0 * (mean * mean) - 2.0 * abs(mean) ** 2
+    return var_plus, var_minus
 
 
 @dataclass(frozen=True)
@@ -617,9 +615,9 @@ class OracleReport:
     """Side-by-side comparison of oracle moments and closed forms.
 
     ``comparisons`` maps quantity names to dicts with keys ``oracle``,
-    ``closed_form`` and ``delta``; complex oracle moments enter through
-    their real parts, with the largest imaginary magnitude recorded in
-    ``max_imag_part`` (0 by construction: state and operators are real).
+    ``closed_form`` and ``delta``.  Every Hamiltonian of the model is ``i`` times a
+    real matrix and the jump operator is real, so the state and every oracle moment
+    are real (``float64``): ``max_imag_part`` is 0.0 by construction.
     """
 
     g: float
@@ -644,14 +642,14 @@ class OracleReport:
 
 def _build_report(rho: DensityMatrix, params: SystemParams, n_cut: int) -> OracleReport:
     mean_a, mean_a2, mean_n = rho.field_moments()
-    *_, sigma, eta_a = rho.moments
+    *_, sigma, eta_a, eta_b = rho.moments
     var_plus, var_minus = standard_quadrature_variances(rho)
     moments = {
         "mean_photon_number": mean_n,
         "mean_field": mean_a,
         "mean_field_squared": mean_a2,
         "eta_a": eta_a,
-        "eta_b": rho._read(_frame(rho.ops.n_cut, True).gathers[5]),
+        "eta_b": eta_b,
         "sigma": sigma,
         "var_plus": var_plus,
         "var_minus": var_minus,
@@ -674,8 +672,7 @@ def _build_report(rho: DensityMatrix, params: SystemParams, n_cut: int) -> Oracl
     }
 
     comparisons = {
-        name: {"oracle": value.real, "closed_form": closed[name],
-               "delta": value.real - closed[name]}
+        name: {"oracle": value, "closed_form": closed[name], "delta": value - closed[name]}
         for name, value in moments.items()
     }
     least = rho.min_eigenvalue()  # padding rho onto a larger n_cut adds zeros to the spectrum
@@ -689,7 +686,7 @@ def _build_report(rho: DensityMatrix, params: SystemParams, n_cut: int) -> Oracl
         trace_error=rho.trace_error(),
         hermiticity_error=rho.hermiticity_error(),
         min_eigenvalue=least if n_cut == rho.ops.n_cut else min(least, 0.0),
-        max_imag_part=max(abs(value.imag) for value in moments.values()),
+        max_imag_part=0.0,
         comparisons=comparisons,
     )
 
@@ -744,8 +741,8 @@ def decoupled_benchmark(
     alpha = 2.0 * epsilon / kappa
     var_plus, var_minus = standard_quadrature_variances(rho)
     values = {
-        "mean_photon_number": (mean_n.real, alpha * alpha),
-        "mean_field": (mean_a.real, alpha),
+        "mean_photon_number": (mean_n, alpha * alpha),
+        "mean_field": (mean_a, alpha),
         "var_plus": (var_plus, 1.0),
         "var_minus": (var_minus, 1.0),
     }

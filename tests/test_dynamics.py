@@ -264,6 +264,7 @@ class TestIntegrate:
         series = integrate(initial, p, config)
         np.testing.assert_array_equal(series.states, rk4_reference(initial, p, config))
 
+    @pytest.mark.thorough
     @settings(deadline=None)
     @given(stable_runs())
     def test_is_classical_rk4_for_drawn_runs(self, run):

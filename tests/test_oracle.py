@@ -402,14 +402,23 @@ class TestSteadyDensity:
             assert abs(rho.expect(op).imag) <= 1e-12
 
     def test_expect_is_the_trace_of_the_product(self):
-        # complex states too: the gather takes the trace of the product for any dtype
+        # on a real symmetric state, as DensityMatrix documents its matrix
         ops = dense_operators(4)
         rng = np.random.default_rng(5)
-        matrix = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        x = rng.normal(size=(10, 10))
+        matrix = x + x.T
         rho = DensityMatrix(matrix=matrix, residual=0.0, ops=HilbertConfig(4))
         a = ops["a"]
         for op in (a, a.T @ a @ a, ops["sigma"], ops["eta_a"], np.eye(10)):
-            assert rho.expect(op) == pytest.approx(np.trace(op @ matrix), abs=1e-12)
+            value = rho.expect(op)
+            assert type(value) is float
+            assert value == pytest.approx(np.trace(op @ matrix), abs=1e-12)
+
+    def test_expect_refuses_a_complex_operator(self):
+        # a float read would drop the imaginary part; the gather refuses the cast instead
+        rho = DensityMatrix(matrix=np.eye(4) / 4, residual=0.0, ops=HilbertConfig(2))
+        with pytest.raises(TypeError):
+            rho.expect(np.eye(4) + 1j * np.eye(4, k=1))
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "dia"])
     def test_expect_refuses_a_sparse_operator(self, fmt):
@@ -548,6 +557,7 @@ class TestPlannedGenerator:
     """The generator summed from its plan equals the COO build of the dense Hamiltonian
     bit for bit."""
 
+    @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 32), first=POINTS, second=POINTS)
     @example(n_cut=8, first=(0.3, 0.0, 0.8, 0.5), second=(0.0, 0.2, 0.8, 0.0))
@@ -620,6 +630,7 @@ class TestPlanCache:
             assert info.currsize <= info.maxsize
         assert info.currsize == info.maxsize
 
+    @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.sampled_from([2, 3, 8, 16, 32]), coupled=st.booleans(), g=PATTERN_RATES,
            epsilon=PATTERN_RATES, shift=PATTERN_RATES)
@@ -643,6 +654,7 @@ class TestRatePath:
     """The solves evaluate their rates on a frame's cached unit parts; the generator
     equals the COO build from the dense Hamiltonian, bit for bit."""
 
+    @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 24), frame=st.sampled_from(sorted(FRAMES)), g=SIGNED,
            epsilon=SIGNED, shift=SIGNED, kappa=RATES)
@@ -863,6 +875,7 @@ class TestNestedDissection:
         with pytest.raises(SingularSystem, match="^stationary solve failed: .*singular"):
             stationary(h, a, 0.0)
 
+    @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 24), decoupled=st.booleans(),
            rates=st.tuples(*[st.floats(0.05, 2.0)] * 3))
@@ -927,6 +940,7 @@ class TestAboveRungSixteen:
     """A displaced solve at a fixed cutoff N above 16 takes the first rung below N whose state
     passes on its own top Fock shell, and solves N directly only if none does."""
 
+    @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(n_cut=st.integers(17, 40), rates=st.tuples(WIDE_RATES, WIDE_RATES, WIDE_RATES))
     @example(n_cut=127, rates=(0.4, 0.8, 0.2))
@@ -983,6 +997,7 @@ class TestAboveRungSixteen:
         oracle._frame(16, True)
         assert oracle._frame.cache_info().misses == 1  # cached: no other frame was built
 
+    @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(gamma_c=st.floats(0.2, 0.8), ratio=st.floats(0.3, 3.0).map(lambda e: 10.0**e),
            alpha=st.floats(0.05, 2.6))
@@ -1089,6 +1104,7 @@ class TestOneAcceptanceRule:
     Fock shell certifies it, which is what its state, padded with zeros, shows on rung
     n + 1."""
 
+    @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(rates=st.tuples(WIDE_RATES, WIDE_RATES, WIDE_RATES), decoupled=st.booleans(),
            alpha=st.floats(0.0, 1.2))
@@ -1117,6 +1133,7 @@ class TestOneAcceptanceRule:
             got = steady_density(params, HilbertConfig(127))
             assert got.ops == rho.ops and np.array_equal(got.matrix, rho.matrix)
 
+    @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(point=ladder_points())
     @example(point=(True, 0.4, 0.8, 0.2))  # the canonical point
@@ -1245,6 +1262,7 @@ class TestBandedSolve:
         assert (band.kl, band.ku) == ((rows - cols).max(), (cols - rows).max())
         assert np.array_equal(np.sort(band.order), np.arange(len(want)))
 
+    @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(point=ladder_points())
     @example(point=(True, 0.4, 0.8, 0.2))  # the canonical point
@@ -1370,8 +1388,8 @@ class TestMomentReads:
     @pytest.mark.parametrize(
         "run,reads",
         [
-            # five moments of the accepted rung, plus eta_b in the report; no rung's
-            # moments decide the cutoff
+            # the accepted rung's six moments, eta_b among them, which the report reads
+            # as they are; no rung's moments decide the cutoff
             (lambda: cutoff_converged(params_at(0.2)), 6),
             (lambda: compare_with_closed_form(params_at(0.2), HilbertConfig(16)), 6),
             # the cavity frame's three moments of the accepted rung; the benchmark reads
@@ -1395,19 +1413,21 @@ class TestMomentReads:
 
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     def test_moments_are_the_direct_reads(self, shift):
-        ops = HilbertConfig(n_cut=6)
+        # six reads on the product space, three on the g = 0 cavity's own states
+        ops, dense = HilbertConfig(n_cut=6), dense_operators(6)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((ops.dim, ops.dim))
-        rho = DensityMatrix(matrix=x @ x.T / np.trace(x @ x.T), residual=0.0, ops=ops,
-                            shift=shift)
-        dense = dense_operators(6)
-        b = dense["a"]
-        direct = [rho.expect(op) for op in (b, b @ b, b.T @ b, dense["sigma"], dense["eta_a"])]
-        assert rho.moments == tuple(direct)  # bit for bit
-        assert rho.moments is rho.moments  # read once per state
-        s = shift
-        assert rho.field_moments() == (s + direct[0], s * s + 2.0 * s * direct[0] + direct[1],
-                                       s * s + 2.0 * s * direct[0].real + direct[2])
+        for d, atom in ((ops.dim, ("sigma", "eta_a", "eta_b")), (ops.n_cut + 1, ())):
+            x = rng.standard_normal((d, d))
+            rho = DensityMatrix(matrix=x @ x.T / np.trace(x @ x.T), residual=0.0, ops=ops,
+                                shift=shift)
+            b = dense["a"][:d, :d]
+            direct = [rho.expect(op) for op in (b, b @ b, b.T @ b, *map(dense.get, atom))]
+            assert rho.moments == tuple(direct)  # bit for bit
+            assert rho.moments is rho.moments  # read once per state
+            assert all(type(value) is float for value in rho.moments)
+            s = shift
+            assert rho.field_moments() == (s + direct[0], s * s + 2.0 * s * direct[0] + direct[1],
+                                           s * s + 2.0 * s * direct[0] + direct[2])
 
 
 class TestReport:
@@ -1500,6 +1520,7 @@ class TestDecoupled:
             cavity_state(epsilon, 0.8, 8)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 32), point=DECOUPLED_POINTS)
     @example(n_cut=8, point=(0.2, 0.8))

@@ -358,6 +358,7 @@ _PERCENT_ENTRIES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
+@pytest.mark.thorough
 class TestCsvWriter:
     """``_write_csv`` is ``"%.12e" % x`` joined by ``,``, byte for byte."""
 
