@@ -56,14 +56,20 @@ vacuum level is 1 for both quadratures; the closed forms use the
 effective-mode normalisation.  The two disagree by design, so the report
 carries both values without judging the difference.
 
-Only the sparse steps import scipy, each in its own body: the sparse
-assembly (``_IndexPlan``), the band's order (``_Band``) and the stationary solve.
-The module, its frames and their Hamiltonians cost numpy alone.
+Only the stationary solve loads scipy, when it runs.  A banded solve runs ``import scipy``
+alone and loads LAPACK's banded LU from the file of scipy's extension module (``_lapack``);
+only SuperLU, above ``_BAND_MAX`` unknowns, imports ``scipy.sparse``.  The module, its
+frames, their Hamiltonians and the sparse matrices, which the index plans build on numpy
+arrays (``_Matrix``), cost numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
@@ -252,9 +258,9 @@ def _generator_plan(frame: _Frame, k_slots):
 
 
 class _IndexPlan:
-    """``plan(values)``: the ``n x n`` CSR matrix of the flat ``values`` summed at ``keys =
-    row * n + col`` (``keys[order]`` sorted, runs in any order), or its transpose as a CSC
-    matrix if ``transpose``; every matrix it builds shares its read-only ``indices``
+    """``plan(values)``: the ``n x n`` CSR :class:`_Matrix` of the flat ``values`` summed at
+    ``keys = row * n + col`` (``keys[order]`` sorted, runs in any order), or its transpose
+    as a CSC one if ``transpose``; every matrix it builds shares its read-only ``indices``
     and ``indptr``, and carries the plan as its ``plan``."""
 
     def __init__(self, keys, n: int, order, transpose: bool = False):
@@ -269,19 +275,38 @@ class _IndexPlan:
         self.firsts, self.slots, self.rest, self.indices, self.indptr = (
             _frozen(np.array(v)) for v in (firsts, slots, rest, col, ptr))
 
-    def __call__(self, values):
-        from scipy.sparse import csc_matrix, csr_matrix
+    def __call__(self, values) -> _Matrix:
         data = values.take(self.firsts)  # a lone -0.0 stays -0.0
         np.add.at(data, self.slots, values.take(self.rest))
-        matrix = csc_matrix if self.transpose else csr_matrix
-        matrix = matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-        matrix.plan = self
-        return matrix
+        return _Matrix(self, data)
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and the column of each stored entry, in storage order."""
+        outer = _frozen(np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr)))
+        return (self.indices, outer) if self.transpose else (outer, self.indices)
 
     @cached_property
     def band(self) -> _Band:
         """The :class:`_Band` of the pattern, built on its first banded solve."""
         return _Band(self)
+
+
+class _Matrix:
+    """The ``n x n`` matrix that ``plan`` builds from ``data``: CSR on the plan's read-only
+    ``indices`` and ``indptr``, or CSC if ``plan.transpose``.  ``matrix @ x`` sums each row
+    from +0.0 over the stored entries in storage order, the order of scipy's ``csr_matvec``
+    and ``csc_matvec``, so it gives scipy's bits, and as there an overflow is silent."""
+
+    def __init__(self, plan: _IndexPlan, data: np.ndarray):
+        self.plan, self.data, self.indices, self.indptr = plan, data, plan.indices, plan.indptr
+        self.shape, self.nnz = (plan.n, plan.n), data.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        rows, cols = self.plan.entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = self.data * x.take(cols)
+        return np.bincount(rows, products, self.shape[0])
 
 
 @dataclass(frozen=True)
@@ -343,14 +368,40 @@ def spsolve(system, rhs) -> np.ndarray:
     """The solution of the folded CSC ``system``, which a fold plan built (:func:`_fold_plan`).
     :func:`_stationary` calls it by this name, and an exactly singular factor raises
     ``RuntimeError``.  At most ``_BAND_MAX`` unknowns, the band of the system's plan solves
-    it.  Above, SuperLU does, with no column ordering of its own: the plan has numbered the
-    unknowns in the order to factor in.  A diagonal pivot is kept while it is at least half
-    its column's largest entry (at ``n_cut`` 127, which only a good cavity's fixed cutoff
-    factors whole: 5.27M entries in L and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
+    it.  Above, SuperLU does, on scipy's ``csc_matrix`` of the system's arrays, with no
+    column ordering of its own: the plan has numbered the unknowns in the order to factor
+    in.  A diagonal pivot is kept while it is at least half its column's largest entry (at
+    ``n_cut`` 127, which only a good cavity's fixed cutoff factors whole: 5.27M entries in L
+    and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
     if system.shape[0] <= _BAND_MAX:
         return system.plan.band.solve(system, rhs)
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
+    system = csc_matrix((system.data, system.indices, system.indptr), shape=system.shape)
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
+
+
+@lru_cache(maxsize=1)
+def _lapack():
+    """LAPACK's ``dgbtrf`` and ``dgbtrs``, as ``scipy.linalg.lapack`` exports them, from the
+    extension module ``scipy.linalg._flapack`` loaded from its file after ``import scipy``
+    alone: 2.2 ms and 2.7 MB, against 106-119 ms and 27 MB for ``import scipy.linalg.lapack``,
+    whose package imports most of scipy (scipy 1.17, one core of a 2-core host).  CPython
+    lists an extension module of its kind in ``sys.modules`` as it loads it; the entry is
+    taken out again, so that a later ``import scipy.linalg`` loads its own copy, with the
+    same functions, as it would have."""
+    import scipy
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        path = next(base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.exists(base + suffix))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        del sys.modules[name]
+    return module.dgbtrf, module.dgbtrs
 
 
 class _Band:
@@ -363,14 +414,13 @@ class _Band:
     """
 
     def __init__(self, plan: _IndexPlan):
-        from scipy.sparse import csc_matrix
-        n, indptr, indices = plan.n, plan.indptr, plan.indices
-        graph = csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-        graph = (graph + graph.T).tocsr()
-        self.order = _frozen(_cuthill_mckee(graph.indptr, graph.indices)[::-1])
+        n, (rows, cols) = plan.n, (x.astype(np.int64) for x in plan.entries)
+        edges = np.unique(np.r_[rows * n + cols, cols * n + rows])  # both ways, row by row
+        ptr = np.bincount(edges // n + 1, minlength=n + 1).cumsum()
+        self.order = _frozen(_cuthill_mckee(ptr, edges % n)[::-1])
         number = np.empty(n, np.intp)
         number[self.order] = np.arange(n)
-        rows, cols = number[indices], number[np.repeat(np.arange(n), np.diff(indptr))]
+        rows, cols = number[rows], number[cols]
         self.kl, self.ku = int((rows - cols).max()), int((cols - rows).max())
         self.shape = (2 * self.kl + self.ku + 1, n)
         self.at = _frozen(cols * self.shape[0] + self.kl + self.ku + rows - cols)
@@ -383,7 +433,7 @@ class _Band:
         = 1e-38, eps = 1e-140: ``eta_a`` 4.0e-204, not -1.3e-204).  Where the entries are
         large, the step's own residual carries their rounding (eps 1e9 at gamma_c 0.4, kappa
         0.8: 6.0e-8 on the residual gate, against 3.1e-11 before it), and the step is dropped."""
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
+        dgbtrf, dgbtrs = _lapack()
         band = np.zeros(self.shape, order="F")
         band.reshape(-1, order="F")[self.at] = system.data
         lu, pivots, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=True)
@@ -567,15 +617,20 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
     |rho|``, and at most ``_RESIDUAL_TOL``, which its own rows already meet.
 
     Without ``config`` this is the ladder: the first passing rung's state and residual; a
-    rung's failed solve, or :class:`DimensionCap` from the first rung above ``dim_cap``,
-    raises.  With ``config``, the rungs below its cutoff N are tried, a failed solve is a
-    miss, and a hit is rung n's state with the residual ``max(its own, the ring)``, that of
-    its padding on every cutoff above n, N's included, and N's frame is not built; once no
-    rung passes, N is solved directly.
+    rung's failed solve, or :class:`DimensionCap` from the first rung whose solved space
+    exceeds ``dim_cap``, raises.  That space is the product space's ``2 (n + 1)`` states, or
+    at ``g = 0`` the cavity's ``n + 1``; the config of such a rung names the product space,
+    so its own cap is raised to admit it.  With ``config``, the rungs below its cutoff N are
+    tried, a failed solve is a miss, and a hit is rung n's state with the residual ``max(its
+    own, the ring)``, that of its padding on every cutoff above n, N's included, and N's
+    frame is not built; once no rung passes, N is solved directly.
     """
     n_cut = _LADDER_START
     while config is None or n_cut < config.n_cut:
-        rung = HilbertConfig(n_cut, dim_cap if config is None else config.dim_cap)
+        cap = dim_cap if config is None else config.dim_cap
+        if not coupled and n_cut + 1 > _require_count("dim_cap", cap, 6):
+            raise DimensionCap(f"dimension {n_cut}+1={n_cut + 1} exceeds cap {cap}")
+        rung = HilbertConfig(n_cut, cap if coupled else max(cap, 2 * (n_cut + 1)))
         try:
             rho, residual, norm = _stationary(frame := _frame(n_cut, coupled),
                                               frame.at(*rates), kappa)

@@ -414,16 +414,21 @@ class TestOracle:
         assert "error:" in err
 
     def test_decoupled_lab_frame_exceeds_the_default_cap(self, capsys):
-        # alpha = 2.8: the coherent state passes at rung 64; from alpha about 3.23 rung 64
-        # misses, and rung 128 exceeds the cap
-        code, out, _ = run_cli(
-            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "1.12"], capsys)
-        assert (code, json.loads(out)["n_cut"]) == (0, 64)
+        # the cap bounds the cavity's own n_cut + 1 states: alpha = 2.8 passes at rung 64;
+        # from alpha about 3.23 rung 64 misses and rung 128 (129 states) passes, with the
+        # coherent state's values; from alpha about 6.25 rung 128 misses too, and rung 256
+        # exceeds the cap
+        for epsilon, n_cut in (("1.12", 64), ("1.4", 128), ("2.4", 128)):
+            code, out, _ = run_cli(
+                ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", epsilon], capsys)
+            report = json.loads(out)
+            assert (code, report["n_cut"]) == (0, n_cut)
+            assert max(abs(entry["delta"]) for entry in report["comparisons"].values()) <= 1e-12
         code, out, err = run_cli(
-            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "1.4"], capsys)
+            ["oracle", "--g", "0", "--kappa", "0.8", "--epsilon", "2.6"], capsys)
         assert code == 4
         assert out == ""
-        assert err == "error: dimension 2*(128+1)=258 exceeds cap 256\n"
+        assert err == "error: dimension 256+1=257 exceeds cap 256\n"
 
     @pytest.mark.parametrize("epsilon", ["1e307", "1e308"])
     def test_decoupled_drive_out_of_range(self, epsilon):
@@ -991,20 +996,85 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
 """
 
 # The oracle module, a configuration, a frame and its Hamiltonian cost no scipy;
-# its first sparse step loads it.
+# its first sparse step loads it.  A banded solve, every ladder rung's, loads the scipy
+# package alone; a SuperLU solve (rung 64 at kappa 0.004, 8,515 unknowns) loads
+# scipy.sparse.  Each run prints what it printed when every plan built scipy's sparse
+# matrices.
 ORACLE_SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
+from cavity_squeezing import cli
 from cavity_squeezing.oracle import HilbertConfig, _frame, steady_density
 from cavity_squeezing.params import SystemParams
 
 def scipy_loaded():
     return any(name.split(".")[0] == "scipy" for name in sys.modules)
 
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["oracle", *argv])
+    return [code, out.getvalue()], [name for name in ("scipy", "scipy.linalg", "scipy.sparse")
+                                    if name in sys.modules]
+
 HilbertConfig(8)
 _frame(8, True).at(0.2, 0.0, 0.5)
 before = scipy_loaded()
 steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
-print(json.dumps({"before": before, "after": scipy_loaded()}))
+after = scipy_loaded()
+rates = ["--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]
+ladder, ladder_loads = run(rates)
+superlu_argv = ["--gamma-c", "0.4", "--kappa", "0.004", "--epsilon", "0.2", "--n-cut", "64"]
+superlu, superlu_loads = run(superlu_argv)
+
+import numpy as np
+import scipy.sparse as sp
+from cavity_squeezing import oracle
+
+def scipy_matrix(plan, values):
+    data = values.take(plan.firsts)
+    np.add.at(data, plan.slots, values.take(plan.rest))
+    kind = sp.csc_matrix if plan.transpose else sp.csr_matrix
+    matrix = kind((data, plan.indices, plan.indptr), shape=(plan.n, plan.n))
+    matrix.plan = plan
+    return matrix
+
+oracle._IndexPlan.__call__ = scipy_matrix
+print(json.dumps({"before": before, "after": after, "ladder": ladder_loads,
+                  "superlu": superlu_loads, "codes": [ladder[0], superlu[0]],
+                  "scipy_matrices_print_the_same": [run(rates)[0] == ladder,
+                                                    run(superlu_argv)[0] == superlu]}))
+"""
+
+# Compares the band LU that the oracle loads from scipy's extension file with
+# scipy.linalg.lapack's, in a fresh interpreter that imports scipy.linalg after the
+# oracle has loaded its own, or before (argv[1]): the same docstrings and the same bits
+# on a random band system, and a scipy.linalg that holds its extension module.
+LAPACK_SCRIPT = """
+import json, sys
+import numpy as np
+
+def lapack():
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack.dgbtrf, scipy.linalg.lapack.dgbtrs
+
+def solve(dgbtrf, dgbtrs):
+    rng = np.random.default_rng(5)
+    n, kl, ku = 40, 3, 2
+    band = np.zeros((2 * kl + ku + 1, n), order="F")
+    band[kl:] = rng.normal(size=(kl + ku + 1, n))
+    lu, pivots, info = dgbtrf(band, kl, ku)
+    x, info_s = dgbtrs(lu, kl, ku, rng.normal(size=n), pivots)
+    return [info, info_s, x.view(np.uint64).tolist(), lu.view(np.uint64).ravel().tolist()]
+
+before = lapack() if sys.argv[1] == "before" else None
+from cavity_squeezing import oracle
+ours = oracle._lapack()
+loaded = sorted(name for name in sys.modules if name.startswith(("scipy.linalg", "scipy.sparse")))
+scipys = before or lapack()
+flapack = sys.modules["scipy.linalg"]._flapack
+print(json.dumps({"loaded": loaded, "docs": [a.__doc__ == b.__doc__ for a, b in zip(ours, scipys)],
+                  "same": solve(*ours) == solve(*scipys), "cached": oracle._lapack() == ours,
+                  "attribute": flapack.dgbtrf.__doc__ == ours[0].__doc__}))
 """
 
 # The first import asks the package for an oracle name; a submodule is an attribute
@@ -1085,7 +1155,21 @@ class TestImportBoundary:
     def test_oracle_loads_scipy_in_its_sparse_steps(self):
         result = run_python("-c", ORACLE_SCRIPT)
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == {"before": False, "after": True}
+        assert json.loads(result.stdout) == {
+            "before": False, "after": True, "ladder": ["scipy"],
+            "superlu": ["scipy", "scipy.linalg", "scipy.sparse"], "codes": [0, 0],
+            "scipy_matrices_print_the_same": [True, True]}
+
+    @pytest.mark.parametrize("order", ["after", "before"])
+    def test_the_band_lu_is_scipy_linalg_lapacks(self, order):
+        # the oracle's dgbtrf and dgbtrs, loaded from the extension module's file without
+        # the scipy.linalg package, whether that package is imported later or earlier
+        result = run_python("-c", LAPACK_SCRIPT, order)
+        assert result.returncode == 0, result.stderr
+        got = json.loads(result.stdout)
+        loaded = got.pop("loaded")  # no module of scipy.linalg or scipy.sparse of its own
+        assert loaded == [] if order == "after" else "scipy.linalg.lapack" in loaded
+        assert got == {"docs": [True, True], "same": True, "cached": True, "attribute": True}
 
     def test_package_surface_in_a_fresh_interpreter(self):
         result = run_python("-c", SURFACE_SCRIPT)

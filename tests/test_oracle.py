@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -177,10 +178,16 @@ def pad(rho, levels, n_cut):
     return padded.reshape(levels * big, levels * big)
 
 
+def scipy_matrix(matrix):
+    """scipy's CSR, or CSC, matrix on the arrays of a matrix that an oracle plan built."""
+    kind = sp.csc_matrix if matrix.plan.transpose else sp.csr_matrix
+    return kind((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def assert_same_bits(matrix, reference):
     """Same shape, structure and data, signed zeros included."""
     assert matrix.shape == reference.shape
-    assert matrix.dtype == reference.dtype == np.float64
+    assert matrix.data.dtype == reference.data.dtype == np.float64
     for part in ("indptr", "indices"):
         assert np.array_equal(getattr(matrix, part), getattr(reference, part)), part
     assert np.array_equal(matrix.data.view(np.uint64), reference.data.view(np.uint64))
@@ -359,7 +366,7 @@ class TestLiouvillian:
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         for shift in (0.0, 0.5):  # the lab and a displaced frame
             k = frame.at(canonical.g, canonical.epsilon, shift)
-            lv, _ = oracle._generator(frame, k, canonical.kappa)
+            lv = scipy_matrix(oracle._generator(frame, k, canonical.kappa)[0])
             assert lv.dtype == np.float64
             h = dense_hamiltonian(canonical.g, canonical.epsilon, n_cut, shift=shift)
             direct = lindblad_action(rho, h, a, canonical.kappa)
@@ -369,7 +376,7 @@ class TestLiouvillian:
     def test_conserves_trace(self, canonical):
         frame = oracle._frame(6, True)
         k = frame.at(canonical.g, canonical.epsilon, 0.0)
-        lv, _ = oracle._generator(frame, k, canonical.kappa)
+        lv = scipy_matrix(oracle._generator(frame, k, canonical.kappa)[0])
         rng = np.random.default_rng(4)
         d = frame.d
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -477,7 +484,7 @@ class TestSymmetricSolve:
 
         def recording(system, rhs):
             shapes.append((system.shape, rhs.shape))
-            return spsolve(system, rhs)
+            return spsolve(scipy_matrix(system), rhs)
 
         monkeypatch.setattr(oracle, "spsolve", recording)
         steady_density(canonical, HilbertConfig(16))
@@ -493,7 +500,7 @@ class TestSymmetricSolve:
             assert solve().residual <= 1e-10
         rng = np.random.default_rng(3)
         monkeypatch.setattr(oracle, "spsolve", lambda system, rhs: (
-            spsolve(system, rhs) + 1e-6 * rng.normal(size=rhs.size)))
+            spsolve(scipy_matrix(system), rhs) + 1e-6 * rng.normal(size=rhs.size)))
         for solve in solves.values():
             with pytest.raises(SingularSystem, match="stationary residual"):
                 solve()
@@ -510,7 +517,7 @@ class TestFoldedSystem:
 
         def recording(system, rhs):
             systems.append(system)
-            return spsolve(system, rhs)
+            return spsolve(scipy_matrix(system), rhs)
 
         monkeypatch.setattr(oracle, "spsolve", recording)
         solve()
@@ -578,7 +585,7 @@ class TestPlannedGenerator:
     def test_index_arrays_are_read_only(self, canonical):
         # an in-place change of the structure fails rather than reach the plan; a copy may
         frame, rates = oracle._frame(4, True), (canonical.g, canonical.epsilon, 0.0)
-        lv, _ = oracle._generator(frame, frame.at(*rates), canonical.kappa)
+        lv = scipy_matrix(oracle._generator(frame, frame.at(*rates), canonical.kappa)[0])
         assert not lv.indices.flags.writeable and not lv.indptr.flags.writeable
         with pytest.raises(ValueError):
             lv.eliminate_zeros()
@@ -822,7 +829,8 @@ class TestNestedDissection:
         # pos is a symmetric bijection onto range(N), and the trace row's 1 is at pos[0, 0]
         config, solves = HilbertConfig(n_cut), []
         monkeypatch.setattr(oracle, "spsolve",
-                            lambda system, rhs: solves.append((system, rhs)) or spsolve(system, rhs))
+                            lambda system, rhs: solves.append((system, rhs)) or
+                            spsolve(scipy_matrix(system), rhs))
         if problem == "displaced":
             steady_density(canonical, config)
             alpha = 2.0 * canonical.epsilon / canonical.kappa
@@ -842,7 +850,7 @@ class TestNestedDissection:
         assert line[-np.count_nonzero(line):].all(), "the root separator is numbered last"
         assert rhs.shape == (i.size,)
         assert np.flatnonzero(rhs).tolist() == [pos[0, 0]] and rhs[pos[0, 0]] == 1.0
-        trace_row = system.tocsr()[pos[0, 0]]
+        trace_row = scipy_matrix(system).tocsr()[pos[0, 0]]
         assert sorted(trace_row.indices) == sorted(np.diag(pos)) and np.all(trace_row.data == 1)
 
     def test_a_cold_solve_equals_a_cached_one(self, canonical, monkeypatch):
@@ -913,17 +921,16 @@ def colamd_outcome(params, n_cut):
 
 
 def count_factorisations(monkeypatch):
-    """The sizes of the systems factored from this call on, by LAPACK's banded LU or
-    by SuperLU."""
-    import scipy.linalg.lapack
+    """The sizes of the systems factored from this call on, by the oracle's LAPACK banded
+    LU or by SuperLU."""
     import scipy.sparse.linalg
-    sizes, splu, dgbtrf = [], scipy.sparse.linalg.splu, scipy.linalg.lapack.dgbtrf
+    sizes, splu, (dgbtrf, dgbtrs) = [], scipy.sparse.linalg.splu, oracle._lapack()
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda system, **options: sizes.append(system.shape[0]) or
                         splu(system, **options))
-    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
-                        lambda ab, *args, **options: sizes.append(ab.shape[1]) or
-                        dgbtrf(ab, *args, **options))
+    monkeypatch.setattr(oracle, "_lapack", lambda: (
+        lambda ab, *args, **options: sizes.append(ab.shape[1]) or dgbtrf(ab, *args, **options),
+        dgbtrs))
     return sizes
 
 
@@ -1061,6 +1068,7 @@ def padded_residual(frame, rates, kappa, rho):
     it, padded with zeros; or ``None`` unless that state passes, on ``frame``'s folded system
     (built, never factored) and on the residual gate, as a stationary state of ``frame``."""
     lv, pos, system = oracle._folded(frame, frame.at(*rates), kappa)
+    lv, system = scipy_matrix(lv), scipy_matrix(system)
     padded = pad(rho, frame.d // (frame.fock.max() + 1), frame.fock.max())
     x = np.empty(system.shape[0])
     x[pos] = padded
@@ -1170,7 +1178,7 @@ class TestOneAcceptanceRule:
                                               frame.at(*rates), kappa)
             _, pos, system = oracle._folded(wider := oracle._frame(n + 1, coupled),
                                             wider.at(*rates), kappa)
-            wide = np.delete(abs(system) @ np.ones(system.shape[0]), pos[0, 0]).max()
+            wide = np.delete(abs(scipy_matrix(system)) @ np.ones(system.shape[0]), pos[0, 0]).max()
             ring = rates[0 if coupled else 1] * math.sqrt(n + 1) * np.abs(rho[n]).max()
             bound = oracle._BACKWARD_TOL * np.abs(rho).max()
             assert norm < wide and norm * bound < ring <= wide * bound
@@ -1251,7 +1259,7 @@ class TestBandedSolve:
         from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
         frame = oracle._frame(n_cut, coupled)
         _, _, system = oracle._folded(frame, frame.at(*rates), 0.8)
-        graph = abs(system) + abs(system.T)
+        graph = abs(scipy_matrix(system)) + abs(scipy_matrix(system).T)
         graph.data[:] = 1.0
         band, want = system.plan.band, reverse_cuthill_mckee(graph.tocsr(), symmetric_mode=True)
         if connected_components(graph)[0] == 1:
@@ -1282,6 +1290,50 @@ class TestBandedSolve:
         else:
             assert banded.ops == superlu.ops
             assert banded.residual <= oracle._RESIDUAL_TOL
+
+
+# Entries of either sign: 0, subnormals, ordinary sizes, and magnitudes whose products
+# overflow; a vector may hold infinities too, whose products with 0 are NaN.
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(1e150, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x])))
+VECTOR = st.one_of(FINITE, st.sampled_from([math.inf, -math.inf]))
+
+
+@st.composite
+def plan_matrices(draw):
+    """A plan's matrix of a drawn pattern, CSR or CSC, whose rows and columns may be empty,
+    and a vector to multiply."""
+    n = draw(st.integers(1, 8))
+    keys = np.array(draw(st.lists(st.integers(0, n * n - 1), unique=True)), np.int64)
+    plan = oracle._IndexPlan(keys, n, keys.argsort(kind="stable"), transpose=draw(st.booleans()))
+    values = np.array(draw(st.lists(FINITE, min_size=keys.size, max_size=keys.size)), float)
+    return plan(values), np.array(draw(st.lists(VECTOR, min_size=n, max_size=n)), float)
+
+
+class TestPlanMatrix:
+    """A plan's matrix multiplies a vector as scipy's CSR or CSC matrix on the same arrays
+    does, bit for bit, and emits no numpy warning where scipy's loop emits none."""
+
+    @pytest.mark.thorough
+    @settings(deadline=None)
+    @given(drawn=plan_matrices())
+    @example(drawn=(oracle._IndexPlan(np.zeros(0, np.int64), 3, np.zeros(0, np.intp))(
+        np.zeros(0)), np.ones(3)))  # no entries
+    @example(drawn=(oracle._IndexPlan(np.array([0, 1, 3]), 2, np.arange(3), transpose=True)(
+        np.array([1.7e308, -0.0, 5e-324])), np.array([1.7e308, math.inf])))
+    @example(drawn=(oracle._IndexPlan(np.array([0, 1, 2]), 3, np.arange(3))(  # row 0, CSR
+        np.array([1.0, 1e16, -1e16])), np.ones(3)))  # 0 in storage order, 1 in reverse
+    @example(drawn=(oracle._IndexPlan(np.array([0, 3, 6]), 3, np.arange(3), transpose=True)(
+        np.array([1.0, 1e16, -1e16])), np.ones(3)))  # row 0 across three CSC columns
+    def test_matmul_is_scipys(self, drawn):
+        matrix, x = drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matrix @ x
+        reference = scipy_matrix(matrix)
+        assert (matrix.shape, matrix.nnz) == (reference.shape, reference.nnz)
+        assert np.array_equal(got.view(np.uint64), (reference @ x).view(np.uint64))
 
 
 class TestStrongDrive:
@@ -1333,9 +1385,13 @@ class TestCutoffConvergence:
 
     @pytest.mark.parametrize("ladder", sorted(LADDERS))
     def test_cap_stops_runaway_doubling(self, ladder):
-        assert LADDERS[ladder](dim_cap=66) == 32  # rung 32's dimension
-        with pytest.raises(DimensionCap, match=r"^dimension 2\*\(32\+1\)=66 exceeds cap 64$"):
-            LADDERS[ladder](dim_cap=64)
+        # the cap bounds the states solved on: the product space's 2 (n_cut + 1), or the
+        # cavity's own n_cut + 1 at g = 0
+        fits, message = {"cutoff_converged": (66, r"2\*\(32\+1\)=66"),
+                         "decoupled_benchmark": (33, r"32\+1=33")}[ladder]
+        assert LADDERS[ladder](dim_cap=fits) == 32  # rung 32's dimension
+        with pytest.raises(DimensionCap, match=rf"^dimension {message} exceeds cap {fits - 1}$"):
+            LADDERS[ladder](dim_cap=fits - 1)
 
 
 class TestOperatorBuilds:
