@@ -172,7 +172,8 @@ def integrate(
     ------
     NonConvergence
         ``t_max`` was reached while the derivative norm was still above
-        tolerance.
+        tolerance, or a block of rows ended at a fixed point of the step
+        above tolerance, whose rows would repeat up to ``t_max``.
     StepTooLarge
         A population left [0, 1] by more than 1e-6, which for this
         contracting linear system only happens when ``dt`` is too large
@@ -225,8 +226,7 @@ def _rk4_blocks(initial: AtomMomentState, params: SystemParams, config: Integrat
                 return
             if i == n_max:
                 _populations_checked(rows, first, dt)
-                raise NonConvergence(f"derivative norm {math.sqrt(norm_sq):.3e} above "
-                                     f"{config.steady_tol:.3e} at t_max={config.t_max}")
+                raise _not_converged(norm_sq, config)
             s, a, b = sr + half * k1sr, ea + (h := half * k1ea), eb - h
             k2sr, k2ea = c_sigma * s + q * (b - a), c_eta * a + c_pump * s
             s, a, b = sr + half * k2sr, ea + (h := half * k2ea), eb - h
@@ -236,8 +236,18 @@ def _rk4_blocks(initial: AtomMomentState, params: SystemParams, config: Integrat
             sr += sixth * (k1sr + 2.0 * (k2sr + k3sr) + k4sr)
             ea, eb = ea + (h := sixth * (k1ea + 2.0 * (k2ea + k3ea) + k4ea)), eb - h
             rows.fromlist([sr, si, ea, eb])
+        if rows[-8:-4].tobytes() == rows[-4:].tobytes():
+            # A fixed point of the step, whose norm_sq the last step took: every later row
+            # is this one, so the run ends as it would at t_max, without this block.
+            _populations_checked(rows, first, dt)
+            raise _not_converged(norm_sq, config)
         yield _populations_checked(rows, first, dt)
         rows, start, first = array("d"), stop, stop + 1
+
+
+def _not_converged(norm_sq: float, config: IntegratorConfig) -> NonConvergence:
+    return NonConvergence(f"derivative norm {math.sqrt(norm_sq):.3e} above "
+                          f"{config.steady_tol:.3e} at t_max={config.t_max}")
 
 
 def _sigma_im_steps(si: float, c: float, half: float, dt: float, sixth: float):

@@ -415,7 +415,9 @@ class _Band:
 
     def __init__(self, plan: _IndexPlan):
         n, (rows, cols) = plan.n, (x.astype(np.int64) for x in plan.entries)
-        edges = np.unique(np.r_[rows * n + cols, cols * n + rows])  # both ways, row by row
+        # Both ways, row by row, each once: np.unique would load numpy.ma to do the same.
+        edges = np.sort(np.r_[rows * n + cols, cols * n + rows])
+        edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
         ptr = np.bincount(edges // n + 1, minlength=n + 1).cumsum()
         self.order = _frozen(_cuthill_mckee(ptr, edges % n)[::-1])
         number = np.empty(n, np.intp)

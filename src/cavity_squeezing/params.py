@@ -11,13 +11,16 @@ with the parameter set.
 All rates share a single inverse-time unit; only ratios matter.  The
 drive ``epsilon`` may also be a 1-D array, so that every closed form
 evaluates a whole grid of drives in one call; the oracle and the moment
-integrator solve for one drive and refuse an array.
+integrator solve for one drive and refuse an array.  The parameter set keeps
+such a drive as its own read-only copy and computes ``D`` and ``eps**4``, which
+several closed forms read, once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,8 +90,12 @@ def _require_rate(name: str, value: float) -> float:
 
 
 def _require_drive(value):
-    """``epsilon`` as a float or a 1-D float array, finite and >= 0."""
-    value = float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+    """``epsilon`` as a float or a read-only 1-D float64 copy, finite and >= 0."""
+    if np.ndim(value) == 0:
+        value = float(value)
+    else:
+        value = np.array(value, dtype=float)
+        value.flags.writeable = False
     if np.ndim(value) > 1 or not np.all(np.isfinite(value)) or np.any(value < 0.0):
         raise ValueError(f"epsilon must be finite and >= 0 (float or 1-D), got {value!r}")
     return value
@@ -101,11 +108,17 @@ def _require_one_drive(value) -> float:
     return float(value)
 
 
+def _denominator(epsilon, kappa_gamma_c: float):
+    """``D = 8 eps**2 + kappa*gamma_c``, the closed forms' denominator, for a product
+    ``kappa*gamma_c`` taken once."""
+    return 8.0 * epsilon * epsilon + kappa_gamma_c
+
+
 def _require_bounded_drive(epsilon, kappa_gamma_c: float = 0.0) -> None:
     """Refuses a drive whose ``8 eps**2 + kappa*gamma_c`` exceeds ``_MAX_DENOMINATOR``: the
     closed forms' bound, and with ``gamma_c = 0`` that of the oracle's ``g = 0`` limit."""
     with np.errstate(over="ignore"):  # an overflow to inf is what this rejects
-        in_range = np.all(8.0 * epsilon * epsilon + kappa_gamma_c <= _MAX_DENOMINATOR)
+        in_range = np.all(_denominator(epsilon, kappa_gamma_c) <= _MAX_DENOMINATOR)
     if not in_range:
         raise ValueError(f"epsilon={float(np.max(epsilon))!r} is out of range: "
                          f"8*epsilon**2 + kappa*gamma_c must not exceed {_MAX_DENOMINATOR:g}")
@@ -122,7 +135,10 @@ class SystemParams:
     kappa : float
         Cavity energy decay rate, in [1e-38, 1e38].
     epsilon : float or 1-D array of float
-        Classical driving amplitude, >= 0 (elementwise for an array).
+        Classical driving amplitude, >= 0 (elementwise for an array).  An
+        array is stored as a read-only float64 copy, so the caller's array
+        may change without changing the parameter set; a scalar is stored
+        as a float.
     gamma_c : float, optional
         Stimulated-emission decay constant.  Derived as ``4 g**2 / kappa``
         when omitted.  When supplied it must agree with the derived value
@@ -176,7 +192,14 @@ class SystemParams:
         g = math.sqrt(gamma_c * kappa) / 2.0
         return cls(g=g, kappa=kappa, epsilon=epsilon, gamma_c=gamma_c)
 
-    @property
+    @cached_property
     def denominator(self) -> float | np.ndarray:
-        """The ubiquitous steady-state denominator ``8 eps**2 + kappa*gamma_c``."""
-        return 8.0 * self.epsilon * self.epsilon + self.kappa * self.gamma_c
+        """The ubiquitous steady-state denominator ``8 eps**2 + kappa*gamma_c``, computed
+        on first use and kept."""
+        return _denominator(self.epsilon, self.kappa * self.gamma_c)
+
+    @cached_property
+    def epsilon4(self) -> float | np.ndarray:
+        """``eps**4`` as libm's ``pow`` gives it (``np.float_power``, as Python's ``**``),
+        computed on first use and kept."""
+        return np.float_power(self.epsilon, 4)

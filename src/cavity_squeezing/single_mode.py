@@ -157,10 +157,15 @@ def squeezing(params: SystemParams) -> float:
     Where the numerator underflows, ``S = 4 sigma**2 = (8 g eps / D)**2``
     is evaluated instead, which stays normal wherever ``sigma**2`` does.
     """
-    gc, k, eps = params.gamma_c, params.kappa, params.epsilon
-    d = params.denominator
+    return _squeezing(params.g, params.gamma_c, params.kappa, params.epsilon,
+                      params.denominator)
+
+
+def _squeezing(g: float, gc: float, k: float, eps, d):
+    """:func:`squeezing` of validated rates, drive ``eps`` and its ``D``: the one kernel
+    of the parameter sets and of the squeezing search's probes."""
     numerator = 16.0 * gc * k * eps * eps
-    two_sigma = 8.0 * params.g * eps / d
+    two_sigma = 8.0 * g * eps / d
     s = np.where(numerator < sys.float_info.min, two_sigma * two_sigma, numerator / (d * d))
     return np.minimum(s, 0.5)
 

@@ -88,7 +88,7 @@ def superposed_bounds(params: SystemParams) -> tuple[float, float]:
     radicand = (
         4.0 * gc * gc / (k * k)
         - 64.0 * gc ** 3 * eps * eps / (k * d * d)
-        + 256.0 * gc ** 4 * np.float_power(eps, 4) / np.float_power(d, 4)
+        + 256.0 * gc ** 4 * params.epsilon4 / np.float_power(d, 4)
     )
     if np.any(radicand < 0.0):
         raise AssertionError(

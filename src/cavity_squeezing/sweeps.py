@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_mode, superposed
-from .params import _MAX_DENOMINATOR, SystemParams, _require_count
+from .params import _MAX_DENOMINATOR, SystemParams, _denominator, _require_count
 
 __all__ = [
     "SWEEP_COLUMNS",
@@ -278,11 +278,15 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
     by a ternary search narrowed to 5e-10 times that scale; independent
     of the closed-form optimum it should reproduce.  The scan stops where
     ``8 eps**2`` reaches half the drive bound (``kappa*gamma_c <= 1e76``).
+    The rates are validated once, on entry; the scan and each probe, a drive
+    inside that bound, evaluate the closed form of ``squeezing`` on them.
     """
-    SystemParams.from_gamma_c(gamma_c, kappa, 0.0)  # validates the rates
+    params = SystemParams.from_gamma_c(gamma_c, kappa, 0.0)  # validates the rates
+    g, gc, k = params.g, params.gamma_c, params.kappa
+    k_gc = k * gc
 
     def s_of(eps):
-        return single_mode.squeezing(SystemParams.from_gamma_c(gamma_c, kappa, eps))
+        return single_mode._squeezing(g, gc, k, eps, _denominator(eps, k_gc))
 
     scale = math.sqrt(kappa * gamma_c / 8.0)
     grid = np.linspace(0.0, min(5.0 * scale, math.sqrt(_MAX_DENOMINATOR / 16.0)), 1000)
@@ -291,8 +295,7 @@ def find_max_squeezing(gamma_c: float, kappa: float) -> tuple[float, float]:
     hi = float(grid[min(best + 1, len(grid) - 1)])
     while hi - lo > 5e-10 * scale:
         third = (hi - lo) / 3.0
-        s1, s2 = s_of(np.array([lo + third, hi - third]))
-        if s1 < s2:
+        if s_of(lo + third) < s_of(hi - third):
             lo += third
         else:
             hi -= third
@@ -325,14 +328,15 @@ class IdentityReport:
 
 def identity_report(spec: SweepSpec) -> IdentityReport:
     """Evaluate both identities and their normalised residuals on the grid."""
-    return _identities(spec, *_columns(spec))
+    identity = _identity_columns(*_columns(spec))
+    return IdentityReport(spec=spec, data=np.column_stack(list(identity.values())),
+                          **_maxima(identity))
 
 
-def _identities(spec: SweepSpec, params: SystemParams, columns: dict) -> IdentityReport:
-    """The identity report read off the bounds in ``columns`` (see ``_columns``)."""
-    eps = params.epsilon
-    gc, k, d = params.gamma_c, params.kappa, params.denominator
-    eps4 = np.float_power(eps, 4)
+def _identity_columns(params: SystemParams, columns: dict) -> dict:
+    """The ``_IDENTITY_COLUMNS`` by name, read off the bounds in ``columns`` (see
+    ``_columns``); :func:`identity_report` stacks them, and the dataset files write them."""
+    gc, k, d, eps4 = params.gamma_c, params.kappa, params.denominator, params.epsilon4
 
     f_a, f_b = columns["f_a"], columns["f_b"]
     gap_single = f_b * f_b - f_a * f_a
@@ -346,13 +350,14 @@ def _identities(spec: SweepSpec, params: SystemParams, columns: dict) -> Identit
     scale_sup = np.maximum(np.maximum(abs(gap_sup), abs(pred_sup)), f_d)
     resid_sup = abs(gap_sup - pred_sup) / scale_sup
 
-    return IdentityReport(
-        spec=spec,
-        data=np.column_stack((eps, gap_single, pred_single, resid_single,
-                              gap_sup, pred_sup, resid_sup)),
-        max_residual_single=float(resid_single.max()),
-        max_residual_superposed=float(resid_sup.max()),
-    )
+    return dict(zip(_IDENTITY_COLUMNS, (params.epsilon, gap_single, pred_single, resid_single,
+                                        gap_sup, pred_sup, resid_sup)))
+
+
+def _maxima(identity: dict) -> dict:
+    """The residual maxima of :class:`IdentityReport` from the identity columns."""
+    return {"max_residual_single": float(identity["residual_single"].max()),
+            "max_residual_superposed": float(identity["residual_superposed"].max())}
 
 
 def write_figure_files(spec: SweepSpec, out_dir) -> dict:
@@ -364,7 +369,7 @@ def write_figure_files(spec: SweepSpec, out_dir) -> dict:
     Returns a summary dict (grid, optimum, residual maxima, file names).
     """
     params, columns = _columns(spec)
-    identities = _identities(spec, params, columns)
+    identity = _identity_columns(params, columns)
 
     files = {
         "fig2.csv": ("epsilon", "f_a", "f_b"),
@@ -373,7 +378,7 @@ def write_figure_files(spec: SweepSpec, out_dir) -> dict:
     }
     for name, header in files.items():
         _write_csv(os.path.join(out_dir, name), header, *(columns[c] for c in header))
-    identities.to_csv(os.path.join(out_dir, "identities.csv"))
+    _write_csv(os.path.join(out_dir, "identities.csv"), _IDENTITY_COLUMNS, *identity.values())
 
     eps_star, s_max = find_max_squeezing(spec.gamma_c, spec.kappa)
     return {
@@ -384,7 +389,6 @@ def write_figure_files(spec: SweepSpec, out_dir) -> dict:
         "n_points": spec.n_points,
         "eps_star": eps_star,
         "s_max": s_max,
-        "max_residual_single": identities.max_residual_single,
-        "max_residual_superposed": identities.max_residual_superposed,
+        **_maxima(identity),
         "files": sorted(list(files) + ["identities.csv"]),
     }

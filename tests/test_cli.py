@@ -325,7 +325,7 @@ class TestStreamedDynamics:
         whole = 100_001 // self.B * self.B  # the rows of the blocks that filled
         assert whole > self.B
         target = tmp_path / "run.csv"
-        argv = ["dynamics", *CANONICAL, "--t-max", "1000", "--dt", "0.01",
+        argv = ["dynamics", *CANONICAL, "--t-max", "100", "--dt", "0.001",
                 "--steady-tol", "1e-300"]
         code, out, err = run_cli([*argv, "--out", str(target)] if to_file else argv, capsys)
         assert code == 3
@@ -338,7 +338,21 @@ class TestStreamedDynamics:
             assert lines[0] == "t,sigma_re,sigma_im,eta_a,eta_b"
             assert lines[-1] == ""  # only whole rows, one block at a time
             assert len(lines) - 2 == whole
-            assert lines[-2].startswith("%.12e," % ((whole - 1) * 0.01))
+            assert lines[-2].startswith("%.12e," % ((whole - 1) * 0.001))
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_a_block_ending_at_a_fixed_point_ends_the_run(self, to_file, tmp_path, capsys):
+        # at dt 0.01 the first block ends on a row the step maps to itself: the run fails
+        # there as it would at t_max, with the same error, and prints no row of that block
+        # (nor the two blocks up to t_max that follow it)
+        target = tmp_path / "run.csv"
+        argv = ["dynamics", *CANONICAL, "--t-max", "1000", "--dt", "0.01",
+                "--steady-tol", "1e-300"]
+        code, out, err = run_cli([*argv, "--out", str(target)] if to_file else argv, capsys)
+        assert code == 3
+        assert err == "error: derivative norm 3.643e-15 above 1.000e-300 at t_max=1000.0\n"
+        assert out == ("" if to_file else "t,sigma_re,sigma_im,eta_a,eta_b\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_unstable_step_fails_before_its_block_is_written(self, to_file, tmp_path, capsys):
@@ -1023,6 +1037,7 @@ steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
 after = scipy_loaded()
 rates = ["--gamma-c", "0.4", "--kappa", "0.8", "--epsilon", "0.2"]
 ladder, ladder_loads = run(rates)
+ladder_loads_numpy_ma = "numpy.ma" in sys.modules  # SuperLU's scipy.sparse may load it
 superlu_argv = ["--gamma-c", "0.4", "--kappa", "0.004", "--epsilon", "0.2", "--n-cut", "64"]
 superlu, superlu_loads = run(superlu_argv)
 
@@ -1040,6 +1055,7 @@ def scipy_matrix(plan, values):
 
 oracle._IndexPlan.__call__ = scipy_matrix
 print(json.dumps({"before": before, "after": after, "ladder": ladder_loads,
+                  "ladder_loads_numpy_ma": ladder_loads_numpy_ma,
                   "superlu": superlu_loads, "codes": [ladder[0], superlu[0]],
                   "scipy_matrices_print_the_same": [run(rates)[0] == ladder,
                                                     run(superlu_argv)[0] == superlu]}))
@@ -1156,7 +1172,7 @@ class TestImportBoundary:
         result = run_python("-c", ORACLE_SCRIPT)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "before": False, "after": True, "ladder": ["scipy"],
+            "before": False, "after": True, "ladder": ["scipy"], "ladder_loads_numpy_ma": False,
             "superlu": ["scipy", "scipy.linalg", "scipy.sparse"], "codes": [0, 0],
             "scipy_matrices_print_the_same": [True, True]}
 

@@ -134,6 +134,36 @@ def test_epsilon_grid_is_kept_as_an_array():
     )
 
 
+def test_a_drive_array_is_a_read_only_copy():
+    drive = np.array([0.0, 0.1, 0.2])
+    p = SystemParams.from_gamma_c(0.4, 0.8, drive)
+    drive[1] = 5.0
+    assert p.epsilon.tolist() == [0.0, 0.1, 0.2]
+    assert p.epsilon.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        p.epsilon[1] = 5.0
+    assert p.denominator[1] == 8.0 * 0.1 * 0.1 + 0.8 * 0.4
+    assert type(SystemParams.from_gamma_c(0.4, 0.8, np.float32(0.25)).epsilon) is float
+
+
+_DRIVES = [0.0, -0.0, 5e-324, 2.2e-308, 1e-160, 0.2, 3.7, 1e38]
+
+
+@pytest.mark.parametrize("gamma_c,kappa", [(0.4, 0.8), (1e-38, 1e38), (1e38, 1e-38)])
+def test_cached_terms_are_the_uncached_expressions(gamma_c, kappa):
+    # D and eps**4 are computed once per parameter set and kept, with the bits of the
+    # expressions they replace (``hex`` tells -0.0 from 0.0), for one drive and for a grid
+    grid = SystemParams.from_gamma_c(gamma_c, kappa, _DRIVES)
+    assert grid.denominator is grid.denominator and grid.epsilon4 is grid.epsilon4
+    for k, eps in enumerate(_DRIVES):
+        p = SystemParams.from_gamma_c(gamma_c, kappa, eps)
+        d = 8.0 * eps * eps + kappa * gamma_c
+        eps4 = eps ** 4
+        assert p.denominator.hex() == d.hex() == grid.denominator[k].hex()
+        assert float(p.epsilon4).hex() == eps4.hex() == float(grid.epsilon4[k]).hex()
+        assert type(p.denominator) is float and isinstance(p.epsilon4, float)
+
+
 
 # One construction per checked value; each takes the value under test.
 _COUNTS = {

@@ -227,6 +227,31 @@ class TestFindMaxSqueezing:
             assert got == want, (gamma_c, kappa)  # bit for bit
             assert [type(v) for v in got] == [type(v) for v in want]
 
+    @pytest.mark.thorough
+    @given(st.floats(1e-38, 1e38), st.floats(1e-38, 1e38))
+    @example(0.4, 0.8)
+    @example(1e-38, 1e-38)
+    @example(1e38, 1e38)
+    @example(1e38, 1e-38)
+    def test_probes_match_scalar_probes_on_drawn_rates(self, gamma_c, kappa):
+        got = find_max_squeezing(gamma_c, kappa)
+        want = self.scalar_probe_search(gamma_c, kappa)
+        assert got == want  # bit for bit
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+    def test_validates_the_rates_once(self, monkeypatch):
+        # one parameter set per search: the scan and the probes reuse its rates
+        built = []
+        post_init = SystemParams.__post_init__
+
+        def counted(params):
+            built.append(params)
+            post_init(params)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counted)
+        find_max_squeezing(0.4, 0.8)
+        assert len(built) == 1
+
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             find_max_squeezing(-1.0, 0.8)
@@ -314,6 +339,19 @@ class TestFigureFiles:
             with open(dir_b / name, "rb") as fh:
                 second = fh.read()
             assert first == second
+
+    @pytest.mark.parametrize("spec", [CANONICAL_SPEC, SweepSpec(-0.0, 3.0, 1001, 1.3, 0.7)])
+    def test_identities_file_is_the_report(self, spec, tmp_path):
+        # the file is written from the identity columns, the report stacks the same columns
+        summary = write_figure_files(spec, tmp_path)
+        report = identity_report(spec)
+        buf = io.StringIO()
+        report.to_csv(buf)
+        assert (tmp_path / "identities.csv").read_bytes() == buf.getvalue().encode("ascii")
+        assert summary["max_residual_single"] == report.max_residual_single
+        assert summary["max_residual_superposed"] == report.max_residual_superposed
+        assert [type(summary[k]) for k in ("max_residual_single", "max_residual_superposed")] \
+            == [float, float]
 
     def test_evaluates_the_superposed_bounds_once(self, tmp_path, monkeypatch):
         # the identity residuals reuse the sweep's bounds rather than recompute them
