@@ -47,9 +47,9 @@ Conventions, fixed once and used everywhere:
 * what the rates leave unchanged is built once, in read-only arrays, per cutoff and
   frame (``_frame``, the product space or the ``g = 0`` cavity block) in one object:
   the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
-  ``K = -i H`` the generator's plan and the folded system's, and the moments' gathers,
-  which a state reads on the frame that solved it.  A rung evaluates its rates on the
-  slots, sums the values on the plans, solves and gathers.
+  ``K = -i H`` the generator's plan and the folded system's, built together, and the
+  moments' gathers, which a state reads on the frame that solved it.  A rung evaluates its
+  rates on the slots, sums the values on the plans, solves and gathers.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -58,9 +58,9 @@ carries both values without judging the difference.
 
 Only the stationary solve loads scipy, when it runs.  A banded solve runs ``import scipy``
 alone and loads LAPACK's banded LU from the file of scipy's extension module (``_lapack``);
-only SuperLU, above ``_BAND_MAX`` unknowns, imports ``scipy.sparse``.  The module, its
-frames, their Hamiltonians and the sparse matrices, which the index plans build on numpy
-arrays (``_Matrix``), cost numpy alone.
+only SuperLU, above ``_BAND_MAX`` unknowns, imports ``scipy.sparse``, and takes a CSC copy of
+the system.  The module, its frames, their Hamiltonians and the sparse matrices, which the
+index plans build as CSR on numpy arrays (``_Matrix``), cost numpy alone.
 """
 
 from __future__ import annotations
@@ -167,11 +167,12 @@ class _Frame:
     """A truncated space's rate-independent parts, in read-only arrays.  What the jump
     operator ``a`` fixes in a generator: the dimension ``d``, the basis states' Fock
     numbers (``a``'s column ``j`` is ``sqrt(n_j)``), and the nonzeros and values of the
-    Kronecker factors ``a``, ``n = a^T a`` and ``n^T``.  The Hamiltonian's unit parts, for
-    the solves ``J = sigma^dag a - a^dag sigma``, ``S = sigma^dag - sigma`` and ``E = a^dag
-    - a``, on ``slots``, the union of their nonzeros (flat, row-major).  ``plans``, by
-    ``K``'s nonzero mask over ``slots``: ``[generator plan, fold plan]``, the second built
-    on the first solve.  And ``gathers``, one per dense operator of ``reads``: the
+    Kronecker factors ``a`` and ``n = a^T a``, which is diagonal, so ``n^T = n``.  The
+    Hamiltonian's unit parts, for the solves ``J = sigma^dag a - a^dag sigma``, ``S =
+    sigma^dag - sigma`` and ``E = a^dag - a``, on ``slots``, the union of their nonzeros
+    (flat, row-major).  ``plans``, by ``K``'s nonzero mask over ``slots``: the tuple of the
+    generator plan and what :func:`_fold_plan` makes of it, ``(plan, pos, kept, fold plan)``,
+    built on the pattern's first solve.  And ``gathers``, one per dense operator of ``reads``: the
     :func:`_gather` of ``tr(op rho)``.
 
     The units' nonzeros are at least 1 in magnitude and no two units share a slot, so on
@@ -185,7 +186,7 @@ class _Frame:
         self.d = len(a)
         self.fock = _frozen(np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64))
         self.factors = []
-        for x in (a, n_op, n_op.T):
+        for x in (a, n_op):
             rows, cols = np.nonzero(x)
             self.factors.append(((_frozen(rows), _frozen(cols)), _frozen(x[rows, cols])))
         self.slots = _frozen(np.flatnonzero(np.any(units, axis=0)))
@@ -220,25 +221,30 @@ def _frame(n_cut: int, coupled: bool) -> _Frame:
 
 def _generator(frame: _Frame, k, kappa: float):
     """The generator of ``K`` valued ``k`` on ``frame.slots`` and of the frame's jump
-    operator, and the frame's ``[generator plan, fold plan or None]`` of ``K``'s pattern.
+    operator, ``pos`` and the folded system, in ``pos``'s numbering, that sums ``(r, s)``
+    with ``(s, r)``.  The first solve of ``K``'s pattern builds the frame's plans of both.
     ``K``'s zeros drop out of its pattern, and a non-finite ``K`` raises ``ValueError``."""
     if not np.all(np.isfinite(k)):
         raise ValueError("K = -i H has a non-finite entry")
     nonzero = k != 0
     plans = frame.plans.get(key := nonzero.tobytes())
     if plans is None:
-        plans = frame.plans[key] = [_generator_plan(frame, frame.slots[nonzero]), None]
-    plan, k = plans[0], k[nonzero]
-    one = np.ones(frame.d)  # the identity's nonzeros
-    (_, a), (_, n_op), (_, n_op_t) = frame.factors
+        plan = _generator_plan(frame, frame.slots[nonzero])
+        plans = frame.plans[key] = (plan, *_fold_plan(frame, plan))
+    plan, pos, kept, fold = plans
+    k, one = k[nonzero], np.ones(frame.d)  # the identity's nonzeros
+    (_, a), (_, n_op) = frame.factors
     terms = ((1.0, one, k), (-1.0, k, one), (kappa, a, a),
-             (-0.5 * kappa, one, n_op), (-0.5 * kappa, n_op_t, one))
+             (-0.5 * kappa, one, n_op), (-0.5 * kappa, n_op, one))
     values, start = np.empty(plan.size), 0  # each term's outer product, row-major
     for c, x, y in terms:
         stop = start + x.size * y.size
         np.multiply(c * x[:, None], y, out=values[start:stop].reshape(x.size, y.size))
         start = stop
-    return plan(values), plans
+    lv = plan(values)
+    values = np.ones(frame.d + kept.size)  # the trace row's 1s, then the entries kept
+    lv.data.take(kept, out=values[frame.d:])
+    return lv, pos, fold(values)
 
 
 def _generator_plan(frame: _Frame, k_slots):
@@ -248,30 +254,30 @@ def _generator_plan(frame: _Frame, k_slots):
     d = frame.d
     k_rows, k_cols = np.divmod(k_slots, d)
     eye = (np.arange(d),) * 2
-    (a, _), (n_op, _), (n_op_t, _) = frame.factors
+    (a, _), (n_op, _) = frame.factors
     nonzeros = ((eye, (k_rows, k_cols)), ((k_cols, k_rows), eye), (a, a), (eye, n_op),
-                (n_op_t, eye))
+                (n_op, eye))
     t = np.uint32 if d <= 256 else np.int64  # for the keys row * d**2 + col
     keys = np.concatenate([(xr * d**3 + xc * d).astype(t)[:, None] + (yr * d * d + yc).astype(t)
                            for (xr, xc), (yr, yc) in nonzeros], axis=None)
-    return _IndexPlan(keys, d * d, keys.argsort(kind="stable"))
+    return _IndexPlan(keys, d * d)
 
 
 class _IndexPlan:
     """``plan(values)``: the ``n x n`` CSR :class:`_Matrix` of the flat ``values`` summed at
-    ``keys = row * n + col`` (``keys[order]`` sorted, runs in any order), or its transpose
-    as a CSC one if ``transpose``; every matrix it builds shares its read-only ``indices``
-    and ``indptr``, and carries the plan as its ``plan``."""
+    ``keys = row * n + col``, in any order: it sorts them stably.  Every matrix it builds
+    shares its read-only ``indices`` and ``indptr``, and carries the plan as its ``plan``."""
 
-    def __init__(self, keys, n: int, order, transpose: bool = False):
-        keys, order = keys[order], order.astype(np.int32)  # any sort: a slot sums at most 2 values
+    def __init__(self, keys, n: int):
+        order = keys.argsort(kind="stable")
+        keys, order = keys[order], order.astype(np.int32)
         first = np.diff(keys, prepend=~keys[:1]) != 0  # each slot's first entry
         more = np.flatnonzero(~first)  # the others, at slots more - 1, more - 2, ...
         firsts, slots, rest = order[first], more - np.arange(1, more.size + 1), order[more]
         row, col = np.divmod(keys[first], n)
         col, ptr = col.astype(np.int32), np.bincount(row + 1, minlength=n + 1).cumsum(dtype=np.int32)
         del keys, order, first, more, row  # so that the copies kept below can take their place
-        self.n, self.size, self.transpose = n, firsts.size + rest.size, transpose
+        self.n, self.size = n, firsts.size + rest.size
         self.firsts, self.slots, self.rest, self.indices, self.indptr = (
             _frozen(np.array(v)) for v in (firsts, slots, rest, col, ptr))
 
@@ -283,8 +289,8 @@ class _IndexPlan:
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The row and the column of each stored entry, in storage order."""
-        outer = _frozen(np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr)))
-        return (self.indices, outer) if self.transpose else (outer, self.indices)
+        rows = _frozen(np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr)))
+        return rows, self.indices
 
     @cached_property
     def band(self) -> _Band:
@@ -293,10 +299,10 @@ class _IndexPlan:
 
 
 class _Matrix:
-    """The ``n x n`` matrix that ``plan`` builds from ``data``: CSR on the plan's read-only
-    ``indices`` and ``indptr``, or CSC if ``plan.transpose``.  ``matrix @ x`` sums each row
-    from +0.0 over the stored entries in storage order, the order of scipy's ``csr_matvec``
-    and ``csc_matvec``, so it gives scipy's bits, and as there an overflow is silent."""
+    """The ``n x n`` CSR matrix that ``plan`` builds from ``data`` on the plan's read-only
+    ``indices`` and ``indptr``.  ``matrix @ x`` sums each row from +0.0 over its stored
+    entries in storage order, ascending columns, the order of scipy's ``csr_matvec``, so it
+    gives scipy's bits, and as there an overflow is silent."""
 
     def __init__(self, plan: _IndexPlan, data: np.ndarray):
         self.plan, self.data, self.indices, self.indptr = plan, data, plan.indices, plan.indptr
@@ -365,19 +371,19 @@ def _gather(op: np.ndarray):
 
 
 def spsolve(system, rhs) -> np.ndarray:
-    """The solution of the folded CSC ``system``, which a fold plan built (:func:`_fold_plan`).
+    """The solution of the folded CSR ``system``, which a fold plan built (:func:`_fold_plan`).
     :func:`_stationary` calls it by this name, and an exactly singular factor raises
     ``RuntimeError``.  At most ``_BAND_MAX`` unknowns, the band of the system's plan solves
-    it.  Above, SuperLU does, on scipy's ``csc_matrix`` of the system's arrays, with no
-    column ordering of its own: the plan has numbered the unknowns in the order to factor
-    in.  A diagonal pivot is kept while it is at least half its column's largest entry (at
-    ``n_cut`` 127, which only a good cavity's fixed cutoff factors whole: 5.27M entries in L
-    and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
+    it.  Above, SuperLU does, on the CSC copy of scipy's ``csr_matrix`` of the system's
+    arrays, which moves entries but adds none, with no column ordering of its own: the plan
+    has numbered the unknowns in the order to factor in.  A diagonal pivot is kept while it
+    is at least half its column's largest entry (at ``n_cut`` 127, which only a good cavity's
+    fixed cutoff factors whole: 5.27M entries in L and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
     if system.shape[0] <= _BAND_MAX:
         return system.plan.band.solve(system, rhs)
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import splu
-    system = csc_matrix((system.data, system.indices, system.indptr), shape=system.shape)
+    system = csr_matrix((system.data, system.indices, system.indptr), shape=system.shape).tocsc()
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
 
 
@@ -406,20 +412,17 @@ def _lapack():
 
 class _Band:
     """LAPACK's banded LU with partial pivoting (``dgbtrf``, ``dgbtrs``) of the systems of
-    one CSC pattern, in the reverse of :func:`_cuthill_mckee`'s order of its symmetrised
-    graph: ``order[k]`` is the unknown at band index ``k``, and ``kl``/``ku`` are the
-    half-bandwidths there (36/36 at rung 16).  ``at`` sends each stored entry, in CSC
-    order, to its place in the Fortran-ordered band of ``shape``, whose first ``kl`` rows
-    take the pivots' fill.
+    one pattern, in the reverse of :func:`_cuthill_mckee`'s order of its symmetrised graph,
+    the CSR pattern of an index plan of its edges both ways: ``order[k]`` is the unknown at
+    band index ``k``, and ``kl``/``ku`` are the half-bandwidths there (36/36 at rung 16).
+    ``at`` sends each stored entry, in storage order, to its place in the Fortran-ordered
+    band of ``shape``, whose first ``kl`` rows take the pivots' fill.
     """
 
     def __init__(self, plan: _IndexPlan):
         n, (rows, cols) = plan.n, (x.astype(np.int64) for x in plan.entries)
-        # Both ways, row by row, each once: np.unique would load numpy.ma to do the same.
-        edges = np.sort(np.r_[rows * n + cols, cols * n + rows])
-        edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
-        ptr = np.bincount(edges // n + 1, minlength=n + 1).cumsum()
-        self.order = _frozen(_cuthill_mckee(ptr, edges % n)[::-1])
+        graph = _IndexPlan(np.r_[rows * n + cols, cols * n + rows], n)
+        self.order = _frozen(_cuthill_mckee(graph.indptr, graph.indices)[::-1])
         number = np.empty(n, np.intp)
         number[self.order] = np.arange(n)
         rows, cols = number[rows], number[cols]
@@ -491,7 +494,7 @@ def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float, floa
     state, its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``,
     and the folded system's norm: the largest absolute row sum of the generator's rows.
     """
-    lv, pos, system = _folded(frame, k, kappa)
+    lv, pos, system = _generator(frame, k, kappa)
     try:
         x = spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])  # the trace row's 1
     except RuntimeError as exc:
@@ -502,25 +505,13 @@ def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float, floa
     residual = float(np.abs(lv @ rho.ravel("F")).max())
     if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}")
-    rows = np.bincount(system.indices, np.abs(system.data), x.size)  # CSC: indices are rows
+    rows = np.bincount(system.plan.entries[0], np.abs(system.data), x.size)
     return rho, residual, float(np.delete(rows, pos[0, 0]).max())
 
 
-def _folded(frame: _Frame, k, kappa: float):
-    """The generator of :func:`_generator`, ``pos`` and the folded system, in ``pos``'s
-    numbering, that sums ``(r, s)`` with ``(s, r)``."""
-    lv, plans = _generator(frame, k, kappa)
-    if plans[1] is None:
-        plans[1] = _fold_plan(frame, plans[0])
-    pos, kept, system = plans[1]
-    values = np.ones(frame.d + kept.size)  # the trace row's 1s, then the entries kept
-    lv.data.take(kept, out=values[frame.d:])
-    return lv, pos, system(values)
-
-
 def _fold_plan(frame: _Frame, plan: _IndexPlan):
-    """``pos``, the entries kept and the folded system's plan, which builds it as CSC, for the
-    generator that ``plan`` builds on ``frame``.
+    """``pos``, the entries kept and the folded system's plan for the generator that ``plan``
+    builds on ``frame``: the trace row's ``d`` entries, then the kept ones, at row-major keys.
 
     Unknown ``(r, s)`` sits on the lattice site ``(min, max)`` of its two Fock numbers,
     and the unknowns are numbered in the sites' nested-dissection order
@@ -535,19 +526,16 @@ def _fold_plan(frame: _Frame, plan: _IndexPlan):
     site = np.minimum(fock[i], fock[j]) * span + np.maximum(fock[i], fock[j])  # by unknown
     sites, group = np.flatnonzero(np.bincount(site)), np.zeros(span * span, np.intp)
     group[sites] = _dissection(*np.divmod(sites, span))  # sites in natural order
-    n, small, t = i.size, np.min_scalar_type(i.size - 1), np.uint32 if d <= 361 else np.int64
-    order = group[site].astype(small).argsort(kind="stable")  # the unknown numbered k
+    n, t = i.size, np.uint32 if d <= 361 else np.int64  # for the keys row * n + col
+    order = group[site].astype(np.min_scalar_type(n - 1)).argsort(kind="stable")  # numbered k
     pos = np.empty((d, d), dtype=np.int32)
     pos[i[order], j[order]] = pos[j[order], i[order]] = np.arange(n)
     rows = (i + d * j)[np.delete(order, trace := pos[0, 0])]  # by number, but the trace row
     counts = np.diff(indptr)[rows]
     kept = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    major = np.r_[np.diag(pos), pos.ravel("F")[indices[kept]]].astype(t)  # trace row first
-    minor = np.r_[np.full(d, trace, t), np.repeat(np.delete(np.arange(n, dtype=t), trace), counts)]
-    split = d + counts[:trace].sum()  # the trace row goes after the rows numbered below it
-    by_row = np.concatenate((np.arange(d, split), np.arange(d), np.arange(split, major.size)))
-    radix = by_row[major[by_row].astype(small).argsort(kind="stable")]  # to d = 361
-    return _frozen(pos), _frozen(kept), _IndexPlan(major * n + minor, n, radix, transpose=True)
+    row = np.r_[np.full(d, trace, t), np.repeat(np.delete(np.arange(n, dtype=t), trace), counts)]
+    col = np.r_[np.diag(pos), pos.ravel("F")[indices[kept]]].astype(t)
+    return _frozen(pos), _frozen(kept), _IndexPlan(row * n + col, n)
 
 
 def _dissection(u, v) -> np.ndarray:

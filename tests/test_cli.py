@@ -1012,7 +1012,7 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
 # The oracle module, a configuration, a frame and its Hamiltonian cost no scipy;
 # its first sparse step loads it.  A banded solve, every ladder rung's, loads the scipy
 # package alone; a SuperLU solve (rung 64 at kappa 0.004, 8,515 unknowns) loads
-# scipy.sparse.  Each run prints what it printed when every plan built scipy's sparse
+# scipy.sparse.  Each run prints what it printed when every plan built scipy's CSR
 # matrices.
 ORACLE_SCRIPT = """
 import contextlib, io, json, sys
@@ -1048,8 +1048,7 @@ from cavity_squeezing import oracle
 def scipy_matrix(plan, values):
     data = values.take(plan.firsts)
     np.add.at(data, plan.slots, values.take(plan.rest))
-    kind = sp.csc_matrix if plan.transpose else sp.csr_matrix
-    matrix = kind((data, plan.indices, plan.indptr), shape=(plan.n, plan.n))
+    matrix = sp.csr_matrix((data, plan.indices, plan.indptr), shape=(plan.n, plan.n))
     matrix.plan = plan
     return matrix
 

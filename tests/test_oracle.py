@@ -179,9 +179,8 @@ def pad(rho, levels, n_cut):
 
 
 def scipy_matrix(matrix):
-    """scipy's CSR, or CSC, matrix on the arrays of a matrix that an oracle plan built."""
-    kind = sp.csc_matrix if matrix.plan.transpose else sp.csr_matrix
-    return kind((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    """scipy's CSR matrix on the arrays of a matrix that an oracle plan built."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def assert_same_bits(matrix, reference):
@@ -213,10 +212,17 @@ def count_plan_builds(monkeypatch):
 
 
 def held_plans(frame):
-    """The plans ``frame`` holds by pattern: the identities of its generator plan and of
-    its folded-system plan, ``None`` while no solve has built that one."""
-    return {key: tuple(None if x is None else id(x) for x in entry)
-            for key, entry in frame.plans.items()}
+    """The plans ``frame`` holds by pattern: the identities of its generator plan and of its
+    folded-system plan, which each entry, a tuple built on the pattern's first solve, holds
+    with the fold's ``pos`` and entries kept."""
+    held = {}
+    for key, entry in frame.plans.items():
+        assert type(entry) is tuple and len(entry) == 4
+        plan, pos, kept, fold = entry
+        assert isinstance(plan, oracle._IndexPlan) and isinstance(fold, oracle._IndexPlan)
+        assert isinstance(pos, np.ndarray) and isinstance(kept, np.ndarray)
+        held[key] = (id(plan), id(fold))
+    return held
 
 
 def whole_units(frame, mask):
@@ -526,6 +532,7 @@ class TestFoldedSystem:
 
     @staticmethod
     def assert_same_system(system, reference):
+        reference = reference.tocsr()  # the plan's layout, each row's columns ascending
         assert system.shape == reference.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(system, part), getattr(reference, part)), part
@@ -578,7 +585,7 @@ class TestPlannedGenerator:
 
     def test_operators_without_nonzeros(self):
         zero = np.zeros((6, 6))
-        lv, _ = oracle._generator(*frame_parts(zero, zero), 0.8)
+        lv, *_ = oracle._generator(*frame_parts(zero, zero), 0.8)
         assert lv.nnz == 0
         assert_same_bits(lv, coo_liouvillian(zero, zero, 0.8))
 
@@ -616,7 +623,7 @@ class TestPlanCache:
             solve(0.2)
             frame = oracle._frame(16, coupled)
             held = held_plans(frame)
-            assert len(held) == 1 and None not in next(iter(held.values()))
+            assert len(held) == 1
             solve(0.5)
             assert held_plans(frame) == held
         assert oracle._frame.cache_info().currsize == 2
@@ -722,7 +729,7 @@ class TestCachedParts:
         cavity_state(0.2, 0.8, 8)
         frames = [oracle._frame(8, coupled) for coupled in (True, False)]
         for frame in frames:  # the walk reaches both plans of every pattern
-            assert frame.plans and all(None not in entry for entry in frame.plans.values())
+            assert frame.plans and held_plans(frame)
         assert oracle._frame(8, True) is frames[0]
         assert len(list(arrays_in(frames[0].gathers))) == 18  # 6 gathers of 3 arrays
         assert len(list(arrays_in(frames[1].gathers))) == 9  # b, b^2 and b^dag b
@@ -732,7 +739,7 @@ class TestCachedParts:
         with pytest.raises(ValueError):
             frames[0].units[0, 0] = 2.0
 
-    def test_one_build_per_cutoff_frame_and_pattern(self):
+    def test_one_build_per_cutoff_frame_and_pattern(self, monkeypatch):
         # an oracle_ladder cycle's ops: ladders that end at rung 16 (K = g J without drive),
         # the canonical n_cut 127, which rung 16 settles, and g = 0 ladders that try rung 16
         # and end at 32; each rung is certified on its own top shell
@@ -744,21 +751,23 @@ class TestCachedParts:
                 decoupled_benchmark(eps, 0.8)
 
         clear_caches()
+        plans = count_plan_builds(monkeypatch)
         ladder()
         built = {name: cache.cache_info().misses for name, cache in CACHES.items()}
         frames = {(n_cut, coupled): oracle._frame(n_cut, coupled)
                   for n_cut, coupled in ((16, True), (16, False), (32, False))}
         assert oracle._frame.cache_info().misses == built["_frame"]  # the frames cached
         held = {key: held_plans(frame) for key, frame in frames.items()}
+        assert plans == [4, 4]  # one generator plan and one fold plan per pattern
         ladder()  # a replay builds nothing
+        assert plans == [4, 4]
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
         assert {key: held_plans(frame) for key, frame in frames.items()} == held
         # coupled 16; cavity 16 and 32, which the g = 0 states' moments read too
         assert built == {"_frame": 3}
-        # (generator plans, fold plans) per frame: g J + g alpha S and g J
-        assert {key: (len(plans), sum(None not in entry for entry in plans.values()))
-                for key, plans in held.items()} == {
-            (16, True): (2, 2), (16, False): (1, 1), (32, False): (1, 1)}
+        # patterns per frame: g J + g alpha S and g J; eps E
+        assert {key: len(plans) for key, plans in held.items()} == {
+            (16, True): 2, (16, False): 1, (32, False): 1}
 
 
 class TestFoldedSystemOnACacheHit:
@@ -1033,7 +1042,7 @@ class TestAboveRungSixteen:
         got = steady_density(params, HilbertConfig(127))
         assert got.ops.n_cut == 16
         frame = oracle._frame(127, True)
-        lv, _ = oracle._generator(frame, frame.at(*oracle._displaced(params)), params.kappa)
+        lv, *_ = oracle._generator(frame, frame.at(*oracle._displaced(params)), params.kappa)
         assert got.residual == float(np.abs(lv @ pad(got.matrix, 2, 127).ravel("F")).max())
         assert got.residual >= steady_density(params, HilbertConfig(16)).residual
 
@@ -1067,7 +1076,7 @@ def padded_residual(frame, rates, kappa, rho):
     """The reference rule: the residual on ``frame`` of ``rho``, one Fock number short of
     it, padded with zeros; or ``None`` unless that state passes, on ``frame``'s folded system
     (built, never factored) and on the residual gate, as a stationary state of ``frame``."""
-    lv, pos, system = oracle._folded(frame, frame.at(*rates), kappa)
+    lv, pos, system = oracle._generator(frame, frame.at(*rates), kappa)
     lv, system = scipy_matrix(lv), scipy_matrix(system)
     padded = pad(rho, frame.d // (frame.fock.max() + 1), frame.fock.max())
     x = np.empty(system.shape[0])
@@ -1176,8 +1185,8 @@ class TestOneAcceptanceRule:
             n = want.ops.n_cut
             rho, _, norm = oracle._stationary(frame := oracle._frame(n, coupled),
                                               frame.at(*rates), kappa)
-            _, pos, system = oracle._folded(wider := oracle._frame(n + 1, coupled),
-                                            wider.at(*rates), kappa)
+            _, pos, system = oracle._generator(wider := oracle._frame(n + 1, coupled),
+                                               wider.at(*rates), kappa)
             wide = np.delete(abs(scipy_matrix(system)) @ np.ones(system.shape[0]), pos[0, 0]).max()
             ring = rates[0 if coupled else 1] * math.sqrt(n + 1) * np.abs(rho[n]).max()
             bound = oracle._BACKWARD_TOL * np.abs(rho).max()
@@ -1258,17 +1267,55 @@ class TestBandedSolve:
         # where components tie on degree the starts may differ, but not the bandwidths
         from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
         frame = oracle._frame(n_cut, coupled)
-        _, _, system = oracle._folded(frame, frame.at(*rates), 0.8)
+        _, _, system = oracle._generator(frame, frame.at(*rates), 0.8)
         graph = abs(scipy_matrix(system)) + abs(scipy_matrix(system).T)
         graph.data[:] = 1.0
         band, want = system.plan.band, reverse_cuthill_mckee(graph.tocsr(), symmetric_mode=True)
         if connected_components(graph)[0] == 1:
             assert np.array_equal(band.order, want)
         number = np.argsort(want)
-        rows, cols = number[system.indices], number[np.repeat(np.arange(len(want)),
-                                                              np.diff(system.indptr))]
+        rows, cols = (number[x] for x in system.plan.entries)
         assert (band.kl, band.ku) == ((rows - cols).max(), (cols - rows).max())
         assert np.array_equal(np.sort(band.order), np.arange(len(want)))
+
+    @pytest.mark.parametrize("n_cut, coupled, rates", [
+        (16, True, (0.2, 0.0, 0.5)), (16, False, (0.0, 0.2, 0.0)), (8, True, (0.0, 0.0, 0.0))])
+    def test_graph_is_the_sorted_and_masked_symmetrisation(self, n_cut, coupled, rates,
+                                                           monkeypatch):
+        # the edges both ways, each once, by a sort and a neighbour mask, as the band built its
+        # graph before an index plan did
+        graphs, order = [], oracle._cuthill_mckee
+        monkeypatch.setattr(oracle, "_cuthill_mckee",
+                            lambda ptr, adj: graphs.append((ptr, adj)) or order(ptr, adj))
+        frame = oracle._frame(n_cut, coupled)
+        plan = oracle._generator(frame, frame.at(*rates), 0.8)[2].plan
+        oracle._Band(plan)
+        n, (rows, cols) = plan.n, (x.astype(np.int64) for x in plan.entries)
+        edges = np.sort(np.r_[rows * n + cols, cols * n + rows])
+        edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
+        (ptr, adj), = graphs
+        assert np.array_equal(ptr, np.bincount(edges // n + 1, minlength=n + 1).cumsum())
+        assert np.array_equal(adj, edges % n)
+
+    def test_superlu_receives_a_sorted_csc_copy(self, monkeypatch):
+        # rung 64, 8,515 unknowns: the CSC copy holds the system's entries, each column's
+        # rows ascending, and the solution is SuperLU's on that matrix
+        import scipy.sparse.linalg
+        factored, splu = [], scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda matrix, **options: (
+            factored.append((matrix, options)) or splu(matrix, **options)))
+        solves, solve = [], oracle.spsolve
+        monkeypatch.setattr(oracle, "spsolve", lambda system, rhs: solves.append(
+            (system, rhs, x := solve(system, rhs))) or x)
+        frame = oracle._frame(64, True)
+        oracle._stationary(frame, frame.at(0.2, 0.0, 0.5), 0.8)
+        ((system, rhs, x),), ((matrix, options),) = solves, factored
+        assert system.shape[0] == 8515 > oracle._BAND_MAX and matrix.format == "csc"
+        column = np.repeat(np.arange(system.shape[0]), np.diff(matrix.indptr))
+        assert np.all((np.diff(column) > 0) | (np.diff(matrix.indices) > 0))
+        want = sp.coo_matrix((system.data, system.plan.entries), shape=system.shape).tocsc()
+        assert_same_bits(matrix, want)
+        assert np.array_equal(x.view(np.uint64), splu(want, **options).solve(rhs).view(np.uint64))
 
     @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
@@ -1302,32 +1349,39 @@ VECTOR = st.one_of(FINITE, st.sampled_from([math.inf, -math.inf]))
 
 @st.composite
 def plan_matrices(draw):
-    """A plan's matrix of a drawn pattern, CSR or CSC, whose rows and columns may be empty,
-    and a vector to multiply."""
+    """The keys, size and values of a drawn CSR pattern, whose rows and columns may be empty,
+    with the keys in any order and at most 2 to a slot, and a vector to multiply."""
     n = draw(st.integers(1, 8))
-    keys = np.array(draw(st.lists(st.integers(0, n * n - 1), unique=True)), np.int64)
-    plan = oracle._IndexPlan(keys, n, keys.argsort(kind="stable"), transpose=draw(st.booleans()))
+    slots = draw(st.lists(st.integers(0, n * n - 1), unique=True))
+    twice = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    dtype = draw(st.sampled_from([np.int64, np.uint32]))  # the oracle's plans take keys of either
+    keys = np.array(draw(st.permutations(slots + twice)), dtype)
     values = np.array(draw(st.lists(FINITE, min_size=keys.size, max_size=keys.size)), float)
-    return plan(values), np.array(draw(st.lists(VECTOR, min_size=n, max_size=n)), float)
+    return keys, n, values, np.array(draw(st.lists(VECTOR, min_size=n, max_size=n)), float)
 
 
 class TestPlanMatrix:
-    """A plan's matrix multiplies a vector as scipy's CSR or CSC matrix on the same arrays
-    does, bit for bit, and emits no numpy warning where scipy's loop emits none."""
+    """A plan's matrix holds the values summed at their keys as scipy's COO -> CSR conversion
+    does, and multiplies a vector as scipy's CSR matrix on the same arrays does, bit for bit,
+    emitting no numpy warning where scipy's loop emits none."""
 
     @pytest.mark.thorough
     @settings(deadline=None)
     @given(drawn=plan_matrices())
-    @example(drawn=(oracle._IndexPlan(np.zeros(0, np.int64), 3, np.zeros(0, np.intp))(
-        np.zeros(0)), np.ones(3)))  # no entries
-    @example(drawn=(oracle._IndexPlan(np.array([0, 1, 3]), 2, np.arange(3), transpose=True)(
-        np.array([1.7e308, -0.0, 5e-324])), np.array([1.7e308, math.inf])))
-    @example(drawn=(oracle._IndexPlan(np.array([0, 1, 2]), 3, np.arange(3))(  # row 0, CSR
-        np.array([1.0, 1e16, -1e16])), np.ones(3)))  # 0 in storage order, 1 in reverse
-    @example(drawn=(oracle._IndexPlan(np.array([0, 3, 6]), 3, np.arange(3), transpose=True)(
-        np.array([1.0, 1e16, -1e16])), np.ones(3)))  # row 0 across three CSC columns
+    @example(drawn=(np.zeros(0, np.int64), 3, np.zeros(0), np.ones(3)))  # no entries
+    @example(drawn=(np.array([3, 2, 0]), 2, np.array([5e-324, -0.0, 1.7e308]),
+                    np.array([1.7e308, math.inf])))
+    @example(drawn=(np.array([0, 1, 2]), 3, np.array([1.0, 1e16, -1e16]),  # row 0
+                    np.ones(3)))  # 0 in storage order, 1 in reverse
+    @example(drawn=(np.array([2, 1, 0]), 3, np.array([-1e16, 1e16, 1.0]),  # the same, keys reversed
+                    np.ones(3)))
+    @example(drawn=(np.array([3, 0, 3]), 2, np.array([1.0, -0.0, 2.0]), np.array([1.0, 5.0])))
     def test_matmul_is_scipys(self, drawn):
-        matrix, x = drawn
+        keys, n, values, x = drawn
+        with np.errstate(over="ignore"):  # a slot's two values may overflow, as in scipy's sum
+            matrix = oracle._IndexPlan(keys, n)(values)
+        rows, cols = np.divmod(keys.astype(np.int64), n)
+        assert_same_bits(matrix, sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = matrix @ x
@@ -1429,9 +1483,9 @@ def test_one_generator_per_decoupled_rung(monkeypatch):
     rows, generator = [], oracle._generator
 
     def counting(*args):
-        lv, plan = generator(*args)
+        lv, pos, system = generator(*args)
         rows.append(lv.shape[0])
-        return lv, plan
+        return lv, pos, system
 
     monkeypatch.setattr(oracle, "_generator", counting)
     decoupled_benchmark(0.2, 0.8)
@@ -1560,7 +1614,7 @@ class TestDecoupled:
         eta_b = DensityMatrix(lifted, 0.0, rho.ops).expect(dense_operators(8)["eta_b"])
         assert eta_b.real == pytest.approx(1.0, abs=1e-12)
         frame = oracle._frame(8, True)
-        lv, _ = oracle._generator(frame, frame.at(0.0, 0.2, 0.0), 0.8)
+        lv, *_ = oracle._generator(frame, frame.at(0.0, 0.2, 0.0), 0.8)
         assert float(np.abs(lv @ lifted.ravel("F")).max()) == rho.residual
 
     def test_undriven_decoupled_cavity_is_empty(self):
