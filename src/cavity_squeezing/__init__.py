@@ -16,10 +16,9 @@ The CLI's subcommands likewise load only what they run: ``steady`` loads
 ``dynamics`` loads ``params`` and ``dynamics`` (and ``sweeps`` when it writes
 CSV), ``figures`` the closed forms and ``sweeps``, and ``oracle`` the closed
 forms and ``oracle``.  ``oracle`` is the only module that uses scipy, and it
-imports scipy inside its solves: a banded solve, every ladder rung's, loads the
-``scipy`` package and LAPACK's extension module alone, and only a SuperLU solve
-of more than 8,000 unknowns imports ``scipy.sparse``.  Everything but an oracle
-solve runs on numpy alone.
+imports scipy inside its solves: every solve is banded and loads the ``scipy``
+package and LAPACK's extension module alone, never ``scipy.sparse`` or
+``scipy.linalg``.  Everything but an oracle solve runs on numpy alone.
 """
 
 import importlib.util

@@ -29,12 +29,14 @@ Conventions, fixed once and used everywhere:
   antisymmetric part, a nearly null direction of the generator at strong
   drive; the folded system is the generator's own entries re-indexed onto
   those unknowns, with the trace row in place of the redundant ``(0, 0)`` one;
-* the unknowns and their rows are numbered in a nested-dissection order of the
-  photon-number lattice, read off the pattern, and SuperLU factors in that order a
-  system of more than ``_BAND_MAX`` unknowns; a smaller one, every ladder rung up to 32
-  and the ``g = 0`` rungs up to 64, LAPACK's banded LU factors in the reverse
-  Cuthill-McKee order of its pattern (``_Band``, half-bandwidths 36/36 at rung 16), with
-  one step of iterative refinement;
+* the unknowns and their rows are numbered once, in the reverse Cuthill-McKee order of
+  the folded pattern taken in ``triu`` order, and LAPACK's banded LU factors every system
+  in that numbering (``_Band``, half-bandwidths 34/34 at rung 16), with one step of
+  iterative refinement;
+* every solve runs in units of ``kappa``: the rates reach the solver as ``g/kappa`` and
+  ``eps/kappa`` with ``kappa = 1``, so multiplying every rate by ``2**k`` leaves the state's
+  bits unchanged, and the residual gate bounds ``drho/dt`` in units of ``kappa``; the
+  reported residual is multiplied back by ``kappa``;
 * every cutoff has one acceptance rule (``_settled``): rung n = 16, 32, ... is solved
   directly and certified from its own top Fock shell.  No generator term moves a Fock
   number by more than 1, so on rung n's state padded with zeros every larger cutoff has
@@ -56,11 +58,11 @@ vacuum level is 1 for both quadratures; the closed forms use the
 effective-mode normalisation.  The two disagree by design, so the report
 carries both values without judging the difference.
 
-Only the stationary solve loads scipy, when it runs.  A banded solve runs ``import scipy``
-alone and loads LAPACK's banded LU from the file of scipy's extension module (``_lapack``);
-only SuperLU, above ``_BAND_MAX`` unknowns, imports ``scipy.sparse``, and takes a CSC copy of
-the system.  The module, its frames, their Hamiltonians and the sparse matrices, which the
-index plans build as CSR on numpy arrays (``_Matrix``), cost numpy alone.
+Only the stationary solve loads scipy, when it runs: ``import scipy`` alone, and LAPACK's
+banded LU from the file of scipy's extension module (``_lapack``); no run imports
+``scipy.sparse`` or ``scipy.linalg``.  The module, its frames, their Hamiltonians and the
+sparse matrices, which the index plans build as CSR on numpy arrays (``_Matrix``), cost
+numpy alone.
 """
 
 from __future__ import annotations
@@ -101,11 +103,10 @@ _FRAMEWORK_NOTE = (
 )
 
 
-# The cutoff ladder's first rung, and the largest stationary residual the unfolded
-# generator may leave on an accepted state.  The bound is absolute, whatever the
-# generator's scale: at the canonical rates the residuals stay below 1e-10 up to
-# eps = 1e6, where the entries are about 7e5, and the bound refuses at eps = 1e19
-# (1.2e-3 at rung 16).
+# The cutoff ladder's first rung, and the largest stationary residual, in units of kappa,
+# that the unfolded generator may leave on an accepted state.  At the canonical gamma_c and
+# kappa the residuals of the powers of 10 of eps up to 1e35 stay at or below 3.9e-10, and
+# the bound refuses the rounding of three (1e18, 1e19 and 1e22: 2.5e-1, 7.2 and 2.2e-7).
 _LADDER_START = 16
 _RESIDUAL_TOL = 1e-8
 # A rung passes when its top shell's ring is at most this backward error of its folded
@@ -113,11 +114,6 @@ _RESIDUAL_TOL = 1e-8
 # x = 8 eps**2/(kappa gamma_c) 1e2 to 1e4) the ring fell from 1e-8 to 5e-4 at rung 16 to
 # 4.4e-25 or less at 64, and the rungs' own rows stayed at or below 2.6e-16 by that measure.
 _BACKWARD_TOL = 1e-15
-# Folded systems of at most this many unknowns are factored by :class:`_Band`, larger ones
-# by SuperLU (:func:`spsolve`).  At the canonical rates, one core, the band took 0.25-0.33
-# of SuperLU's time at rung 16 (595 unknowns), 0.58 at rung 32 (2,211), 0.59-0.68 at fixed
-# cutoffs 40 and 48, 0.70-0.80 at 56 and 60 (7,503), and 1.03-1.06 at rung 64 (8,515).
-_BAND_MAX = 8000
 
 
 @dataclass(frozen=True)
@@ -165,9 +161,8 @@ def _product_operators(n_cut: int) -> dict:
 
 class _Frame:
     """A truncated space's rate-independent parts, in read-only arrays.  What the jump
-    operator ``a`` fixes in a generator: the dimension ``d``, the basis states' Fock
-    numbers (``a``'s column ``j`` is ``sqrt(n_j)``), and the nonzeros and values of the
-    Kronecker factors ``a`` and ``n = a^T a``, which is diagonal, so ``n^T = n``.  The
+    operator ``a`` fixes in a generator: the dimension ``d`` and the nonzeros and values of
+    the Kronecker factors ``a`` and ``n = a^T a``, which is diagonal, so ``n^T = n``.  The
     Hamiltonian's unit parts, for the solves ``J = sigma^dag a - a^dag sigma``, ``S =
     sigma^dag - sigma`` and ``E = a^dag - a``, on ``slots``, the union of their nonzeros
     (flat, row-major).  ``plans``, by ``K``'s nonzero mask over ``slots``: the tuple of the
@@ -184,7 +179,6 @@ class _Frame:
     def __init__(self, a: np.ndarray, units: list, reads=()):
         n_op = a.T @ a
         self.d = len(a)
-        self.fock = _frozen(np.rint(np.einsum("ij,ij->j", a, a)).astype(np.int64))
         self.factors = []
         for x in (a, n_op):
             rows, cols = np.nonzero(x)
@@ -294,7 +288,7 @@ class _IndexPlan:
 
     @cached_property
     def band(self) -> _Band:
-        """The :class:`_Band` of the pattern, built on its first banded solve."""
+        """The :class:`_Band` of the pattern, built on its first solve."""
         return _Band(self)
 
 
@@ -321,9 +315,9 @@ class DensityMatrix:
 
     ``matrix`` is real and exactly symmetric: every solve reads it through a symmetric
     index.  ``residual`` is the max-entrywise ``drho/dt`` under the original (unmodified)
-    generator; ``ops`` is the truncated Hilbert space that ``matrix`` was solved on, its
-    product space, or at ``g = 0`` the cavity's own ``ops.n_cut + 1`` states.  ``shift``
-    is the frame: the state's ladder operator ``b`` is the lab field minus ``shift``.
+    generator, in rate units; ``ops`` is the truncated Hilbert space that ``matrix`` was
+    solved on, its product space, or at ``g = 0`` the cavity's own ``ops.n_cut + 1`` states.
+    ``shift`` is the frame: the state's ladder operator ``b`` is the lab field minus ``shift``.
     """
 
     matrix: np.ndarray
@@ -371,20 +365,10 @@ def _gather(op: np.ndarray):
 
 
 def spsolve(system, rhs) -> np.ndarray:
-    """The solution of the folded CSR ``system``, which a fold plan built (:func:`_fold_plan`).
-    :func:`_stationary` calls it by this name, and an exactly singular factor raises
-    ``RuntimeError``.  At most ``_BAND_MAX`` unknowns, the band of the system's plan solves
-    it.  Above, SuperLU does, on the CSC copy of scipy's ``csr_matrix`` of the system's
-    arrays, which moves entries but adds none, with no column ordering of its own: the plan
-    has numbered the unknowns in the order to factor in.  A diagonal pivot is kept while it
-    is at least half its column's largest entry (at ``n_cut`` 127, which only a good cavity's
-    fixed cutoff factors whole: 5.27M entries in L and U at gamma_c 0.4, kappa 0.004, eps 0.2)."""
-    if system.shape[0] <= _BAND_MAX:
-        return system.plan.band.solve(system, rhs)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import splu
-    system = csr_matrix((system.data, system.indices, system.indptr), shape=system.shape).tocsc()
-    return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5).solve(rhs)
+    """The solution of the folded CSR ``system``, which a fold plan built (:func:`_fold_plan`),
+    by the band of the system's plan (:class:`_Band`).  :func:`_stationary` calls it by this
+    name, and an exactly singular factor raises ``RuntimeError``."""
+    return system.plan.band.solve(system, rhs)
 
 
 @lru_cache(maxsize=1)
@@ -412,32 +396,25 @@ def _lapack():
 
 class _Band:
     """LAPACK's banded LU with partial pivoting (``dgbtrf``, ``dgbtrs``) of the systems of
-    one pattern, in the reverse of :func:`_cuthill_mckee`'s order of its symmetrised graph,
-    the CSR pattern of an index plan of its edges both ways: ``order[k]`` is the unknown at
-    band index ``k``, and ``kl``/``ku`` are the half-bandwidths there (36/36 at rung 16).
-    ``at`` sends each stored entry, in storage order, to its place in the Fortran-ordered
-    band of ``shape``, whose first ``kl`` rows take the pivots' fill.
+    one pattern, in the plan's own numbering, which :func:`_fold_plan` has made the order to
+    factor in: ``kl``/``ku`` are the half-bandwidths of the plan's entries (34/34 at rung
+    16).  ``at`` sends each stored entry, in storage order, to its place in the
+    Fortran-ordered band of ``shape``, whose first ``kl`` rows take the pivots' fill.
     """
 
     def __init__(self, plan: _IndexPlan):
-        n, (rows, cols) = plan.n, (x.astype(np.int64) for x in plan.entries)
-        graph = _IndexPlan(np.r_[rows * n + cols, cols * n + rows], n)
-        self.order = _frozen(_cuthill_mckee(graph.indptr, graph.indices)[::-1])
-        number = np.empty(n, np.intp)
-        number[self.order] = np.arange(n)
-        rows, cols = number[rows], number[cols]
+        rows, cols = (x.astype(np.int64) for x in plan.entries)
         self.kl, self.ku = int((rows - cols).max()), int((cols - rows).max())
-        self.shape = (2 * self.kl + self.ku + 1, n)
+        self.shape = (2 * self.kl + self.ku + 1, plan.n)
         self.at = _frozen(cols * self.shape[0] + self.kl + self.ku + rows - cols)
 
     def solve(self, system, rhs) -> np.ndarray:
         """``system``'s solution after one step of iterative refinement on its own residual,
         unless the step leaves a larger residual in the rows whose right-hand side is 0, the
-        generator's.  Partial pivoting may take the trace row's 1s as pivots over generator
-        entries many decades smaller, and the step recovers what that loses (gamma_c = kappa
-        = 1e-38, eps = 1e-140: ``eta_a`` 4.0e-204, not -1.3e-204).  Where the entries are
+        generator's.  The step recovers what pivoting loses (at the canonical point the
+        residual in units of kappa falls from 5.9e-17 to 2.3e-17).  Where the entries are
         large, the step's own residual carries their rounding (eps 1e9 at gamma_c 0.4, kappa
-        0.8: 6.0e-8 on the residual gate, against 3.1e-11 before it), and the step is dropped."""
+        0.8: 3.0e-8 on the residual gate, against 4.5e-11 before it), and the step is dropped."""
         dgbtrf, dgbtrs = _lapack()
         band = np.zeros(self.shape, order="F")
         band.reshape(-1, order="F")[self.at] = system.data
@@ -445,14 +422,9 @@ class _Band:
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) is 0")
 
-        def solved(b):
-            x = np.empty(b.size)
-            x[self.order] = dgbtrs(lu, self.kl, self.ku, b[self.order], pivots)[0]
-            return x
-
-        x = solved(rhs)
+        x = dgbtrs(lu, self.kl, self.ku, rhs, pivots)[0]
         residual = rhs - system @ x
-        refined = x + solved(residual)
+        refined = x + dgbtrs(lu, self.kl, self.ku, residual, pivots)[0]
         generator = rhs == 0
         kept = np.abs(rhs - system @ refined)[generator].max() <= np.abs(residual)[generator].max()
         return refined if kept else x
@@ -463,9 +435,10 @@ def _cuthill_mckee(ptr, adj) -> np.ndarray:
     ``adj`` (E. Cuthill and J. McKee, Proc. 24th ACM Nat. Conf. (1969)).  Each
     component is searched breadth first from an unnumbered node of least degree; each
     node's unnumbered neighbours follow it by degree, then index, in the order of the nodes
-    that reach them first.  On a connected graph this is the reverse of the order of
-    ``scipy.sparse.csgraph.reverse_cuthill_mckee``, built a level at a time rather than node
-    by node, and without loading that module (1.1 MB and 3-7 ms)."""
+    that reach them first.  It is built a level at a time rather than node by node, and
+    without loading ``scipy.sparse.csgraph`` (1.1 MB and 3-7 ms), whose
+    ``reverse_cuthill_mckee`` breaks ties otherwise: on the folded patterns in ``triu``
+    numbering its order is wider (46/46 at rung 16)."""
     degree = np.diff(ptr)
     seen, parts = np.zeros(degree.size, bool), []
     while not seen.all():
@@ -513,63 +486,30 @@ def _fold_plan(frame: _Frame, plan: _IndexPlan):
     """``pos``, the entries kept and the folded system's plan for the generator that ``plan``
     builds on ``frame``: the trace row's ``d`` entries, then the kept ones, at row-major keys.
 
-    Unknown ``(r, s)`` sits on the lattice site ``(min, max)`` of its two Fock numbers,
-    and the unknowns are numbered in the sites' nested-dissection order
-    (:func:`_dissection`), one group's in ``triu`` order.  The row of ``(r, s)`` takes
-    the number ``pos[r, s]`` too, and the trace row ``pos[0, 0]``: the folded system
-    comes symmetrically permuted into the order SuperLU factors in.  The order is read
-    off the pattern alone, on every build.
+    The unknowns ``(r, s)``, ``r <= s``, and their rows are numbered in ``triu`` order, the
+    trace row in place of ``(0, 0)``'s, and then once more, for good, in the reverse of
+    :func:`_cuthill_mckee`'s order of that pattern's symmetrised graph, its edges both ways,
+    each once: ``pos[r, s]`` is the final number, and the folded system comes symmetrically
+    permuted into the order that :class:`_Band` factors in.  The order is read off the
+    pattern alone, on every build.
     """
-    d, fock, indptr, indices = frame.d, frame.fock, plan.indptr, plan.indices
+    d, indptr, indices = frame.d, plan.indptr, plan.indices
     i, j = np.triu_indices(d)
-    span = int(fock.max()) + 1
-    site = np.minimum(fock[i], fock[j]) * span + np.maximum(fock[i], fock[j])  # by unknown
-    sites, group = np.flatnonzero(np.bincount(site)), np.zeros(span * span, np.intp)
-    group[sites] = _dissection(*np.divmod(sites, span))  # sites in natural order
     n, t = i.size, np.uint32 if d <= 361 else np.int64  # for the keys row * n + col
-    order = group[site].astype(np.min_scalar_type(n - 1)).argsort(kind="stable")  # numbered k
-    pos = np.empty((d, d), dtype=np.int32)
-    pos[i[order], j[order]] = pos[j[order], i[order]] = np.arange(n)
-    rows = (i + d * j)[np.delete(order, trace := pos[0, 0])]  # by number, but the trace row
+    pos = np.empty((d, d), dtype=np.int64)
+    pos[i, j] = pos[j, i] = np.arange(n)
+    rows = (i + d * j)[1:]  # by number, but the trace row, number 0
     counts = np.diff(indptr)[rows]
     kept = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    row = np.r_[np.full(d, trace, t), np.repeat(np.delete(np.arange(n, dtype=t), trace), counts)]
-    col = np.r_[np.diag(pos), pos.ravel("F")[indices[kept]]].astype(t)
-    return _frozen(pos), _frozen(kept), _IndexPlan(row * n + col, n)
-
-
-def _dissection(u, v) -> np.ndarray:
-    """Nested-dissection group numbers of the lattice sites ``(u, v)``, given in
-    natural (lexicographic) order (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
-
-    No generator term moves a Fock number by more than 1, so a line ``u = c`` or
-    ``v = c`` separates the sites on its two sides.  Each set of more than 4 sites is
-    cut at the median of its longer extent (``v`` on a tie); the sites below come
-    first, then those above, then the line, each set numbered so in turn.  A set of
-    at most 4 sites, or a line, is one group and keeps the natural order.  Sets are
-    split a level at a time, every set of a level at once: a site's path is its key,
-    2 bits a level.
-    """
-    n = u.size
-    key, node = np.zeros(n, np.int64), np.zeros(n, np.intp)
-    by_u, by_v = np.arange(n), np.argsort(v, kind="stable")  # the live sites, by set
-    while by_u.size:
-        key <<= 2
-        count = np.bincount(sets := node[by_u])
-        first = np.cumsum(count) - count
-        mid, last = first + count // 2, first + count - 1
-        su, sv = u[by_u], v[by_v]
-        along_v = sv[last] - sv[first] >= su[last] - su[first]
-        side = np.where(along_v[sets], v[by_u], su) - np.where(along_v, sv[mid], su[mid])[sets]
-        split = count[sets] > 4
-        key[by_u[split]] += np.where(side[split] == 0, 2, side[split] > 0)
-        live = np.zeros(n, bool)
-        live[by_u[split & (side != 0)]] = True
-        node[by_u] = 2 * sets + (side > 0)
-        by_u, by_v = (s[live[s]] for s in (by_u, by_v))
-        by_u, by_v = (s[node[s].astype(np.min_scalar_type(2 * n)).argsort(kind="stable")]
-                      for s in (by_u, by_v))
-    return np.unique(key, return_inverse=True)[1]
+    row = np.r_[np.zeros(d, np.int64), np.repeat(np.arange(1, n), counts)]
+    col = np.r_[np.diag(pos), pos.ravel("F")[indices[kept]]]
+    edges = np.sort(np.r_[row * n + col, col * n + row])
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
+    order = _cuthill_mckee(np.bincount(edges // n + 1, minlength=n + 1).cumsum(), edges % n)
+    number = np.empty(n, np.int64)
+    number[order[::-1]] = np.arange(n)
+    keys = (number[row] * n + number[col]).astype(t)
+    return _frozen(number[pos].astype(np.int32)), _frozen(kept), _IndexPlan(keys, n)
 
 
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:
@@ -583,22 +523,25 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     fast), that state is ``config``'s.  Otherwise ``config.n_cut`` is solved directly.
     Raises :class:`SingularSystem` when the linear solve fails or the
     recovered state does not actually annihilate the generator to
-    ``_RESIDUAL_TOL`` (a degenerate stationary manifold looks like this).
+    ``_RESIDUAL_TOL`` in units of ``kappa`` (a degenerate stationary manifold looks like this).
     """
     return _settled(True, _displaced(params), params.kappa, config)
 
 
 def _displaced(params: SystemParams) -> tuple[float, float, float]:
-    """:meth:`_Frame.at`'s rates of the displaced frame, which cancels the cavity drive."""
-    return params.g, 0.0, 2.0 * _require_one_drive(params.epsilon) / params.kappa
+    """:meth:`_Frame.at`'s rates of the displaced frame, which cancels the cavity drive, in
+    units of ``kappa``."""
+    return params.g / params.kappa, 0.0, 2.0 * _require_one_drive(params.epsilon) / params.kappa
 
 
 def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = None,
              dim_cap: int = _DIM_CAP) -> DensityMatrix:
-    """The stationary state on ``_frame(n_cut, coupled)``, ``K`` valued ``_Frame.at(*rates)``,
-    at the cutoff that the one acceptance rule picks: rung ``n`` = ``_LADDER_START``, ``2 n``,
-    ... is solved directly and passes on its top Fock shell.  The state returned is always a
-    solve's own, on the space it was solved on.
+    """The stationary state on ``_frame(n_cut, coupled)``, ``K`` valued ``_Frame.at(*rates)``
+    for ``rates`` in units of ``kappa``, solved at ``kappa = 1``, at the cutoff that the one
+    acceptance rule picks: rung ``n`` = ``_LADDER_START``, ``2 n``, ... is solved directly and
+    passes on its top Fock shell.  The state returned is always a solve's own, on the space it
+    was solved on, and its residual, gated in units of ``kappa``, is multiplied back by
+    ``kappa``.
 
     On rung n's state padded with zeros, the ring of rows at Fock number ``n + 1`` reads the
     one entry of ``K`` that raises Fock number n (``g sqrt(n + 1)`` from the upper level in
@@ -623,7 +566,7 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
         rung = HilbertConfig(n_cut, cap if coupled else max(cap, 2 * (n_cut + 1)))
         try:
             rho, residual, norm = _stationary(frame := _frame(n_cut, coupled),
-                                              frame.at(*rates), kappa)
+                                              frame.at(*rates), 1.0)
         except SingularSystem:
             if config is None:
                 raise
@@ -637,8 +580,8 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
         n_cut *= 2
     else:
         rung, frame = config, _frame(config.n_cut, coupled)
-        rho, residual, _ = _stationary(frame, frame.at(*rates), kappa)
-    return DensityMatrix(matrix=rho, residual=residual, ops=rung, shift=rates[2])
+        rho, residual, _ = _stationary(frame, frame.at(*rates), 1.0)
+    return DensityMatrix(matrix=rho, residual=residual * kappa, ops=rung, shift=rates[2])
 
 
 def standard_quadrature_variances(rho: DensityMatrix) -> tuple[float, float]:
@@ -761,11 +704,12 @@ def cutoff_converged(
 
 
 def _cavity(epsilon: float, kappa: float) -> tuple[tuple[float, float, float], float]:
-    """:meth:`_Frame.at`'s rates of the ``g = 0`` cavity block, and ``kappa``, both checked: a
-    drive as :class:`SystemParams` checks one with ``gamma_c = 0``, to ``8 eps**2 <= 1e77``."""
+    """:meth:`_Frame.at`'s rates of the ``g = 0`` cavity block in units of ``kappa``, and
+    ``kappa``, both checked: a drive as :class:`SystemParams` checks one with ``gamma_c = 0``,
+    to ``8 eps**2 <= 1e77``."""
     epsilon, kappa = _require_drive(_require_one_drive(epsilon)), _require_rate("kappa", kappa)
     _require_bounded_drive(epsilon)
-    return (0.0, epsilon, 0.0), kappa
+    return (0.0, epsilon / kappa, 0.0), kappa
 
 
 def decoupled_benchmark(
