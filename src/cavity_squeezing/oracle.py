@@ -33,10 +33,10 @@ Conventions, fixed once and used everywhere:
   the folded pattern taken in ``triu`` order, and LAPACK's banded LU factors every system
   in that numbering (``_Band``, half-bandwidths 34/34 at rung 16), with one step of
   iterative refinement;
-* every solve runs in units of ``kappa``: the rates reach the solver as ``g/kappa`` and
-  ``eps/kappa`` with ``kappa = 1``, so multiplying every rate by ``2**k`` leaves the state's
-  bits unchanged, and the residual gate bounds ``drho/dt`` in units of ``kappa``; the
-  reported residual is multiplied back by ``kappa``;
+* every solve runs in units of ``kappa``: the rates reach the generator, whose jump terms
+  are those of ``kappa = 1``, as ``g/kappa`` and ``eps/kappa``, so multiplying every rate by
+  ``2**k`` leaves the state's bits unchanged, and the residual gate bounds ``drho/dt`` in
+  units of ``kappa``; the reported residual is multiplied back by ``kappa``;
 * every cutoff has one acceptance rule (``_settled``): rung n = 16, 32, ... is solved
   directly and certified from its own top Fock shell.  No generator term moves a Fock
   number by more than 1, so on rung n's state padded with zeros every larger cutoff has
@@ -45,9 +45,9 @@ Conventions, fixed once and used everywhere:
   that raises Fock number n, times the top shell: the truncation.  Rung n passes when the
   ring is at most a normwise backward error of 1e-15 of rung n's folded generator rows
   (J. L. Rigal and J. Gaches, J. ACM 14, 543 (1967)); no rung n + 1 is built.  A state
-  stays on the space it was solved on;
+  stays on the space it was solved on, which its :class:`HilbertConfig` names;
 * what the rates leave unchanged is built once, in read-only arrays, per cutoff and
-  frame (``_frame``, the product space or the ``g = 0`` cavity block) in one object:
+  atomic levels (``_frame``: 2, the product space, or 1, the ``g = 0`` cavity) in one object:
   the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
   ``K = -i H`` the generator's plan and the folded system's, built together, and the
   moments' gathers, which a state reads on the frame that solved it.  A rung evaluates its
@@ -72,7 +72,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -118,27 +118,29 @@ _BACKWARD_TOL = 1e-15
 
 @dataclass(frozen=True)
 class HilbertConfig:
-    """Truncation settings: Fock states 0..n_cut, total dimension 2*(n_cut+1).
+    """A truncated space: ``levels`` atomic levels (2, or 1 for the ``g = 0`` cavity with the
+    atom in its lower level) times the Fock states 0..n_cut, dimension ``levels*(n_cut+1)``.
 
-    ``n_cut`` must be at least 2 (quadrature variances need two rungs of
-    the ladder); exceeding ``dim_cap`` raises :class:`DimensionCap` at
-    construction so no oversized operator is ever built.
+    ``n_cut`` must be at least 2 (quadrature variances need two rungs of the ladder); a
+    ``dim`` above ``dim_cap`` raises :class:`DimensionCap` at construction, so no oversized
+    operator is built: a run builds each rung's config with its own cap.
     """
 
     n_cut: int
     dim_cap: int = _DIM_CAP
+    levels: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_cut", _require_count("n_cut", self.n_cut, 2))
         object.__setattr__(self, "dim_cap", _require_count("dim_cap", self.dim_cap, 6))
+        object.__setattr__(self, "levels", _require_count("levels", self.levels, 1, 2))
         if self.dim > self.dim_cap:
-            raise DimensionCap(
-                f"dimension 2*({self.n_cut}+1)={self.dim} exceeds cap {self.dim_cap}"
-            )
+            size = f"{self.n_cut}+1" if self.levels == 1 else f"2*({self.n_cut}+1)"
+            raise DimensionCap(f"dimension {size}={self.dim} exceeds cap {self.dim_cap}")
 
     @property
     def dim(self) -> int:
-        return 2 * (self.n_cut + 1)
+        return self.levels * (self.n_cut + 1)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -197,14 +199,14 @@ class _Frame:
         return g * (j + shift * s) + epsilon * e
 
 
-# oracle_ladder runs use 3: coupled 16; g = 0 16 and 32
+# oracle_ladder runs use 3: product space 16; g = 0 16 and 32
 @lru_cache(maxsize=12)
-def _frame(n_cut: int, coupled: bool) -> _Frame:
-    """The product space's frame at ``n_cut``, with the gathers of ``b``, ``b^2``,
-    ``b^dag b``, ``sigma``, ``eta_a`` and ``eta_b``, ``b = a``; or the cavity's own on its
-    ``n_cut + 1`` states, where the atom stays in its lower level and only ``E`` is left,
+def _frame(n_cut: int, levels: int) -> _Frame:
+    """The frame of the space of ``levels`` at ``n_cut``: the product space's (2), with the
+    gathers of ``b``, ``b^2``, ``b^dag b``, ``sigma``, ``eta_a`` and ``eta_b``, ``b = a``; or
+    the cavity's own (1), where the atom stays in its lower level and only ``E`` is left,
     with the gathers of ``b``, ``b^2`` and ``b^dag b``."""
-    if coupled:
+    if levels == 2:
         ops = _product_operators(n_cut)
         a, s = ops["a"], ops["sigma"]
         return _Frame(a, [s.T @ a - a.T @ s, s.T - s, a.T - a],
@@ -213,9 +215,9 @@ def _frame(n_cut: int, coupled: bool) -> _Frame:
     return _Frame(a, [np.zeros_like(a), np.zeros_like(a), a.T - a], (a, a @ a, a.T @ a))
 
 
-def _generator(frame: _Frame, k, kappa: float):
-    """The generator of ``K`` valued ``k`` on ``frame.slots`` and of the frame's jump
-    operator, ``pos`` and the folded system, in ``pos``'s numbering, that sums ``(r, s)``
+def _generator(frame: _Frame, k):
+    """The generator of ``K`` valued ``k`` on ``frame.slots`` and of the frame's jump operator
+    at ``kappa = 1``, ``pos`` and the folded system, in ``pos``'s numbering, that sums ``(r, s)``
     with ``(s, r)``.  The first solve of ``K``'s pattern builds the frame's plans of both.
     ``K``'s zeros drop out of its pattern, and a non-finite ``K`` raises ``ValueError``."""
     if not np.all(np.isfinite(k)):
@@ -228,8 +230,7 @@ def _generator(frame: _Frame, k, kappa: float):
     plan, pos, kept, fold = plans
     k, one = k[nonzero], np.ones(frame.d)  # the identity's nonzeros
     (_, a), (_, n_op) = frame.factors
-    terms = ((1.0, one, k), (-1.0, k, one), (kappa, a, a),
-             (-0.5 * kappa, one, n_op), (-0.5 * kappa, n_op, one))
+    terms = ((1.0, one, k), (-1.0, k, one), (1.0, a, a), (-0.5, one, n_op), (-0.5, n_op, one))
     values, start = np.empty(plan.size), 0  # each term's outer product, row-major
     for c, x, y in terms:
         stop = start + x.size * y.size
@@ -242,9 +243,9 @@ def _generator(frame: _Frame, k, kappa: float):
 
 
 def _generator_plan(frame: _Frame, k_slots):
-    """The index plan of the Kronecker sum ``I (x) K - K^T (x) I + kappa a (x) a -
-    kappa/2 (I (x) n + n^T (x) I)`` for ``K``'s nonzeros at the flat ``k_slots``.  Each
-    term holds a slot at most once, so ``K^T``'s entries may come in ``K``'s order."""
+    """The index plan of the Kronecker sum ``I (x) K - K^T (x) I + a (x) a - (I (x) n + n^T
+    (x) I)/2`` for ``K``'s nonzeros at the flat ``k_slots``.  Each term holds a slot at most
+    once, so ``K^T``'s entries may come in ``K``'s order."""
     d = frame.d
     k_rows, k_cols = np.divmod(k_slots, d)
     eye = (np.arange(d),) * 2
@@ -315,8 +316,8 @@ class DensityMatrix:
 
     ``matrix`` is real and exactly symmetric: every solve reads it through a symmetric
     index.  ``residual`` is the max-entrywise ``drho/dt`` under the original (unmodified)
-    generator, in rate units; ``ops`` is the truncated Hilbert space that ``matrix`` was
-    solved on, its product space, or at ``g = 0`` the cavity's own ``ops.n_cut + 1`` states.
+    generator, in rate units; ``ops`` is the truncated Hilbert space, ``ops.dim`` square, that
+    ``matrix`` was solved on: the product space, or the ``g = 0`` cavity's (``levels`` 1).
     ``shift`` is the frame: the state's ladder operator ``b`` is the lab field minus ``shift``.
     """
 
@@ -346,8 +347,7 @@ class DensityMatrix:
         """``<b>``, ``<b^2>``, ``<b^dag b>`` and, on the product space, ``<sigma>``,
         ``<sigma^dag sigma>`` and ``<sigma sigma^dag>``: every gather of the frame that
         solved the state, ``b`` its ladder operator, read once per state."""
-        frame = _frame(self.ops.n_cut, len(self.matrix) == self.ops.dim)
-        return tuple(map(self._read, frame.gathers))
+        return tuple(map(self._read, _frame(self.ops.n_cut, self.ops.levels).gathers))
 
     def field_moments(self) -> tuple[float, float, float]:
         """Lab-frame ``<a>``, ``<a^2>``, ``<a^dag a>`` from ``a = shift + b``; the one
@@ -458,7 +458,7 @@ def _cuthill_mckee(ptr, adj) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float, float]:
+def _stationary(frame: _Frame, k) -> tuple[np.ndarray, float, float]:
     """The real symmetric stationary state of the generator ``L`` of :func:`_generator`.
 
     ``L`` maps symmetric matrices to symmetric ones, so the rows of ``(i, j)`` and
@@ -467,7 +467,7 @@ def _stationary(frame: _Frame, k, kappa: float) -> tuple[np.ndarray, float, floa
     state, its residual ``max |L vec(rho)|`` on the unfolded ``L``, at most ``_RESIDUAL_TOL``,
     and the folded system's norm: the largest absolute row sum of the generator's rows.
     """
-    lv, pos, system = _generator(frame, k, kappa)
+    lv, pos, system = _generator(frame, k)
     try:
         x = spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])  # the trace row's 1
     except RuntimeError as exc:
@@ -525,7 +525,9 @@ def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix
     recovered state does not actually annihilate the generator to
     ``_RESIDUAL_TOL`` in units of ``kappa`` (a degenerate stationary manifold looks like this).
     """
-    return _settled(True, _displaced(params), params.kappa, config)
+    if config.levels != 2:
+        raise ValueError(f"steady_density solves on 2 atomic levels, got {config.levels}")
+    return _settled(_displaced(params), params.kappa, config, fixed=True)
 
 
 def _displaced(params: SystemParams) -> tuple[float, float, float]:
@@ -534,14 +536,13 @@ def _displaced(params: SystemParams) -> tuple[float, float, float]:
     return params.g / params.kappa, 0.0, 2.0 * _require_one_drive(params.epsilon) / params.kappa
 
 
-def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = None,
-             dim_cap: int = _DIM_CAP) -> DensityMatrix:
-    """The stationary state on ``_frame(n_cut, coupled)``, ``K`` valued ``_Frame.at(*rates)``
-    for ``rates`` in units of ``kappa``, solved at ``kappa = 1``, at the cutoff that the one
+def _settled(rates, kappa: float, config: HilbertConfig, fixed: bool = False) -> DensityMatrix:
+    """The stationary state on ``config``'s space, ``K`` valued ``_Frame.at(*rates)`` for
+    ``rates`` in units of ``kappa``, solved at ``kappa = 1``, at the cutoff that the one
     acceptance rule picks: rung ``n`` = ``_LADDER_START``, ``2 n``, ... is solved directly and
     passes on its top Fock shell.  The state returned is always a solve's own, on the space it
-    was solved on, and its residual, gated in units of ``kappa``, is multiplied back by
-    ``kappa``.
+    was solved on, which its ``ops`` names with ``config``'s levels and cap, and its residual,
+    gated in units of ``kappa``, is multiplied back by ``kappa``.
 
     On rung n's state padded with zeros, the ring of rows at Fock number ``n + 1`` reads the
     one entry of ``K`` that raises Fock number n (``g sqrt(n + 1)`` from the upper level in
@@ -549,38 +550,33 @@ def _settled(coupled: bool, rates, kappa: float, config: HilbertConfig | None = 
     passes when the ring is at most ``_BACKWARD_TOL`` times its folded norm times ``max
     |rho|``, and at most ``_RESIDUAL_TOL``, which its own rows already meet.
 
-    Without ``config`` this is the ladder: the first passing rung's state and residual; a
-    rung's failed solve, or :class:`DimensionCap` from the first rung whose solved space
-    exceeds ``dim_cap``, raises.  That space is the product space's ``2 (n + 1)`` states, or
-    at ``g = 0`` the cavity's ``n + 1``; the config of such a rung names the product space,
-    so its own cap is raised to admit it.  With ``config``, the rungs below its cutoff N are
-    tried, a failed solve is a miss, and a hit is rung n's state with the residual ``max(its
-    own, the ring)``, that of its padding on every cutoff above n, N's included, and N's
-    frame is not built; once no rung passes, N is solved directly.
+    Unless ``fixed``, this is the ladder from ``config.n_cut`` up: the first passing rung's
+    state and residual; a rung's failed solve, or :class:`DimensionCap` from the first rung's
+    config, raises.  With ``fixed``, the rungs below ``config``'s cutoff N are tried, a failed
+    solve is a miss, and a hit is rung n's state with the residual ``max(its own, the ring)``,
+    that of its padding on every cutoff above n, N's included, and N's frame is not built;
+    once no rung passes, N is solved directly.
     """
-    n_cut = _LADDER_START
-    while config is None or n_cut < config.n_cut:
-        cap = dim_cap if config is None else config.dim_cap
-        if not coupled and n_cut + 1 > _require_count("dim_cap", cap, 6):
-            raise DimensionCap(f"dimension {n_cut}+1={n_cut + 1} exceeds cap {cap}")
-        rung = HilbertConfig(n_cut, cap if coupled else max(cap, 2 * (n_cut + 1)))
+    n_cut = _LADDER_START if fixed else config.n_cut
+    while not fixed or n_cut < config.n_cut:
+        rung = replace(config, n_cut=n_cut)
         try:
-            rho, residual, norm = _stationary(frame := _frame(n_cut, coupled),
-                                              frame.at(*rates), 1.0)
+            rho, residual, norm = _stationary(frame := _frame(n_cut, config.levels),
+                                              frame.at(*rates))
         except SingularSystem:
-            if config is None:
+            if not fixed:
                 raise
         else:
-            raising = abs(rates[0] if coupled else rates[1]) * math.sqrt(n_cut + 1)  # |K|
+            raising = abs(rates[0] if config.levels == 2 else rates[1]) * math.sqrt(n_cut + 1)
             ring = float(raising * np.abs(rho[n_cut]).max())
             if ring <= min(_BACKWARD_TOL * norm * np.abs(rho).max(), _RESIDUAL_TOL):
-                if config is not None:
+                if fixed:
                     residual = max(residual, ring)
                 break
         n_cut *= 2
     else:
-        rung, frame = config, _frame(config.n_cut, coupled)
-        rho, residual, _ = _stationary(frame, frame.at(*rates), 1.0)
+        rung, frame = config, _frame(config.n_cut, config.levels)
+        rho, residual, _ = _stationary(frame, frame.at(*rates))
     return DensityMatrix(matrix=rho, residual=residual * kappa, ops=rung, shift=rates[2])
 
 
@@ -699,7 +695,7 @@ def cutoff_converged(
     Returns the accepted cutoff of the shared doubling ladder together
     with the report at that cutoff.
     """
-    rho = _settled(True, _displaced(params), params.kappa, dim_cap=dim_cap)
+    rho = _settled(_displaced(params), params.kappa, HilbertConfig(_LADDER_START, dim_cap))
     return rho.ops.n_cut, _build_report(rho, params, rho.ops.n_cut)
 
 
@@ -725,7 +721,7 @@ def decoupled_benchmark(
     are ``<a> = 2 eps/kappa``, ``<a^dag a> = (2 eps/kappa)**2`` and both
     standard-commutator variances equal to 1.
     """
-    rho = _settled(False, *_cavity(epsilon, kappa), dim_cap=dim_cap)
+    rho = _settled(*_cavity(epsilon, kappa), HilbertConfig(_LADDER_START, dim_cap, 1))
     mean_a, _, mean_n = rho.field_moments()
     alpha = 2.0 * epsilon / kappa
     var_plus, var_minus = standard_quadrature_variances(rho)

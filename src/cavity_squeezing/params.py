@@ -70,10 +70,12 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def _require_count(name: str, value, least: int) -> int:
-    """``value`` as an ``int`` >= ``least``; fractions, NaN and infinities are refused."""
-    if not (-math.inf < value < math.inf and int(value) == value >= least):  # NaN fails too
-        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+def _require_count(name: str, value, least: int, most: float = math.inf) -> int:
+    """``value`` as an ``int`` from ``least`` to ``most``; bools, fractions, NaN and inf fail."""
+    if isinstance(value, bool) or not (
+            -math.inf < value < math.inf and int(value) == value and least <= value <= most):
+        rule = f">= {least}" if most == math.inf else f"from {least} to {most}"
+        raise ValueError(f"{name} must be an integer {rule}, got {value}")
     return int(value)
 
 

@@ -1033,7 +1033,7 @@ def run(argv):
         if name == "scipy" or name.startswith(("scipy.sparse", "scipy.linalg")))
 
 HilbertConfig(8)
-_frame(8, True).at(0.2, 0.0, 0.5)
+_frame(8, 2).at(0.2, 0.0, 0.5)
 before = scipy_loaded()
 steady_density(SystemParams.from_gamma_c(0.4, 0.8, 0.2), HilbertConfig(8))
 after = scipy_loaded()

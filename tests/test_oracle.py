@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import fractions
 import io
 import json
 import math
@@ -90,10 +91,10 @@ def frame_parts(hamiltonian, a):
     return frame, frame.units[0]
 
 
-def stationary(hamiltonian, a, kappa):
+def stationary(hamiltonian, a):
     """The state and residual of ``oracle._stationary`` on the generator of the dense
-    ``hamiltonian`` and ``a``."""
-    return oracle._stationary(*frame_parts(hamiltonian, a), kappa)[:2]
+    ``hamiltonian`` and jump operator ``a``."""
+    return oracle._stationary(*frame_parts(hamiltonian, a))[:2]
 
 
 def planned_numbering(hamiltonian, a):
@@ -137,7 +138,7 @@ def coo_liouvillian(hamiltonian, a, kappa):
 def cavity_state(epsilon, kappa, n_cut):
     """The ``g = 0`` state solved directly at ``n_cut`` on the cavity's own ``n_cut + 1``
     states, from the drive and ``kappa`` that ``decoupled_benchmark`` checks."""
-    return direct_state(False, *oracle._cavity(epsilon, kappa), n_cut)
+    return direct_state(1, *oracle._cavity(epsilon, kappa), n_cut)
 
 
 def sliced_decoupled_steady(epsilon, kappa, config):
@@ -275,6 +276,7 @@ LADDERS = {
 class TestHilbertConfig:
     def test_dimension(self):
         assert HilbertConfig(16).dim == 34
+        assert HilbertConfig(16, levels=1).dim == 17  # the g = 0 cavity's own states
 
     @pytest.mark.parametrize("n_cut", [0, 1, -3, 2.5])
     def test_rejects_small_or_fractional_cutoffs(self, n_cut):
@@ -287,6 +289,42 @@ class TestHilbertConfig:
             HilbertConfig(128)
         with pytest.raises(DimensionCap):
             HilbertConfig(8, dim_cap=16)
+        HilbertConfig(255, levels=1)  # dim 256 exactly
+        for config, message in (({"n_cut": 16, "dim_cap": 33}, r"2\*\(16\+1\)=34 exceeds cap 33"),
+                                ({"n_cut": 256, "levels": 1}, r"256\+1=257 exceeds cap 256")):
+            with pytest.raises(DimensionCap, match=f"^dimension {message}$"):
+                HilbertConfig(**config)
+
+
+class TestSolvedSpace:
+    """A state's ``ops`` names the space it was solved on: its cutoff, its atomic levels and
+    its caller's cap, and its moments are the reads on that space's frame."""
+
+    @pytest.mark.parametrize("run, n_cut, levels", [
+        # a fixed cutoff solved directly, and one that rung 16 settles
+        (lambda cap: steady_density(params_at(0.2), HilbertConfig(16, cap)), 16, 2),
+        (lambda cap: steady_density(params_at(0.2), HilbertConfig(127, cap)), 16, 2),
+        (lambda cap: cutoff_converged(params_at(0.3, kappa=0.1), dim_cap=cap), 32, 2),
+        (lambda cap: decoupled_benchmark(0.2, 0.8, dim_cap=cap), 32, 1),
+        (lambda cap: decoupled_benchmark(1.4, 0.8, dim_cap=cap), 128, 1),  # 129 states
+    ], ids=["fixed 16", "fixed 127", "ladder", "g = 0 ladder", "g = 0 rung 128"])
+    @pytest.mark.parametrize("cap", [256, 300])
+    def test_ops_names_the_solved_space(self, run, n_cut, levels, cap, monkeypatch):
+        states, settled = [], oracle._settled
+        monkeypatch.setattr(oracle, "_settled", lambda *args, **options: states.append(
+            rho := settled(*args, **options)) or rho)
+        run(cap)
+        (rho,) = states
+        assert (rho.ops.n_cut, rho.ops.levels, rho.ops.dim_cap) == (n_cut, levels, cap)
+        assert rho.ops.dim == len(rho.matrix) == levels * (n_cut + 1)
+        frame = oracle._frame.__wrapped__(rho.ops.n_cut, rho.ops.levels)  # built afresh
+        reads = np.array([rho._read(gather) for gather in frame.gathers])
+        assert len(reads) == 3 * levels
+        assert np.array_equal(np.array(rho.moments).view(np.uint64), reads.view(np.uint64))
+
+    def test_steady_density_solves_on_the_product_space(self):
+        with pytest.raises(ValueError, match="^steady_density solves on 2 atomic levels, got 1$"):
+            steady_density(params_at(0.2), HilbertConfig(16, levels=1))
 
 
 class TestOperators:
@@ -329,7 +367,7 @@ class TestOperators:
 def frame_k(n_cut, g, epsilon, shift=0.0):
     """``K = -i H`` as the coupled solves evaluate it on ``_frame``'s slots, scattered
     into a dense matrix."""
-    frame = oracle._frame(n_cut, True)
+    frame = oracle._frame(n_cut, 2)
     k = np.zeros(frame.d * frame.d)
     k[frame.slots] = frame.at(g, epsilon, shift)
     return k.reshape(frame.d, frame.d)
@@ -370,23 +408,23 @@ class TestLiouvillian:
     """The solves' generator against the dense master equation."""
 
     def test_action_matches_matrix(self, canonical):
-        n_cut, frame = 6, oracle._frame(6, True)
+        n_cut, frame = 6, oracle._frame(6, 2)
         a, d = dense_operators(n_cut)["a"], frame.d
         rng = np.random.default_rng(3)
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         for shift in (0.0, 0.5):  # the lab and a displaced frame
             k = frame.at(canonical.g, canonical.epsilon, shift)
-            lv = scipy_matrix(oracle._generator(frame, k, canonical.kappa)[0])
+            lv = scipy_matrix(oracle._generator(frame, k)[0])
             assert lv.dtype == np.float64
             h = dense_hamiltonian(canonical.g, canonical.epsilon, n_cut, shift=shift)
-            direct = lindblad_action(rho, h, a, canonical.kappa)
+            direct = lindblad_action(rho, h, a, 1.0)
             via_matrix = (lv @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
             np.testing.assert_allclose(via_matrix, direct, rtol=1e-12, atol=1e-13)
 
     def test_conserves_trace(self, canonical):
-        frame = oracle._frame(6, True)
+        frame = oracle._frame(6, 2)
         k = frame.at(canonical.g, canonical.epsilon, 0.0)
-        lv = scipy_matrix(oracle._generator(frame, k, canonical.kappa)[0])
+        lv = scipy_matrix(oracle._generator(frame, k)[0])
         rng = np.random.default_rng(4)
         d = frame.d
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -568,44 +606,44 @@ class TestFoldedSystem:
 RATES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-160, 1e-150),
                   st.floats(5e-324, 1e-300))
 SIGNED = st.tuples(st.sampled_from([1.0, -1.0]), RATES).map(lambda t: t[0] * t[1])
-POINTS = st.tuples(SIGNED, SIGNED, RATES, SIGNED)  # g, eps, kappa, shift
+POINTS = st.tuples(SIGNED, SIGNED, SIGNED)  # g, eps, shift
 
 
 class TestPlannedGenerator:
-    """The generator summed from its plan equals the COO build of the dense Hamiltonian
-    bit for bit."""
+    """The generator summed from its plan equals the COO build of the dense Hamiltonian at
+    ``kappa = 1`` bit for bit."""
 
     @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 32), first=POINTS, second=POINTS)
-    @example(n_cut=8, first=(0.3, 0.0, 0.8, 0.5), second=(0.0, 0.2, 0.8, 0.0))
-    @example(n_cut=2, first=(0.0, 0.0, 0.0, 0.0), second=(1e-160, -1e-160, 5e-324, 0.0))
+    @example(n_cut=8, first=(0.3, 0.0, 0.5), second=(0.0, 0.2, 0.0))
+    @example(n_cut=2, first=(0.0, 0.0, 0.0), second=(1e-160, -1e-160, 0.0))
     def test_equals_the_coo_build(self, n_cut, first, second):
         # the second call may switch pattern, and the third comes back to the first's plan
-        frame, a = oracle._frame(n_cut, True), dense_operators(n_cut)["a"]
-        for g, eps, kappa, shift in (first, second, first):
-            assert_same_bits(oracle._generator(frame, frame.at(g, eps, shift), kappa)[0],
-                             coo_liouvillian(dense_hamiltonian(g, eps, n_cut, shift), a, kappa))
+        frame, a = oracle._frame(n_cut, 2), dense_operators(n_cut)["a"]
+        for g, eps, shift in (first, second, first):
+            assert_same_bits(oracle._generator(frame, frame.at(g, eps, shift))[0],
+                             coo_liouvillian(dense_hamiltonian(g, eps, n_cut, shift), a, 1.0))
 
     def test_operators_without_nonzeros(self):
         zero = np.zeros((6, 6))
-        lv, *_ = oracle._generator(*frame_parts(zero, zero), 0.8)
+        lv, *_ = oracle._generator(*frame_parts(zero, zero))
         assert lv.nnz == 0
-        assert_same_bits(lv, coo_liouvillian(zero, zero, 0.8))
+        assert_same_bits(lv, coo_liouvillian(zero, zero, 1.0))
 
     def test_index_arrays_are_read_only(self, canonical):
         # an in-place change of the structure fails rather than reach the plan; a copy may
-        frame, rates = oracle._frame(4, True), (canonical.g, canonical.epsilon, 0.0)
-        lv = scipy_matrix(oracle._generator(frame, frame.at(*rates), canonical.kappa)[0])
+        frame, rates = oracle._frame(4, 2), (canonical.g, canonical.epsilon, 0.0)
+        lv = scipy_matrix(oracle._generator(frame, frame.at(*rates))[0])
         assert not lv.indices.flags.writeable and not lv.indptr.flags.writeable
         with pytest.raises(ValueError):
             lv.eliminate_zeros()
         copy = lv.copy()
         copy.data[::2] = 0.0
         copy.eliminate_zeros()
-        assert_same_bits(oracle._generator(frame, frame.at(*rates), canonical.kappa)[0],
+        assert_same_bits(oracle._generator(frame, frame.at(*rates))[0],
                          coo_liouvillian(dense_hamiltonian(canonical.g, canonical.epsilon, 4),
-                                         dense_operators(4)["a"], canonical.kappa))
+                                         dense_operators(4)["a"], 1.0))
 
 
 # Rates for the plan patterns: 0 of either sign, subnormals, sizes whose products
@@ -622,10 +660,10 @@ class TestPlanCache:
         # the coupled and the g = 0 frames hold their own, reused at another drive
         oracle._frame.cache_clear()
         config = HilbertConfig(16)
-        for coupled, solve in ((True, lambda eps: steady_density(params_at(eps), config)),
-                               (False, lambda eps: cavity_state(eps, 0.8, 16))):
+        for levels, solve in ((2, lambda eps: steady_density(params_at(eps), config)),
+                              (1, lambda eps: cavity_state(eps, 0.8, 16))):
             solve(0.2)
-            frame = oracle._frame(16, coupled)
+            frame = oracle._frame(16, levels)
             held = held_plans(frame)
             assert len(held) == 1
             solve(0.5)
@@ -639,9 +677,9 @@ class TestPlanCache:
         rates = [(0.0, 0.0, 0.0), (0.0, 0.2, 0.0), (0.3, 0.0, 0.0), (0.3, 0.2, 0.0),
                  (0.3, 0.0, 0.5), (0.3, 0.2, 0.5), (1e-160, 0.0, 1e-160)]  # g, eps, shift
         for n_cut in range(2, 33):
-            frame = oracle._frame(n_cut, True)
+            frame = oracle._frame(n_cut, 2)
             for g, eps, shift in rates:  # the zero state passes the residual gate
-                oracle._stationary(frame, frame.at(g, eps, shift), 0.8)
+                oracle._stationary(frame, frame.at(g, eps, shift))
             assert len(frame.plans) == 6  # g = 1e-160 with g shift underflowing is g J
             assert all(whole_units(frame, np.frombuffer(key, bool)) for key in frame.plans)
             info = oracle._frame.cache_info()
@@ -650,16 +688,16 @@ class TestPlanCache:
 
     @pytest.mark.thorough
     @settings(deadline=None)
-    @given(n_cut=st.sampled_from([2, 3, 8, 16, 32]), coupled=st.booleans(), g=PATTERN_RATES,
-           epsilon=PATTERN_RATES, shift=PATTERN_RATES)
-    @example(n_cut=8, coupled=True, g=1e-160, epsilon=0.0, shift=-1e-160)  # g shift subnormal
-    @example(n_cut=8, coupled=True, g=1e-160, epsilon=5e-324, shift=1e-300)  # g shift 0
-    @example(n_cut=2, coupled=False, g=0.3, epsilon=-5e-324, shift=0.5)
-    def test_patterns_are_unions_of_whole_units(self, n_cut, coupled, g, epsilon, shift):
-        frame = oracle._frame(n_cut, coupled)
+    @given(n_cut=st.sampled_from([2, 3, 8, 16, 32]), levels=st.sampled_from([1, 2]),
+           g=PATTERN_RATES, epsilon=PATTERN_RATES, shift=PATTERN_RATES)
+    @example(n_cut=8, levels=2, g=1e-160, epsilon=0.0, shift=-1e-160)  # g shift subnormal
+    @example(n_cut=8, levels=2, g=1e-160, epsilon=5e-324, shift=1e-300)  # g shift 0
+    @example(n_cut=2, levels=1, g=0.3, epsilon=-5e-324, shift=0.5)
+    def test_patterns_are_unions_of_whole_units(self, n_cut, levels, g, epsilon, shift):
+        frame = oracle._frame(n_cut, levels)
         k = frame.at(g, epsilon, shift)
         assert whole_units(frame, k != 0)
-        oracle._generator(frame, k, 0.8)
+        oracle._generator(frame, k)
         assert 1 <= len(frame.plans) <= 8
         assert all(whole_units(frame, np.frombuffer(key, bool)) for key in frame.plans)
 
@@ -670,26 +708,26 @@ FRAMES = {"displaced": ("epsilon",), "lab": ("shift",), "cavity": ("g", "shift")
 
 class TestRatePath:
     """The solves evaluate their rates on a frame's cached unit parts; the generator
-    equals the COO build from the dense Hamiltonian, bit for bit."""
+    equals the COO build from the dense Hamiltonian at ``kappa = 1``, bit for bit."""
 
     @pytest.mark.thorough
     @settings(deadline=None)
     @given(n_cut=st.integers(2, 24), frame=st.sampled_from(sorted(FRAMES)), g=SIGNED,
-           epsilon=SIGNED, shift=SIGNED, kappa=RATES)
-    @example(n_cut=8, frame="displaced", g=0.3, epsilon=0.0, shift=0.5, kappa=0.8)
-    @example(n_cut=2, frame="lab", g=1e-160, epsilon=-1e-160, shift=0.0, kappa=5e-324)
-    @example(n_cut=3, frame="cavity", g=0.0, epsilon=5e-324, shift=0.0, kappa=1e-155)
+           epsilon=SIGNED, shift=SIGNED)
+    @example(n_cut=8, frame="displaced", g=0.3, epsilon=0.0, shift=0.5)
+    @example(n_cut=2, frame="lab", g=1e-160, epsilon=-1e-160, shift=0.0)
+    @example(n_cut=3, frame="cavity", g=0.0, epsilon=5e-324, shift=0.0)
     def test_equals_the_coo_build_of_the_dense_hamiltonian(self, n_cut, frame, g, epsilon,
-                                                           shift, kappa):
+                                                           shift):
         rates = {"g": g, "epsilon": epsilon, "shift": shift}
         rates.update(dict.fromkeys(FRAMES[frame], 0.0))
         m = n_cut + 1
         h, a = dense_hamiltonian(n_cut=n_cut, **rates), dense_operators(n_cut)["a"]
         if frame == "cavity":
             h, a = h[m:, m:], a[m:, m:]
-        frame = oracle._frame(n_cut, frame != "cavity")
-        assert_same_bits(oracle._generator(frame, frame.at(**rates), kappa)[0],
-                         coo_liouvillian(h, a, kappa))
+        frame = oracle._frame(n_cut, 1 if frame == "cavity" else 2)
+        assert_same_bits(oracle._generator(frame, frame.at(**rates))[0],
+                         coo_liouvillian(h, a, 1.0))
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_refuses_an_overflowing_rate_as_the_dense_route_does(self, coupled):
@@ -697,10 +735,10 @@ class TestRatePath:
         # refuses it rather than build a generator of infinities
         with np.errstate(over="ignore", invalid="ignore"):
             h = (-1j * dense_hamiltonian(0.0, 1e308, 8)).real
-            frame = oracle._frame(8, coupled)
+            frame = oracle._frame(8, 2 if coupled else 1)
             k = frame.at(0.0, 1e308, 0.0)
             with pytest.raises(ValueError, match="^K = -i H has a non-finite entry$"):
-                oracle._generator(frame, k, 1.0)
+                oracle._generator(frame, k)
         dense = np.zeros(frame.d * frame.d)
         dense[frame.slots] = k
         want = h if coupled else h[9:, 9:]  # the cavity block at n_cut 8
@@ -731,10 +769,10 @@ class TestCachedParts:
         oracle._frame.cache_clear()
         steady_density(canonical, config)
         cavity_state(0.2, 0.8, 8)
-        frames = [oracle._frame(8, coupled) for coupled in (True, False)]
+        frames = [oracle._frame(8, levels) for levels in (2, 1)]
         for frame in frames:  # the walk reaches both plans of every pattern
             assert frame.plans and held_plans(frame)
-        assert oracle._frame(8, True) is frames[0]
+        assert oracle._frame(8, 2) is frames[0]
         assert len(list(arrays_in(frames[0].gathers))) == 18  # 6 gathers of 3 arrays
         assert len(list(arrays_in(frames[1].gathers))) == 9  # b, b^2 and b^dag b
         arrays = list(arrays_in(frames))  # the gathers among them
@@ -758,8 +796,8 @@ class TestCachedParts:
         plans = count_plan_builds(monkeypatch)
         ladder()
         built = {name: cache.cache_info().misses for name, cache in CACHES.items()}
-        frames = {(n_cut, coupled): oracle._frame(n_cut, coupled)
-                  for n_cut, coupled in ((16, True), (16, False), (32, False))}
+        frames = {(n_cut, levels): oracle._frame(n_cut, levels)
+                  for n_cut, levels in ((16, 2), (16, 1), (32, 1))}
         assert oracle._frame.cache_info().misses == built["_frame"]  # the frames cached
         held = {key: held_plans(frame) for key, frame in frames.items()}
         assert plans == [4, 4]  # one generator plan and one fold plan per pattern
@@ -767,11 +805,11 @@ class TestCachedParts:
         assert plans == [4, 4]
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
         assert {key: held_plans(frame) for key, frame in frames.items()} == held
-        # coupled 16; cavity 16 and 32, which the g = 0 states' moments read too
+        # product space 16; cavity 16 and 32, which the g = 0 states' moments read too
         assert built == {"_frame": 3}
         # patterns per frame: g J + g alpha S and g J; eps E
         assert {key: len(plans) for key, plans in held.items()} == {
-            (16, True): 2, (16, False): 1, (32, False): 1}
+            (16, 2): 2, (16, 1): 1, (32, 1): 1}
 
 
 class TestFoldedSystemOnACacheHit:
@@ -850,21 +888,21 @@ class TestNumbering:
     def test_trace_row_away_from_the_first_number(self, canonical):
         # with the basis reversed, (0, 0) holds the top Fock state and is not numbered first
         h, a = dense_hamiltonian(canonical.g, 0.0, 8, shift=0.5), dense_operators(8)["a"]
-        rho, _ = stationary(h, a, canonical.kappa)
+        rho, _ = stationary(h, a)
         p = np.arange(len(a))[::-1]
         h, a = h[np.ix_(p, p)], a[np.ix_(p, p)]
         assert planned_numbering(h, a)[0, 0] > 0
-        reversed_rho, residual = stationary(h, a, canonical.kappa)
+        reversed_rho, residual = stationary(h, a)
         assert residual <= 1e-12
         assert np.abs(reversed_rho - rho[np.ix_(p, p)]).max() <= 1e-13
 
     @pytest.mark.parametrize("problem", ["no generator", "no decay"])
     def test_singular_system_is_refused(self, problem):
-        # the trace row alone, or a Hamiltonian's degenerate stationary manifold
-        a = dense_operators(4)["a"]
-        h = np.zeros_like(a) if problem == "no generator" else dense_hamiltonian(0.3, 0.2, 4)
+        # no jump operator: the trace row alone, or a Hamiltonian's degenerate stationary manifold
+        no_jump = np.zeros((10, 10))
+        h = no_jump if problem == "no generator" else dense_hamiltonian(0.3, 0.2, 4)
         with pytest.raises(SingularSystem, match="^stationary solve failed: .*singular"):
-            stationary(h, a, 0.0)
+            stationary(h, no_jump)
 
     @pytest.mark.thorough
     @settings(deadline=None)
@@ -980,7 +1018,7 @@ class TestAboveRungSixteen:
         assert rho.matrix.shape == (34, 34) and rho.ops == HilbertConfig(16)
         assert shapes == [(34, 34)]
         assert oracle._frame.cache_info().misses == 1
-        oracle._frame(16, True)
+        oracle._frame(16, 2)
         assert oracle._frame.cache_info().misses == 1  # cached: no other frame was built
 
     @pytest.mark.thorough
@@ -1011,8 +1049,8 @@ class TestAboveRungSixteen:
         params = params_at(eps)
         got = steady_density(params, HilbertConfig(127))
         assert got.ops.n_cut == 16
-        frame = oracle._frame(127, True)
-        lv, *_ = oracle._generator(frame, frame.at(*oracle._displaced(params)), 1.0)
+        frame = oracle._frame(127, 2)
+        lv, *_ = oracle._generator(frame, frame.at(*oracle._displaced(params)))
         padded = pad(got.matrix, 2, 127).ravel("F")
         assert got.residual == float(np.abs(lv @ padded).max()) * params.kappa
         assert got.residual >= steady_density(params, HilbertConfig(16)).residual
@@ -1020,38 +1058,43 @@ class TestAboveRungSixteen:
 
 @st.composite
 def ladder_points(draw):
-    """``(coupled, gamma_c, kappa, eps)`` from the benchmark's ``oracle_ladder`` ranges, every
-    rate times one power of 2: coupled, gamma_c in [0.2, 0.8], kappa/gamma_c log-uniform in
-    [2, 16] and the bare amplitude 2 eps/kappa in [0.05, 4.5]; or ``g = 0``, kappa in [0.4,
-    4] and the amplitude in [0.1, 1.2].  The solves run in units of kappa, so the scale
-    changes no bit of a state (:class:`TestUnitsOfKappa`)."""
+    """``(levels, gamma_c, kappa, eps)`` from the benchmark's ``oracle_ladder`` ranges, every
+    rate times one power of 2: the product space (2 levels), gamma_c in [0.2, 0.8],
+    kappa/gamma_c log-uniform in [2, 16] and the bare amplitude 2 eps/kappa in [0.05, 4.5];
+    or ``g = 0`` (1 level), kappa in [0.4, 4] and the amplitude in [0.1, 1.2].  The solves run
+    in units of kappa, so the scale changes no bit of a state (:class:`TestUnitsOfKappa`)."""
     scale = 2.0 ** draw(st.integers(-100, 100))
     if draw(st.booleans()):
         gamma_c = draw(st.floats(0.2, 0.8))
         kappa, alpha = gamma_c * 2.0 ** draw(st.floats(1.0, 4.0)), draw(st.floats(0.05, 4.5))
-        return True, gamma_c * scale, kappa * scale, alpha * kappa / 2.0 * scale
+        return 2, gamma_c * scale, kappa * scale, alpha * kappa / 2.0 * scale
     kappa, alpha = draw(st.floats(0.4, 4.0)), draw(st.floats(0.1, 1.2))
-    return False, 0.0, kappa * scale, alpha * kappa / 2.0 * scale
+    return 1, 0.0, kappa * scale, alpha * kappa / 2.0 * scale
 
 
-def direct_state(coupled, rates, kappa, n_cut):
+def ladder(rates, kappa, levels):
+    """``oracle._settled``'s ladder on ``levels`` atomic levels at the default cap."""
+    return oracle._settled(rates, kappa, HilbertConfig(16, levels=levels))
+
+
+def direct_state(levels, rates, kappa, n_cut):
     """The state at ``n_cut`` solved directly for ``rates`` in units of ``kappa``, no rung
     below it tried, as a :class:`DensityMatrix` that may exceed the default dimension cap."""
-    frame = oracle._frame(n_cut, coupled)
-    rho, residual, _ = oracle._stationary(frame, frame.at(*rates), 1.0)
-    return DensityMatrix(rho, residual * kappa, HilbertConfig(n_cut, dim_cap=2 * (n_cut + 1)),
-                         rates[2])
+    frame = oracle._frame(n_cut, levels)
+    rho, residual, _ = oracle._stationary(frame, frame.at(*rates))
+    ops = HilbertConfig(n_cut, max(oracle._DIM_CAP, levels * (n_cut + 1)), levels)
+    return DensityMatrix(rho, residual * kappa, ops, rates[2])
 
 
-def padded_residual(coupled, n_cut, rates, rho):
-    """The reference rule: the residual in units of kappa on ``_frame(n_cut, coupled)`` of
+def padded_residual(levels, n_cut, rates, rho):
+    """The reference rule: the residual in units of kappa on ``_frame(n_cut, levels)`` of
     ``rho``, one Fock number short of it, padded with zeros; or ``None`` unless that state
     passes, on the frame's folded system (built, never factored) and on the residual gate, as
     a stationary state of the frame."""
-    frame = oracle._frame(n_cut, coupled)
-    lv, pos, system = oracle._generator(frame, frame.at(*rates), 1.0)
+    frame = oracle._frame(n_cut, levels)
+    lv, pos, system = oracle._generator(frame, frame.at(*rates))
     lv, system = scipy_matrix(lv), scipy_matrix(system)
-    padded = pad(rho, 2 if coupled else 1, n_cut)
+    padded = pad(rho, levels, n_cut)
     x = np.empty(system.shape[0])
     x[pos] = padded
     rhs = np.eye(1, x.size, pos[0, 0])[0]
@@ -1065,27 +1108,28 @@ def padded_residual(coupled, n_cut, rates, rho):
     return residual if residual <= oracle._RESIDUAL_TOL else None
 
 
-def padded_settled(coupled, rates, kappa, config=None):
+def padded_settled(rates, kappa, config, fixed=False):
     """The reference ladder: ``oracle._settled`` with rung n checked on rung n + 1's folded
     system by :func:`padded_residual`, for ``rates`` in units of ``kappa``."""
-    n_cut = 16
-    while config is None or n_cut < config.n_cut:
-        rung = HilbertConfig(n_cut)
+    n_cut = 16 if fixed else config.n_cut
+    while not fixed or n_cut < config.n_cut:
+        rung = dataclasses.replace(config, n_cut=n_cut)
         try:
-            rho, residual, _ = oracle._stationary(frame := oracle._frame(n_cut, coupled),
-                                                  frame.at(*rates), 1.0)
-            wide = padded_residual(coupled, n_cut + 1, rates, rho)
+            rho, residual, _ = oracle._stationary(frame := oracle._frame(n_cut, config.levels),
+                                                  frame.at(*rates))
+            wide = padded_residual(config.levels, n_cut + 1, rates, rho)
         except SingularSystem:
-            if config is None:
+            if not fixed:
                 raise
             wide = None
         if wide is not None:
-            if config is not None:
+            if fixed:
                 residual = wide
             break
         n_cut *= 2
     else:
-        return direct_state(coupled, rates, kappa, config.n_cut)
+        rung, frame = config, oracle._frame(config.n_cut, config.levels)
+        rho, residual, _ = oracle._stationary(frame, frame.at(*rates))
     return DensityMatrix(rho, residual * kappa, rung, rates[2])
 
 
@@ -1106,30 +1150,30 @@ class TestOneAcceptanceRule:
         # cutoff's direct solve is checked against COLAMD in test_matches_colamd.
         if decoupled:  # the cavity's coherent state of amplitude alpha
             kappa = rates[1]
-            coupled, solve_at = False, (0.0, alpha / 2.0, 0.0)
+            levels, solve_at = 1, (0.0, alpha / 2.0, 0.0)
         else:
             params = params_at(rates[2], *rates[:2])
             assume(2.0 * params.g * params.epsilon <= MAX_PUMP * params.kappa**2)
-            kappa, coupled = params.kappa, True
+            kappa, levels = params.kappa, 2
             solve_at = oracle._displaced(params)
         try:
-            rho = oracle._settled(coupled, solve_at, kappa)
+            rho = ladder(solve_at, kappa, levels)
         except (DimensionCap, SingularSystem):  # the ladder's two refusals
             return
         n_cut = rho.ops.n_cut
-        twice = direct_state(coupled, solve_at, kappa, 2 * n_cut)
+        twice = direct_state(levels, solve_at, kappa, 2 * n_cut)
         assert np.abs(np.subtract(rho.moments, twice.moments)).max() <= 1e-12
-        if coupled:  # a fixed cutoff above the accepted rung takes its state
+        if levels == 2:  # a fixed cutoff above the accepted rung takes its state
             got = steady_density(params, HilbertConfig(127))
             assert got.ops == rho.ops and np.array_equal(got.matrix, rho.matrix)
 
     @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(point=ladder_points())
-    @example(point=(True, 0.4, 0.8, 0.2))  # the canonical point
-    @example(point=(False, 0.0, 3.9280327822506456, 0.39335439191446053 * 3.9280327822506456 / 2))
-    @example(point=(True, 0.4, 0.1, 0.3))  # rung 16 misses, 32 passes
-    @example(point=(False, 0.0, 224.52817578245697, 42.89226707590098))  # at the margin
+    @example(point=(2, 0.4, 0.8, 0.2))  # the canonical point
+    @example(point=(1, 0.0, 3.9280327822506456, 0.39335439191446053 * 3.9280327822506456 / 2))
+    @example(point=(2, 0.4, 0.1, 0.3))  # rung 16 misses, 32 passes
+    @example(point=(1, 0.0, 224.52817578245697, 42.89226707590098))  # at the margin
     def test_the_top_shell_matches_the_padded_reference(self, point):
         # a tenth of the profile's examples: a draw may solve rung 64 twice.  The same
         # verdict, n_cut, state and residual, bit for bit, as the ladder and as a fixed
@@ -1138,16 +1182,16 @@ class TestOneAcceptanceRule:
         # by rung n's, which is smaller, so a ring between the two bounds passes the
         # reference alone (rung 16 at g = 0, kappa 224.5, eps 42.89: 6.83e-12 against
         # 6.60e-12 and 7.00e-12)
-        coupled, gamma_c, kappa, eps = point
-        if coupled:
+        levels, gamma_c, kappa, eps = point
+        if levels == 2:
             params = SystemParams.from_gamma_c(gamma_c, kappa, eps)
             rates, kappa = oracle._displaced(params), params.kappa
         else:
             rates, kappa = oracle._cavity(eps, kappa)
-        outcomes = []
+        outcomes, first = [], HilbertConfig(16, levels=levels)
         for settle in (oracle._settled, padded_settled):
             try:
-                outcomes.append(settle(coupled, rates, kappa))
+                outcomes.append(settle(rates, kappa, first))
             except (DimensionCap, SingularSystem) as exc:
                 outcomes.append(type(exc))
         got, want = outcomes
@@ -1156,28 +1200,27 @@ class TestOneAcceptanceRule:
             return
         if isinstance(got, type) or got.ops != want.ops:
             n = want.ops.n_cut
-            rho, _, norm = oracle._stationary(frame := oracle._frame(n, coupled),
-                                              frame.at(*rates), 1.0)
-            _, pos, system = oracle._generator(wider := oracle._frame(n + 1, coupled),
-                                               wider.at(*rates), 1.0)
+            rho, _, norm = oracle._stationary(frame := oracle._frame(n, levels), frame.at(*rates))
+            _, pos, system = oracle._generator(wider := oracle._frame(n + 1, levels),
+                                               wider.at(*rates))
             wide = np.delete(abs(scipy_matrix(system)) @ np.ones(system.shape[0]), pos[0, 0]).max()
-            ring = rates[0 if coupled else 1] * math.sqrt(n + 1) * np.abs(rho[n]).max()
+            ring = rates[0 if levels == 2 else 1] * math.sqrt(n + 1) * np.abs(rho[n]).max()
             bound = oracle._BACKWARD_TOL * np.abs(rho).max()
             assert norm < wide and norm * bound < ring <= wide * bound
             assert isinstance(got, type) or got.ops.n_cut > n
             return
-        fixed = HilbertConfig(want.ops.n_cut + 1)
-        for got, want in ((got, want), (oracle._settled(coupled, rates, kappa, fixed),
-                                        padded_settled(coupled, rates, kappa, fixed))):
-            assert got.ops.n_cut == want.ops.n_cut
+        above = dataclasses.replace(want.ops, n_cut=want.ops.n_cut + 1)
+        for got, want in ((got, want), (oracle._settled(rates, kappa, above, fixed=True),
+                                        padded_settled(rates, kappa, above, fixed=True))):
+            assert got.ops == want.ops
             assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
             assert np.float64(got.residual).view(np.uint64) == np.float64(want.residual).view(np.uint64)
 
 
-def ladder_solves(coupled, gamma_c, kappa, eps):
+def ladder_solves(levels, gamma_c, kappa, eps):
     """The ladder's accepted state, or the type of its refusal, and every solve it made as
     ``(system, rhs, solution)``."""
-    if coupled:
+    if levels == 2:
         params = SystemParams.from_gamma_c(gamma_c, kappa, eps)
         rates, kappa = oracle._displaced(params), params.kappa
     else:
@@ -1187,7 +1230,7 @@ def ladder_solves(coupled, gamma_c, kappa, eps):
         patch.setattr(oracle, "spsolve", lambda system, rhs: solves.append(
             (system, rhs, x := solve(system, rhs))) or x)
         try:
-            return oracle._settled(coupled, rates, kappa), solves
+            return ladder(rates, kappa, levels), solves
         except (DimensionCap, SingularSystem) as exc:  # the ladder's two refusals
             return type(exc), solves
 
@@ -1226,8 +1269,8 @@ class TestBandedSolve:
         # that numbering, and scipy's reverse Cuthill-McKee order of the same pattern, in
         # triu numbering, is not ours node for node and never narrower (46/46 at rung 16)
         from scipy.sparse.csgraph import reverse_cuthill_mckee
-        frame = oracle._frame(n_cut, coupled)
-        _, pos, system = oracle._generator(frame, frame.at(*rates), 1.0)
+        frame = oracle._frame(n_cut, 2 if coupled else 1)
+        _, pos, system = oracle._generator(frame, frame.at(*rates))
         number = pos[np.triu_indices(frame.d)]  # by triu index
         assert np.array_equal(np.sort(number), np.arange(number.size))
         band, (rows, cols) = system.plan.band, system.plan.entries
@@ -1250,8 +1293,8 @@ class TestBandedSolve:
         monkeypatch.setattr(oracle, "_cuthill_mckee", lambda ptr, adj: graphs.append(
             (ptr, adj, got := order(ptr, adj))) or got)
         clear_caches()  # so that the pattern's plans are built here
-        frame = oracle._frame(n_cut, coupled)
-        lv, pos, _ = oracle._generator(frame, frame.at(*rates), 1.0)
+        frame = oracle._frame(n_cut, 2 if coupled else 1)
+        lv, pos, _ = oracle._generator(frame, frame.at(*rates))
         (ptr, adj, got), = graphs
         natural = fold_matrix_system(scipy_matrix(lv), frame.d, triu_numbering(frame.d)).tocoo()
         n = natural.shape[0]
@@ -1265,9 +1308,9 @@ class TestBandedSolve:
     @pytest.mark.thorough
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
     @given(point=ladder_points())
-    @example(point=(True, 0.4, 0.8, 0.2))  # the canonical point
-    @example(point=(True, 1e-30, 1e30, 1.0))  # the domain test's extreme points
-    @example(point=(True, 1e-38, 1e-38, 1e-140))
+    @example(point=(2, 0.4, 0.8, 0.2))  # the canonical point
+    @example(point=(2, 1e-30, 1e30, 1.0))  # the domain test's extreme points
+    @example(point=(2, 1e-38, 1e-38, 1e-140))
     def test_matches_superlu(self, point):
         # a tenth of the profile's examples: a draw may solve rung 64 twice.  scipy's SuperLU
         # (splu, COLAMD order) on each plan's CSR is the reference, and a ladder on it
@@ -1469,9 +1512,10 @@ class TestOperatorBuilds:
     def test_built_on_first_use_and_kept(self):
         clear_caches()
         config = HilbertConfig(4)
-        assert vars(config) == {"n_cut": 4, "dim_cap": 256}  # a config holds no operator
+        # a config holds no operator
+        assert vars(config) == {"n_cut": 4, "dim_cap": 256, "levels": 2}
         assert [cache.cache_info().currsize for cache in CACHES.values()] == [0]
-        assert oracle._frame(4, True) is oracle._frame(4, True)
+        assert oracle._frame(4, 2) is oracle._frame(4, 2)
 
     @pytest.mark.parametrize(
         "run,builds",
@@ -1539,9 +1583,10 @@ class TestMomentReads:
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     def test_moments_are_the_direct_reads(self, shift):
         # six reads on the product space, three on the g = 0 cavity's own states
-        ops, dense = HilbertConfig(n_cut=6), dense_operators(6)
-        rng = np.random.default_rng(3)
-        for d, atom in ((ops.dim, ("sigma", "eta_a", "eta_b")), (ops.n_cut + 1, ())):
+        dense, rng = dense_operators(6), np.random.default_rng(3)
+        for levels, atom in ((2, ("sigma", "eta_a", "eta_b")), (1, ())):
+            ops = HilbertConfig(n_cut=6, levels=levels)
+            d = ops.dim
             x = rng.standard_normal((d, d))
             rho = DensityMatrix(matrix=x @ x.T / np.trace(x @ x.T), residual=0.0, ops=ops,
                                 shift=shift)
@@ -1626,10 +1671,10 @@ class TestDecoupled:
         rho = cavity_state(0.2, 0.8, 8)
         assert rho.matrix.shape == (9, 9) and rho.trace_error() <= 1e-12
         lifted = np.kron(np.diag([0.0, 1.0]), rho.matrix)
-        eta_b = DensityMatrix(lifted, 0.0, rho.ops).expect(dense_operators(8)["eta_b"])
+        eta_b = DensityMatrix(lifted, 0.0, HilbertConfig(8)).expect(dense_operators(8)["eta_b"])
         assert eta_b.real == pytest.approx(1.0, abs=1e-12)
-        frame = oracle._frame(8, True)
-        lv, *_ = oracle._generator(frame, frame.at(0.0, 0.2 / 0.8, 0.0), 1.0)
+        frame = oracle._frame(8, 2)
+        lv, *_ = oracle._generator(frame, frame.at(0.0, 0.2 / 0.8, 0.0))
         assert float(np.abs(lv @ lifted.ravel("F")).max()) * 0.8 == rho.residual
 
     def test_undriven_decoupled_cavity_is_empty(self):
@@ -1806,6 +1851,26 @@ class TestBadCavityLimit:
         for x, rows in variances.items():
             for kappa, v_plus, v_minus in rows:
                 assert (v_plus + v_minus) / 2.0 >= 1.0 - 1e-12, (x, kappa, v_plus, v_minus)
+
+    def test_readme_table_is_the_ladders(self, variances):
+        # README's (V+ - 1) kappa/gamma_c table, cell by cell to its printed 4 decimals
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| x | kappa = "))
+        header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+        assert header == ["x", *[f"kappa = {k:g}" if j == 0 else f"{k:g}"
+                                 for j, k in enumerate(self.KAPPAS)], "limit"]
+
+        def printed(value):
+            return "0" if value == 0.0 else f"{value:+.4f}".replace("-", "\u2212")
+
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in lines[start + 2:start + 2 + len(self.XS)]]
+        for (label, *cells), (x, ladder) in zip(rows, variances.items(), strict=True):
+            assert float(fractions.Fraction(label)) == x
+            want = [printed((v_plus - 1.0) * kappa / self.GAMMA_C) for kappa, v_plus, _ in ladder]
+            assert cells == [*want, printed(self.limit(x)[0])], x
 
     def test_approach_to_the_limit_is_first_order(self, variances):
         for x, rows in variances.items():

@@ -165,11 +165,13 @@ def test_cached_terms_are_the_uncached_expressions(gamma_c, kappa):
 
 
 
-# One construction per checked value; each takes the value under test.
+# One construction per checked value; each takes the value under test.  A count with a
+# largest value has a third entry.
 _COUNTS = {
     "n_cut": (2, lambda v: HilbertConfig(v)),
     "dim_cap": (6, lambda v: HilbertConfig(2, dim_cap=v)),
     "n_points": (2, lambda v: SweepSpec(0.0, 1.0, v, 0.4, 0.8)),
+    "levels": (1, lambda v: HilbertConfig(2, levels=v), 2),
 }
 _POSITIVES = {
     "dt": lambda v: IntegratorConfig(dt=v, t_max=1.0, steady_tol=1e-12),
@@ -179,9 +181,10 @@ _POSITIVES = {
 
 
 def _rule_cases():
-    for name, (least, build) in _COUNTS.items():
-        for value in (math.inf, math.nan, 2.5, least - 1):
-            yield pytest.param(build, value, f"{name} must be an integer >= {least}, got {value}",
+    for name, (least, build, *most) in _COUNTS.items():
+        rule = f"from {least} to {most[0]}" if most else f">= {least}"
+        for value in (math.inf, math.nan, 2.5, least - 1, True, *(m + 1 for m in most)):
+            yield pytest.param(build, value, f"{name} must be an integer {rule}, got {value}",
                                id=f"{name}={value}")
     for name, build in _POSITIVES.items():
         for value in (0.0, -1.0, math.nan, math.inf):
