@@ -37,6 +37,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from json.encoder import encode_basestring_ascii
 
 # Each subcommand imports the modules it runs when it runs, so a cold start loads
 # only those: ``steady`` loads ``single_mode``, and ``figures`` no ``oracle``.
@@ -55,30 +56,33 @@ class ConfigError(ValueError):
 
 
 def _dump_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, complex):
-        obj = {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(key)}: {_dump_json(value, indent + 1)}"
-            for key, value in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{_dump_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return json.dumps(obj)
+    # Keys and strings are escaped as json.dumps escapes a str.
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ConfigError(f"cannot serialise non-finite value {obj!r}")
         return "%.17g" % obj
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        brackets, items = "{}", [
+            (encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key))
+            + ": " + _dump_json(value, indent + 1) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_dump_json(value, indent + 1) for value in obj]
+    elif isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    elif obj is None:
+        return "null"
+    elif isinstance(obj, bool):
+        return "true" if obj else "false"
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    else:
+        raise TypeError(f"cannot serialise {type(obj).__name__}")
+    if not items:
+        return brackets
+    inner, outer = "\n" + "  " * (indent + 1), "\n" + "  " * indent
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
 def render_json(obj) -> str:
@@ -348,17 +352,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``.  When ``argv[0]`` names a subcommand, that subcommand's
+    parser reads the rest, as ``parse_args`` would hand it on, without the top-level pass,
+    which runs a prefix search on every option string; any other command line is help or an
+    error, and goes through ``parse_args``."""
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    command = commands[argv[0]]
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     try:
         if args.config:
             # argv[0] is the subcommand (the top-level parser has no options).
             # Argparse keeps the last value it sees, so the user's flags win; the
             # ``--flag=value`` form keeps a config value starting with ``-`` intact.
             tokens = _config_argv(args.config, set(vars(args)) - {"command"})
-            args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
+            args = _parse(parser, [*argv[:1], *tokens, *argv[1:]])
         # Looked up at call time, so a handler rebound on the module is the one run.
         return globals()[f"_cmd_{args.command}"](args)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:

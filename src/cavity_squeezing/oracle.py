@@ -48,10 +48,13 @@ Conventions, fixed once and used everywhere:
   stays on the space it was solved on, which its :class:`HilbertConfig` names;
 * what the rates leave unchanged is built once, in read-only arrays, per cutoff and
   atomic levels (``_frame``: 2, the product space, or 1, the ``g = 0`` cavity) in one object:
-  the Kronecker factors, the Hamiltonian's unit parts on their slots, per pattern of
-  ``K = -i H`` the generator's plan and the folded system's, built together, and the
+  the dissipator's keys and values, the Hamiltonian's unit parts on their slots, per pattern
+  of ``K = -i H`` the generator's plan and the folded system's, built together, and the
   moments' gathers, which a state reads on the frame that solved it.  A rung evaluates its
-  rates on the slots, sums the values on the plans, solves and gathers.
+  rates on the slots as ``k``; ``K`` has a zero diagonal and meets no other Kronecker term in
+  a slot, so each generator entry is one entry of ``[k, -k, rate-free values]``, and each
+  folded entry one of them or the sum of two.  The rung gathers both systems from that
+  array, solves and gathers the moments.
 
 The oracle's quadrature variances use the standard commutator, whose
 vacuum level is 1 for both quadratures; the closed forms use the
@@ -163,14 +166,14 @@ def _product_operators(n_cut: int) -> dict:
 
 class _Frame:
     """A truncated space's rate-independent parts, in read-only arrays.  What the jump
-    operator ``a`` fixes in a generator: the dimension ``d`` and the nonzeros and values of
-    the Kronecker factors ``a`` and ``n = a^T a``, which is diagonal, so ``n^T = n``.  The
-    Hamiltonian's unit parts, for the solves ``J = sigma^dag a - a^dag sigma``, ``S =
-    sigma^dag - sigma`` and ``E = a^dag - a``, on ``slots``, the union of their nonzeros
-    (flat, row-major).  ``plans``, by ``K``'s nonzero mask over ``slots``: the tuple of the
-    generator plan and what :func:`_fold_plan` makes of it, ``(plan, pos, kept, fold plan)``,
-    built on the pattern's first solve.  And ``gathers``, one per dense operator of ``reads``: the
-    :func:`_gather` of ``tr(op rho)``.
+    operator ``a`` fixes in a generator: the dimension ``d``, the nonzeros and values of ``a``
+    (``jump``), the diagonal ``n`` of ``a^T a``, which must be diagonal, and the
+    :attr:`dissipator` they give.  The Hamiltonian's unit parts, for the solves ``J = sigma^dag
+    a - a^dag sigma``, ``S = sigma^dag - sigma`` and ``E = a^dag - a``, on ``slots``, the union
+    of their nonzeros (flat, row-major).  ``plans``, by ``K``'s nonzero mask over ``slots``:
+    the generator's plan and what :func:`_fold_plan` makes of it, ``(plan, pos, fold plan)``,
+    built on the pattern's first solve.  And ``gathers``, one per dense operator of ``reads``:
+    the :func:`_gather` of ``tr(op rho)``.
 
     The units' nonzeros are at least 1 in magnitude and no two units share a slot, so on
     a unit's slots ``K`` is one rate, ``g``, ``g shift`` or ``eps``, times the unit, and a
@@ -180,15 +183,31 @@ class _Frame:
 
     def __init__(self, a: np.ndarray, units: list, reads=()):
         n_op = a.T @ a
-        self.d = len(a)
-        self.factors = []
-        for x in (a, n_op):
-            rows, cols = np.nonzero(x)
-            self.factors.append(((_frozen(rows), _frozen(cols)), _frozen(x[rows, cols])))
+        self.d, self.n = len(a), _frozen(np.diag(n_op).copy())
+        if np.count_nonzero(n_op) != np.count_nonzero(self.n):
+            raise ValueError("n = a^T a is not diagonal")
+        rows, cols = np.nonzero(a)
+        self.jump = (_frozen(rows), _frozen(cols)), _frozen(a[rows, cols])
         self.slots = _frozen(np.flatnonzero(np.any(units, axis=0)))
         self.units = _frozen(np.array([unit.ravel()[self.slots] for unit in units]))
         self.plans = {}
         self.gathers = tuple(tuple(map(_frozen, _gather(op))) for op in reads)
+
+    @cached_property
+    def dissipator(self) -> tuple[np.ndarray, np.ndarray]:
+        """``D = a (x) a - (I (x) n + n (x) I)/2``, built on the frame's first solve: the
+        row-major keys of its nonzeros, ``a (x) a``'s, then the diagonal's, and ``rate_free``,
+        their values, each diagonal entry's two halves summed once, followed by the 1 of the
+        folded system's trace row."""
+        d, n, ((rows, cols), values) = self.d, self.n, self.jump
+        t = np.uint32 if d <= 256 else np.int64  # for the keys row * d**2 + col
+        diagonal = np.flatnonzero(np.logical_or.outer(n != 0, n != 0))  # row i d + j
+        jumps = (rows * d**3 + cols * d).astype(t)[:, None] + (rows * d * d + cols).astype(t)
+        keys = np.r_[jumps.ravel(), (diagonal * (d * d + 1)).astype(t)]
+        half = -0.5 * n
+        rate_free = np.r_[np.multiply.outer(values, values).ravel(),
+                          np.add.outer(half, half).ravel()[diagonal], 1.0]
+        return _frozen(keys), _frozen(rate_free)
 
     def at(self, g: float, epsilon: float, shift: float):
         """``K = -i H`` on the slots, entry by entry, for the model's Hamiltonian ``H = i g
@@ -218,8 +237,9 @@ def _frame(n_cut: int, levels: int) -> _Frame:
 def _generator(frame: _Frame, k):
     """The generator of ``K`` valued ``k`` on ``frame.slots`` and of the frame's jump operator
     at ``kappa = 1``, ``pos`` and the folded system, in ``pos``'s numbering, that sums ``(r, s)``
-    with ``(s, r)``.  The first solve of ``K``'s pattern builds the frame's plans of both.
-    ``K``'s zeros drop out of its pattern, and a non-finite ``K`` raises ``ValueError``."""
+    with ``(s, r)``: both gathered from ``[k, -k, rate_free]`` (:attr:`_Frame.dissipator`) by
+    the plans of ``K``'s pattern, which its first solve builds.  ``K``'s zeros drop out of its
+    pattern, and a non-finite ``K`` raises ``ValueError``."""
     if not np.all(np.isfinite(k)):
         raise ValueError("K = -i H has a non-finite entry")
     nonzero = k != 0
@@ -227,58 +247,57 @@ def _generator(frame: _Frame, k):
     if plans is None:
         plan = _generator_plan(frame, frame.slots[nonzero])
         plans = frame.plans[key] = (plan, *_fold_plan(frame, plan))
-    plan, pos, kept, fold = plans
-    k, one = k[nonzero], np.ones(frame.d)  # the identity's nonzeros
-    (_, a), (_, n_op) = frame.factors
-    terms = ((1.0, one, k), (-1.0, k, one), (1.0, a, a), (-0.5, one, n_op), (-0.5, n_op, one))
-    values, start = np.empty(plan.size), 0  # each term's outer product, row-major
-    for c, x, y in terms:
-        stop = start + x.size * y.size
-        np.multiply(c * x[:, None], y, out=values[start:stop].reshape(x.size, y.size))
-        start = stop
-    lv = plan(values)
-    values = np.ones(frame.d + kept.size)  # the trace row's 1s, then the entries kept
-    lv.data.take(kept, out=values[frame.d:])
-    return lv, pos, fold(values)
+    plan, pos, fold = plans
+    ext = np.concatenate((k, -k, frame.dissipator[1]))
+    return plan(ext), pos, fold(ext)
 
 
 def _generator_plan(frame: _Frame, k_slots):
-    """The index plan of the Kronecker sum ``I (x) K - K^T (x) I + a (x) a - (I (x) n + n^T
-    (x) I)/2`` for ``K``'s nonzeros at the flat ``k_slots``.  Each term holds a slot at most
-    once, so ``K^T``'s entries may come in ``K``'s order."""
-    d = frame.d
+    """The index plan of the Kronecker sum ``I (x) K - K^T (x) I + D`` for ``K``'s nonzeros at
+    the flat ``k_slots``, ``D`` the frame's dissipator, on ``[k, -k, rate_free]`` for
+    ``K`` valued ``k`` on ``frame.slots``.  Each term holds a slot at most once, so ``K^T``'s
+    entries may come in ``K``'s order, and as ``K`` and ``a`` have zero diagonals no two terms
+    meet in a slot: each stored entry is one of ``k``, ``-k`` or ``rate_free``."""
+    d, s, (dissipator, _) = frame.d, frame.slots.size, frame.dissipator
+    at = np.searchsorted(frame.slots, k_slots).astype(np.int32)  # their places in k
     k_rows, k_cols = np.divmod(k_slots, d)
-    eye = (np.arange(d),) * 2
-    (a, _), (n_op, _) = frame.factors
-    nonzeros = ((eye, (k_rows, k_cols)), ((k_cols, k_rows), eye), (a, a), (eye, n_op),
-                (n_op, eye))
-    t = np.uint32 if d <= 256 else np.int64  # for the keys row * d**2 + col
-    keys = np.concatenate([(xr * d**3 + xc * d).astype(t)[:, None] + (yr * d * d + yc).astype(t)
-                           for (xr, xc), (yr, yc) in nonzeros], axis=None)
-    return _IndexPlan(keys, d * d)
+    eye, t = np.arange(d), dissipator.dtype
+    left = (eye * (d**3 + d)).astype(t)[:, None] + (k_rows * d * d + k_cols).astype(t)
+    right = (k_cols * d**3 + k_rows * d).astype(t)[:, None] + (eye * (d * d + 1)).astype(t)
+    plan = _IndexPlan(np.concatenate([left, right, dissipator], axis=None), d * d, np.concatenate(
+        [np.broadcast_to(at, left.shape), np.broadcast_to(s + at[:, None], right.shape),
+         np.arange(2 * s, 2 * s + dissipator.size, dtype=np.int32)], axis=None))
+    if plan.pairs.size:
+        raise ValueError("the generator's terms meet in a slot: K or a has a nonzero diagonal")
+    return plan
 
 
 class _IndexPlan:
-    """``plan(values)``: the ``n x n`` CSR :class:`_Matrix` of the flat ``values`` summed at
-    ``keys = row * n + col``, in any order: it sorts them stably.  Every matrix it builds
-    shares its read-only ``indices`` and ``indptr``, and carries the plan as its ``plan``."""
+    """``plan(ext)``: the ``n x n`` CSR :class:`_Matrix` whose stored entries sum ``ext`` at
+    ``sources``, one per key ``row * n + col``.  The keys come in any order, which it sorts
+    stably, and at most two to a slot, else ``ValueError``: entry ``i`` is ``ext[first[i]]``,
+    and the entries ``pairs`` add ``ext[second]``.  Every matrix it builds shares its read-only
+    ``indices`` and ``indptr``, and carries the plan as its ``plan``."""
 
-    def __init__(self, keys, n: int):
+    def __init__(self, keys, n: int, sources):
         order = keys.argsort(kind="stable")
-        keys, order = keys[order], order.astype(np.int32)
-        first = np.diff(keys, prepend=~keys[:1]) != 0  # each slot's first entry
-        more = np.flatnonzero(~first)  # the others, at slots more - 1, more - 2, ...
-        firsts, slots, rest = order[first], more - np.arange(1, more.size + 1), order[more]
+        keys, sources = keys[order], sources.astype(np.int32, copy=False)[order]
+        first = np.diff(keys, prepend=~keys[:1]) != 0  # each slot's first key
+        more = np.flatnonzero(~first)  # the second ones, at slots more - 1, more - 2, ...
+        pairs = more - np.arange(1, more.size + 1)
+        if np.any(pairs[1:] == pairs[:-1]):
+            raise ValueError("more than two keys meet in a slot")
         row, col = np.divmod(keys[first], n)
-        col, ptr = col.astype(np.int32), np.bincount(row + 1, minlength=n + 1).cumsum(dtype=np.int32)
-        del keys, order, first, more, row  # so that the copies kept below can take their place
-        self.n, self.size = n, firsts.size + rest.size
-        self.firsts, self.slots, self.rest, self.indices, self.indptr = (
-            _frozen(np.array(v)) for v in (firsts, slots, rest, col, ptr))
+        del keys, order  # so that the arrays kept below can take their place
+        self.n = n
+        self.first, self.pairs, self.second, self.indices, self.indptr = map(_frozen, (
+            sources[first], pairs.astype(np.int32), sources[more], col.astype(np.int32),
+            np.bincount(row + 1, minlength=n + 1).cumsum(dtype=np.int32)))
 
-    def __call__(self, values) -> _Matrix:
-        data = values.take(self.firsts)  # a lone -0.0 stays -0.0
-        np.add.at(data, self.slots, values.take(self.rest))
+    def __call__(self, ext) -> _Matrix:
+        data = ext.take(self.first)
+        if self.pairs.size:
+            data[self.pairs] += ext.take(self.second)
         return _Matrix(self, data)
 
     @cached_property
@@ -483,8 +502,9 @@ def _stationary(frame: _Frame, k) -> tuple[np.ndarray, float, float]:
 
 
 def _fold_plan(frame: _Frame, plan: _IndexPlan):
-    """``pos``, the entries kept and the folded system's plan for the generator that ``plan``
-    builds on ``frame``: the trace row's ``d`` entries, then the kept ones, at row-major keys.
+    """``pos`` and the folded system's plan for the generator that ``plan`` builds on
+    ``frame``: the trace row's ``d`` entries, each the 1 that ends ``ext``, then the generator's
+    entries kept, each the entry of ``ext`` that ``plan`` gathers, at row-major keys.
 
     The unknowns ``(r, s)``, ``r <= s``, and their rows are numbered in ``triu`` order, the
     trace row in place of ``(0, 0)``'s, and then once more, for good, in the reverse of
@@ -509,7 +529,9 @@ def _fold_plan(frame: _Frame, plan: _IndexPlan):
     number = np.empty(n, np.int64)
     number[order[::-1]] = np.arange(n)
     keys = (number[row] * n + number[col]).astype(t)
-    return _frozen(number[pos].astype(np.int32)), _frozen(kept), _IndexPlan(keys, n)
+    trace = 2 * frame.slots.size + frame.dissipator[1].size - 1  # the 1 that ends ext
+    sources = np.r_[np.full(d, trace, np.int32), plan.first[kept]]
+    return _frozen(number[pos].astype(np.int32)), _IndexPlan(keys, n, sources)
 
 
 def steady_density(params: SystemParams, config: HilbertConfig) -> DensityMatrix:

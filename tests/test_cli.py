@@ -57,6 +57,79 @@ class TestRenderJson:
         assert render_json(payload) == render_json(payload)
 
 
+def reference_dump_json(obj, indent=0):
+    """The renderer as it was before it encoded each key and string itself and joined each
+    container once: the reference :func:`render_json` must match, text and errors alike."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f"{inner}{json.dumps(key)}: {reference_dump_json(value, indent + 1)}"
+                           for key, value in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{inner}{reference_dump_json(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise cli.ConfigError(f"cannot serialise non-finite value {obj!r}")
+        return "%.17g" % obj
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+def outcome(render, payload):
+    """``render(payload)``, or the type and message of what it raised."""
+    try:
+        return render(payload)
+    except (cli.ConfigError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII ones (a BMP letter, a
+# line separator and an astral emoji); keys are strings, or the odd scalar json.dumps takes.
+TEXT = st.one_of(st.text(), st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é",
+                                                     "\u2028", "\U0001f600", "a"])))
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308]))
+LEAVES = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXT,
+                   st.complex_numbers(allow_nan=False, allow_infinity=False))
+PAYLOADS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(TEXT, st.integers(), st.booleans(), st.none()), inner,
+                    max_size=4)), max_leaves=24)
+BAD_LEAVES = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, complex(math.inf, 0.0),
+                                        complex(0.0, math.nan)]),
+                       st.sampled_from([b"x", {1.0}, object(), np.float32(1.5), np.int64(2)]))
+
+
+class TestRenderer:
+    """:func:`render_json` gives the reference renderer's text, and its errors."""
+
+    @settings(deadline=None)
+    @given(payload=PAYLOADS)
+    @example(payload={'"q"\\é': [-0.0, 5e-324, (1.7976931348623157e308, -1.7976931348623157e308)],
+                      "": {}, "t": (), "z": 1 - 2j, "n": [None, True, False, -7, "\u2028"]})
+    def test_matches_the_reference(self, payload):
+        assert outcome(render_json, payload) == reference_dump_json(payload) + "\n"
+
+    @settings(deadline=None)
+    @given(payload=PAYLOADS, bad=BAD_LEAVES, where=st.integers(0, 2))
+    def test_refuses_as_the_reference_does(self, payload, bad, where):
+        # a non-finite float raises ConfigError and any other type TypeError, both worded as
+        # the reference words them, wherever the value sits
+        payload = [[payload, bad], {"k": bad, "v": payload}, bad][where]
+        got = outcome(render_json, payload)
+        assert got == outcome(reference_dump_json, payload)
+        assert got[0] is (cli.ConfigError if isinstance(bad, (float, complex)) else TypeError)
+
+
 class TestOneRowCsv:
     """``steady``/``superpose --format csv`` write the text ``sweeps._write_csv`` writes."""
 
@@ -931,6 +1004,43 @@ class TestParseOnce:
         assert seen == ["steady"]
 
 
+class TestParseEquivalence:
+    """``main`` parses a subcommand's command line with that subcommand's parser; every
+    command line gives the exit code, stdout and stderr of ``build_parser().parse_args``,
+    which the reference runs in its place, and the same namespace."""
+
+    @staticmethod
+    def cases(tmp_path):
+        config = _write_config(tmp_path, {"gamma_c": 0.4, "kappa": 0.8, "epsilon": 0.2})
+        figures = ["figures", "--n-points", "3", "--out-dir", str(tmp_path / "figures")]
+        return [["steady", *CANONICAL], ["steady", *CANONICAL, "--format", "csv"],
+                ["superpose", *CANONICAL], ["dynamics", *CANONICAL, "--format", "json"],
+                ["oracle", *CANONICAL], [*figures, *CANONICAL],
+                ["oracle", "--kap", "0.8", "--gamma", "0.4", "--eps", "0.2"],
+                ["oracle", "--gamma-c=0.4", "--kappa=0.8", "--epsilon=0.2", "--n-cut=8"],
+                ["steady", "--config", config], ["oracle", "--config", config, "--kappa", "1.6"],
+                ["-h"], ["oracle", "-h"], ["--help", "oracle"], ["oracle", "--he"], [], ["ora"],
+                ["oracle", *CANONICAL, "--bogus", "1"], ["oracle", "--gamma-c"],
+                ["oracle", "--gamma-c", "x"], ["dynamics", *CANONICAL, "--initial", "sideways"],
+                [*figures, "--eps", "0.1"], ["oracle", *CANONICAL, "trailing"],
+                ["oracle", "--", "--gamma-c", "0.4"], ["steady", "--kappa", "-1", *CANONICAL[:2]],
+                ["-x", "oracle"], ["oracle", "-x"]]
+
+    def test_same_streams_and_exit_codes(self, tmp_path, capsys, monkeypatch):
+        own = [run_cli(argv, capsys) for argv in self.cases(tmp_path)]
+        monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+        reference = [run_cli(argv, capsys) for argv in self.cases(tmp_path)]
+        assert own == reference
+        codes = [code for code, _, _ in own]
+        assert codes[:10] == [0] * 10 and set(codes[10:14]) == {0} and set(codes[14:]) == {2}
+
+    def test_same_namespace(self, tmp_path):
+        parser = build_parser()
+        for argv in self.cases(tmp_path)[:10]:
+            assert list(vars(cli._parse(parser, argv)).items()) == list(
+                vars(parser.parse_args(argv)).items())
+
+
 def run_python(*args, cwd=None):
     """A fresh interpreter that imports the package copy this process uses."""
     src = os.path.dirname(os.path.dirname(cavity_squeezing.__file__))
@@ -1014,7 +1124,7 @@ print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded, "cap": cap,
 # alone, and no module of scipy.sparse or scipy.linalg, nor numpy.ma: the canonical
 # ladder, a good cavity's fixed cutoffs 64 and 127 (rungs 16, 32 and 64 and then 8,515
 # or 32,896 unknowns) and the g = 0 ladder's rung 128.  Each run prints what it printed
-# when every plan built scipy's CSR matrices.
+# when every matrix a solve builds multiplies by scipy's CSR matvec on the same arrays.
 ORACLE_SCRIPT = """
 import contextlib, io, json, sys
 from cavity_squeezing import cli
@@ -1050,19 +1160,15 @@ import numpy as np
 import scipy.sparse as sp
 from cavity_squeezing import oracle
 
-def scipy_matrix(plan, values):
-    data = values.take(plan.firsts)
-    np.add.at(data, plan.slots, values.take(plan.rest))
-    matrix = sp.csr_matrix((data, plan.indices, plan.indptr), shape=(plan.n, plan.n))
-    matrix.plan = plan
-    return matrix
+def scipy_matvec(matrix, x):
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape) @ x
 
-oracle._IndexPlan.__call__ = scipy_matrix
+oracle._Matrix.__matmul__ = scipy_matvec
 print(json.dumps({"before": before, "after": after, "loads": loads,
                   "loads_numpy_ma": loads_numpy_ma,
                   "codes": {name: out[0] for name, out in printed.items()},
-                  "scipy_matrices_print_the_same": {name: run(argv)[0] == printed[name]
-                                                    for name, argv in runs.items()}}))
+                  "scipy_matvecs_print_the_same": {name: run(argv)[0] == printed[name]
+                                                   for name, argv in runs.items()}}))
 """
 
 # Compares the band LU that the oracle loads from scipy's extension file with
@@ -1181,7 +1287,7 @@ class TestImportBoundary:
         assert json.loads(result.stdout) == {
             "before": False, "after": True, "loads": dict.fromkeys(runs, ["scipy"]),
             "loads_numpy_ma": False, "codes": dict.fromkeys(runs, 0),
-            "scipy_matrices_print_the_same": dict.fromkeys(runs, True)}
+            "scipy_matvecs_print_the_same": dict.fromkeys(runs, True)}
 
     @pytest.mark.parametrize("order", ["after", "before"])
     def test_the_band_lu_is_scipy_linalg_lapacks(self, order):

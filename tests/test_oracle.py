@@ -135,6 +135,69 @@ def coo_liouvillian(hamiltonian, a, kappa):
     return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))
 
 
+def index_sum(keys, n, values):
+    """The ``n x n`` CSR matrix of ``values`` summed at ``keys = row * n + col`` as the index
+    plans summed them before the oracle gathered its systems from ``K``'s slot values: the
+    keys sorted stably, each slot's first value, then ``np.add.at`` of the others in order."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=~keys[:1]) != 0
+    more = np.flatnonzero(~first)
+    data = values.take(order[first])
+    np.add.at(data, more - np.arange(1, more.size + 1), values.take(order[more]))
+    row, col = np.divmod(keys[first], n)
+    return sp.csr_matrix((data, col, np.bincount(row + 1, minlength=n + 1).cumsum()), shape=(n, n))
+
+
+def outer_product_assembly(frame, k, a, pos):
+    """The generator and the folded system of ``K`` valued ``k`` on ``frame.slots`` and the
+    dense jump operator ``a`` at ``kappa = 1``, assembled as before the oracle gathered them:
+    the outer products of the five Kronecker terms ``I (x) K - K^T (x) I + a (x) a - (I (x) n
+    + n^T (x) I)/2`` summed on their keys (``plan(values)``), then the trace row's 1s and the
+    generator's rows ``(r, s)``, ``r <= s`` but ``(0, 0)``, summed on the folded keys in the
+    numbering ``pos`` (``fold(values)``).  Asserts the two facts that let the oracle gather:
+    the only slots that two terms share are on the diagonal, each the two number terms', and
+    a folded entry sums at most two generator entries, those of columns ``(r, s)`` and ``(s, r)``
+    of one row."""
+    d, nonzero = frame.d, k != 0
+    k_rows, k_cols = np.divmod(frame.slots[nonzero], d)
+    k, one, eye, n_op = k[nonzero], np.ones(d), (np.arange(d),) * 2, a.T @ a
+    (a_rows, a_cols), (n_rows, n_cols) = np.nonzero(a), np.nonzero(n_op)
+    av, nv = a[a_rows, a_cols], n_op[n_rows, n_cols]
+    terms = (((1.0, one, k), eye, (k_rows, k_cols)), ((-1.0, k, one), (k_cols, k_rows), eye),
+             ((1.0, av, av), (a_rows, a_cols), (a_rows, a_cols)),
+             ((-0.5, one, nv), eye, (n_rows, n_cols)), ((-0.5, nv, one), (n_cols, n_rows), eye))
+    values = np.concatenate([np.ravel(c * x[:, None] * y) for (c, x, y), _, _ in terms])
+    keys = [np.ravel(xr[:, None] * d + yr) * d * d + np.ravel(xc[:, None] * d + yc)
+            for _, (xr, xc), (yr, yc) in terms]
+    term = np.repeat(np.arange(len(terms)), [part.size for part in keys])
+    keys = np.concatenate(keys)
+    lv = index_sum(keys, d * d, values)
+    slots, counts = np.unique(keys, return_counts=True)
+    shared = np.isin(keys, slots[counts > 1])
+    assert counts.max(initial=0) <= 2 and np.all(term[shared] >= 3)
+    assert np.array_equal(keys[shared] // (d * d), keys[shared] % (d * d))
+
+    i, j = np.triu_indices(d)
+    n, triu = i.size, triu_numbering(d)
+    rows = (i + d * j)[1:]
+    counts = np.diff(lv.indptr)[rows]
+    kept = np.repeat(lv.indptr[rows] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    row = np.r_[np.zeros(d, np.int64), np.repeat(np.arange(1, n), counts)]
+    col = np.r_[np.diag(triu), triu.ravel("F")[lv.indices[kept]]]
+    number = pos[i, j]
+    keys = number[row] * n + number[col]
+    system = index_sum(keys, n, np.r_[np.ones(d), lv.data[kept]])
+    order = keys.argsort(kind="stable")
+    twice = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    assert not np.any(twice[1:] == twice[:-1] + 1)  # no three
+    column = np.r_[np.full(d, -1), lv.indices[kept]]  # the generator's, -1 on the trace row
+    first, second = column[order[twice]], column[order[twice + 1]]
+    assert np.all(first >= 0) and np.all(first != second)
+    assert np.array_equal(first // d, second % d) and np.array_equal(first % d, second // d)
+    return lv, system
+
+
 def cavity_state(epsilon, kappa, n_cut):
     """The ``g = 0`` state solved directly at ``n_cut`` on the cavity's own ``n_cut + 1``
     states, from the drive and ``kappa`` that ``decoupled_benchmark`` checks."""
@@ -154,12 +217,9 @@ def sliced_decoupled_steady(epsilon, kappa, config):
     lv = coo_liouvillian(h, a, 1.0)
     lower = np.add.outer(np.arange(m, d), d * np.arange(m, d)).ravel("F")
     block = lv[lower][:, lower]
-    # the fold plan of the block's pattern, which the block's own K and a give
-    frame, _ = frame_parts(h[m:, m:], a[m:, m:])
-    plan = oracle._generator_plan(frame, frame.slots)
-    assert np.array_equal(plan.indptr, block.indptr) and np.array_equal(plan.indices, block.indices)
-    pos, kept, system = oracle._fold_plan(frame, plan)
-    system = system(np.r_[np.ones(m), block.data[kept]])
+    # the folded system of the block's own K and a, whose generator is the block, bit for bit
+    lv_block, pos, system = oracle._generator(*frame_parts(h[m:, m:], a[m:, m:]))
+    assert_same_bits(lv_block, block)
     try:
         x = oracle.spsolve(system, np.eye(1, system.shape[0], pos[0, 0])[0])
     except RuntimeError as exc:
@@ -219,13 +279,20 @@ def count_plan_builds(monkeypatch):
 def held_plans(frame):
     """The plans ``frame`` holds by pattern: the identities of its generator plan and of its
     folded-system plan, which each entry, a tuple built on the pattern's first solve, holds
-    with the fold's ``pos`` and entries kept."""
+    with the fold's ``pos``.  Each gathers from ``[k, -k, rate_free]`` by int32 maps: a
+    generator entry is one entry of it, a folded entry one or the sum of two."""
     held = {}
     for key, entry in frame.plans.items():
-        assert type(entry) is tuple and len(entry) == 4
-        plan, pos, kept, fold = entry
+        assert type(entry) is tuple and len(entry) == 3
+        plan, pos, fold = entry
         assert isinstance(plan, oracle._IndexPlan) and isinstance(fold, oracle._IndexPlan)
-        assert isinstance(pos, np.ndarray) and isinstance(kept, np.ndarray)
+        assert isinstance(pos, np.ndarray) and pos.dtype == np.int32
+        assert plan.pairs.size == 0 and fold.pairs.size == fold.second.size
+        ext = 2 * frame.slots.size + frame.dissipator[1].size
+        for x in (plan.first, fold.first, fold.pairs, fold.second):
+            assert x.dtype == np.int32 and np.all(x >= 0)
+        assert max(plan.first.max(initial=0), fold.first.max(initial=0),
+                   fold.second.max(initial=0)) < ext
         held[key] = (id(plan), id(fold))
     return held
 
@@ -622,14 +689,29 @@ class TestPlannedGenerator:
         # the second call may switch pattern, and the third comes back to the first's plan
         frame, a = oracle._frame(n_cut, 2), dense_operators(n_cut)["a"]
         for g, eps, shift in (first, second, first):
-            assert_same_bits(oracle._generator(frame, frame.at(g, eps, shift))[0],
-                             coo_liouvillian(dense_hamiltonian(g, eps, n_cut, shift), a, 1.0))
+            k = frame.at(g, eps, shift)
+            lv, pos, system = oracle._generator(frame, k)
+            assert_same_bits(lv, coo_liouvillian(dense_hamiltonian(g, eps, n_cut, shift), a, 1.0))
+            assert_same_bits(system, outer_product_assembly(frame, k, a, pos)[1])
 
     def test_operators_without_nonzeros(self):
         zero = np.zeros((6, 6))
-        lv, *_ = oracle._generator(*frame_parts(zero, zero))
-        assert lv.nnz == 0
+        frame, k = frame_parts(zero, zero)
+        lv, pos, system = oracle._generator(frame, k)
+        assert lv.nnz == 0 and system.nnz == 6  # the trace row alone
         assert_same_bits(lv, coo_liouvillian(zero, zero, 1.0))
+        assert_same_bits(system, outer_product_assembly(frame, k, zero, pos)[1])
+
+    @pytest.mark.parametrize("decay", [True, False])
+    def test_refuses_terms_that_meet(self, decay):
+        # a diagonal in K puts I (x) K and K^T (x) I on the slots of L's diagonal, with the
+        # number terms or without them, so a generator entry would be no single entry of
+        # [k, -k, rate_free]; nor would one of a non-diagonal a^T a
+        a = dense_operators(2)["a"]
+        with pytest.raises(ValueError, match="meet in a slot"):
+            oracle._generator(*frame_parts(np.diag(np.arange(1.0, 7.0) * 1j), a * decay))
+        with pytest.raises(ValueError, match="^n = a\\^T a is not diagonal$"):
+            frame_parts(np.zeros((6, 6)), a + a.T)
 
     def test_index_arrays_are_read_only(self, canonical):
         # an in-place change of the structure fails rather than reach the plan; a copy may
@@ -664,10 +746,11 @@ class TestPlanCache:
                               (1, lambda eps: cavity_state(eps, 0.8, 16))):
             solve(0.2)
             frame = oracle._frame(16, levels)
-            held = held_plans(frame)
+            held, dissipator = held_plans(frame), frame.dissipator
             assert len(held) == 1
             solve(0.5)
             assert held_plans(frame) == held
+            assert frame.dissipator is dissipator  # one per frame, whatever the pattern
         assert oracle._frame.cache_info().currsize == 2
 
     def test_stays_bounded(self, monkeypatch):
@@ -780,6 +863,11 @@ class TestCachedParts:
         assert not [x for x in arrays if x.flags.writeable]
         with pytest.raises(ValueError):
             frames[0].units[0, 0] = 2.0
+        for frame in frames:  # the dissipator's keys and values, built on the first solve
+            keys, rate_free = frame.dissipator
+            assert keys.size + 1 == rate_free.size and rate_free[-1] == 1.0
+            with pytest.raises(ValueError):
+                rate_free[0] = 2.0
 
     def test_one_build_per_cutoff_frame_and_pattern(self, monkeypatch):
         # an oracle_ladder cycle's ops: ladders that end at rung 16 (K = g J without drive),
@@ -799,16 +887,17 @@ class TestCachedParts:
         frames = {(n_cut, levels): oracle._frame(n_cut, levels)
                   for n_cut, levels in ((16, 2), (16, 1), (32, 1))}
         assert oracle._frame.cache_info().misses == built["_frame"]  # the frames cached
-        held = {key: held_plans(frame) for key, frame in frames.items()}
+        held = {key: (held_plans(frame), id(frame.dissipator)) for key, frame in frames.items()}
         assert plans == [4, 4]  # one generator plan and one fold plan per pattern
         ladder()  # a replay builds nothing
         assert plans == [4, 4]
         assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == built
-        assert {key: held_plans(frame) for key, frame in frames.items()} == held
+        assert {key: (held_plans(frame), id(frame.dissipator))
+                for key, frame in frames.items()} == held
         # product space 16; cavity 16 and 32, which the g = 0 states' moments read too
         assert built == {"_frame": 3}
         # patterns per frame: g J + g alpha S and g J; eps E
-        assert {key: len(plans) for key, plans in held.items()} == {
+        assert {key: len(plans) for key, (plans, _) in held.items()} == {
             (16, 2): 2, (16, 1): 1, (32, 1): 1}
 
 
@@ -1217,6 +1306,49 @@ class TestOneAcceptanceRule:
             assert np.float64(got.residual).view(np.uint64) == np.float64(want.residual).view(np.uint64)
 
 
+def jump(n_cut, levels):
+    """The dense jump operator ``a`` of ``_frame(n_cut, levels)``."""
+    return dense_operators(n_cut)["a"][: levels * (n_cut + 1), : levels * (n_cut + 1)]
+
+
+class TestGatheredSystems:
+    """Each solve gathers its generator and its folded system from ``[k, -k, rate_free]``;
+    both equal, bit for bit, the outer-product assembly they replace
+    (:func:`outer_product_assembly`), which also asserts the two facts the gather rests on."""
+
+    @staticmethod
+    def assert_gathered(levels, n_cut, rates):
+        frame = oracle._frame(n_cut, levels)
+        k = frame.at(*rates)
+        lv, pos, system = oracle._generator(frame, k)
+        reference_lv, reference_system = outer_product_assembly(frame, k, jump(n_cut, levels), pos)
+        assert_same_bits(lv, reference_lv)
+        assert_same_bits(system, reference_system)
+
+    @pytest.mark.thorough
+    @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 10))
+    @given(point=ladder_points())
+    @example(point=(2, 0.4, 0.8, 0.2))  # the canonical point
+    @example(point=(1, 0.0, 0.8, 0.2))
+    def test_ladder_points_at_rungs_16_32_and_64(self, point):
+        # a tenth of the profile's examples: each builds three rungs twice
+        levels, gamma_c, kappa, eps = point
+        if levels == 2:
+            rates = oracle._displaced(SystemParams.from_gamma_c(gamma_c, kappa, eps))
+        else:
+            rates, _ = oracle._cavity(eps, kappa)
+        for n_cut in (16, 32, 64):
+            self.assert_gathered(levels, n_cut, rates)
+
+    @pytest.mark.parametrize("n_cut", [16, 32, 128])
+    def test_decoupled_rungs(self, n_cut):
+        self.assert_gathered(1, n_cut, oracle._cavity(1.4, 0.8)[0])
+
+    def test_fixed_n_cut_127(self):
+        # a good cavity's, whose rungs 16, 32 and 64 miss, so that 127 is solved directly
+        self.assert_gathered(2, 127, oracle._displaced(params_at(0.2, kappa=0.004)))
+
+
 def ladder_solves(levels, gamma_c, kappa, eps):
     """The ladder's accepted state, or the type of its refusal, and every solve it made as
     ``(system, rhs, solution)``."""
@@ -1423,6 +1555,16 @@ class TestPlanMatrix:
     does, and multiplies a vector as scipy's CSR matrix on the same arrays does, bit for bit,
     emitting no numpy warning where scipy's loop emits none."""
 
+    def test_gathers_each_key_from_its_source(self):
+        # keys 3, 0, 3 of a 2 x 2 pattern read ext[2], ext[0] and ext[1]: slot 3 sums two
+        plan = oracle._IndexPlan(np.array([3, 0, 3]), 2, np.array([2, 0, 1]))
+        matrix = plan(np.array([1.0, 0.25, 4.0]))
+        assert matrix.data.tolist() == [1.0, 4.25]
+        maps = (plan.first, plan.pairs, plan.second)
+        assert [x.tolist() for x in maps] == [[0, 2], [1], [1]]
+        with pytest.raises(ValueError, match="^more than two keys meet in a slot$"):
+            oracle._IndexPlan(np.array([1, 1, 1]), 2, np.arange(3))
+
     @pytest.mark.thorough
     @settings(deadline=None)
     @given(drawn=plan_matrices())
@@ -1437,7 +1579,7 @@ class TestPlanMatrix:
     def test_matmul_is_scipys(self, drawn):
         keys, n, values, x = drawn
         with np.errstate(over="ignore"):  # a slot's two values may overflow, as in scipy's sum
-            matrix = oracle._IndexPlan(keys, n)(values)
+            matrix = oracle._IndexPlan(keys, n, np.arange(keys.size))(values)
         rows, cols = np.divmod(keys.astype(np.int64), n)
         assert_same_bits(matrix, sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr())
         with warnings.catch_warnings():
